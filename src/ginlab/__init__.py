@@ -16,8 +16,8 @@ from .series import (InadmissibleHilbertFunction, SeriesWindow,
                      maxgbdeg_bound)
 from .generic import (GenericInstance, GinResult, InconclusiveSampling,
                       generic_templates, gin_by_sampling, gin_parametric,
-                      hilbert_function_homogeneous, ideal_at_point,
-                      is_u_generic, sample_ideal, sample_point)
+                      ideal_at_point, is_u_generic, sample_ideal,
+                      sample_point)
 from .props import (PropertyVerdict, borel_action_check, is_borel_fixed,
                     is_lexsegment, is_weakly_revlex)
 

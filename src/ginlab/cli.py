@@ -17,9 +17,9 @@ import time
 from itertools import product
 from pathlib import Path
 
-from .fields import QQ, field_by_name
-from .generic import (GF32003, InconclusiveSampling, generic_templates,
-                      gin_by_sampling, gin_parametric)
+from .fields import field_by_name
+from .generic import (InconclusiveSampling, generic_templates,
+                      gin_by_sampling, gin_parametric, trial_seeds)
 from .groebner import (Budget, BudgetExceeded, buchberger, reduce_basis)
 from .ideals import MonomialIdeal, hilbert_series, maxdeg, minimalize
 from .orders import mono_str, order_by_name
@@ -30,6 +30,9 @@ from .series import (InadmissibleHilbertFunction, SeriesWindow,
                      lexsegment_of_hf)
 
 SCHEMA = 1
+
+#: mathematical failures: exit 1 with the reason as JSON
+FAILURES = (InconclusiveSampling, BudgetExceeded, InadmissibleHilbertFunction)
 
 CSV_COLUMNS = ["n", "s", "degrees", "order", "route", "gin", "is_lexsegment",
                "is_weakly_revlex", "is_borel_fixed", "maxdeg_gin",
@@ -66,15 +69,11 @@ def cmd_gin(args):
     inst = generic_templates(args.n, _parse_degrees(args.degrees), field,
                              main_order, t_order)
     budget = Budget(ms=args.budget_ms, max_pairs=args.max_pairs)
-    try:
-        if args.route == "sample":
-            result = gin_by_sampling(inst, trials=args.trials, seed=args.seed,
-                                     bound=args.bound, budget=budget)
-        else:
-            result = gin_parametric(inst, budget=budget)
-    except (InconclusiveSampling, BudgetExceeded) as exc:
-        emit({"schema": SCHEMA, "error": type(exc).__name__, "detail": str(exc)})
-        return 1
+    if args.route == "sample":
+        result = gin_by_sampling(inst, trials=args.trials, seed=args.seed,
+                                 bound=args.bound, budget=budget)
+    else:
+        result = gin_parametric(inst, budget=budget)
     out = result.to_json()
     out["ideal"]["gens_str"] = [mono_str(g) for g in result.ideal.gens]
     emit(out)
@@ -100,19 +99,14 @@ def cmd_froeberg(args):
 
 
 def cmd_lexseg(args):
-    try:
-        if args.hf_file:
-            with open(args.hf_file) as fh:
-                hf = SeriesWindow.from_json(json.load(fh))
-            J, uncertain = lexsegment_of_hf(args.n, hf, args.horizon)
-        else:
-            J, uncertain = lexsegment_of_froeberg(args.n,
-                                                  _parse_degrees(args.degrees),
-                                                  args.horizon)
-    except InadmissibleHilbertFunction as exc:
-        emit({"schema": SCHEMA, "error": "InadmissibleHilbertFunction",
-              "detail": str(exc)})
-        return 1
+    if args.hf_file:
+        with open(args.hf_file) as fh:
+            hf = SeriesWindow.from_json(json.load(fh))
+        J, uncertain = lexsegment_of_hf(args.n, hf, args.horizon)
+    else:
+        J, uncertain = lexsegment_of_froeberg(args.n,
+                                              _parse_degrees(args.degrees),
+                                              args.horizon)
     out = _ideal_json(J)
     out["horizon_uncertain"] = uncertain
     emit(out)
@@ -120,14 +114,8 @@ def cmd_lexseg(args):
 
 
 def cmd_bound(args):
-    try:
-        J, uncertain = lexsegment_of_froeberg(args.n,
-                                              _parse_degrees(args.degrees),
-                                              args.horizon)
-    except InadmissibleHilbertFunction as exc:
-        emit({"schema": SCHEMA, "error": "InadmissibleHilbertFunction",
-              "detail": str(exc)})
-        return 1
+    J, uncertain = lexsegment_of_froeberg(args.n, _parse_degrees(args.degrees),
+                                          args.horizon)
     emit({"bound": maxdeg(J) if J.gens else 0, "horizon_uncertain": uncertain})
     return 0
 
@@ -147,11 +135,7 @@ def cmd_gb(args):
     order = order_by_name(args.order)
     polys = [poly_from_json(ring, order, p) for p in data["polys"]]
     budget = Budget(ms=args.budget_ms, max_pairs=args.max_pairs)
-    try:
-        gb = reduce_basis(buchberger(polys, order, budget))
-    except BudgetExceeded as exc:
-        emit({"schema": SCHEMA, "error": "BudgetExceeded", "detail": str(exc)})
-        return 1
+    gb = reduce_basis(buchberger(polys, order, budget))
     emit({
         "schema": SCHEMA,
         "order": args.order,
@@ -165,24 +149,28 @@ def cmd_gb(args):
 # ---------------------------------------------------------------------------
 # survey
 
+def _survey_seeds(route, seed, trials):
+    """The trial seeds of a survey row, known before any case runs."""
+    return list(trial_seeds(seed, trials)) if route == "sample" else []
+
+
 def survey_row(n, degrees, order_name, route, seed, trials, field, budget_ms):
     """One SurveyRow as a plain dict; per-case failures land in 'error'."""
     t0 = time.perf_counter()
     row = {
         "schema": SCHEMA, "n": n, "s": len(degrees),
         "degrees": list(degrees), "order": order_name, "route": route,
+        "seeds": _survey_seeds(route, seed, trials),
     }
     try:
         inst = generic_templates(n, degrees, field, order_by_name(order_name))
         budget = Budget(ms=budget_ms)
         if route == "sample":
             res = gin_by_sampling(inst, trials=trials, seed=seed, budget=budget)
-            row["seeds"] = list(res.seeds)
             row["agreement"] = res.agreement
             row["u_generic"] = list(res.u_generic)
         else:
             res = gin_parametric(inst, budget=budget)
-            row["seeds"] = []
             row["agreement"] = None
         J = res.ideal
         bound_ideal, _ = lexsegment_of_froeberg(n, degrees)
@@ -193,8 +181,7 @@ def survey_row(n, degrees, order_name, route, seed, trials, field, budget_ms):
         row["maxdeg_gin"] = maxdeg(J) if J.gens else 0
         row["maxgbdeg_bound"] = maxdeg(bound_ideal) if bound_ideal.gens else 0
         row["error"] = None
-    except (InconclusiveSampling, BudgetExceeded,
-            InadmissibleHilbertFunction) as exc:
+    except FAILURES as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
     row["runtime_ms"] = round((time.perf_counter() - t0) * 1000, 3)
     return row
@@ -220,15 +207,16 @@ def cmd_survey(args):
             for line in fh:
                 r = json.loads(line)
                 existing[_row_key(r)] = r
+    seeds = tuple(_survey_seeds(args.route, args.seed, args.trials))
     rows = []
     with open(jsonl, "a") as fh:
         for n, degrees in cases:
-            row = survey_row(n, degrees, args.order, args.route, args.seed,
-                             args.trials, field, args.budget_ms)
-            key = _row_key(row)
+            key = (n, degrees, args.order, args.route, seeds)
             if key in existing:
                 rows.append(existing[key])
                 continue
+            row = survey_row(n, degrees, args.order, args.route, args.seed,
+                             args.trials, field, args.budget_ms)
             fh.write(json.dumps(row) + "\n")
             existing[key] = row
             rows.append(row)
@@ -331,7 +319,11 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     if args.cmd == "lexseg" and not (args.degrees or args.hf_file):
         build_parser().error("lexseg needs -d or --hf-file")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except FAILURES as exc:
+        emit({"schema": SCHEMA, "error": type(exc).__name__, "detail": str(exc)})
+        return 1
 
 
 if __name__ == "__main__":

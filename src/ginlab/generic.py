@@ -6,12 +6,13 @@ Groebner run under an inverse block order.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .fields import QQ, PrimeField
-from .groebner import Budget, buchberger, reduce_basis
-from .ideals import MonomialIdeal, minimalize, monomials_of_degree
-from .orders import LEX, InverseBlock, binomial, mono_mul
+from .groebner import buchberger
+from .ideals import (MonomialIdeal, hilbert_series, minimalize,
+                     monomials_of_degree)
+from .orders import LEX, InverseBlock, binomial
 from .poly import Polynomial, Ring, block_leading_data
 from .series import default_horizon, froeberg_series
 
@@ -145,102 +146,17 @@ def sample_ideal(inst, seed, bound=None):
     return ideal_at_point(inst, sample_point(inst, seed, bound))
 
 
-# ---------------------------------------------------------------------------
-# Macaulay-matrix Hilbert data
-
-def _matrix_rank_mod_p(rows, p):
-    import numpy as np
-
-    A = np.array(rows, dtype=np.int64) % p
-    nrows, ncols = A.shape
-    rank = 0
-    col = 0
-    while rank < nrows and col < ncols:
-        piv = np.nonzero(A[rank:, col])[0]
-        if piv.size == 0:
-            col += 1
-            continue
-        r = rank + piv[0]
-        if r != rank:
-            A[[rank, r]] = A[[r, rank]]
-        A[rank] = A[rank] * pow(int(A[rank, col]), -1, p) % p
-        below = A[rank + 1:, col]
-        mask = below != 0
-        if mask.any():
-            A[rank + 1:][mask] = (A[rank + 1:][mask]
-                                  - below[mask, None] * A[rank][None, :]) % p
-        rank += 1
-        col += 1
-    return rank
-
-
-def _matrix_rank(rows, fld):
-    if not rows:
-        return 0
-    if isinstance(fld, PrimeField):
-        return _matrix_rank_mod_p(rows, fld.p)
-    rows = [list(r) for r in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    col = 0
-    zero = fld.zero
-    while rank < len(rows) and col < ncols:
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != zero), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = fld.inv(rows[rank][col])
-        rows[rank] = [fld.mul(inv, x) for x in rows[rank]]
-        for r in range(rank + 1, len(rows)):
-            f = rows[r][col]
-            if f != zero:
-                rows[r] = [fld.sub(a, fld.mul(f, b))
-                           for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
-def hilbert_function_homogeneous(gens, d):
-    """dim (S/I)_d as corank of the Macaulay matrix of all degree-d shifts."""
-    if not gens:
-        raise ValueError("need at least one generator")
-    ring = gens[0].ring
-    n = ring.nvars
-    fld = ring.field
-    basis = monomials_of_degree(n, d)
-    index = {m: k for k, m in enumerate(basis)}
-    rows = []
-    for f in gens:
-        if not f:
-            continue
-        if not f.is_homogeneous():
-            raise ValueError("generators must be homogeneous")
-        df = f.degree()
-        if df > d:
-            continue
-        for tau in monomials_of_degree(n, d - df):
-            row = [fld.zero] * len(basis)
-            for m, c in f.terms:
-                row[index[mono_mul(m, tau)]] = c
-            rows.append(row)
-    if not rows:
-        return len(basis)
-    return len(basis) - _matrix_rank(rows, fld)
-
-
-def is_u_generic(gens, inst, horizon=None):
-    """Compare the actual Hilbert function against the bracket series.
+def is_u_generic(J, inst):
+    """Compare the Hilbert function of a sampled ideal, read off its
+    initial ideal `J` (HF(S/I) = HF(S/in I)), against the bracket series.
 
     Returns "yes" (match, proven regular-sequence case s <= n),
     "conjectural-yes" (match, s > n), or "no".
     """
-    D = default_horizon(inst.n, inst.degrees) if horizon is None else horizon
+    D = default_horizon(inst.n, inst.degrees)
     expected = froeberg_series(inst.n, inst.degrees, D)
-    for d in range(D + 1):
-        if hilbert_function_homogeneous(gens, d) != expected[d]:
-            return "no"
+    if tuple(hilbert_series(J, D)) != expected.coeffs:
+        return "no"
     return "yes" if inst.s <= inst.n else "conjectural-yes"
 
 
@@ -258,7 +174,6 @@ class GinResult:
     seeds: tuple = ()
     agreement: int | None = None
     u_generic: tuple = ()
-    trial_ideals: tuple = dc_field(default=(), repr=False)
 
     @property
     def s(self):
@@ -282,20 +197,30 @@ class GinResult:
         return out
 
 
-def gin_by_sampling(inst, trials=5, seed=0, bound=None, check_u=True,
-                    budget=None):
-    """Majority initial ideal across sampled specializations."""
+def trial_seeds(seed, trials):
+    """The per-trial sampling seeds that `seed` and `trials` determine."""
     if trials < 1:
         raise ValueError("need at least one trial")
     base = SplitMix64(seed)
-    seeds = tuple(base.next_u64() for _ in range(trials))
+    return tuple(base.next_u64() for _ in range(trials))
+
+
+def gin_by_sampling(inst, trials=5, seed=0, bound=None, budget=None):
+    """Majority initial ideal across sampled specializations.
+
+    Each trial reads its initial ideal off the leads of one Groebner basis
+    (any Groebner basis has the same leading ideal) and its u-genericity
+    verdict off that initial ideal.
+    """
+    seeds = trial_seeds(seed, trials)
     ideals = []
     flags = []
     for s in seeds:
         gens = sample_ideal(inst, s, bound)
-        gb = reduce_basis(buchberger(gens, inst.main_order, budget))
-        ideals.append(minimalize(inst.n, gb.lead_monomials()))
-        flags.append(is_u_generic(gens, inst) if check_u else "skipped")
+        gb = buchberger(gens, inst.main_order, budget)
+        J = minimalize(inst.n, gb.lead_monomials())
+        ideals.append(J)
+        flags.append(is_u_generic(J, inst))
     counts = Counter(ideals)
     top = counts.most_common()
     if len(top) > 1 and top[0][1] == top[1][1]:
@@ -305,8 +230,7 @@ def gin_by_sampling(inst, trials=5, seed=0, bound=None, check_u=True,
     return GinResult(
         ideal=majority, route="sampling", n=inst.n, degrees=inst.degrees,
         order_name=inst.main_order.name, field_name=inst.field.name,
-        seeds=seeds, agreement=agreement, u_generic=tuple(flags),
-        trial_ideals=tuple(ideals))
+        seeds=seeds, agreement=agreement, u_generic=tuple(flags))
 
 
 def gin_parametric(inst, budget=None):

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
-from .orders import binomial, mono_div, mono_divides
+from .orders import binomial, mono_divides
 
 
 @dataclass(frozen=True)
@@ -66,21 +66,6 @@ def monomials_of_degree(n, d):
         out.append(tuple(m))
     out.sort(reverse=True)
     return out
-
-
-def iter_monomials_desc_lex(n, d):
-    """Lazily yield degree-d monomials in n variables in descending lex."""
-    def rec(prefix, rest, k):
-        if k == 1:
-            yield prefix + (rest,)
-            return
-        for e in range(rest, -1, -1):
-            yield from rec(prefix + (e,), rest - e, k - 1)
-    if n == 0:
-        if d == 0:
-            yield ()
-        return
-    yield from rec((), d, n)
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +163,3 @@ def hilbert_function(J, d):
     if d < 0:
         raise ValueError("degree must be non-negative")
     return hilbert_series(J, horizon=d)[d]
-
-
-def hilbert_function_bruteforce(J, d):
-    """Oracle: count degree-d monomials outside J by direct enumeration."""
-    return sum(1 for m in monomials_of_degree(J.n, d) if not contains(J, m))

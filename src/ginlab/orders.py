@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from math import comb
 
+from .fields import _is_prime
+
 
 class DimensionMismatch(ValueError):
     pass
@@ -190,11 +192,6 @@ def binom_p_leq(s, t, p):
         s //= p
         t //= p
     return True
-
-
-def _is_prime(p):
-    from .fields import _is_prime as isp
-    return isp(p)
 
 
 def binomial(n, k):

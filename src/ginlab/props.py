@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .fields import QQ
 from .ideals import contains, maxdeg, monomials_of_degree
 from .orders import DEGREVLEX, binom_p_leq, binomial, mono_str
 
@@ -88,24 +89,27 @@ def is_borel_fixed(J, p=0):
     return PropertyVerdict(True)
 
 
-def _rank(rows):
-    """Rank of a matrix of Fractions by Gaussian elimination."""
+def _rank(rows, fld):
+    """Rank of a matrix over the field `fld` by Gaussian elimination."""
     rows = [list(r) for r in rows]
+    zero = fld.zero
     rank = 0
     ncols = len(rows[0]) if rows else 0
     col = 0
     while rank < len(rows) and col < ncols:
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != zero),
+                   None)
         if piv is None:
             col += 1
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        inv = fld.inv(rows[rank][col])
+        rows[rank] = [fld.mul(inv, x) for x in rows[rank]]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col]
+            if f != zero:
+                rows[r] = [fld.sub(a, fld.mul(f, b))
+                           for a, b in zip(rows[r], rows[rank])]
         rank += 1
         col += 1
     return rank
@@ -139,7 +143,7 @@ def borel_action_check(J, i, j, c, horizon=None):
             if not ok:
                 return False
             rows.append(row)
-        if _rank(rows) != len(members):
+        if _rank(rows, QQ) != len(members):
             return False
     return True
 

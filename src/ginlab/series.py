@@ -5,8 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .ideals import (MonomialIdeal, contains, iter_monomials_desc_lex, maxdeg,
-                     minimalize, hilbert_series)
+from .ideals import hilbert_series, maxdeg, minimalize, monomials_of_degree
 from .orders import binomial, mono_divides
 
 
@@ -96,10 +95,7 @@ def lexsegment_of_hf(n, hf, horizon=None):
         if q < 0:
             raise InadmissibleHilbertFunction(
                 f"coefficient {coeffs[d]} at degree {d} exceeds dim S_{d} = {dim}")
-        segment = []
-        it = iter_monomials_desc_lex(n, d)
-        for _ in range(q):
-            segment.append(next(it))
+        segment = monomials_of_degree(n, d)[:q]
         seg_set = set(segment)
         in_ideal = 0
         for m in seg_set:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import ginlab as gl
+from ginlab import cli
 from ginlab.cli import main
 
 from conftest import GIN_32_22
@@ -34,11 +39,19 @@ def test_gin_parametric(capsys):
     assert json.loads(out)["ideal"]["gens"] == [[2]]
 
 
-def test_gin_budget_exhaustion_exit_code(capsys):
+def test_gin_budget_exhaustion_exit_code(capsys, tmp_path):
     code, out = run(capsys, "gin", "-n", "3", "-d", "2,2", "--route",
                     "parametric", "--field", "Q", "--budget-ms", "0.0001")
     assert code == 1
     assert json.loads(out)["error"] == "BudgetExceeded"
+    f = tmp_path / "sys.json"
+    f.write_text(json.dumps({"n": 2, "field": "Q",
+                             "polys": [[["1", [2, 0]], ["-1", [0, 2]]],
+                                       [["1", [1, 1]], ["1", [0, 2]]]]}))
+    code, out = run(capsys, "gb", str(f), "--max-pairs", "0")
+    assert code == 1
+    assert json.loads(out) == {"schema": 1, "error": "BudgetExceeded",
+                               "detail": "pair-queue cap exceeded"}
 
 
 def test_gin_deterministic_bytes(capsys):
@@ -90,12 +103,21 @@ def test_lexseg_cmd(capsys, tmp_path):
     assert json.loads(out)["gens"] == [[2, 0], [1, 1], [0, 3]]
 
 
-def test_lexseg_inadmissible_exit_code(capsys, tmp_path):
+def test_lexseg_inadmissible_exit_code(capsys, tmp_path, monkeypatch):
     hf = tmp_path / "hf.json"
     hf.write_text(json.dumps({"coeffs": [1, 2, 9]}))
     code, out = run(capsys, "lexseg", "-n", "2", "--hf-file", str(hf))
     assert code == 1
     assert json.loads(out)["error"] == "InadmissibleHilbertFunction"
+    # no (n, degrees) is known whose bracket series is inadmissible, so
+    # `bound` gets the function above in place of the bracket series
+    monkeypatch.setattr("ginlab.series.froeberg_series",
+                        lambda n, degrees, horizon=None: [1, 2, 9])
+    code, out = run(capsys, "bound", "-n", "2", "-d", "2,2")
+    assert code == 1
+    assert json.loads(out) == {
+        "schema": 1, "error": "InadmissibleHilbertFunction",
+        "detail": "coefficient 9 at degree 2 exceeds dim S_2 = 3"}
 
 
 def test_bound_cmd(capsys):
@@ -153,6 +175,42 @@ def test_survey_idempotent_append(capsys, tmp_path):
     first = out.with_suffix(".jsonl").read_text()
     run(capsys, "survey", "--case", "2:2:2:2", "--out", str(out), "--seed", "4")
     assert out.with_suffix(".jsonl").read_text() == first
+
+
+def test_survey_rerun_skips_done_cases(capsys, tmp_path, monkeypatch):
+    out = tmp_path / "rows"
+    done = ("survey", "--case", "2:2:2:2", "--out", str(out), "--seed", "4")
+    failed = ("survey", "--case", "3:2:2:2", "--out", str(out), "--seed", "4",
+              "--budget-ms", "0.0001")
+    run(capsys, *done)
+    run(capsys, *failed)
+    first = out.with_suffix(".jsonl").read_text()
+    rows = [json.loads(l) for l in first.splitlines()]
+    assert rows[0]["error"] is None
+    assert rows[1]["error"].startswith("BudgetExceeded")
+    assert rows[1]["seeds"] == rows[0]["seeds"]
+
+    def recompute(*args, **kwargs):
+        raise AssertionError("a done case was computed again")
+
+    monkeypatch.setattr(cli, "gin_by_sampling", recompute)
+    for argv in (done, failed):
+        code, msg = run(capsys, *argv)
+        assert code == 0 and json.loads(msg)["cases"] == 1
+    assert out.with_suffix(".jsonl").read_text() == first
+
+
+def test_cli_does_not_import_numpy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import contextlib, io, sys\n"
+            "from ginlab.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['gin', '-n', '3', '-d', '2,2']) == 0\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_survey_empty_grid(capsys, tmp_path):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import ginlab as gl
@@ -6,6 +8,12 @@ from ginlab.generic import (GF32003, InconclusiveSampling, SplitMix64,
 from ginlab.orders import binomial
 
 from conftest import GIN_32_22, POINT_A
+from oracles import hilbert_function_homogeneous, u_generic_by_macaulay
+
+
+def initial_ideal(gens, order):
+    return gl.minimalize(gens[0].ring.nvars,
+                         gl.buchberger(gens, order).lead_monomials())
 
 
 def test_template_shapes():
@@ -63,32 +71,52 @@ def test_single_monomial_template_sampling():
 
 def test_macaulay_hilbert_function(sample_ideal_a):
     gens, _ = sample_ideal_a
-    assert gl.hilbert_function_homogeneous(gens, 2) == 4
+    assert hilbert_function_homogeneous(gens, 2) == 4
     x = [gl.parse_poly(v, gl.xring(3), gl.LEX) for v in ("x1", "x2", "x3")]
-    assert gl.hilbert_function_homogeneous(x, 1) == 0
-    assert gl.hilbert_function_homogeneous(
+    assert hilbert_function_homogeneous(x, 1) == 0
+    assert hilbert_function_homogeneous(
         [gl.parse_poly("x1^2", gl.xring(3), gl.LEX)], 5) > 0
 
 
 def test_macaulay_rejects_inhomogeneous():
     f = gl.parse_poly("x1^2 + x2", gl.xring(2), gl.LEX)
     with pytest.raises(ValueError):
-        gl.hilbert_function_homogeneous([f], 2)
+        hilbert_function_homogeneous([f], 2)
 
 
 def test_is_u_generic(sample_ideal_a):
     gens, inst = sample_ideal_a
-    assert gl.is_u_generic(gens, inst) == "yes"
+    assert gl.is_u_generic(initial_ideal(gens, gl.LEX), inst) == "yes"
     # a degenerate repeated generator has too large a Hilbert function
     bad = [gens[0], gens[0]]
-    assert gl.is_u_generic(bad, inst) == "no"
+    assert gl.is_u_generic(initial_ideal(bad, gl.LEX), inst) == "no"
 
 
 def test_is_u_generic_example_ideals(example_uv_ideals):
     I, J = example_uv_ideals
     inst = gl.generic_templates(3, (2, 2, 2))
-    assert gl.is_u_generic(I, inst) == "yes"
-    assert gl.is_u_generic(J, inst) == "yes"
+    assert gl.is_u_generic(initial_ideal(I, gl.DEGREVLEX), inst) == "yes"
+    assert gl.is_u_generic(initial_ideal(J, gl.DEGREVLEX), inst) == "yes"
+
+
+def test_u_check_matches_macaulay_oracle():
+    # sparse points from {0, +-1, 2} make some ideals non-u-generic
+    rng = random.Random(2024)
+    fields = [gl.QQ, gl.PrimeField(2), gl.PrimeField(5), GF32003]
+    verdicts = []
+    while len(verdicts) < 60:
+        n = rng.randint(1, 3)
+        degrees = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
+        order = rng.choice([gl.LEX, gl.DEGREVLEX])
+        inst = gl.generic_templates(n, degrees, rng.choice(fields), order)
+        point = tuple(rng.choice((0, 1, -1, 2)) for _ in range(inst.nparams))
+        gens = ideal_at_point(inst, point)
+        if not any(gens):
+            continue
+        verdict = gl.is_u_generic(initial_ideal(gens, order), inst)
+        assert verdict == u_generic_by_macaulay(gens, inst), (inst, point)
+        verdicts.append(verdict)
+    assert {"yes", "conjectural-yes", "no"} <= set(verdicts)
 
 
 def test_gin_by_sampling_known_cases():

@@ -3,11 +3,11 @@ import random
 import pytest
 
 import ginlab as gl
-from ginlab.ideals import (hilbert_function_bruteforce, hilbert_numerator,
-                           hilbert_series, monomials_of_degree,
-                           iter_monomials_desc_lex)
+from ginlab.ideals import hilbert_numerator, hilbert_series, monomials_of_degree
+from ginlab.orders import binomial
 
 from conftest import GIN_32_22, INI_I, INI_J
+from oracles import hilbert_function_bruteforce
 
 
 def random_monomial_ideal(rng, n, max_gens=6, max_exp=4):
@@ -100,7 +100,10 @@ def test_numerator_consistent_with_series():
             assert gl.hilbert_function(J, d) == series[d]
 
 
-def test_desc_lex_iterator_matches_sorted_list():
+def test_monomials_of_degree_complete_and_descending():
     for n in range(1, 5):
         for d in range(5):
-            assert list(iter_monomials_desc_lex(n, d)) == monomials_of_degree(n, d)
+            monos = monomials_of_degree(n, d)
+            assert len(monos) == binomial(n - 1 + d, d)
+            assert all(len(m) == n and sum(m) == d for m in monos)
+            assert all(a > b for a, b in zip(monos, monos[1:]))

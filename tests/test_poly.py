@@ -116,10 +116,14 @@ def test_specialized_lead_matches_block_lead_when_lc_survives(ts, point):
     if not F:
         return
     lm, lc = block_leading_data(F, gl.LEX)
-    from ginlab.groebner import _eval_param_poly
-    val = _eval_param_poly(lc, point[:1], gl.QQ)
+    t = point[0]
+    val = sum(c * t ** m[0] for m, c in lc.terms)
     f = specialize(F, point[:1])
-    if val != 0:
+    # stability_check's survival test: the block lead is still a term
+    survives = lm in f.as_dict()
+    assert survives == (val != 0)
+    if survives:
+        assert f.as_dict()[lm] == val
         assert f.lm() == lm
 
 
