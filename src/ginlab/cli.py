@@ -21,7 +21,7 @@ from .fields import field_by_name
 from .generic import (InconclusiveSampling, generic_templates,
                       gin_by_sampling, gin_parametric, trial_seeds)
 from .groebner import (Budget, BudgetExceeded, buchberger, reduce_basis)
-from .ideals import MonomialIdeal, hilbert_series, maxdeg, minimalize
+from .ideals import MonomialIdeal, hilbert_series, minimalize, top_degree
 from .orders import mono_str, order_by_name
 from .poly import Ring, poly_from_json, poly_to_json
 from .props import is_borel_fixed, is_lexsegment, is_weakly_revlex
@@ -36,15 +36,41 @@ FAILURES = (InconclusiveSampling, BudgetExceeded, InadmissibleHilbertFunction)
 
 CSV_COLUMNS = ["n", "s", "degrees", "order", "route", "gin", "is_lexsegment",
                "is_weakly_revlex", "is_borel_fixed", "maxdeg_gin",
-               "maxgbdeg_bound", "seeds", "agreement", "runtime_ms", "error"]
+               "maxgbdeg_bound", "seeds", "budget_ms", "agreement", "runtime_ms",
+               "error"]
 
 
 def emit(obj):
     print(json.dumps(obj, indent=2))
 
 
+def _at_least(low):
+    """An argparse type: an int no smaller than `low`."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is less than {low}")
+        return value
+    parse.__name__ = f"int >= {low}"
+    return parse
+
+
+_positive = _at_least(1)
+_non_negative = _at_least(0)
+
+
 def _parse_degrees(text):
-    return tuple(int(d) for d in text.split(","))
+    """An argparse type: comma-separated generator degrees, each >= 1."""
+    return tuple(_positive(d) for d in text.split(","))
+
+
+def _parse_case(text):
+    """An argparse type: a survey case n:s:dmin:dmax with n, s, dmin >= 1."""
+    parts = text.split(":")
+    if len(parts) != 4:
+        raise argparse.ArgumentTypeError(f"{text!r} is not n:s:dmin:dmax")
+    n, s, dmin = (_positive(x) for x in parts[:3])
+    return n, s, dmin, int(parts[3])
 
 
 def _ideal_json(J, with_strings=True):
@@ -66,8 +92,7 @@ def cmd_gin(args):
     field = field_by_name(args.field)
     main_order = order_by_name(args.order)
     t_order = order_by_name(args.t_order)
-    inst = generic_templates(args.n, _parse_degrees(args.degrees), field,
-                             main_order, t_order)
+    inst = generic_templates(args.n, args.degrees, field, main_order, t_order)
     budget = Budget(ms=args.budget_ms, max_pairs=args.max_pairs)
     if args.route == "sample":
         result = gin_by_sampling(inst, trials=args.trials, seed=args.seed,
@@ -93,7 +118,7 @@ def cmd_check(args):
 
 
 def cmd_froeberg(args):
-    series = froeberg_series(args.n, _parse_degrees(args.degrees), args.horizon)
+    series = froeberg_series(args.n, args.degrees, args.horizon)
     emit(series.to_json())
     return 0
 
@@ -104,8 +129,7 @@ def cmd_lexseg(args):
             hf = SeriesWindow.from_json(json.load(fh))
         J, uncertain = lexsegment_of_hf(args.n, hf, args.horizon)
     else:
-        J, uncertain = lexsegment_of_froeberg(args.n,
-                                              _parse_degrees(args.degrees),
+        J, uncertain = lexsegment_of_froeberg(args.n, args.degrees,
                                               args.horizon)
     out = _ideal_json(J)
     out["horizon_uncertain"] = uncertain
@@ -114,9 +138,8 @@ def cmd_lexseg(args):
 
 
 def cmd_bound(args):
-    J, uncertain = lexsegment_of_froeberg(args.n, _parse_degrees(args.degrees),
-                                          args.horizon)
-    emit({"bound": maxdeg(J) if J.gens else 0, "horizon_uncertain": uncertain})
+    J, uncertain = lexsegment_of_froeberg(args.n, args.degrees, args.horizon)
+    emit({"bound": top_degree(J), "horizon_uncertain": uncertain})
     return 0
 
 
@@ -160,7 +183,7 @@ def survey_row(n, degrees, order_name, route, seed, trials, field, budget_ms):
     row = {
         "schema": SCHEMA, "n": n, "s": len(degrees),
         "degrees": list(degrees), "order": order_name, "route": route,
-        "seeds": _survey_seeds(route, seed, trials),
+        "seeds": _survey_seeds(route, seed, trials), "budget_ms": budget_ms,
     }
     try:
         inst = generic_templates(n, degrees, field, order_by_name(order_name))
@@ -178,8 +201,8 @@ def survey_row(n, degrees, order_name, route, seed, trials, field, budget_ms):
         row["is_lexsegment"] = is_lexsegment(J).holds
         row["is_weakly_revlex"] = is_weakly_revlex(J).holds
         row["is_borel_fixed"] = is_borel_fixed(J, field.char).holds
-        row["maxdeg_gin"] = maxdeg(J) if J.gens else 0
-        row["maxgbdeg_bound"] = maxdeg(bound_ideal) if bound_ideal.gens else 0
+        row["maxdeg_gin"] = top_degree(J)
+        row["maxgbdeg_bound"] = top_degree(bound_ideal)
         row["error"] = None
     except FAILURES as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
@@ -195,8 +218,7 @@ def _row_key(row):
 def cmd_survey(args):
     field = field_by_name(args.field)
     cases = []
-    for case in args.case:
-        n, s, dmin, dmax = (int(x) for x in case.split(":"))
+    for n, s, dmin, dmax in args.case:
         for degrees in product(range(dmin, dmax + 1), repeat=s):
             cases.append((n, degrees))
     out = Path(args.out)
@@ -212,8 +234,11 @@ def cmd_survey(args):
     with open(jsonl, "a") as fh:
         for n, degrees in cases:
             key = (n, degrees, args.order, args.route, seeds)
-            if key in existing:
-                rows.append(existing[key])
+            done = existing.get(key)
+            # a failure is retried under a different budget, not the same one
+            if done is not None and (done["error"] is None
+                                     or done.get("budget_ms") == args.budget_ms):
+                rows.append(done)
                 continue
             row = survey_row(n, degrees, args.order, args.route, args.seed,
                              args.trials, field, args.budget_ms)
@@ -227,6 +252,7 @@ def cmd_survey(args):
             flat = dict(row)
             flat["degrees"] = ",".join(str(d) for d in row["degrees"])
             flat["seeds"] = ";".join(str(s) for s in row.get("seeds", []))
+            flat["budget_ms"] = row.get("budget_ms")
             if row.get("error") is None:
                 flat["gin"] = ";".join(
                     mono_str(tuple(g)) for g in row["gin"]["gens"])
@@ -248,14 +274,14 @@ def build_parser():
         p.add_argument("--max-pairs", type=int, default=None)
 
     p = sub.add_parser("gin", help="initial ideal of generic ideals")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-d", "--degrees", required=True)
+    p.add_argument("-n", type=_positive, required=True)
+    p.add_argument("-d", "--degrees", type=_parse_degrees, required=True)
     p.add_argument("--order", choices=["lex", "degrevlex"], default="lex")
     p.add_argument("--t-order", choices=["lex", "deglex", "degrevlex"],
                    default="degrevlex")
     p.add_argument("--route", choices=["sample", "parametric"], default="sample")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=5)
+    p.add_argument("--trials", type=_positive, default=5)
     p.add_argument("--field", default="F32003")
     p.add_argument("--bound", type=int, default=None,
                    help="coefficient bound for sampling")
@@ -270,27 +296,27 @@ def build_parser():
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("froeberg", help="bracket series")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-d", "--degrees", required=True)
-    p.add_argument("--horizon", type=int, default=None)
+    p.add_argument("-n", type=_positive, required=True)
+    p.add_argument("-d", "--degrees", type=_parse_degrees, required=True)
+    p.add_argument("--horizon", type=_non_negative, default=None)
     p.set_defaults(func=cmd_froeberg)
 
     p = sub.add_parser("lexseg", help="lexsegment ideal of a Hilbert function")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-d", "--degrees", default=None)
+    p.add_argument("-n", type=_positive, required=True)
+    p.add_argument("-d", "--degrees", type=_parse_degrees, default=None)
     p.add_argument("--hf-file", default=None)
-    p.add_argument("--horizon", type=int, default=None)
+    p.add_argument("--horizon", type=_non_negative, default=None)
     p.set_defaults(func=cmd_lexseg)
 
     p = sub.add_parser("bound", help="maxGBdeg bound via the lexsegment ideal")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-d", "--degrees", required=True)
-    p.add_argument("--horizon", type=int, default=None)
+    p.add_argument("-n", type=_positive, required=True)
+    p.add_argument("-d", "--degrees", type=_parse_degrees, required=True)
+    p.add_argument("--horizon", type=_non_negative, default=None)
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("hilbert", help="Hilbert series of a monomial ideal")
     p.add_argument("ideal")
-    p.add_argument("--horizon", type=int, default=None)
+    p.add_argument("--horizon", type=_non_negative, default=None)
     p.set_defaults(func=cmd_hilbert)
 
     p = sub.add_parser("gb", help="reduced Groebner basis of explicit input")
@@ -301,12 +327,12 @@ def build_parser():
     p.set_defaults(func=cmd_gb)
 
     p = sub.add_parser("survey", help="verdict table over a parameter grid")
-    p.add_argument("--case", action="append", required=True,
+    p.add_argument("--case", type=_parse_case, action="append", required=True,
                    help="n:s:dmin:dmax (repeatable)")
     p.add_argument("--order", choices=["lex", "degrevlex"], default="lex")
     p.add_argument("--route", choices=["sample", "parametric"], default="sample")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=5)
+    p.add_argument("--trials", type=_positive, default=5)
     p.add_argument("--field", default="F32003")
     p.add_argument("--budget-ms", type=float, default=None)
     p.add_argument("--out", required=True, help="output path prefix")

@@ -56,6 +56,11 @@ def maxdeg(J):
     return max(sum(g) for g in J.gens)
 
 
+def top_degree(J):
+    """maxdeg(J), or 0 for the zero ideal."""
+    return maxdeg(J) if J.gens else 0
+
+
 def monomials_of_degree(n, d):
     """All degree-d monomials in n variables, in descending lex order."""
     out = []
@@ -144,7 +149,7 @@ def hilbert_numerator(J):
 def hilbert_series(J, horizon=None):
     """Coefficients of HS(S/J; t) up to the horizon (inclusive)."""
     if horizon is None:
-        horizon = max((maxdeg(J) if J.gens else 0) + J.n, 10)
+        horizon = max(top_degree(J) + J.n, 10)
     num = hilbert_numerator(J)
     # multiply by (1-t)^{-n}: coefficients binom(n-1+i, i)
     out = []

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import QQ
-from .ideals import contains, maxdeg, monomials_of_degree
+from .ideals import contains, maxdeg, monomials_of_degree, top_degree
 from .orders import DEGREVLEX, binom_p_leq, binomial, mono_str
 
 
@@ -124,7 +124,7 @@ def borel_action_check(J, i, j, c, horizon=None):
     c = Fraction(c)
     if c == 0:
         raise ValueError("need c != 0")
-    D = horizon if horizon is not None else (maxdeg(J) if J.gens else 0)
+    D = horizon if horizon is not None else top_degree(J)
     for d in range(1, D + 1):
         members = [m for m in monomials_of_degree(J.n, d) if contains(J, m)]
         if not members:

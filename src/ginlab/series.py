@@ -1,12 +1,30 @@
 """Truncated Hilbert-type series, the bracket truncation, and Macaulay's
-lexsegment construction from a Hilbert function."""
+lexsegment construction from a Hilbert function.
+
+The lexsegment construction works on Macaulay representations
+(Bruns-Herzog 4.2) and never enumerates monomials. Write the d-th Macaulay
+representation of h_d as h_d = sum C(c_j, j) with c_d > ... > c_1 >= 0
+(greedy digits of the combinatorial number system; terms with c_j < j are
+zero) and its Macaulay bound as h_d^<d> = sum C(c_j + 1, j + 1). Then:
+
+- h is the Hilbert function of some S/I iff h_0 = 1, h_1 <= n and
+  0 <= h_{d+1} <= h_d^<d> in every degree d >= 1;
+- the lexsegment ideal L with that function has as degree-(d+1) minimal
+  generators the monomials whose lex rank, counted from the smallest
+  monomial, lies in [h_{d+1}, h_d^<d>);
+- the monomial of lex rank r in degree d is read off the same digits of r
+  (the combinatorial number system, in reversed variables);
+- L has no generator past degree e iff h_{e+t} = sum C(c_j + t, j + t)
+  for all t >= 1, the digits being those of h_e (Gotzmann persistence).
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from math import comb
 
-from .ideals import hilbert_series, maxdeg, minimalize, monomials_of_degree
-from .orders import binomial, mono_divides
+from .ideals import MonomialIdeal, hilbert_series, top_degree
+from .orders import binomial
 
 
 class InadmissibleHilbertFunction(ValueError):
@@ -18,11 +36,6 @@ class SeriesWindow:
     """First D+1 coefficients of a formal power series."""
 
     coeffs: tuple
-    horizon_uncertain: bool = field(default=False, compare=False)
-
-    @property
-    def horizon(self):
-        return len(self.coeffs) - 1
 
     def __getitem__(self, d):
         return self.coeffs[d]
@@ -54,6 +67,19 @@ def default_horizon(n, degrees):
     return sum(d - 1 for d in degrees) + n + 1
 
 
+def regularity_index(n, degrees):
+    """The degree from which the bracket series of (n, degrees) is a
+    polynomial in d of degree < n.
+
+    prod(1 - t^d_i) / (1 - t)^n has a numerator of degree sum(d_i), so its
+    coefficients agree with a polynomial of degree < n from
+    sum(d_i) - n + 1 on. For s < n no coefficient is truncated; for s >= n
+    the series is a polynomial in t of degree sum(d_i) - n, so the
+    truncated series is zero from that index on.
+    """
+    return max(0, sum(degrees) - n + 1)
+
+
 def froeberg_series(n, degrees, horizon=None):
     """Bracketed expansion of prod(1 - t^d_i) / (1 - t)^n."""
     if n < 1 or any(d < 1 for d in degrees):
@@ -73,81 +99,136 @@ def froeberg_series(n, degrees, horizon=None):
     return bracket_truncate(SeriesWindow(tuple(out)))
 
 
-def lexsegment_of_hf(n, hf, horizon=None):
-    """The lexsegment ideal whose quotient has the given Hilbert function.
+def _macaulay_digits(a, d):
+    """Digits [c_d, ..., c_1], c_d > ... > c_1 >= 0, with
+    a = sum C(c_j, j), chosen greedily from the top."""
+    c = d - 1
+    while comb(c + 1, d) <= a:
+        c += 1
+    digits = []
+    for j in range(d, 0, -1):
+        while comb(c, j) > a:
+            c -= 1
+        digits.append(c)
+        a -= comb(c, j)
+        c -= 1
+    return digits
 
-    `hf` is a SeriesWindow or coefficient sequence; degrees beyond its
-    window are not constrained. The construction is degreewise: in degree
-    d the ideal's piece is the (dim S_d - hf_d) lex-largest monomials.
-    The result is re-verified against `hf` and the ideal is flagged
-    horizon-uncertain when a minimal generator appeared in the last n
-    degrees of the window.
+
+def _macaulay_shift(digits, t):
+    """sum C(c_j + t, j + t): the Macaulay bound applied t times."""
+    d = len(digits)
+    return sum(comb(c + t, d - i + t) for i, c in enumerate(digits))
+
+
+def _lex_monomial(n, d, r):
+    """The degree-d monomial in n variables with exactly r monomials of
+    degree d below it in lex order."""
+    m = [0] * n
+    for i, c in enumerate(_macaulay_digits(r, d)):
+        # numbering the variables x_n = 0, ..., x_1 = n - 1, the j-th
+        # smallest index among the d factors is c_j - (j - 1), j = d - i
+        m[n - 1 - (c - (d - i - 1))] += 1
+    return tuple(m)
+
+
+def _coefficient(h, d, n, start):
+    """h[d]. Past its end the list `h` is extended as the polynomial of
+    degree < n that it is from degree `start` on (a vanishing n-th finite
+    difference); the list must reach degree start + n - 1 for that."""
+    while len(h) <= d:
+        if start is None or len(h) < start + n:
+            raise ValueError(f"coefficients end at degree {len(h) - 1}, "
+                             f"before degree {d} is determined")
+        h.append(sum((-1) ** (j + 1) * comb(n, j) * h[-j]
+                     for j in range(1, n + 1)))
+    return h[d]
+
+
+def lexsegment_of_hf(n, hf, horizon=None, polynomial_from=None):
+    """The lexsegment ideal whose quotient has the Hilbert function `hf`,
+    and a flag that is true when generators may lie past those returned.
+
+    `hf` is a SeriesWindow or a coefficient sequence starting at degree 0.
+    The ideal is built degree by degree from Macaulay representations (see
+    the module docstring); a coefficient above the Macaulay bound raises
+    InadmissibleHilbertFunction.
+
+    Without `polynomial_from`, `hf` is a finite window and says nothing
+    past its end, or past `horizon` if that is smaller. The ideal is built
+    through that degree and flagged horizon-uncertain when a generator lies
+    in the last n degrees of the window: the one heuristic left here.
+
+    With `polynomial_from=r`, the caller guarantees that h_d is a
+    polynomial in d of degree < n for d >= r, and `hf` must reach degree
+    r + n - 1; later coefficients follow from that. The construction stops
+    at the first degree e >= r where Gotzmann persistence holds at
+    e+1..e+n. Both sides of that test are polynomials of degree < n in the
+    shift, so n agreeing values prove that no generator lies past e. The
+    flag is then exact: with `horizon`, only generators of degree
+    <= horizon are returned, and the flag says whether any was left out.
+
+    One Hilbert-series computation of the result re-checks it against
+    `hf`, through the last degree that was read.
     """
-    coeffs = tuple(hf.coeffs) if isinstance(hf, SeriesWindow) else tuple(hf)
-    D = len(coeffs) - 1 if horizon is None else min(horizon, len(coeffs) - 1)
-    if not coeffs or coeffs[0] != 1:
+    h = list(hf.coeffs if isinstance(hf, SeriesWindow) else hf)
+    if not h or h[0] != 1:
         raise InadmissibleHilbertFunction("Hilbert function must start with 1")
+    if polynomial_from is None:
+        last = len(h) - 1 if horizon is None else min(horizon, len(h) - 1)
+    start = polynomial_from
     gens = []
-    last_gen_degree = 0
-    for d in range(1, D + 1):
-        dim = binomial(n - 1 + d, d)
-        q = dim - coeffs[d]
-        if q < 0:
+    d, bound = 0, n  # bound = h_d^<d>, the largest admissible h_{d+1}
+    while start is not None or d < last:
+        d += 1
+        hd = _coefficient(h, d, n, start)
+        dim = comb(n - 1 + d, d)
+        if hd > dim:
             raise InadmissibleHilbertFunction(
-                f"coefficient {coeffs[d]} at degree {d} exceeds dim S_{d} = {dim}")
-        segment = monomials_of_degree(n, d)[:q]
-        seg_set = set(segment)
-        in_ideal = 0
-        for m in seg_set:
-            if any(mono_divides(g, m) for g in gens):
-                in_ideal += 1
-        # every degree-d multiple of an earlier generator must sit inside
-        # the segment, otherwise no lexsegment ideal matches hf
-        total_mult = _count_ideal_monomials(n, gens, d)
-        if total_mult != in_ideal:
+                f"coefficient {hd} at degree {d} exceeds dim S_{d} = {dim}")
+        if hd < 0:
+            raise InadmissibleHilbertFunction(
+                f"coefficient {hd} at degree {d} is negative")
+        if hd > bound:
             raise InadmissibleHilbertFunction(
                 f"degree-{d} piece is not a lex segment for the given function")
-        new = [m for m in segment if not any(mono_divides(g, m) for g in gens)]
-        if new:
-            last_gen_degree = d
-        gens.extend(new)
-    J = minimalize(n, gens)
-    got = hilbert_series(J, horizon=D) if J.gens else [binomial(n - 1 + d, d)
-                                                      for d in range(D + 1)]
-    if tuple(got[: D + 1]) != coeffs[: D + 1]:
+        gens.extend(_lex_monomial(n, d, r) for r in range(hd, bound))
+        digits = _macaulay_digits(hd, d)
+        if start is not None and d >= start and all(
+                _macaulay_shift(digits, t) == _coefficient(h, d + t, n, start)
+                for t in range(1, n + 1)):
+            break
+        bound = _macaulay_shift(digits, 1)
+    top = d if start is None else d + n
+    J = MonomialIdeal(n, tuple(sorted(gens, reverse=True)))
+    if hilbert_series(J, horizon=top) != h[:top + 1]:
         raise InadmissibleHilbertFunction(
             "constructed lexsegment ideal does not reproduce the Hilbert function")
-    uncertain = bool(J.gens) and last_gen_degree > D - n
-    return J, uncertain
+    if start is None:
+        return J, bool(gens) and sum(gens[-1]) > last - n
+    if horizon is None:
+        return J, False
+    kept = tuple(g for g in J.gens if sum(g) <= horizon)
+    return MonomialIdeal(n, kept), len(kept) < len(J.gens)
 
 
-def _count_ideal_monomials(n, gens, d):
-    if not gens:
-        return 0
-    J = minimalize(n, gens)
-    return binomial(n - 1 + d, d) - hilbert_series(J, horizon=d)[d]
+def lexsegment_of_froeberg(n, degrees, horizon=None):
+    """Lexsegment ideal of the bracket series, with a certified horizon.
 
-
-def lexsegment_of_froeberg(n, degrees, horizon=None, max_horizon=4096):
-    """Lexsegment ideal of the bracket series, with horizon auto-extension.
-
-    When no horizon is given the socle heuristic is used as a starting
-    point and doubled while the construction stays horizon-uncertain, so
-    that slowly-stabilizing one-dimensional cases still yield their full
-    generator set.
+    The bracket series is a polynomial of degree < n from
+    `regularity_index` on, so its window through that index plus n
+    determines it, and `lexsegment_of_hf` proves where the generators stop.
+    Gotzmann's persistence theorem guarantees that this happens by the
+    larger of that index and the Gotzmann number of the Hilbert
+    polynomial. With `horizon`, only generators of degree <= horizon are
+    returned and the flag is true iff one was left out.
     """
-    D = default_horizon(n, degrees) if horizon is None else horizon
-    while True:
-        hf = froeberg_series(n, degrees, D)
-        J, uncertain = lexsegment_of_hf(n, hf)
-        if not uncertain or horizon is not None or 2 * D > max_horizon:
-            return J, uncertain
-        D *= 2
+    reg = regularity_index(n, degrees)
+    hf = froeberg_series(n, degrees, reg + n)
+    return lexsegment_of_hf(n, hf, horizon, polynomial_from=reg)
 
 
 def maxgbdeg_bound(n, hf, horizon=None):
     """Upper bound on reduced-basis degrees from the lexsegment ideal."""
-    J, uncertain = lexsegment_of_hf(n, hf, horizon)
-    if not J.gens:
-        return 0
-    return maxdeg(J)
+    J, _ = lexsegment_of_hf(n, hf, horizon)
+    return top_degree(J)

@@ -122,7 +122,30 @@ def test_lexseg_inadmissible_exit_code(capsys, tmp_path, monkeypatch):
 
 def test_bound_cmd(capsys):
     code, out = run(capsys, "bound", "-n", "3", "-d", "2,2")
-    assert code == 0 and json.loads(out)["bound"] == 4
+    assert code == 0
+    assert json.loads(out) == {"bound": 4, "horizon_uncertain": False}
+    # the certified ideal has a quartic generator past horizon 3
+    code, out = run(capsys, "bound", "-n", "3", "-d", "2,2", "--horizon", "3")
+    assert code == 0
+    assert json.loads(out) == {"bound": 3, "horizon_uncertain": True}
+
+
+@pytest.mark.parametrize("argv", [
+    ["froeberg", "-n", "2", "-d", "2", "--horizon", "-1"],
+    ["bound", "-n", "3", "-d", "2,2", "--horizon", "-3"],
+    ["bound", "-n", "2", "-d", "0"],
+    ["lexseg", "-n", "0", "-d", "2,2"],
+    ["gin", "-n", "2", "-d", "2,2", "--trials", "0"],
+    ["gin", "-n", "0", "-d", "2"],
+    ["hilbert", "ideal.json", "--horizon", "-1"],
+    ["survey", "--case", "0:1:2:2", "--out", "rows"],
+    ["survey", "--case", "2:2:2:2", "--trials", "0", "--out", "rows"],
+], ids=lambda argv: " ".join(argv))
+def test_out_of_range_argument_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
 
 
 def test_hilbert_cmd(capsys, tmp_path):
@@ -198,6 +221,22 @@ def test_survey_rerun_skips_done_cases(capsys, tmp_path, monkeypatch):
         code, msg = run(capsys, *argv)
         assert code == 0 and json.loads(msg)["cases"] == 1
     assert out.with_suffix(".jsonl").read_text() == first
+
+
+def test_survey_retries_failure_under_another_budget(capsys, tmp_path):
+    out = tmp_path / "rows"
+    case = ("survey", "--case", "3:2:2:2", "--out", str(out), "--seed", "4")
+    run(capsys, *case, "--budget-ms", "0.0001")
+    run(capsys, *case, "--budget-ms", "600000")
+    rows = [json.loads(l)
+            for l in out.with_suffix(".jsonl").read_text().splitlines()]
+    assert [r["budget_ms"] for r in rows] == [0.0001, 600000]
+    assert rows[0]["error"].startswith("BudgetExceeded")
+    assert rows[1]["error"] is None
+    # a success is reused under any budget
+    code, msg = run(capsys, *case, "--budget-ms", "0.0001")
+    assert code == 0 and json.loads(msg)["failures"] == 0
+    assert len(out.with_suffix(".jsonl").read_text().splitlines()) == 2
 
 
 def test_cli_does_not_import_numpy():

@@ -1,16 +1,22 @@
 import random
+from collections import Counter
+from math import comb
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import ginlab as gl
+from ginlab import series
 from ginlab.series import (InadmissibleHilbertFunction, SeriesWindow,
                            bracket_truncate, froeberg_series,
                            lexsegment_of_froeberg, lexsegment_of_hf,
-                           maxgbdeg_bound)
-from ginlab.ideals import hilbert_series
+                           maxgbdeg_bound, regularity_index)
+from ginlab.ideals import hilbert_series, top_degree
 from ginlab.props import is_lexsegment
 
 from conftest import GIN_32_22
+from oracles import lexsegment_by_enumeration
+from test_acceptance import CRIT4_GRID
 from test_ideals import random_monomial_ideal
 
 
@@ -70,6 +76,11 @@ def test_lexsegment_inadmissible_input():
         lexsegment_of_hf(2, (1, 2, 9))
     with pytest.raises(InadmissibleHilbertFunction):
         lexsegment_of_hf(2, (0, 2, 1))
+    with pytest.raises(InadmissibleHilbertFunction):
+        lexsegment_of_hf(2, (1, 2, -1))
+    # a polynomial tail needs n coefficients from its first degree on
+    with pytest.raises(ValueError):
+        lexsegment_of_hf(2, (1, 2, 3), polynomial_from=2)
 
 
 def test_macaulay_generator_maximality():
@@ -97,3 +108,102 @@ def test_maxgbdeg_bound_values():
 def test_lexsegment_of_froeberg_matches_explicit_hf():
     J, uncertain = lexsegment_of_froeberg(3, (2, 2))
     assert J.gens == GIN_32_22 and not uncertain
+
+
+def macaulay_bound(a, d):
+    """a^<d>, from the textbook greedy d-th Macaulay representation of a."""
+    out = 0
+    while a > 0:
+        k = d
+        while comb(k + 1, d) <= a:
+            k += 1
+        a -= comb(k, d)
+        out += comb(k + 1, d + 1)
+        d -= 1
+    return out
+
+
+@st.composite
+def admissible_prefix(draw):
+    """n and an admissible Hilbert function h_0..h_D (h_1 <= n and
+    h_{d+1} <= h_d^<d>), each coefficient drawn below its bound."""
+    n = draw(st.integers(1, 4))
+    h, bound = [1], n
+    for d in range(1, draw(st.integers(0, 9)) + 1):
+        h.append(draw(st.integers(0, bound)))
+        bound = macaulay_bound(h[-1], d)
+    return n, h, bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(admissible_prefix())
+def test_lexsegment_matches_enumeration_on_admissible_sequences(case):
+    n, h, _ = case
+    assert lexsegment_of_hf(n, h) == lexsegment_by_enumeration(n, h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4),
+       st.lists(st.lists(st.integers(0, 4), min_size=4, max_size=4),
+                min_size=1, max_size=6),
+       st.integers(0, 4))
+def test_lexsegment_matches_enumeration_on_monomial_ideals(n, exps, extra):
+    gens = [tuple(e[:n]) for e in exps if any(e[:n])]
+    J = gl.minimalize(n, gens)
+    hf = hilbert_series(J, top_degree(J) + extra)
+    assert lexsegment_of_hf(n, hf) == lexsegment_by_enumeration(n, hf)
+
+
+@settings(max_examples=60, deadline=None)
+@given(admissible_prefix(), st.integers(1, 50))
+def test_coefficient_above_macaulay_bound_is_inadmissible(case, excess):
+    n, h, bound = case
+    d = len(h)
+    assume(bound < comb(n - 1 + d, d))
+    h = h + [min(bound + excess, comb(n - 1 + d, d))]
+    with pytest.raises(InadmissibleHilbertFunction):
+        lexsegment_of_hf(n, h)
+    with pytest.raises(InadmissibleHilbertFunction):
+        lexsegment_by_enumeration(n, h)
+
+
+def test_froeberg_lexsegment_builds_once(monkeypatch):
+    calls = Counter()
+
+    def counting(name):
+        fn = getattr(series, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(series, name, wrapped)
+
+    counting("lexsegment_of_hf")
+    counting("hilbert_series")
+    for n, degrees in [(3, (2, 2)), (4, (2, 3)), (5, (2, 2, 2, 2))]:
+        calls.clear()
+        lexsegment_of_froeberg(n, degrees)
+        assert calls == {"lexsegment_of_hf": 1, "hilbert_series": 1}
+
+
+@pytest.mark.parametrize(
+    "n, degrees",
+    CRIT4_GRID + [(5, (2, 2)), (5, (2, 2, 2)), (5, (2, 2, 2, 2))],
+    ids=lambda v: ",".join(map(str, v)) if isinstance(v, tuple) else str(v))
+def test_certified_horizon_matches_enumeration_at_twice_it(n, degrees):
+    J, uncertain = lexsegment_of_froeberg(n, degrees)
+    assert not uncertain
+    # the construction stops at the first degree from the regularity index
+    # on (and from 1 on) past which no generator lies
+    E = max(1, regularity_index(n, degrees), top_degree(J))
+    L, _ = lexsegment_by_enumeration(n, froeberg_series(n, degrees, 2 * E))
+    assert L == J
+
+
+def test_explicit_horizon_flag_is_exact():
+    full, _ = lexsegment_of_froeberg(3, (2, 2))
+    assert top_degree(full) == 4
+    for H in range(7):
+        J, uncertain = lexsegment_of_froeberg(3, (2, 2), horizon=H)
+        assert J.gens == tuple(g for g in full.gens if sum(g) <= H)
+        assert uncertain == (H < 4)
