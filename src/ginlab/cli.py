@@ -2,7 +2,8 @@
 
 Subcommands: gin, check, froeberg, lexseg, bound, hilbert, gb, survey.
 Exit codes: 0 success, 1 mathematical failure (inconclusive majority,
-budget exhaustion, inadmissible Hilbert function), 2 usage error.
+budget exhaustion, inadmissible Hilbert function, an exponent too large
+for a packed monomial), 2 usage error.
 All output is JSON with pinned key order; fixed seeds give byte-identical
 output.
 """
@@ -14,6 +15,7 @@ import csv
 import json
 import sys
 import time
+from functools import cache
 from itertools import product
 from pathlib import Path
 
@@ -22,7 +24,7 @@ from .generic import (InconclusiveSampling, generic_templates,
                       gin_by_sampling, gin_parametric, trial_seeds)
 from .groebner import (Budget, BudgetExceeded, buchberger, reduce_basis)
 from .ideals import MonomialIdeal, hilbert_series, minimalize, top_degree
-from .orders import mono_str, order_by_name
+from .orders import ExponentOverflow, mono_str, order_by_name
 from .poly import Ring, poly_from_json, poly_to_json
 from .props import is_borel_fixed, is_lexsegment, is_weakly_revlex
 from .series import (InadmissibleHilbertFunction, SeriesWindow,
@@ -32,7 +34,8 @@ from .series import (InadmissibleHilbertFunction, SeriesWindow,
 SCHEMA = 1
 
 #: mathematical failures: exit 1 with the reason as JSON
-FAILURES = (InconclusiveSampling, BudgetExceeded, InadmissibleHilbertFunction)
+FAILURES = (InconclusiveSampling, BudgetExceeded, InadmissibleHilbertFunction,
+            ExponentOverflow)
 
 CSV_COLUMNS = ["n", "s", "degrees", "order", "route", "gin", "is_lexsegment",
                "is_weakly_revlex", "is_borel_fixed", "maxdeg_gin",
@@ -264,7 +267,9 @@ def cmd_survey(args):
 
 # ---------------------------------------------------------------------------
 
+@cache
 def build_parser():
+    """The argument parser, built once per process."""
     ap = argparse.ArgumentParser(prog="ginlab",
                                  description="Initial ideals of generic ideals")
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -342,9 +347,10 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.cmd == "lexseg" and not (args.degrees or args.hf_file):
-        build_parser().error("lexseg needs -d or --hf-file")
+        parser.error("lexseg needs -d or --hf-file")
     try:
         return args.func(args)
     except FAILURES as exc:

@@ -5,16 +5,31 @@ so the same code runs ground-field computations and parametric runs in
 k[t, x] under an inverse block order. Over the rationals intermediate
 results are kept primitive (integer coefficients, content stripped) to
 control coefficient growth.
+
+The kernel works in packed form (`poly.PackedRing`): a monomial is one
+int with a 16-bit field per variable and per block degree, each field
+topped by a guard bit, and a term carries the monomial's order key
+``P - 2*(P & rev)`` (degrevlex fields count negatively). The key is
+linear, so multiplying a term by a monomial adds keys; the division heap,
+pair selection and sorting compare ints; ``a`` divides ``b`` iff
+``((b | guard) - a) & guard == guard``. A product whose exponent or
+degree would outgrow its field raises `orders.ExponentOverflow` first.
+Over GF(p) coefficients are ints reduced inline with ``% p``; over Q they
+are Fractions. Polynomials with exponent tuples go in and come out.
 """
 
 from __future__ import annotations
 
-import heapq
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
+from itertools import count
+from operator import itemgetter
 
-from .orders import mono_div, mono_divides, mono_lcm, mono_mul
-from .poly import Polynomial, block_leading_data, specialize
+from .orders import ExponentOverflow
+from .poly import (Packed, PackedRing, Polynomial, block_leading_data,
+                   specialize)
 
 
 class BudgetExceeded(RuntimeError):
@@ -23,12 +38,16 @@ class BudgetExceeded(RuntimeError):
 
 @dataclass
 class Budget:
+    """A wall-clock and pair-queue cap for one command. The first `start`
+    sets the deadline and later ones keep it, so every Buchberger run of
+    the command shares it."""
+
     ms: float | None = None
     max_pairs: int | None = None
     _deadline: float | None = field(default=None, repr=False)
 
     def start(self):
-        if self.ms is not None:
+        if self.ms is not None and self._deadline is None:
             self._deadline = time.monotonic() + self.ms / 1000.0
         return self
 
@@ -55,107 +74,134 @@ class GroebnerBasis:
         return len(self.generators)
 
 
-def _neg_key(k):
-    if isinstance(k, tuple):
-        return tuple(_neg_key(x) for x in k)
-    return -k
-
-
-def s_polynomial(f, g, order=None):
-    """S(f, g) = L/lt(f) * f - L/lt(g) * g with L = lcm of the leads."""
-    if not f or not g:
-        raise ValueError("s-polynomial of the zero polynomial")
-    order = order or f.order
-    f = f.resorted(order)
-    g = g.resorted(order)
-    fld = f.ring.field
-    L = mono_lcm(f.lm(), g.lm())
-    a = f.mul_term(fld.inv(f.lc()), mono_div(L, f.lm()))
-    b = g.mul_term(fld.inv(g.lc()), mono_div(L, g.lm()))
-    return a - b
-
-
 def normal_form(f, G, order=None):
     """Remainder of f on full division by G.
 
     Deterministic reducer selection: G is scanned in ascending order of
-    lead monomial and the first divisor wins.
+    lead monomial and the first divisor wins. On Polynomials the result is
+    a Polynomial under `order` (default f's). Inside `buchberger` f and G
+    are `Packed` and `order` is their `PackedRing`; the result is `Packed`.
     """
-    order = order or f.order
-    f = f.resorted(order)
-    if not f:
+    if isinstance(f, Polynomial):
+        R = PackedRing(f.ring, order or f.order)
+        return R.unpack(_reduce(R.pack(f), [R.pack(g) for g in G if g], R))
+    return _reduce(f, G, order)
+
+
+def _reduce(f, G, R):
+    if not f or not G:
         return f
-    divs = sorted((g.resorted(order) for g in G if g), key=lambda g: order.key(g.lm()))
-    leads = [(g.lm(), g.lc(), g.terms) for g in divs]
-    if not leads:
-        return f
-    fld = f.ring.field
-    zero = fld.zero
+    layout = R.layout
+    guard, rev, from_key = layout.guard, layout.rev, layout.from_key
+    table = sorted(map(R.reducer, G), key=itemgetter(0))
+    keys = [r[0] for r in table]
+    p = R.p
     work = dict(f.terms)
-    heap = [(_neg_key(order.key(m)), m) for m in work]
-    heapq.heapify(heap)
-    rem = {}
+    get = work.get
+    heap = [-k for k in work]
+    heapify(heap)
+    rem = []
     while heap:
-        _, m = heapq.heappop(heap)
-        c = work.pop(m, None)
+        k = -heappop(heap)
+        c = work.pop(k, None)
         if c is None:
             continue
-        for gm, gc, gterms in leads:
-            q = mono_div(m, gm)
-            if q is not None:
-                factor = fld.div(c, gc)
-                for tm, tc in gterms[1:]:
-                    mm = mono_mul(tm, q)
-                    s = fld.sub(work.get(mm, zero), fld.mul(factor, tc))
-                    if s == zero:
-                        work.pop(mm, None)
+        m = from_key(k) if rev else k
+        mg = m | guard
+        # a lead above m cannot divide it
+        for lead_key, lead, slack, tail in table[:bisect_right(keys, k)]:
+            if (mg - lead) & guard == guard:  # lead divides m
+                if (slack + m) & guard:
+                    raise ExponentOverflow()
+                q = k - lead_key
+                for tk, tc in tail:
+                    mk = tk + q
+                    s = get(mk)
+                    if s is None:
+                        work[mk] = -c * tc % p if p else -(c * tc)
+                        heappush(heap, -mk)
                     else:
-                        if mm not in work:
-                            heapq.heappush(heap, (_neg_key(order.key(mm)), mm))
-                        work[mm] = s
+                        s = (s - c * tc) % p if p else s - c * tc
+                        if s:
+                            work[mk] = s
+                        else:
+                            del work[mk]
                 break
         else:
-            rem[m] = c
-    return Polynomial.from_dict(f.ring, order, rem)
+            rem.append((k, c))
+    return Packed(rem)
 
 
-def _update_pairs(G, pairs, h, order):
-    """Gebauer-Moeller update of the pair set when h joins the basis."""
-    t = len(G)
-    hm = h.lm()
-    # candidate new pairs (i, t)
-    lcms = {i: mono_lcm(G[i].lm(), hm) for i in range(t)}
-    keep = {}
-    for i, L in lcms.items():
-        dominated = False
-        for j, Lj in lcms.items():
-            if j == i:
-                continue
-            if mono_divides(Lj, L) and Lj != L:
-                dominated = True
-                break
-        if not dominated:
-            keep[i] = L
-    # among equal lcms keep a single representative (criterion F)
+def s_polynomial(f, g, order=None):
+    """S(f, g) = L/lt(f) * f - L/lt(g) * g with L = lcm of the leads.
+
+    On Polynomials the result is a Polynomial under `order` (default f's);
+    inside `buchberger` f and g are `Packed` and `order` is their
+    `PackedRing`.
+    """
+    if isinstance(f, Polynomial):
+        if not f or not g:
+            raise ValueError("s-polynomial of the zero polynomial")
+        R = PackedRing(f.ring, order or f.order)
+        return R.unpack(_s_poly(R.pack(f), R.pack(g), R))
+    return _s_poly(f, g, order)
+
+
+def _s_poly(f, g, R):
+    layout, p = R.layout, R.p
+    f_key, f_lead, f_slack, f_tail = R.reducer(f)
+    g_key, g_lead, g_slack, g_tail = R.reducer(g)
+    L = layout.lcm(f_lead, g_lead)
+    if (f_slack + L) & layout.guard or (g_slack + L) & layout.guard:
+        raise ExponentOverflow()
+    L = layout.key(L)
+    # the leading terms cancel
+    qf, qg = L - f_key, L - g_key
+    work = {k + qf: c for k, c in f_tail}
+    for k, c in g_tail:
+        k += qg
+        s = work.get(k)
+        if s is None:
+            work[k] = -c % p if p else -c
+        else:
+            s = (s - c) % p if p else s - c
+            if s:
+                work[k] = s
+            else:
+                del work[k]
+    return Packed(sorted(work.items(), reverse=True))
+
+
+def _update_pairs(leads, pairs, h, layout, serial):
+    """Gebauer-Moeller update of the pair set when a polynomial with packed
+    lead h joins a basis with packed leads `leads`.
+
+    A pair is (selection key, serial number, i, j, packed lcm). The
+    selection key orders pairs by lcm degree, then by the monomial order;
+    the serial number keeps creation order among equal keys, which is the
+    pair list's order, so ``min(pairs)`` is the first pair of least key.
+    """
+    t = len(leads)
+    guard = layout.guard
+    lcms = [layout.lcm(g, h) for g in leads]
     seen = {}
-    for i in sorted(keep):
-        L = keep[i]
-        if L not in seen:
-            seen[L] = i
+    for i, L in enumerate(lcms):
+        # drop L when another candidate lcm properly divides it
+        Lg = L | guard
+        if not any((Lg - Lj) & guard == guard and Lj != L for Lj in lcms):
+            # among equal lcms keep a single representative (criterion F)
+            seen.setdefault(L, i)
     new_pairs = []
     for L, i in seen.items():
         # Buchberger's coprimality criterion
-        if L == mono_mul(G[i].lm(), hm):
+        if L == leads[i] + h:
             continue
-        new_pairs.append((i, t, L))
+        sel = (layout.degree(L) << layout.bits) + layout.key(L)
+        new_pairs.append((sel, next(serial), i, t, L))
     # prune old pairs via the chain criterion
-    surviving = []
-    for (i, j, L) in pairs:
-        if (mono_divides(hm, L)
-                and mono_lcm(G[i].lm(), hm) != L
-                and mono_lcm(G[j].lm(), hm) != L):
-            continue
-        surviving.append((i, j, L))
+    surviving = [pair for pair in pairs
+                 if not ((pair[4] | guard) - h) & guard == guard
+                 or lcms[pair[2]] == pair[4] or lcms[pair[3]] == pair[4]]
     return surviving + new_pairs
 
 
@@ -163,45 +209,57 @@ def buchberger(gens, order=None, budget=None):
     """Groebner basis of the ideal generated by `gens`.
 
     Pair selection follows the normal strategy: smallest lcm degree first,
-    ties broken by the monomial order.
+    ties broken by the monomial order. The run is in packed form; the
+    basis comes back as Polynomials.
     """
     gens = [g for g in gens if g]
     if not gens:
         raise ValueError("no nonzero generators")
     order = order or gens[0].order
     budget = (budget or Budget()).start()
+    R = PackedRing(gens[0].ring, order)
+    serial = count()
     G = []
+    leads = []
     pairs = []
-    for f in gens:
-        h = normal_form(f, G, order)
+
+    def add(h):
         if h:
-            h = h.primitive()
-            pairs = _update_pairs(G, pairs, h, order)
+            h = R.primitive(h)
+            lead = R.reducer(h)[1]
+            pairs[:] = _update_pairs(leads, pairs, lead, R.layout, serial)
             G.append(h)
+            leads.append(lead)
+
+    for f in gens:
+        add(normal_form(R.pack(f), G, R))
     while pairs:
         budget.check(len(pairs))
-        best = min(range(len(pairs)),
-                   key=lambda k: (sum(pairs[k][2]), order.key(pairs[k][2])))
-        i, j, _ = pairs.pop(best)
-        s = s_polynomial(G[i], G[j], order)
-        h = normal_form(s, G, order)
-        if h:
-            h = h.primitive()
-            pairs = _update_pairs(G, pairs, h, order)
-            G.append(h)
-    return GroebnerBasis(tuple(G), order)
+        best = min(pairs)
+        pairs.remove(best)
+        _, _, i, j, _ = best
+        add(normal_form(s_polynomial(G[i], G[j], R), G, R))
+    return GroebnerBasis(tuple(map(R.unpack, G)), order)
+
+
+def _lead_key(g):
+    return g.terms[0][0]
 
 
 def reduce_basis(gb):
     """The unique reduced Groebner basis of the same ideal."""
     order = gb.order
-    G = [g.resorted(order) for g in gb.generators if g]
+    polys = [g for g in gb.generators if g]
+    if not polys:
+        return GroebnerBasis((), order, reduced=True)
+    R = PackedRing(polys[0].ring, order)
+    divides = R.layout.divides
     # minimalize: drop generators whose lead is divisible by another lead
-    G.sort(key=lambda g: order.key(g.lm()))
     minimal = []
-    for g in G:
-        if not any(mono_divides(h.lm(), g.lm()) for h in minimal):
-            minimal = [h for h in minimal if not mono_divides(g.lm(), h.lm())]
+    for g in sorted(map(R.pack, polys), key=_lead_key):
+        lead = R.reducer(g)[1]
+        if not any(divides(R.reducer(h)[1], lead) for h in minimal):
+            minimal = [h for h in minimal if not divides(lead, R.reducer(h)[1])]
             minimal.append(g)
     # tail-reduce until stable
     changed = True
@@ -209,13 +267,12 @@ def reduce_basis(gb):
         changed = False
         for i in range(len(minimal)):
             others = minimal[:i] + minimal[i + 1:]
-            r = normal_form(minimal[i], others, order)
-            if r != minimal[i]:
+            r = normal_form(minimal[i], others, R)
+            if r.terms != minimal[i].terms:
                 minimal[i] = r
                 changed = True
-    reduced = tuple(sorted((g.monic() for g in minimal),
-                           key=lambda g: order.key(g.lm()), reverse=True))
-    return GroebnerBasis(reduced, order, reduced=True)
+    reduced = sorted(map(R.monic, minimal), key=_lead_key, reverse=True)
+    return GroebnerBasis(tuple(map(R.unpack, reduced)), order, reduced=True)
 
 
 def reduced_groebner_basis(gens, order=None, budget=None):

@@ -62,14 +62,19 @@ def top_degree(J):
 
 
 def monomials_of_degree(n, d):
-    """All degree-d monomials in n variables, in descending lex order."""
+    """All degree-d monomials in n variables, in descending lex order.
+
+    No sort is needed: `combinations_with_replacement` yields the sorted
+    variable-index tuples in ascending lex order, and where two of them
+    first differ the smaller index gives its variable one more factor, so
+    the monomials come out in descending lex order.
+    """
     out = []
     for bars in combinations_with_replacement(range(n), d):
         m = [0] * n
         for i in bars:
             m[i] += 1
         out.append(tuple(m))
-    out.sort(reverse=True)
     return out
 
 

@@ -1,19 +1,63 @@
-"""Monomials as exponent tuples, and total monomial orders.
+"""Monomials as exponent tuples, total monomial orders, and their packed form.
 
 Variables follow the convention x1 > x2 > ... > xn: index 0 is the
-largest variable. Every order exposes a sort ``key`` so that bigger
-monomials get bigger keys; all comparisons reduce to key comparisons.
+largest variable. Exponent tuples are the public form of a monomial.
+
+Inside the Groebner kernel a monomial is one Python int, packed by the
+`Layout` that ``order.layout(n)`` returns:
+
+- Every field is FIELD_BITS = 16 bits wide. Its top bit is a guard bit,
+  clear in every valid monomial, so an exponent is at most EXP_MAX =
+  2**15 - 1.
+- Each block of variables (all of them, or the main and the parameter
+  part of an inverse block) has a degree field holding the block's total
+  degree: on top of the block for the graded orders, at the bottom for
+  lex, where it never decides a comparison but bounds the block's
+  degree like any other field.
+- Fields are laid out in priority order, most significant first. Lex and
+  deglex put x1 first; degrevlex puts xn first and marks its exponent
+  fields as reversed.
+- The key of a packed monomial P is ``P - 2*(P & rev)``, where ``rev``
+  masks the reversed fields: those fields count negatively. The key is
+  linear, key(m*q) = key(m) + key(q), and comparing keys as ints compares
+  monomials under the order. For lex and deglex the key is P itself.
+- An inverse block concatenates the main layout (more significant) and
+  the parameter layout.
+
+So a product is ``a + b``, in packed or in key form; ``a`` divides ``b``
+iff ``((b | guard) - a) & guard == guard``; and a sum of valid monomials
+that sets a guard bit has an exponent or a degree too large for its
+field. Packing refuses such an exponent with `ExponentOverflow`, and so
+does the kernel when a product would create one: nothing ever compares
+or divides a monomial that does not fit.
+
+Every order's ``key(m)`` on exponent tuples is the key of the packed
+monomial, so the tuple boundary and the kernel sort alike.
 """
 
 from __future__ import annotations
 
 from math import comb
+from operator import itemgetter
+from struct import Struct
 
 from .fields import _is_prime
+
+FIELD_BITS = 16
+EXP_MAX = (1 << (FIELD_BITS - 1)) - 1
+_FIELD = (1 << FIELD_BITS) - 1
 
 
 class DimensionMismatch(ValueError):
     pass
+
+
+class ExponentOverflow(OverflowError):
+    """An exponent or a block degree does not fit a packed field."""
+
+    def __init__(self):
+        super().__init__(f"exponent or degree above {EXP_MAX} does not fit "
+                         f"a {FIELD_BITS}-bit monomial field")
 
 
 # ---------------------------------------------------------------------------
@@ -23,10 +67,6 @@ def mono_one(n):
     return (0,) * n
 
 
-def mono_deg(m):
-    return sum(m)
-
-
 def mono_mul(m1, m2):
     return tuple(a + b for a, b in zip(m1, m2))
 
@@ -34,20 +74,6 @@ def mono_mul(m1, m2):
 def mono_divides(m1, m2):
     """True iff m1 divides m2."""
     return all(a <= b for a, b in zip(m1, m2))
-
-
-def mono_div(m1, m2):
-    """m1 / m2, or None when m2 does not divide m1."""
-    if len(m1) != len(m2):
-        raise DimensionMismatch(f"exponent lengths differ: {len(m1)} vs {len(m2)}")
-    q = tuple(a - b for a, b in zip(m1, m2))
-    if any(e < 0 for e in q):
-        return None
-    return q
-
-
-def mono_lcm(m1, m2):
-    return tuple(max(a, b) for a, b in zip(m1, m2))
 
 
 def mono_str(m, names=None):
@@ -65,16 +91,140 @@ def mono_str(m, names=None):
 
 
 # ---------------------------------------------------------------------------
+# packed monomials
+
+class Layout:
+    """The packing of n-variable exponent tuples for one order.
+
+    `blocks` lists, most significant first, (variables, graded, reversed):
+    the variable indices of a block in field order, whether its degree
+    field goes on top (else at the bottom), and whether its exponent
+    fields are reversed.
+    """
+
+    def __init__(self, nvars, blocks):
+        # per field, most significant first: the entry of (exponents +
+        # block degrees) it holds, and whether it counts negatively
+        source, negated, spans = [], [], []
+        for b, (variables, graded, reversed_) in enumerate(blocks):
+            top, k = len(source), len(variables)
+            if graded:
+                source += [nvars + b, *variables]
+                negated += [False] + [reversed_] * k
+            else:
+                source += [*variables, nvars + b]
+                negated += [reversed_] * k + [False]
+            spans.append((top, graded, k, min(variables), max(variables) + 1))
+        count = len(source)
+        shift = [FIELD_BITS * (count - 1 - k) for k in range(count)]
+        self.nvars = nvars
+        self.bits = FIELD_BITS * count
+        self.guard = sum(1 << (s + FIELD_BITS - 1) for s in shift)
+        self.rev = sum(_FIELD << s for s, neg in zip(shift, negated) if neg)
+        self._grev = self.guard & self.rev
+        # per block: the slice of the exponent tuple its degree sums; the
+        # shift of its degree field; and the shift, mask and multiplier
+        # that sum its exponent fields into their top field
+        self._slices = []
+        self._blocks = []
+        for top, graded, k, first, stop in spans:
+            width = FIELD_BITS * k
+            self._slices.append(slice(first, stop))
+            self._blocks.append((
+                shift[top if graded else top + k],
+                shift[top + k if graded else top + k - 1], (1 << width) - 1,
+                sum(1 << (FIELD_BITS * j) for j in range(k)),
+                width - FIELD_BITS))
+        # the fields as little-endian 16-bit words, least significant first
+        word = source[::-1]
+        words = Struct(f"<{count}H")
+        self._to_bytes, self._from_bytes = words.pack, words.unpack
+        self._nbytes = 2 * count
+        self._gather = itemgetter(*word)
+        self._pick = (itemgetter(*map(word.index, range(nvars))) if nvars > 1
+                      else lambda w, k=word.index(0): (w[k],))
+
+    def pack(self, m):
+        """The packed form of an exponent tuple."""
+        if len(m) != self.nvars:
+            raise DimensionMismatch(
+                f"monomial has {len(m)} exponents, layout has {self.nvars}")
+        slices = self._slices
+        degrees = ((sum(m),) if len(slices) == 1
+                   else tuple(map(sum, map(m.__getitem__, slices))))
+        if max(degrees) > EXP_MAX:
+            raise ExponentOverflow()
+        return int.from_bytes(self._to_bytes(*self._gather(m + degrees)),
+                              "little")
+
+    def unpack(self, P):
+        """The exponent tuple of a packed monomial."""
+        return self._pick(self._from_bytes(P.to_bytes(self._nbytes, "little")))
+
+    def key(self, P):
+        """The order key of a packed monomial (linear, compared as an int)."""
+        return P - 2 * (P & self.rev)
+
+    def from_key(self, k):
+        """The packed monomial with order key k."""
+        return k + 2 * self._grev - 2 * ((k + self._grev) & self.rev)
+
+    def divides(self, a, b):
+        """True iff packed a divides packed b."""
+        return ((b | self.guard) - a) & self.guard == self.guard
+
+    def degree(self, P):
+        """Total degree: the sum of the degree fields."""
+        return sum((P >> b[0]) & _FIELD for b in self._blocks)
+
+    def fieldmax(self, a, b):
+        """Field-wise maximum of two packed monomials, degree fields too."""
+        ge = ((a | self.guard) - b) & self.guard  # guard set where a >= b
+        mask = ge - (ge >> (FIELD_BITS - 1))
+        return (a & mask) | (b & ~mask)
+
+    def lcm(self, a, b):
+        """Least common multiple; its degree fields are summed anew."""
+        L = self.fieldmax(a, b)
+        for s, lo, mask, ones, top in self._blocks:
+            deg = ((L >> lo) & mask) * ones >> top & _FIELD
+            L += (deg - ((L >> s) & _FIELD)) << s
+        if L & self.guard:
+            raise ExponentOverflow()
+        return L
+
+
+# ---------------------------------------------------------------------------
 # orders
 
-class Lex:
-    name = "lex"
+class _Order:
+    """An order on one block of variables; subclasses set the flags."""
+
+    graded = False
+    reversed = False
+
+    def __init__(self):
+        self._layouts = {}
+
+    def blocks(self, variables):
+        if self.reversed:
+            variables = variables[::-1]
+        return ((variables, self.graded, self.reversed),)
+
+    def layout(self, n):
+        """The packed-monomial layout of n-variable monomials."""
+        layout = self._layouts.get(n)
+        if layout is None:
+            layout = self._layouts[n] = Layout(n, self.blocks(tuple(range(n))))
+        return layout
 
     def key(self, m):
-        return m
+        """Sort key of an exponent tuple: bigger monomials, bigger keys."""
+        layout = self.layout(len(m))
+        return layout.key(layout.pack(m))
 
     def __repr__(self):
-        return "lex"
+        return self.name
 
     def __eq__(self, other):
         return type(other) is type(self)
@@ -83,34 +233,23 @@ class Lex:
         return hash(self.name)
 
 
-class DegLex:
+class Lex(_Order):
+    name = "lex"
+
+
+class DegLex(_Order):
     name = "deglex"
-
-    def key(self, m):
-        return (sum(m), m)
-
-    def __repr__(self):
-        return "deglex"
-
-    __eq__ = Lex.__eq__
-    __hash__ = Lex.__hash__
+    graded = True
 
 
-class DegRevLex:
+class DegRevLex(_Order):
+    # same degree: smaller exponent in the last differing variable wins
     name = "degrevlex"
-
-    def key(self, m):
-        # same degree: smaller exponent in the last differing variable wins
-        return (sum(m), tuple(-e for e in reversed(m)))
-
-    def __repr__(self):
-        return "degrevlex"
-
-    __eq__ = Lex.__eq__
-    __hash__ = Lex.__hash__
+    graded = True
+    reversed = True
 
 
-class InverseBlock:
+class InverseBlock(_Order):
     """Order on mixed main/parameter monomials: main part decides first.
 
     The ambient exponent vector is (main exponents, parameter exponents);
@@ -121,13 +260,19 @@ class InverseBlock:
     name = "inverse-block"
 
     def __init__(self, main_order, param_order, nmain):
+        super().__init__()
         self.main_order = main_order
         self.param_order = param_order
         self.nmain = nmain
 
-    def key(self, m):
-        return (self.main_order.key(m[: self.nmain]),
-                self.param_order.key(m[self.nmain:]))
+    def blocks(self, variables):
+        if len(variables) < self.nmain:
+            raise DimensionMismatch(
+                f"order expects at least {self.nmain} main variables, "
+                f"got {len(variables)}")
+        main, params = variables[: self.nmain], variables[self.nmain:]
+        return (self.main_order.blocks(main)
+                + (self.param_order.blocks(params) if params else ()))
 
     def __repr__(self):
         return f"inverse-block({self.main_order!r}; {self.param_order!r}; nmain={self.nmain})"
@@ -160,9 +305,6 @@ def cmp_monomials(m1, m2, order):
     """Total-order comparison: -1, 0 or 1."""
     if len(m1) != len(m2):
         raise DimensionMismatch(f"exponent lengths differ: {len(m1)} vs {len(m2)}")
-    if isinstance(order, InverseBlock) and order.nmain > len(m1):
-        raise DimensionMismatch(
-            f"order expects at least {order.nmain} main variables, got {len(m1)}")
     k1, k2 = order.key(m1), order.key(m2)
     if k1 < k2:
         return -1

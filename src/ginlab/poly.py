@@ -1,10 +1,19 @@
 """Sparse multivariate polynomials over an exact field.
 
 A polynomial is a tuple of (monomial, coefficient) terms kept strictly
-descending under its active order. Rings may declare a main/parameter
-split: the first `nmain` variables are the main x-variables, the tail
-holds parameters. Specialization and block leading data operate on that
-split.
+descending under its active order, with exponent tuples as monomials:
+that is the public form. Rings may declare a main/parameter split: the
+first `nmain` variables are the main x-variables, the tail holds
+parameters. Specialization and block leading data operate on that split.
+
+The Groebner kernel works on the packed form instead (`PackedRing`,
+`Packed`): each monomial is the int order key of its packed exponent
+vector (see `orders.Layout`: 16-bit fields with guard bits, a degree
+field per block, reversed fields for degrevlex, the linear key
+``P - 2*(P & rev)``), so a term is (key, coefficient), a product of
+monomials is a sum of keys and sorting by monomial is sorting ints. Over
+GF(p) the coefficients are ints in [0, p) reduced inline with ``% p``;
+over Q they are Fractions.
 """
 
 from __future__ import annotations
@@ -192,15 +201,6 @@ class Polynomial:
         return Polynomial(self.ring, self.order,
                           [(m, fld.mul(c, cc)) for m, cc in self.terms])
 
-    def mul_term(self, c, m):
-        """Multiply by the single term c * m (m an exponent tuple)."""
-        fld = self.ring.field
-        c = fld.of(c)
-        if c == fld.zero:
-            return Polynomial.zero(self.ring, self.order)
-        return Polynomial(self.ring, self.order,
-                          [(mono_mul(mm, m), fld.mul(c, cc)) for mm, cc in self.terms])
-
     def monic(self):
         if not self.terms:
             return self
@@ -213,15 +213,102 @@ class Polynomial:
         """
         if not self.terms:
             return self
-        if not isinstance(self.ring.field, RationalField):
-            return self.monic()
-        den = reduce(lambda a, c: a * c.denominator // gcd(a, c.denominator),
-                     (c for _, c in self.terms), 1)
-        num = reduce(gcd, (abs(c.numerator) for _, c in self.terms))
-        scale = Fraction(den, num)
-        if self.lc() < 0:
-            scale = -scale
-        return self.scale(scale)
+        return self.scale(_primitive_scale(self.ring.field,
+                                           [c for _, c in self.terms]))
+
+
+def _primitive_scale(field, coeffs):
+    """The constant `primitive` multiplies by: 1/lc over GF(p); over Q the
+    one that leaves integer coefficients with gcd 1 and a positive lc."""
+    if not isinstance(field, RationalField):
+        return field.inv(coeffs[0])
+    den = reduce(lambda a, c: a * c.denominator // gcd(a, c.denominator),
+                 coeffs, 1)
+    num = reduce(gcd, (abs(c.numerator) for c in coeffs))
+    return Fraction(-den if coeffs[0] < 0 else den, num)
+
+
+# ---------------------------------------------------------------------------
+# packed form, for the Groebner kernel
+
+class Packed:
+    """A polynomial in the packed form of a `PackedRing`: `terms` lists
+    (key, coefficient) pairs, keys strictly descending, coefficients
+    nonzero. It is falsy when zero. `reducer` caches what division by it
+    needs, once it divides (see `PackedRing.reducer`)."""
+
+    __slots__ = ("terms", "reducer")
+
+    def __init__(self, terms):
+        self.terms = terms
+        self.reducer = None
+
+    def __bool__(self):
+        return bool(self.terms)
+
+
+class PackedRing:
+    """A ring under one monomial order, in the packed form of the Groebner
+    kernel: monomials packed by ``order.layout(nvars)``, coefficients
+    modulo ``p`` (the characteristic) over GF(p), Fractions over Q
+    (``p == 0``)."""
+
+    __slots__ = ("ring", "order", "layout", "p")
+
+    def __init__(self, ring, order):
+        self.ring = ring
+        self.order = order
+        self.layout = order.layout(ring.nvars)
+        self.p = ring.field.char
+
+    def pack(self, f):
+        """The packed form of a Polynomial of this ring, in any order."""
+        key, pack = self.layout.key, self.layout.pack
+        return Packed(sorted(((key(pack(m)), c) for m, c in f.terms),
+                             reverse=True))
+
+    def unpack(self, F):
+        """The Polynomial of a packed one, under this ring's order."""
+        unpack, from_key = self.layout.unpack, self.layout.from_key
+        return Polynomial(self.ring, self.order,
+                          [(unpack(from_key(k)), c) for k, c in F.terms])
+
+    def scaled(self, F, c):
+        """F times a nonzero constant."""
+        p = self.p
+        if p:
+            return Packed([(k, c * a % p) for k, a in F.terms])
+        return Packed([(k, c * a) for k, a in F.terms])
+
+    def monic(self, F):
+        return self.scaled(F, self.ring.field.inv(F.terms[0][1]))
+
+    def primitive(self, F):
+        """`Polynomial.primitive` in packed form."""
+        return self.scaled(F, _primitive_scale(self.ring.field,
+                                               [c for _, c in F.terms]))
+
+    def reducer(self, g):
+        """(lead key, lead, slack, tail) of a nonzero packed g, computed
+        once and cached on g. `lead` is the packed leading monomial;
+        ``slack + m`` sets a guard bit iff multiplying g's monomials by
+        m / lead overflows a field (slack is the field-wise maximum of g's
+        monomials minus the lead); `tail` lists the other terms as
+        (key, coefficient / leading coefficient)."""
+        r = g.reducer
+        if r is None:
+            layout, p = self.layout, self.p
+            (lead_key, lc), *tail = g.terms
+            lead = bound = layout.from_key(lead_key)
+            for k, _ in tail:
+                bound = layout.fieldmax(bound, layout.from_key(k))
+            if p:
+                inv = pow(lc, -1, p)
+                tail = [(k, c * inv % p) for k, c in tail]
+            else:
+                tail = [(k, c / lc) for k, c in tail]
+            r = g.reducer = (lead_key, lead, bound - lead, tail)
+        return r
 
 
 # ---------------------------------------------------------------------------

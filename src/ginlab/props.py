@@ -55,11 +55,15 @@ def is_lexsegment(J):
 
 def is_weakly_revlex(J):
     """Minimal generators only: same-degree revlex-larger monomials are in J."""
+    keyed = {}  # degree -> [(degrevlex key, monomial)] in descending lex
     for g in J.gens:
         d = sum(g)
+        if d not in keyed:
+            monos = monomials_of_degree(J.n, d)
+            keyed[d] = list(zip(map(DEGREVLEX.key, monos), monos))
         gkey = DEGREVLEX.key(g)
-        for m in monomials_of_degree(J.n, d):
-            if DEGREVLEX.key(m) > gkey and not contains(J, m):
+        for key, m in keyed[d]:
+            if key > gkey and not contains(J, m):
                 return PropertyVerdict(False, (g, m))
     return PropertyVerdict(True)
 

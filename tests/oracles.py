@@ -7,12 +7,19 @@
 - `is_groebner`: Buchberger's S-polynomial criterion
 - `lexsegment_by_enumeration`: the lexsegment ideal of a Hilbert function
   by listing every monomial and testing it for divisibility
+- the tuple Groebner kernel (`tuple_normal_form`, `tuple_s_polynomial`,
+  `tuple_buchberger`, `tuple_reduce_basis`): the same algorithm as
+  `ginlab.groebner` on exponent tuples, tuple order keys (`tuple_key`)
+  and field-object arithmetic, the reference for the packed kernel
 """
 
-from ginlab.groebner import normal_form, s_polynomial
+import heapq
+
 from ginlab.ideals import (contains, hilbert_series, minimalize,
                            monomials_of_degree)
-from ginlab.orders import binomial, mono_divides, mono_mul
+from ginlab.orders import (DEGLEX, DEGREVLEX, LEX, InverseBlock, binomial,
+                           mono_divides, mono_mul)
+from ginlab.poly import Polynomial
 from ginlab.props import _rank
 from ginlab.series import (InadmissibleHilbertFunction, SeriesWindow,
                            default_horizon, froeberg_series)
@@ -66,7 +73,8 @@ def is_groebner(G, order=None):
     order = order or gens[0].order
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
-            if normal_form(s_polynomial(gens[i], gens[j], order), gens, order):
+            s = tuple_s_polynomial(gens[i], gens[j], order)
+            if tuple_normal_form(s, gens, order):
                 return False
     return True
 
@@ -110,3 +118,200 @@ def lexsegment_by_enumeration(n, hf, horizon=None):
         raise InadmissibleHilbertFunction(
             "constructed lexsegment ideal does not reproduce the Hilbert function")
     return J, bool(J.gens) and last_gen_degree > D - n
+
+
+# ---------------------------------------------------------------------------
+# the tuple Groebner kernel
+
+def tuple_key(order, m):
+    """The order's sort key of an exponent tuple, built from tuples."""
+    if isinstance(order, InverseBlock):
+        return (tuple_key(order.main_order, m[: order.nmain]),
+                tuple_key(order.param_order, m[order.nmain:]))
+    if order == LEX:
+        return m
+    if order == DEGLEX:
+        return (sum(m), m)
+    if order == DEGREVLEX:
+        # same degree: smaller exponent in the last differing variable wins
+        return (sum(m), tuple(-e for e in reversed(m)))
+    raise ValueError(f"no tuple key for {order!r}")
+
+
+def mono_div(m1, m2):
+    """m1 / m2, or None when m2 does not divide m1."""
+    q = tuple(a - b for a, b in zip(m1, m2))
+    if any(e < 0 for e in q):
+        return None
+    return q
+
+
+def mono_lcm(m1, m2):
+    return tuple(max(a, b) for a, b in zip(m1, m2))
+
+
+def _neg_key(k):
+    if isinstance(k, tuple):
+        return tuple(_neg_key(x) for x in k)
+    return -k
+
+
+def _from_dict(ring, order, d):
+    zero = ring.field.zero
+    items = [(m, c) for m, c in d.items() if c != zero]
+    items.sort(key=lambda t: tuple_key(order, t[0]), reverse=True)
+    return Polynomial(ring, order, items)
+
+
+def _resorted(f, order):
+    return _from_dict(f.ring, order, dict(f.terms))
+
+
+def tuple_s_polynomial(f, g, order=None):
+    """S(f, g) = L/lt(f) * f - L/lt(g) * g with L = lcm of the leads."""
+    if not f or not g:
+        raise ValueError("s-polynomial of the zero polynomial")
+    order = order or f.order
+    f = _resorted(f, order)
+    g = _resorted(g, order)
+    fld = f.ring.field
+    L = mono_lcm(f.lm(), g.lm())
+    d = {}
+    for h, sign in ((f, fld.one), (g, fld.neg(fld.one))):
+        q = mono_div(L, h.lm())
+        factor = fld.mul(sign, fld.inv(h.lc()))
+        for m, c in h.terms:
+            mm = mono_mul(m, q)
+            d[mm] = fld.add(d.get(mm, fld.zero), fld.mul(factor, c))
+    return _from_dict(f.ring, order, d)
+
+
+def tuple_normal_form(f, G, order=None):
+    """Remainder of f on full division by G.
+
+    Deterministic reducer selection: G is scanned in ascending order of
+    lead monomial and the first divisor wins.
+    """
+    order = order or f.order
+    f = _resorted(f, order)
+    if not f:
+        return f
+    divs = sorted((_resorted(g, order) for g in G if g),
+                  key=lambda g: tuple_key(order, g.lm()))
+    leads = [(g.lm(), g.lc(), g.terms) for g in divs]
+    if not leads:
+        return f
+    fld = f.ring.field
+    zero = fld.zero
+    work = dict(f.terms)
+    heap = [(_neg_key(tuple_key(order, m)), m) for m in work]
+    heapq.heapify(heap)
+    rem = {}
+    while heap:
+        _, m = heapq.heappop(heap)
+        c = work.pop(m, None)
+        if c is None:
+            continue
+        for gm, gc, gterms in leads:
+            q = mono_div(m, gm)
+            if q is not None:
+                factor = fld.div(c, gc)
+                for tm, tc in gterms[1:]:
+                    mm = mono_mul(tm, q)
+                    s = fld.sub(work.get(mm, zero), fld.mul(factor, tc))
+                    if s == zero:
+                        work.pop(mm, None)
+                    else:
+                        if mm not in work:
+                            heapq.heappush(
+                                heap, (_neg_key(tuple_key(order, mm)), mm))
+                        work[mm] = s
+                break
+        else:
+            rem[m] = c
+    return _from_dict(f.ring, order, rem)
+
+
+def _tuple_update_pairs(G, pairs, h, order):
+    """Gebauer-Moeller update of the pair set when h joins the basis."""
+    t = len(G)
+    hm = h.lm()
+    lcms = {i: mono_lcm(G[i].lm(), hm) for i in range(t)}
+    keep = {}
+    for i, L in lcms.items():
+        dominated = False
+        for j, Lj in lcms.items():
+            if j == i:
+                continue
+            if mono_divides(Lj, L) and Lj != L:
+                dominated = True
+                break
+        if not dominated:
+            keep[i] = L
+    seen = {}
+    for i in sorted(keep):
+        L = keep[i]
+        if L not in seen:
+            seen[L] = i
+    new_pairs = []
+    for L, i in seen.items():
+        if L == mono_mul(G[i].lm(), hm):
+            continue
+        new_pairs.append((i, t, L))
+    surviving = []
+    for (i, j, L) in pairs:
+        if (mono_divides(hm, L)
+                and mono_lcm(G[i].lm(), hm) != L
+                and mono_lcm(G[j].lm(), hm) != L):
+            continue
+        surviving.append((i, j, L))
+    return surviving + new_pairs
+
+
+def tuple_buchberger(gens, order=None):
+    """The Groebner basis `ginlab.buchberger` computes, as a tuple of
+    Polynomials in the same order."""
+    gens = [g for g in gens if g]
+    order = order or gens[0].order
+    G = []
+    pairs = []
+    for f in gens:
+        h = tuple_normal_form(f, G, order)
+        if h:
+            h = h.primitive()
+            pairs = _tuple_update_pairs(G, pairs, h, order)
+            G.append(h)
+    while pairs:
+        best = min(range(len(pairs)),
+                   key=lambda k: (sum(pairs[k][2]),
+                                  tuple_key(order, pairs[k][2])))
+        i, j, _ = pairs.pop(best)
+        s = tuple_s_polynomial(G[i], G[j], order)
+        h = tuple_normal_form(s, G, order)
+        if h:
+            h = h.primitive()
+            pairs = _tuple_update_pairs(G, pairs, h, order)
+            G.append(h)
+    return tuple(G)
+
+
+def tuple_reduce_basis(G, order):
+    """The reduced Groebner basis `ginlab.reduce_basis` computes."""
+    G = sorted((_resorted(g, order) for g in G if g),
+               key=lambda g: tuple_key(order, g.lm()))
+    minimal = []
+    for g in G:
+        if not any(mono_divides(h.lm(), g.lm()) for h in minimal):
+            minimal = [h for h in minimal if not mono_divides(g.lm(), h.lm())]
+            minimal.append(g)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(minimal)):
+            others = minimal[:i] + minimal[i + 1:]
+            r = tuple_normal_form(minimal[i], others, order)
+            if r != minimal[i]:
+                minimal[i] = r
+                changed = True
+    return tuple(sorted((g.monic() for g in minimal),
+                        key=lambda g: tuple_key(order, g.lm()), reverse=True))

@@ -66,6 +66,35 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+def test_parser_is_built_once(capsys):
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    gin = parser.parse_args(["gin", "-n", "3", "-d", "2,2", "--seed", "4"])
+    lexseg = parser.parse_args(["lexseg", "-n", "4", "-d", "2,3"])
+    assert (gin.cmd, gin.seed, gin.degrees) == ("gin", 4, (2, 2))
+    assert (lexseg.cmd, lexseg.degrees) == ("lexseg", (2, 3))
+    assert not hasattr(lexseg, "seed") and not hasattr(gin, "hf_file")
+    code, out = run(capsys, "froeberg", "-n", "2", "-d", "2")
+    assert code == 0 and json.loads(out)["coeffs"][:3] == [1, 2, 2]
+    code, out = run(capsys, "bound", "-n", "2", "-d", "2,2")
+    assert code == 0 and json.loads(out)["bound"] == 3
+    for _ in range(2):  # the usage-error path reuses the parser too
+        with pytest.raises(SystemExit) as exc:
+            main(["lexseg", "-n", "3"])
+        assert exc.value.code == 2
+        assert "lexseg needs -d or --hf-file" in capsys.readouterr().err
+
+
+def test_gb_exponent_overflow_exit_code(capsys, tmp_path):
+    f = tmp_path / "sys.json"
+    f.write_text(json.dumps({"n": 2, "field": "Q",
+                             "polys": [[["1", [2, 0]]],
+                                       [["1", [1, 0]], ["-1", [0, 20000]]]]}))
+    code, out = run(capsys, "gb", str(f), "--order", "lex")
+    assert code == 1
+    assert json.loads(out)["error"] == "ExponentOverflow"
+
+
 def test_check_lexsegment(tmp_path, capsys):
     f = tmp_path / "ideal.json"
     f.write_text(json.dumps({"n": 3, "gens": [list(g) for g in GIN_32_22]}))

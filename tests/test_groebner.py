@@ -1,13 +1,18 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import ginlab as gl
+from ginlab import generic, groebner
 from ginlab.groebner import Budget, BudgetExceeded
-from ginlab.poly import parse_poly
+from ginlab.orders import ExponentOverflow
+from ginlab.poly import Polynomial, Ring, parse_poly
 
 from conftest import GIN_32_22, INI_I, INI_J, POINT_A
-from oracles import hilbert_function_homogeneous, is_groebner
+from oracles import (hilbert_function_homogeneous, is_groebner,
+                     tuple_buchberger, tuple_normal_form, tuple_reduce_basis,
+                     tuple_s_polynomial)
 
 R2 = gl.xring(2)
 R3 = gl.xring(3)
@@ -133,6 +138,132 @@ def test_budget_exhaustion_raises():
     inst = gl.generic_templates(3, (2, 2))
     with pytest.raises(BudgetExceeded):
         gl.buchberger(inst.templates(), inst.order, Budget(ms=0.0001))
+
+
+class FakeClock:
+    def __init__(self):
+        self.now = 0.0
+
+    def monotonic(self):
+        return self.now
+
+
+def test_budget_keeps_its_first_deadline(monkeypatch):
+    clock = FakeClock()
+    monkeypatch.setattr(groebner, "time", clock)
+    budget = Budget(ms=1000).start()
+    clock.now = 0.9
+    budget.start()
+    budget.check(0)
+    clock.now = 1.1
+    with pytest.raises(BudgetExceeded):
+        budget.start().check(0)
+
+
+def test_one_deadline_covers_every_sampling_trial(monkeypatch):
+    clock = FakeClock()
+    monkeypatch.setattr(groebner, "time", clock)
+    runs = []
+
+    def slow_buchberger(*args):
+        gb = groebner.buchberger(*args)
+        runs.append(gb)
+        clock.now += 0.6  # every run takes 0.6 s of a 1 s budget
+        return gb
+
+    monkeypatch.setattr(generic, "buchberger", slow_buchberger)
+    inst = gl.generic_templates(3, (2, 2), field=gl.generic.GF32003)
+    with pytest.raises(BudgetExceeded):
+        gl.gin_by_sampling(inst, trials=3, seed=0, budget=Budget(ms=1000))
+    assert len(runs) == 2  # the second run ends past the deadline
+
+
+# ---------------------------------------------------------------------------
+# the packed kernel against the tuple kernel of tests/oracles.py
+
+FIELDS = [gl.QQ, gl.PrimeField(2), gl.PrimeField(32003)]
+ORDERS = [gl.LEX, gl.DEGLEX, gl.DEGREVLEX, "block"]
+
+
+@st.composite
+def systems(draw):
+    """2-3 polynomials in n <= 4 variables of degree <= 3, not homogeneous
+    in general, over one field and under one order (an inverse block
+    order splits off the last variable as a parameter)."""
+    n = draw(st.integers(2, 4))
+    field = draw(st.sampled_from(FIELDS))
+    order = draw(st.sampled_from(ORDERS))
+    if order == "block":
+        order = gl.InverseBlock(draw(st.sampled_from([gl.LEX, gl.DEGREVLEX])),
+                                draw(st.sampled_from([gl.LEX, gl.DEGREVLEX])),
+                                n - 1)
+    ring = Ring(field, tuple(f"x{i + 1}" for i in range(n)))
+    mono = st.sampled_from([m for d in range(4)
+                            for m in gl.ideals.monomials_of_degree(n, d)])
+    term = st.tuples(mono, st.integers(-4, 4).filter(bool))
+    polys = draw(st.lists(st.lists(term, min_size=2, max_size=4),
+                          min_size=2, max_size=3))
+    gens = [Polynomial.from_terms(ring, order, terms) for terms in polys]
+    return [g for g in gens if g], order
+
+
+@settings(max_examples=60, deadline=None)
+@given(systems())
+def test_packed_kernel_matches_tuple_kernel(system):
+    gens, order = system
+    assume(gens)
+    try:
+        gb = gl.buchberger(gens, order, Budget(ms=250))
+    except BudgetExceeded:
+        assume(False)
+    basis = tuple(gb.generators)
+    assert [g.terms for g in basis] == [
+        g.terms for g in tuple_buchberger(gens, order)]
+    assert [g.terms for g in gl.reduce_basis(gb).generators] == [
+        g.terms for g in tuple_reduce_basis(basis, order)]
+    for f in gens:
+        for g in basis:
+            assert (gl.s_polynomial(f, g, order).terms
+                    == tuple_s_polynomial(f, g, order).terms)
+        assert (gl.normal_form(f, basis[1:], order).terms
+                == tuple_normal_form(f, basis[1:], order).terms)
+
+
+@pytest.mark.parametrize("n,degrees,order,parametric", [
+    (4, (2, 2, 2), gl.DEGREVLEX, False),
+    (3, (2, 2, 2), gl.LEX, False),
+    (2, (2, 2), gl.LEX, True),
+    (2, (2, 3), gl.DEGREVLEX, True),
+])
+def test_packed_kernel_matches_tuple_kernel_on_generic_ideals(
+        n, degrees, order, parametric):
+    # generic ideals give S-pairs of equal lcm, so these cases also check
+    # that ties are taken in the order the pairs were made
+    if parametric:
+        inst = gl.generic_templates(n, degrees, main_order=order,
+                                    t_order=gl.DEGREVLEX)
+        gens, order = inst.templates(), inst.order
+    else:
+        inst = gl.generic_templates(n, degrees, gl.generic.GF32003, order)
+        gens = gl.sample_ideal(inst, seed=5)
+    assert [g.terms for g in gl.buchberger(gens, order)] == [
+        g.terms for g in tuple_buchberger(gens, order)]
+
+
+def test_product_past_the_field_width_raises():
+    # x1^2 -> x1*x2^20000 -> x2^40000 under lex: the second step overflows
+    f = parse_poly("x1^2", R2, gl.LEX)
+    g = parse_poly("x1 - x2^20000", R2, gl.LEX)
+    with pytest.raises(ExponentOverflow):
+        gl.normal_form(f, [g])
+    with pytest.raises(ExponentOverflow):
+        gl.buchberger([f, g], gl.LEX)
+    # the lcm x1^20000*x2^20000 has degree 40000
+    with pytest.raises(ExponentOverflow):
+        gl.s_polynomial(parse_poly("x1^20000 + x2", R2, gl.LEX),
+                        parse_poly("x2^20000 + x1", R2, gl.LEX))
+    assert gl.normal_form(parse_poly("x1*x2", R2, gl.LEX), [g]) == parse_poly(
+        "x2^20001", R2, gl.LEX)
 
 
 # ---------------------------------------------------------------------------

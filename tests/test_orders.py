@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import ginlab as gl
-from ginlab.orders import (DimensionMismatch, mono_div, mono_lcm, mono_mul,
-                           mono_one)
+from ginlab.orders import (EXP_MAX, DimensionMismatch, ExponentOverflow,
+                           mono_mul, mono_one)
+
+from oracles import mono_div, mono_lcm, tuple_key
 
 monos3 = st.tuples(*[st.integers(0, 6)] * 3)
 all_orders = [gl.LEX, gl.DEGLEX, gl.DEGREVLEX,
@@ -117,3 +119,49 @@ def test_monomial_quotient():
     m = (3, 1, 2)
     assert mono_div(m, mono_one(3)) == m
     assert mono_lcm((2, 0, 1), (1, 3, 0)) == (2, 3, 1)
+
+
+orders4 = [gl.LEX, gl.DEGLEX, gl.DEGREVLEX,
+           gl.InverseBlock(gl.LEX, gl.DEGREVLEX, 2),
+           gl.InverseBlock(gl.DEGREVLEX, gl.DEGLEX, 1),
+           gl.InverseBlock(gl.DEGLEX, gl.LEX, 3)]
+exps4 = st.one_of(st.integers(0, 7), st.integers(0, 4000))
+monos4 = st.tuples(*[exps4] * 4)
+
+
+@given(monos4, monos4)
+def test_packed_monomials_match_tuples(a, b):
+    """Packed keys compare, divide, multiply and take lcms like tuples."""
+    for order in orders4:
+        L = order.layout(4)
+        pa, pb = L.pack(a), L.pack(b)
+        assert L.unpack(pa) == a
+        ka, kb = L.key(pa), L.key(pb)
+        assert L.from_key(ka) == pa
+        assert (ka < kb) == (tuple_key(order, a) < tuple_key(order, b))
+        assert (ka == kb) == (a == b)
+        assert order.key(a) == ka
+        assert L.divides(pa, pb) == (mono_div(b, a) is not None)
+        assert L.key(pa + pb) == ka + kb
+        assert L.unpack(pa + pb) == mono_mul(a, b)
+        assert L.lcm(pa, pb) == L.pack(mono_lcm(a, b))
+        assert L.degree(pa) == sum(a)
+
+
+def test_exponent_overflow_is_refused():
+    for order in orders4:
+        L = order.layout(4)
+        top = (EXP_MAX, 0, 0, 0)
+        assert L.unpack(L.pack(top)) == top
+        # too large an exponent, or a block degree above EXP_MAX
+        for m in [(EXP_MAX + 1, 0, 0, 0), (0, 0, 0, 1 << 20),
+                  (EXP_MAX // 2 + 1,) * 4]:
+            with pytest.raises(ExponentOverflow, match="does not fit"):
+                L.pack(m)
+    # x1^20000 and x2^20000 are fine, their lcm is not (x1, x2 in one block)
+    for order in orders4[:4]:
+        L = order.layout(4)
+        with pytest.raises(ExponentOverflow):
+            L.lcm(L.pack((20000, 0, 0, 0)), L.pack((0, 20000, 0, 0)))
+    with pytest.raises(ExponentOverflow):
+        gl.cmp_monomials((1 << 16, 0), (0, 1), gl.LEX)
