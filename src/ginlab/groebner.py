@@ -16,6 +16,43 @@ pair selection and sorting compare ints; ``a`` divides ``b`` iff
 degree would outgrow its field raises `orders.ExponentOverflow` first.
 Over GF(p) coefficients are ints reduced inline with ``% p``; over Q they
 are Fractions. Polynomials with exponent tuples go in and come out.
+
+Hilbert-driven pair elimination. Let S = k[x_1..x_n] be the ring of all
+the variables, and let every generator be homogeneous of degree >= 1,
+with degrees d_1..d_s. The bracket series of those degrees is
+H = |prod(1 - t^d_i) / (1 - t)^n|, where |.| zeroes every coefficient
+from the first non-positive one on. Froeberg's inequality (R. Froeberg,
+"An inequality for Hilbert series of graded algebras", Math. Scand. 56,
+1985): for forms f_1..f_s of degrees d_1..d_s over any field k,
+
+    HS(S/(f_1, ..., f_s)) >= |prod(1 - t^d_i) / (1 - t)^n|
+
+in the lexicographic order of power series: the two are equal, or in
+the first degree where they differ the left side is larger. The field
+may be any field, finite ones included: the proof uses only the exact
+sequence 0 -> (0 : f)(-d) -> A(-d) -> A -> A/fA -> 0, which gives
+HS(A/fA) >= (1 - t^d) HS(A) coefficientwise, and facts about |.| such
+as |(1 - t^d) a| >= |(1 - t^d) b| whenever a >= b lexicographically.
+
+`buchberger` takes pairs in nondecreasing lcm degree. Before a pair of
+degree d it checks HF(S/in G)_e = H_e for every completed degree e < d,
+including degrees without pairs, and drops all remaining degree-d pairs
+when also HF(S/in G)_d = H_d. That is sound: in(G) is contained in
+in(I), so HF(S/in G) >= HF(S/in I) = HF(S/I) in every degree; if
+HF(S/I) first left H in a degree e <= d, it would be larger than H_e by
+the inequality, and so would HF(S/in G)_e. Hence in(G) and in(I) agree
+through degree d, and every dropped pair would have reduced to zero. The
+basis is the same list, and only reductions to zero are skipped. The
+first completed degree with HF(S/in G)_e != H_e switches the rule off
+for the rest of the run: in(G)_e = in(I)_e there, so HF(S/I) != H.
+
+The Hilbert numerator of in(G) is kept up to date as leads join, one
+colon ideal per lead (Bayer-Stillman; Bigatti, "Computation of
+Hilbert-Poincare series", JPAA 1997), so each check costs one sum. A run
+whose rule held to the end returns it as `GroebnerBasis.hilbert_numerator`:
+HF(S/I) equals H in every degree iff it equals `series.bracket_numerator`
+(the u-check of `generic.is_u_generic`). Input that is not homogeneous,
+or that has a constant generator, runs without the rule.
 """
 
 from __future__ import annotations
@@ -24,12 +61,14 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from itertools import count
+from itertools import count, zip_longest
 from operator import itemgetter
 
-from .orders import ExponentOverflow
+from .ideals import MonomialIdeal, hilbert_numerator, series_coefficient
+from .orders import EXP_MAX, ExponentOverflow
 from .poly import (Packed, PackedRing, Polynomial, block_leading_data,
                    specialize)
+from .series import bracket_numerator
 
 
 class BudgetExceeded(RuntimeError):
@@ -60,9 +99,15 @@ class Budget:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
+    """A Groebner basis. `hilbert_numerator` is N(t) with
+    HS(S/in G) = N(t) / (1 - t)^nvars, kept by the Hilbert-driven rule of
+    `buchberger`; it is None when the input did not allow the rule or
+    the rule switched off."""
+
     generators: tuple
     order: object
     reduced: bool = False
+    hilbert_numerator: tuple | None = None
 
     def lead_monomials(self):
         return [g.lm() for g in self.generators]
@@ -205,12 +250,80 @@ def _update_pairs(leads, pairs, h, layout, serial):
     return surviving + new_pairs
 
 
+class _HilbertCount:
+    """HF(S/in G) against the bracket series H while leads join G (see
+    the module docstring).
+
+    Both are series over (1 - t)^n with polynomial numerators; `excess`
+    is the numerator of HS(S/in G) - H, so HF(S/in G)_d - H_d is its
+    degree-d coefficient over (1 - t)^n. Adding a lead m to J = in(G),
+    m not in J, subtracts t^deg(m) N(J : m) from the numerator of J. J : m
+    is generated by the quotients g / gcd(g, m); the variables among them
+    split off as a factor (1 - t)^k, and in the sampled trials nothing
+    else is usually left.
+    """
+
+    def __init__(self, layout, degrees):
+        self.layout = layout
+        self.expected = bracket_numerator(layout.nvars, degrees)
+        self.excess = [-c for c in self.expected]
+        self.excess[0] += 1  # the numerator of S/(0) is 1
+        self.checked = 0  # HF_e = H_e holds for every e <= checked
+
+    def add(self, leads, m):
+        """Account for lead m joining the leads `leads`."""
+        layout = self.layout
+        quotient, ones = layout.quotient, layout.exponent_ones
+        colon = {quotient(g, m) for g in leads}
+        variables = [q for q in colon
+                     if q and q & ones == q and not q & (q - 1)]
+        fields = sum(variables) * EXP_MAX
+        # the other minimal generators; a divisor is no larger as an int
+        rest = []
+        for q in sorted(colon):
+            if not q & fields and not any(layout.divides(r, q) for r in rest):
+                rest.append(q)
+        sub = (hilbert_numerator(MonomialIdeal(
+            layout.nvars, tuple(map(layout.unpack, rest)))) if rest else [1])
+        for _ in variables:
+            sub = [a - b for a, b in zip(sub + [0], [0] + sub)]
+        excess = self.excess
+        d = layout.degree(m)
+        excess.extend([0] * (d + len(sub) - len(excess)))
+        for i, c in enumerate(sub, d):
+            excess[i] -= c
+
+    def complete(self, d):
+        """Whether HF(S/in G)_d = H_d."""
+        return not series_coefficient(self.excess, self.layout.nvars, d)
+
+    def agrees_below(self, d):
+        """Whether HF(S/in G)_e = H_e in the degrees e < d not compared
+        yet; call it only once every pair of degree < d is done."""
+        if not all(map(self.complete, range(self.checked + 1, d))):
+            return False
+        self.checked = max(self.checked, d - 1)
+        return True
+
+    def numerator(self):
+        """The Hilbert numerator of S/in(G), without trailing zeros."""
+        num = [a + b for a, b in zip_longest(self.excess, self.expected,
+                                             fillvalue=0)]
+        while len(num) > 1 and not num[-1]:
+            num.pop()
+        return tuple(num)
+
+
 def buchberger(gens, order=None, budget=None):
     """Groebner basis of the ideal generated by `gens`.
 
     Pair selection follows the normal strategy: smallest lcm degree first,
-    ties broken by the monomial order. The run is in packed form; the
-    basis comes back as Polynomials.
+    ties broken by the monomial order. When every generator is
+    homogeneous of degree >= 1, the pairs of a degree that the bracket
+    series proves complete are dropped unreduced, and the basis carries
+    the Hilbert numerator of its initial ideal (see the module
+    docstring); the basis is the same either way. The run is in packed
+    form; the basis comes back as Polynomials.
     """
     gens = [g for g in gens if g]
     if not gens:
@@ -218,6 +331,11 @@ def buchberger(gens, order=None, budget=None):
     order = order or gens[0].order
     budget = (budget or Budget()).start()
     R = PackedRing(gens[0].ring, order)
+    layout = R.layout
+    degrees = [g.degree() for g in gens]
+    hilbert = (_HilbertCount(layout, degrees)
+               if min(degrees) >= 1 and all(g.is_homogeneous() for g in gens)
+               else None)
     serial = count()
     G = []
     leads = []
@@ -227,7 +345,9 @@ def buchberger(gens, order=None, budget=None):
         if h:
             h = R.primitive(h)
             lead = R.reducer(h)[1]
-            pairs[:] = _update_pairs(leads, pairs, lead, R.layout, serial)
+            pairs[:] = _update_pairs(leads, pairs, lead, layout, serial)
+            if hilbert is not None:
+                hilbert.add(leads, lead)
             G.append(h)
             leads.append(lead)
 
@@ -236,10 +356,19 @@ def buchberger(gens, order=None, budget=None):
     while pairs:
         budget.check(len(pairs))
         best = min(pairs)
+        if hilbert is not None:
+            d = layout.degree(best[4])
+            if not hilbert.agrees_below(d):
+                hilbert = None
+            elif hilbert.complete(d):
+                pairs[:] = [p for p in pairs if layout.degree(p[4]) != d]
+                continue
         pairs.remove(best)
         _, _, i, j, _ = best
         add(normal_form(s_polynomial(G[i], G[j], R), G, R))
-    return GroebnerBasis(tuple(map(R.unpack, G)), order)
+    numerator = None if hilbert is None else hilbert.numerator()
+    return GroebnerBasis(tuple(map(R.unpack, G)), order,
+                         hilbert_numerator=numerator)
 
 
 def _lead_key(g):
@@ -272,7 +401,8 @@ def reduce_basis(gb):
                 minimal[i] = r
                 changed = True
     reduced = sorted(map(R.monic, minimal), key=_lead_key, reverse=True)
-    return GroebnerBasis(tuple(map(R.unpack, reduced)), order, reduced=True)
+    return GroebnerBasis(tuple(map(R.unpack, reduced)), order, reduced=True,
+                         hilbert_numerator=gb.hilbert_numerator)
 
 
 def reduced_groebner_basis(gens, order=None, budget=None):

@@ -151,21 +151,19 @@ def hilbert_numerator(J):
     return _poly_trim(rec(frozenset(J.gens)))
 
 
+def series_coefficient(num, n, d):
+    """The degree-d coefficient of num(t) / (1 - t)^n, with `num` a list of
+    integer coefficients: 1 / (1 - t)^n has coefficients binom(n-1+i, i)."""
+    return sum(c * binomial(n - 1 + d - i, d - i)
+               for i, c in enumerate(num[:d + 1]))
+
+
 def hilbert_series(J, horizon=None):
     """Coefficients of HS(S/J; t) up to the horizon (inclusive)."""
     if horizon is None:
         horizon = max(top_degree(J) + J.n, 10)
     num = hilbert_numerator(J)
-    # multiply by (1-t)^{-n}: coefficients binom(n-1+i, i)
-    out = []
-    for d in range(horizon + 1):
-        acc = 0
-        for i, c in enumerate(num):
-            if i > d:
-                break
-            acc += c * binomial(J.n - 1 + d - i, d - i)
-        out.append(acc)
-    return out
+    return [series_coefficient(num, J.n, d) for d in range(horizon + 1)]
 
 
 def hilbert_function(J, d):

@@ -122,6 +122,10 @@ class Layout:
         self.guard = sum(1 << (s + FIELD_BITS - 1) for s in shift)
         self.rev = sum(_FIELD << s for s, neg in zip(shift, negated) if neg)
         self._grev = self.guard & self.rev
+        # the lowest bit of every exponent field, degree fields left out
+        self.exponent_ones = sum(1 << s for s, k in zip(shift, source)
+                                 if k < nvars)
+        self._exponents = self.exponent_ones * EXP_MAX
         # per block: the slice of the exponent tuple its degree sums; the
         # shift of its degree field; and the shift, mask and multiplier
         # that sum its exponent fields into their top field
@@ -182,6 +186,11 @@ class Layout:
         ge = ((a | self.guard) - b) & self.guard  # guard set where a >= b
         mask = ge - (ge >> (FIELD_BITS - 1))
         return (a & mask) | (b & ~mask)
+
+    def quotient(self, a, b):
+        """a / gcd(a, b), the generator that a gives the colon ideal
+        (a) : b, with its degree fields zero."""
+        return (self.fieldmax(a, b) - b) & self._exponents
 
     def lcm(self, a, b):
         """Least common multiple; its degree fields are summed anew."""

@@ -11,8 +11,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import QQ
-from .ideals import contains, maxdeg, monomials_of_degree, top_degree
+from .ideals import contains, monomials_of_degree, top_degree
 from .orders import DEGREVLEX, binom_p_leq, binomial, mono_str
+from .series import _lex_monomial, _macaulay_digits, _macaulay_shift
 
 
 @dataclass(frozen=True)
@@ -35,21 +36,41 @@ class PropertyVerdict:
 
 
 def is_lexsegment(J):
-    """Each graded piece up to maxdeg must be a descending-lex prefix.
+    """Whether each graded piece of J is a descending-lex prefix of the
+    monomials of its degree.
 
-    Degrees above maxdeg need no check: multiplying a lex segment by all
-    variables yields a lex segment again (tested property).
+    J is a lexsegment ideal iff, for each minimal generator g, every
+    monomial of g's degree that is lex-greater than g lies in J: if
+    J_{d-1} is a lex segment, so is S_1 J_{d-1} (Macaulay), and J_d is
+    its union with the upper lex segments ending at the degree-d
+    generators. Degrees above maxdeg need no check for the same reason.
+
+    No monomial is listed to decide this. With h = HF(S/J)_{d-1}, the
+    monomials of degree d outside S_1 J_{d-1} are the h^<d-1>
+    lex-smallest (the Macaulay bound; n for d = 1), and J_d is a lex
+    segment iff its k generators are the k largest of those: the
+    monomials of ascending lex rank h^<d-1> - k .. h^<d-1> - 1, unranked
+    as in `series.lexsegment_of_hf`. Only the first failing degree is
+    listed, to find the witness: a member that follows a missing
+    monomial.
     """
-    if not J.gens:
-        return PropertyVerdict(True)
-    for d in range(1, maxdeg(J) + 1):
-        gap = None
-        for m in monomials_of_degree(J.n, d):
-            if contains(J, m):
-                if gap is not None:
-                    return PropertyVerdict(False, (m, gap))
-            elif gap is None:
-                gap = m
+    n = J.n
+    by_degree = {}
+    for g in J.gens:
+        by_degree.setdefault(sum(g), set()).add(g)
+    bound = n  # degree-d monomials outside S_1 J_{d-1}
+    for d in range(1, top_degree(J) + 1):
+        gens = by_degree.get(d, set())
+        h = bound - len(gens)
+        if gens != {_lex_monomial(n, d, r) for r in range(h, bound)}:
+            gap = None
+            for m in monomials_of_degree(n, d):
+                if contains(J, m):
+                    if gap is not None:
+                        return PropertyVerdict(False, (m, gap))
+                elif gap is None:
+                    gap = m
+        bound = _macaulay_shift(_macaulay_digits(h, d), 1)
     return PropertyVerdict(True)
 
 

@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .ideals import MonomialIdeal, hilbert_series, top_degree
-from .orders import binomial
+from .ideals import (MonomialIdeal, hilbert_series, series_coefficient,
+                     top_degree)
 
 
 class InadmissibleHilbertFunction(ValueError):
@@ -80,23 +80,46 @@ def regularity_index(n, degrees):
     return max(0, sum(degrees) - n + 1)
 
 
-def froeberg_series(n, degrees, horizon=None):
-    """Bracketed expansion of prod(1 - t^d_i) / (1 - t)^n."""
+def _check_degrees(n, degrees):
     if n < 1 or any(d < 1 for d in degrees):
         raise ValueError("need n >= 1 and all degrees >= 1")
-    D = default_horizon(n, degrees) if horizon is None else horizon
-    num = [0] * (D + 1)
-    num[0] = 1
+
+
+def _product_numerator(degrees):
+    """prod(1 - t^d_i) as integer coefficients."""
+    num = [1]
     for d in degrees:
-        nxt = list(num)
-        for i in range(D + 1 - d):
-            nxt[i + d] -= num[i]
-        num = nxt
-    out = []
-    for dd in range(D + 1):
-        out.append(sum(num[i] * binomial(n - 1 + dd - i, dd - i)
-                       for i in range(dd + 1)))
-    return bracket_truncate(SeriesWindow(tuple(out)))
+        num = [a - b for a, b in zip(num + [0] * d, [0] * d + num)]
+    return num
+
+
+def froeberg_series(n, degrees, horizon=None):
+    """Bracketed expansion of prod(1 - t^d_i) / (1 - t)^n."""
+    _check_degrees(n, degrees)
+    D = default_horizon(n, degrees) if horizon is None else horizon
+    num = _product_numerator(degrees)
+    return bracket_truncate(SeriesWindow(tuple(
+        series_coefficient(num, n, d) for d in range(D + 1))))
+
+
+def bracket_numerator(n, degrees):
+    """The numerator N(t) of the bracket series H = N(t) / (1 - t)^n, as
+    integer coefficients without trailing zeros.
+
+    It is prod(1 - t^d_i) when s <= n, where no coefficient is truncated,
+    and the polynomial H * (1 - t)^n when s > n. Its degree is at most
+    sum(d_i) either way, so the window of H through that degree gives it.
+    """
+    _check_degrees(n, degrees)
+    if len(degrees) <= n:
+        return _product_numerator(degrees)
+    top = sum(degrees)
+    h = froeberg_series(n, degrees, top).coeffs
+    num = [sum((-1) ** j * comb(n, j) * h[e - j] for j in range(min(n, e) + 1))
+           for e in range(top + 1)]
+    while len(num) > 1 and not num[-1]:
+        num.pop()
+    return num
 
 
 def _macaulay_digits(a, d):

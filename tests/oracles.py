@@ -7,6 +7,8 @@
 - `is_groebner`: Buchberger's S-polynomial criterion
 - `lexsegment_by_enumeration`: the lexsegment ideal of a Hilbert function
   by listing every monomial and testing it for divisibility
+- `is_lexsegment_by_enumeration`: the verdict and witness of
+  `ginlab.is_lexsegment`, by listing every monomial up to maxdeg
 - the tuple Groebner kernel (`tuple_normal_form`, `tuple_s_polynomial`,
   `tuple_buchberger`, `tuple_reduce_basis`): the same algorithm as
   `ginlab.groebner` on exponent tuples, tuple order keys (`tuple_key`)
@@ -16,11 +18,11 @@
 import heapq
 
 from ginlab.ideals import (contains, hilbert_series, minimalize,
-                           monomials_of_degree)
+                           monomials_of_degree, top_degree)
 from ginlab.orders import (DEGLEX, DEGREVLEX, LEX, InverseBlock, binomial,
                            mono_divides, mono_mul)
 from ginlab.poly import Polynomial
-from ginlab.props import _rank
+from ginlab.props import PropertyVerdict, _rank
 from ginlab.series import (InadmissibleHilbertFunction, SeriesWindow,
                            default_horizon, froeberg_series)
 
@@ -118,6 +120,20 @@ def lexsegment_by_enumeration(n, hf, horizon=None):
         raise InadmissibleHilbertFunction(
             "constructed lexsegment ideal does not reproduce the Hilbert function")
     return J, bool(J.gens) and last_gen_degree > D - n
+
+
+def is_lexsegment_by_enumeration(J):
+    """`ginlab.is_lexsegment`: scan each degree up to maxdeg in descending
+    lex order; a member after a missing monomial is the witness."""
+    for d in range(1, top_degree(J) + 1):
+        gap = None
+        for m in monomials_of_degree(J.n, d):
+            if contains(J, m):
+                if gap is not None:
+                    return PropertyVerdict(False, (m, gap))
+            elif gap is None:
+                gap = m
+    return PropertyVerdict(True)
 
 
 # ---------------------------------------------------------------------------

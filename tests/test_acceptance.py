@@ -52,7 +52,7 @@ def test_criterion_3_fixed_point_replay():
     assert J.gens == GIN_32_22
     assert gl.is_lexsegment(J).holds
     assert gl.hilbert_series(J, 5) == [1, 3, 4, 4, 4, 4]
-    assert gl.is_u_generic(J, inst) == "yes"
+    assert gl.is_u_generic(gb, inst) == "yes"
     report("criterion-3 replay", time.perf_counter() - t0, 5)
 
 

@@ -1,0 +1,91 @@
+"""Byte-exact CLI output on fixed seeds, against `golden_cli.json`.
+
+The file holds the JSON that `ginlab` printed, and its exit code, for:
+
+- `gin` on the criterion-4 grid, lex and degrevlex, seed 0
+- `gin` at non-generic points (`--field F2`, `--bound 1`), where sampled
+  trials are not u-generic, including `InconclusiveSampling` exits
+- `check --property lexsegment` on a failing ideal (with its witness)
+  and on a passing one
+
+Any change to the Groebner kernel, the u-check or the predicates that
+alters one byte of this output fails here. If a change of output is
+intended, re-record the file with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and say in the change which outputs moved and why.
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+from ginlab.cli import main
+
+from test_acceptance import CRIT4_GRID
+
+GOLDEN = Path(__file__).with_name("golden_cli.json")
+
+#: the ideal file of a `check` command
+IDEAL = "{ideal}"
+
+#: the n=4 (2,2) lex gin, which is not a lexsegment ideal (criterion 5),
+#: and the n=3 (2,2) one, which is
+IDEALS = {
+    "gin-4-22": {"n": 4, "gens": [[2, 0, 0, 0], [1, 1, 0, 0], [1, 0, 2, 0],
+                                  [0, 4, 0, 0]]},
+    "gin-3-22": {"n": 3, "gens": [[2, 0, 0], [1, 1, 0], [1, 0, 2],
+                                  [0, 4, 0]]},
+}
+
+
+def _gin(n, degrees, *extra):
+    return ["gin", "-n", str(n), "-d", ",".join(map(str, degrees)), *extra]
+
+
+COMMANDS = (
+    [_gin(n, d, "--order", order, "--seed", "0")
+     for order in ("lex", "degrevlex") for n, d in CRIT4_GRID]
+    + [_gin(3, (2, 2), "--field", "F2"),
+       _gin(3, (2, 2, 2), "--order", "degrevlex", "--field", "F2"),
+       _gin(4, (2, 3, 3), "--field", "F2"),
+       _gin(3, (2, 2), "--bound", "1"),
+       _gin(3, (2, 2, 2), "--bound", "1"),
+       _gin(3, (3, 3), "--order", "degrevlex", "--bound", "1"),
+       _gin(4, (2, 3, 2), "--order", "degrevlex", "--bound", "1")]
+    + [["check", IDEAL, "--property", "lexsegment", name] for name in IDEALS]
+)
+
+
+def run(argv, tmp_dir):
+    """(exit code, stdout) of one command; a `check` command names its
+    ideal last, and the ideal is written to a file in `tmp_dir` first."""
+    if argv[0] == "check":
+        *argv, name = argv
+        path = Path(tmp_dir) / f"{name}.json"
+        path.write_text(json.dumps(IDEALS[name]))
+        argv = [str(path) if a == IDEAL else a for a in argv]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def test_cli_output_is_byte_identical(tmp_path):
+    golden = json.loads(GOLDEN.read_text())
+    assert [g["argv"] for g in golden] == COMMANDS
+    for g in golden:
+        assert run(g["argv"], tmp_path) == (g["exit"], g["stdout"]), g["argv"]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        records = [dict(zip(("exit", "stdout"), run(argv, tmp)), argv=argv)
+                   for argv in COMMANDS]
+    GOLDEN.write_text(json.dumps(
+        [{"argv": r["argv"], "exit": r["exit"], "stdout": r["stdout"]}
+         for r in records], indent=1) + "\n")

@@ -1,15 +1,19 @@
 import random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import ginlab as gl
 from ginlab import generic, groebner
+from ginlab.generic import GF32003
 from ginlab.groebner import Budget, BudgetExceeded
+from ginlab.ideals import monomials_of_degree
 from ginlab.orders import ExponentOverflow
 from ginlab.poly import Polynomial, Ring, parse_poly
+from ginlab.series import bracket_numerator
 
 from conftest import GIN_32_22, INI_I, INI_J, POINT_A
+from test_acceptance import CRIT4_GRID
 from oracles import (hilbert_function_homogeneous, is_groebner,
                      tuple_buchberger, tuple_normal_form, tuple_reduce_basis,
                      tuple_s_polynomial)
@@ -248,6 +252,100 @@ def test_packed_kernel_matches_tuple_kernel_on_generic_ideals(
         gens = gl.sample_ideal(inst, seed=5)
     assert [g.terms for g in gl.buchberger(gens, order)] == [
         g.terms for g in tuple_buchberger(gens, order)]
+
+
+# ---------------------------------------------------------------------------
+# the Hilbert-driven rule
+
+@st.composite
+def homogeneous_systems(draw):
+    """1-4 homogeneous polynomials of degree <= 3 in n <= 4 variables,
+    with coefficients from {0, +-1, 2}, so that many systems are far from
+    generic; degree 0 gives a constant generator."""
+    n = draw(st.integers(1, 4))
+    field = draw(st.sampled_from([gl.QQ, gl.PrimeField(2), gl.PrimeField(3),
+                                  GF32003]))
+    order = draw(st.sampled_from(ORDERS if n > 1 else ORDERS[:3]))
+    if order == "block":
+        order = gl.InverseBlock(draw(st.sampled_from([gl.LEX, gl.DEGREVLEX])),
+                                draw(st.sampled_from([gl.LEX, gl.DEGREVLEX])),
+                                n - 1)
+    ring = Ring(field, tuple(f"x{i + 1}" for i in range(n)))
+    gens = []
+    for d in draw(st.lists(st.sampled_from([0, 1, 2, 2, 3, 3]),
+                           min_size=1, max_size=4)):
+        monos = monomials_of_degree(n, d)
+        coeffs = draw(st.lists(st.sampled_from([0, 1, -1, 2]),
+                               min_size=len(monos), max_size=len(monos)))
+        gens.append(Polynomial.from_terms(ring, order, zip(monos, coeffs)))
+    return gens, order
+
+
+CONSTANTS = ([Polynomial.constant(R2, gl.LEX, 2)] * 2, gl.LEX)
+
+
+@settings(max_examples=80, deadline=None)
+@example(CONSTANTS)
+@given(homogeneous_systems())
+def test_hilbert_driven_kernel_matches_tuple_kernel(system):
+    gens, order = system
+    gens = [g for g in gens if g]
+    assume(gens)
+    try:
+        gb = gl.buchberger(gens, order, Budget(ms=500))
+    except BudgetExceeded:
+        assume(False)
+    assert [g.terms for g in gb] == [
+        g.terms for g in tuple_buchberger(gens, order)]
+    n = gens[0].ring.nvars
+    numerator = gl.hilbert_numerator(gl.minimalize(n, gb.lead_monomials()))
+    degrees = [g.degree() for g in gens]
+    if gb.hilbert_numerator is not None:
+        assert list(gb.hilbert_numerator) == numerator
+    elif min(degrees) >= 1:
+        # the rule switched off, so the series is not the bracket series
+        assert numerator != bracket_numerator(n, degrees)
+
+
+@pytest.mark.parametrize("order", [gl.LEX, gl.DEGREVLEX])
+def test_hilbert_rule_drops_pairs_on_the_criterion_4_grid(monkeypatch, order):
+    systems = [gl.sample_ideal(gl.generic_templates(n, d, GF32003, order), 0)
+               for n, d in CRIT4_GRID]
+    real = groebner.normal_form
+
+    def run():
+        zero = []  # per normal form: did it reduce to zero
+
+        def counting(*args):
+            r = real(*args)
+            zero.append(not r)
+            return r
+
+        monkeypatch.setattr(groebner, "normal_form", counting)
+        bases = [gl.buchberger(gens, order) for gens in systems]
+        monkeypatch.setattr(groebner, "normal_form", real)
+        return bases, len(zero), sum(zero)
+
+    bases, calls, zeros = run()
+    # no degree ever complete: the rule switches off at once
+    monkeypatch.setattr(groebner._HilbertCount, "complete",
+                        lambda self, d: False)
+    plain, plain_calls, plain_zeros = run()
+    assert [[g.terms for g in gb] for gb in bases] == [
+        [g.terms for g in gb] for gb in plain]
+    assert all(gb.hilbert_numerator is not None for gb in bases)
+    assert all(gb.hilbert_numerator is None for gb in plain)
+    assert calls < plain_calls and zeros <= plain_zeros // 10
+
+
+def test_hilbert_rule_switches_off_at_a_non_generic_point():
+    inst = gl.generic_templates(3, (2, 2, 2), gl.PrimeField(3))
+    gens = gl.sample_ideal(inst, seed=2)
+    gb = gl.buchberger(gens, gl.LEX)
+    assert gb.hilbert_numerator is None
+    assert gl.is_u_generic(gb, inst) == "no"
+    assert [g.terms for g in gb] == [
+        g.terms for g in tuple_buchberger(gens, gl.LEX)]
 
 
 def test_product_past_the_field_width_raises():

@@ -146,6 +146,15 @@ def test_packed_monomials_match_tuples(a, b):
         assert L.unpack(pa + pb) == mono_mul(a, b)
         assert L.lcm(pa, pb) == L.pack(mono_lcm(a, b))
         assert L.degree(pa) == sum(a)
+        # colon generators: a / gcd(a, b), degree fields zero
+        qa, qb = L.quotient(pa, pb), L.quotient(pb, pa)
+        assert L.unpack(qa) == tuple(x - min(x, y) for x, y in zip(a, b))
+        is_variable = (qa and qa & L.exponent_ones == qa
+                       and not qa & (qa - 1))
+        assert is_variable == (sum(L.unpack(qa)) == 1)
+        # a divisor is no larger as an int
+        for u, v in ((pa, pb), (qa, qb), (qb, qa)):
+            assert not L.divides(u, v) or u <= v
 
 
 def test_exponent_overflow_is_refused():

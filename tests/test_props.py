@@ -9,6 +9,7 @@ from ginlab.props import (borel_action_check, is_borel_fixed, is_lexsegment,
                           is_weakly_revlex)
 
 from conftest import GIN_32_22, INI_I, INI_J
+from oracles import is_lexsegment_by_enumeration
 from test_ideals import random_monomial_ideal
 
 
@@ -21,6 +22,26 @@ def test_is_lexsegment_examples():
     assert missing == (1, 0, 1, 2)  # x1*x3*x4^2 is absent
     assert member == (0, 4, 0, 0)
     assert is_lexsegment(gl.minimalize(3, [])).holds
+
+
+def test_is_lexsegment_matches_enumeration():
+    """Verdict and witness equal the degree-by-degree scan, on random
+    monomial ideals and on lexsegment ideals with one generator dropped."""
+    rng = random.Random(31)
+    ideals = [random_monomial_ideal(rng, rng.randint(1, 5), max_exp=3)
+              for _ in range(400)]
+    for n in range(1, 5):
+        for degrees in ([2], [3], [2, 2], [2, 3], [3, 3], [2, 2, 2],
+                        [2, 2, 3], [3, 3, 3]):
+            L, _ = gl.series.lexsegment_of_froeberg(n, degrees)
+            assert is_lexsegment(L).holds
+            if len(L.gens) > 1:
+                gens = list(L.gens)
+                del gens[rng.randrange(len(gens))]
+                ideals.append(gl.minimalize(n, gens))
+    verdicts = [is_lexsegment(J) for J in ideals]
+    assert verdicts == [is_lexsegment_by_enumeration(J) for J in ideals]
+    assert {v.holds for v in verdicts} == {True, False}
 
 
 def test_is_weakly_revlex_examples():

@@ -8,9 +8,9 @@ from hypothesis import assume, given, settings, strategies as st
 import ginlab as gl
 from ginlab import series
 from ginlab.series import (InadmissibleHilbertFunction, SeriesWindow,
-                           bracket_truncate, froeberg_series,
-                           lexsegment_of_froeberg, lexsegment_of_hf,
-                           maxgbdeg_bound, regularity_index)
+                           bracket_numerator, bracket_truncate,
+                           froeberg_series, lexsegment_of_froeberg,
+                           lexsegment_of_hf, maxgbdeg_bound, regularity_index)
 from ginlab.ideals import hilbert_series, top_degree
 from ginlab.props import is_lexsegment
 
@@ -34,6 +34,24 @@ def test_froeberg_known_values():
     assert froeberg_series(3, (2, 2, 2), 5).coeffs == (1, 3, 3, 1, 0, 0)
     # (1-t^2)^3/(1-t)^2 = 1 + 2t - 2t^3 - t^4, bracketed at index 2
     assert froeberg_series(2, (2, 2, 2), 4).coeffs == (1, 2, 0, 0, 0)
+
+
+def test_bracket_numerator_expands_to_the_bracket_series():
+    assert bracket_numerator(3, (2, 2)) == [1, 0, -2, 0, 1]
+    # (1 + 2t)(1 - t)^2: the bracket series 1 + 2t of (2, (2, 2, 2))
+    assert bracket_numerator(2, (2, 2, 2)) == [1, 0, -3, 2]
+    assert bracket_numerator(1, (1, 2)) == [1, -1]  # S/(x1)
+    for n in range(1, 5):
+        for s in range(1, 5):
+            for degrees in [(2,) * s, (3,) * s, (1, 3, 2, 2)[:s]]:
+                num = bracket_numerator(n, degrees)
+                top = sum(degrees) + n + 3
+                expanded = [sum(c * comb(n - 1 + d - i, n - 1)
+                                for i, c in enumerate(num) if i <= d)
+                            for d in range(top + 1)]
+                assert tuple(expanded) == froeberg_series(n, degrees,
+                                                          top).coeffs
+                assert len(num) <= sum(degrees) + 1 and num[-1]
 
 
 def test_froeberg_regular_sequence_stays_positive():
