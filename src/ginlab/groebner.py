@@ -2,9 +2,9 @@
 
 The kernel is generic over the coefficient field and the monomial order,
 so the same code runs ground-field computations and parametric runs in
-k[t, x] under an inverse block order. Over the rationals intermediate
-results are kept primitive (integer coefficients, content stripped) to
-control coefficient growth.
+k[t, x] under an inverse block order. Over the rationals every basis
+element is kept primitive (integer coefficients, content stripped, lc > 0)
+to control coefficient growth.
 
 The kernel works in packed form (`poly.PackedRing`): a monomial is one
 int with a 16-bit field per variable and per block degree, each field
@@ -14,8 +14,25 @@ linear, so multiplying a term by a monomial adds keys; the division heap,
 pair selection and sorting compare ints; ``a`` divides ``b`` iff
 ``((b | guard) - a) & guard == guard``. A product whose exponent or
 degree would outgrow its field raises `orders.ExponentOverflow` first.
-Over GF(p) coefficients are ints reduced inline with ``% p``; over Q they
-are Fractions. Polynomials with exponent tuples go in and come out.
+Polynomials with exponent tuples go in and come out.
+
+Coefficients are ints in both fields, in one reduction loop and one
+S-polynomial routine. Over GF(p) they are reduced inline with ``% p``,
+and a reducer's tail is divided by its leading coefficient. Over Q the
+kernel is fraction-free (pseudo-division; Cox-Little-O'Shea, "Ideals,
+Varieties, and Algorithms", and Geddes-Czapor-Labahn, "Algorithms for
+Computer Algebra", ch. 2): denominators are cleared when packing, and a
+reduction step that cancels the term c against a reducer with integer
+leading coefficient a first multiplies the working polynomial and the
+remainder so far by a / gcd(a, c). An S-polynomial cross-multiplies the
+two tails by b/h and a/h, with h = gcd(a, b). Each scaling is a nonzero
+constant, so the same terms stay nonzero, the same reducer is chosen at
+every step, and a remainder differs from the rational one only by a
+constant factor; taking its primitive part gives the basis element that
+rational arithmetic gives. The basis, and every count of pairs and
+normal forms, are the same as over Fractions. The public `normal_form`,
+`s_polynomial` and `reduce_basis` divide by the accumulated multiplier
+(`poly.Packed.den`) when they unpack, so they return exact rationals.
 
 Hilbert-driven pair elimination. Let S = k[x_1..x_n] be the ring of all
 the variables, and let every generator be homogeneous of degree >= 1,
@@ -62,6 +79,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from itertools import count, zip_longest
+from math import gcd
 from operator import itemgetter
 
 from .ideals import MonomialIdeal, hilbert_numerator, series_coefficient
@@ -91,10 +109,13 @@ class Budget:
         return self
 
     def check(self, npairs):
-        if self._deadline is not None and time.monotonic() > self._deadline:
-            raise BudgetExceeded("wall-clock budget exhausted")
+        self.check_time()
         if self.max_pairs is not None and npairs > self.max_pairs:
             raise BudgetExceeded("pair-queue cap exceeded")
+
+    def check_time(self):
+        if self._deadline is not None and time.monotonic() > self._deadline:
+            raise BudgetExceeded("wall-clock budget exhausted")
 
 
 @dataclass(frozen=True)
@@ -119,21 +140,25 @@ class GroebnerBasis:
         return len(self.generators)
 
 
-def normal_form(f, G, order=None):
+def normal_form(f, G, order=None, budget=None):
     """Remainder of f on full division by G.
 
     Deterministic reducer selection: G is scanned in ascending order of
     lead monomial and the first divisor wins. On Polynomials the result is
-    a Polynomial under `order` (default f's). Inside `buchberger` f and G
-    are `Packed` and `order` is their `PackedRing`; the result is `Packed`.
+    a Polynomial under `order` (default f's), with the exact rational
+    coefficients over Q. Inside `buchberger` f and G are `Packed`, `order`
+    is their `PackedRing`, and the result is `Packed`; over Q it is the
+    remainder times a nonzero constant (see `PackedRing`). A `budget`'s
+    deadline is checked every 1024 reduction steps.
     """
     if isinstance(f, Polynomial):
         R = PackedRing(f.ring, order or f.order)
-        return R.unpack(_reduce(R.pack(f), [R.pack(g) for g in G if g], R))
-    return _reduce(f, G, order)
+        return R.unpack(_reduce(R.pack(f), [R.pack(g) for g in G if g], R,
+                                budget))
+    return _reduce(f, G, order, budget)
 
 
-def _reduce(f, G, R):
+def _reduce(f, G, R, budget=None):
     if not f or not G:
         return f
     layout = R.layout
@@ -141,11 +166,13 @@ def _reduce(f, G, R):
     table = sorted(map(R.reducer, G), key=itemgetter(0))
     keys = [r[0] for r in table]
     p = R.p
+    den = f.den
     work = dict(f.terms)
     get = work.get
     heap = [-k for k in work]
     heapify(heap)
     rem = []
+    steps = 0
     while heap:
         k = -heappop(heap)
         c = work.pop(k, None)
@@ -154,10 +181,23 @@ def _reduce(f, G, R):
         m = from_key(k) if rev else k
         mg = m | guard
         # a lead above m cannot divide it
-        for lead_key, lead, slack, tail in table[:bisect_right(keys, k)]:
+        for lead_key, lead, slack, tail, a in table[:bisect_right(keys, k)]:
             if (mg - lead) & guard == guard:  # lead divides m
                 if (slack + m) & guard:
                     raise ExponentOverflow()
+                steps += 1
+                if not steps & 1023 and budget is not None:
+                    budget.check_time()
+                if a != 1:
+                    # over Q: after scaling by a / g the term is (c / g) * a
+                    g = gcd(a, c)
+                    c //= g
+                    if a != g:
+                        s = a // g
+                        for mk in work:
+                            work[mk] *= s
+                        rem = [(rk, rc * s) for rk, rc in rem]
+                        den *= s
                 q = k - lead_key
                 for tk, tc in tail:
                     mk = tk + q
@@ -174,15 +214,15 @@ def _reduce(f, G, R):
                 break
         else:
             rem.append((k, c))
-    return Packed(rem)
+    return Packed(rem, den)
 
 
 def s_polynomial(f, g, order=None):
     """S(f, g) = L/lt(f) * f - L/lt(g) * g with L = lcm of the leads.
 
-    On Polynomials the result is a Polynomial under `order` (default f's);
-    inside `buchberger` f and g are `Packed` and `order` is their
-    `PackedRing`.
+    On Polynomials the result is a Polynomial under `order` (default f's),
+    with the exact rational coefficients over Q; inside `buchberger` f
+    and g are `Packed` and `order` is their `PackedRing`.
     """
     if isinstance(f, Polynomial):
         if not f or not g:
@@ -193,18 +233,24 @@ def s_polynomial(f, g, order=None):
 
 
 def _s_poly(f, g, R):
+    """S(f, g) of packed f and g. With integer leading coefficients a, b
+    and h = gcd(a, b) it is (b/h * L/lead(f) * tail(f)
+    - a/h * L/lead(g) * tail(g)) / (a*b/h); over GF(p) a = b = 1."""
     layout, p = R.layout, R.p
-    f_key, f_lead, f_slack, f_tail = R.reducer(f)
-    g_key, g_lead, g_slack, g_tail = R.reducer(g)
+    f_key, f_lead, f_slack, f_tail, a = R.reducer(f)
+    g_key, g_lead, g_slack, g_tail, b = R.reducer(g)
     L = layout.lcm(f_lead, g_lead)
     if (f_slack + L) & layout.guard or (g_slack + L) & layout.guard:
         raise ExponentOverflow()
     L = layout.key(L)
+    h = gcd(a, b)
+    a, b = a // h, b // h
     # the leading terms cancel
     qf, qg = L - f_key, L - g_key
-    work = {k + qf: c for k, c in f_tail}
+    work = {k + qf: c * b for k, c in f_tail}
     for k, c in g_tail:
         k += qg
+        c *= a
         s = work.get(k)
         if s is None:
             work[k] = -c % p if p else -c
@@ -214,7 +260,7 @@ def _s_poly(f, g, R):
                 work[k] = s
             else:
                 del work[k]
-    return Packed(sorted(work.items(), reverse=True))
+    return Packed(sorted(work.items(), reverse=True), a * b * h)
 
 
 def _update_pairs(leads, pairs, h, layout, serial):
@@ -352,7 +398,7 @@ def buchberger(gens, order=None, budget=None):
             leads.append(lead)
 
     for f in gens:
-        add(normal_form(R.pack(f), G, R))
+        add(normal_form(R.pack(f), G, R, budget))
     while pairs:
         budget.check(len(pairs))
         best = min(pairs)
@@ -365,7 +411,7 @@ def buchberger(gens, order=None, budget=None):
                 continue
         pairs.remove(best)
         _, _, i, j, _ = best
-        add(normal_form(s_polynomial(G[i], G[j], R), G, R))
+        add(normal_form(s_polynomial(G[i], G[j], R), G, R, budget))
     numerator = None if hilbert is None else hilbert.numerator()
     return GroebnerBasis(tuple(map(R.unpack, G)), order,
                          hilbert_numerator=numerator)
@@ -398,7 +444,7 @@ def reduce_basis(gb):
             others = minimal[:i] + minimal[i + 1:]
             r = normal_form(minimal[i], others, R)
             if r.terms != minimal[i].terms:
-                minimal[i] = r
+                minimal[i] = R.primitive(r)
                 changed = True
     reduced = sorted(map(R.monic, minimal), key=_lead_key, reverse=True)
     return GroebnerBasis(tuple(map(R.unpack, reduced)), order, reduced=True,

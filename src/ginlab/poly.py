@@ -11,17 +11,20 @@ The Groebner kernel works on the packed form instead (`PackedRing`,
 vector (see `orders.Layout`: 16-bit fields with guard bits, a degree
 field per block, reversed fields for degrevlex, the linear key
 ``P - 2*(P & rev)``), so a term is (key, coefficient), a product of
-monomials is a sum of keys and sorting by monomial is sorting ints. Over
-GF(p) the coefficients are ints in [0, p) reduced inline with ``% p``;
-over Q they are Fractions.
+monomials is a sum of keys and sorting by monomial is sorting ints. The
+coefficients are ints: over GF(p) in [0, p), reduced inline with ``% p``;
+over Q unbounded, with the denominators cleared. A packed polynomial over
+Q stands for its integer terms divided by the int `Packed.den`, the
+multiplier that packing and pseudo-division accumulated, so the kernel
+builds no Fraction and `unpack` still returns the exact rational
+polynomial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from math import gcd
+from math import gcd, lcm
 
 from .fields import QQ, RationalField
 from .orders import LEX, InverseBlock, mono_mul, mono_one, mono_str
@@ -213,19 +216,12 @@ class Polynomial:
         """
         if not self.terms:
             return self
-        return self.scale(_primitive_scale(self.ring.field,
-                                           [c for _, c in self.terms]))
-
-
-def _primitive_scale(field, coeffs):
-    """The constant `primitive` multiplies by: 1/lc over GF(p); over Q the
-    one that leaves integer coefficients with gcd 1 and a positive lc."""
-    if not isinstance(field, RationalField):
-        return field.inv(coeffs[0])
-    den = reduce(lambda a, c: a * c.denominator // gcd(a, c.denominator),
-                 coeffs, 1)
-    num = reduce(gcd, (abs(c.numerator) for c in coeffs))
-    return Fraction(-den if coeffs[0] < 0 else den, num)
+        if not isinstance(self.ring.field, RationalField):
+            return self.monic()
+        coeffs = [c for _, c in self.terms]
+        den = lcm(*(c.denominator for c in coeffs))
+        num = gcd(*(c.numerator for c in coeffs))
+        return self.scale(Fraction(-den if coeffs[0] < 0 else den, num))
 
 
 # ---------------------------------------------------------------------------
@@ -234,13 +230,15 @@ def _primitive_scale(field, coeffs):
 class Packed:
     """A polynomial in the packed form of a `PackedRing`: `terms` lists
     (key, coefficient) pairs, keys strictly descending, coefficients
-    nonzero. It is falsy when zero. `reducer` caches what division by it
-    needs, once it divides (see `PackedRing.reducer`)."""
+    nonzero ints. The polynomial is ``terms / den``; `den` is a nonzero
+    int, 1 over GF(p). It is falsy when zero. `reducer` caches what
+    division by it needs, once it divides (see `PackedRing.reducer`)."""
 
-    __slots__ = ("terms", "reducer")
+    __slots__ = ("terms", "den", "reducer")
 
-    def __init__(self, terms):
+    def __init__(self, terms, den=1):
         self.terms = terms
+        self.den = den
         self.reducer = None
 
     def __bool__(self):
@@ -250,8 +248,16 @@ class Packed:
 class PackedRing:
     """A ring under one monomial order, in the packed form of the Groebner
     kernel: monomials packed by ``order.layout(nvars)``, coefficients
-    modulo ``p`` (the characteristic) over GF(p), Fractions over Q
-    (``p == 0``)."""
+    ints modulo ``p`` (the characteristic) over GF(p), and over Q
+    (``p == 0``) integers over the common denominator `Packed.den`.
+
+    Over Q the kernel divides fraction-free: a reducer keeps its integer
+    leading coefficient ``a``, and a reduction step scales the working
+    polynomial by ``a / gcd(a, c)`` before it cancels the term ``c``
+    (pseudo-division). Every scaling is by a nonzero constant, so the
+    same terms are nonzero and the same reducers are chosen as with
+    rational arithmetic, and the remainder differs from the rational one
+    by a constant factor, which `primitive` removes."""
 
     __slots__ = ("ring", "order", "layout", "p")
 
@@ -264,50 +270,67 @@ class PackedRing:
     def pack(self, f):
         """The packed form of a Polynomial of this ring, in any order."""
         key, pack = self.layout.key, self.layout.pack
-        return Packed(sorted(((key(pack(m)), c) for m, c in f.terms),
-                             reverse=True))
+        terms = [(key(pack(m)), c) for m, c in f.terms]
+        den = 1
+        if not self.p:
+            den = lcm(*(c.denominator for _, c in terms))
+            terms = [(k, c.numerator * (den // c.denominator))
+                     for k, c in terms]
+        terms.sort(reverse=True)
+        return Packed(terms, den)
 
     def unpack(self, F):
         """The Polynomial of a packed one, under this ring's order."""
         unpack, from_key = self.layout.unpack, self.layout.from_key
+        if self.p:
+            terms = F.terms
+        else:
+            den = F.den
+            terms = [(k, Fraction(c, den)) for k, c in F.terms]
         return Polynomial(self.ring, self.order,
-                          [(unpack(from_key(k)), c) for k, c in F.terms])
-
-    def scaled(self, F, c):
-        """F times a nonzero constant."""
-        p = self.p
-        if p:
-            return Packed([(k, c * a % p) for k, a in F.terms])
-        return Packed([(k, c * a) for k, a in F.terms])
+                          [(unpack(from_key(k)), c) for k, c in terms])
 
     def monic(self, F):
-        return self.scaled(F, self.ring.field.inv(F.terms[0][1]))
+        """F divided by its leading coefficient."""
+        lc, p = F.terms[0][1], self.p
+        if p:
+            inv = pow(lc, -1, p)
+            return Packed([(k, c * inv % p) for k, c in F.terms])
+        return Packed(F.terms, lc)
 
     def primitive(self, F):
-        """`Polynomial.primitive` in packed form."""
-        return self.scaled(F, _primitive_scale(self.ring.field,
-                                               [c for _, c in F.terms]))
+        """`Polynomial.primitive` in packed form: monic over GF(p); over
+        Q the integer terms divided by their content, with lc > 0."""
+        if self.p:
+            return self.monic(F)
+        content = gcd(*(c for _, c in F.terms))
+        if F.terms[0][1] < 0:
+            content = -content
+        if content == 1:
+            return Packed(F.terms)
+        return Packed([(k, c // content) for k, c in F.terms])
 
     def reducer(self, g):
-        """(lead key, lead, slack, tail) of a nonzero packed g, computed
-        once and cached on g. `lead` is the packed leading monomial;
-        ``slack + m`` sets a guard bit iff multiplying g's monomials by
-        m / lead overflows a field (slack is the field-wise maximum of g's
-        monomials minus the lead); `tail` lists the other terms as
-        (key, coefficient / leading coefficient)."""
+        """(lead key, lead, slack, tail, a) of a nonzero packed g,
+        computed once and cached on g. `lead` is the packed leading
+        monomial; ``slack + m`` sets a guard bit iff multiplying g's
+        monomials by m / lead overflows a field (slack is the field-wise
+        maximum of g's monomials minus the lead); `tail` lists the other
+        terms. Over GF(p) the tail is divided by the leading coefficient
+        and ``a`` is 1; over Q the tail is g's own and ``a`` is g's
+        integer leading coefficient."""
         r = g.reducer
         if r is None:
             layout, p = self.layout, self.p
-            (lead_key, lc), *tail = g.terms
+            (lead_key, a), *tail = g.terms
             lead = bound = layout.from_key(lead_key)
             for k, _ in tail:
                 bound = layout.fieldmax(bound, layout.from_key(k))
             if p:
-                inv = pow(lc, -1, p)
+                inv = pow(a, -1, p)
                 tail = [(k, c * inv % p) for k, c in tail]
-            else:
-                tail = [(k, c / lc) for k, c in tail]
-            r = g.reducer = (lead_key, lead, bound - lead, tail)
+                a = 1
+            r = g.reducer = (lead_key, lead, bound - lead, tail, a)
         return r
 
 

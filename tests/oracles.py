@@ -9,6 +9,9 @@
   by listing every monomial and testing it for divisibility
 - `is_lexsegment_by_enumeration`: the verdict and witness of
   `ginlab.is_lexsegment`, by listing every monomial up to maxdeg
+- `is_borel_fixed_by_scan`: the verdict and witness of
+  `ginlab.is_borel_fixed`, by testing every allowed shift of every
+  minimal generator
 - the tuple Groebner kernel (`tuple_normal_form`, `tuple_s_polynomial`,
   `tuple_buchberger`, `tuple_reduce_basis`): the same algorithm as
   `ginlab.groebner` on exponent tuples, tuple order keys (`tuple_key`)
@@ -19,8 +22,8 @@ import heapq
 
 from ginlab.ideals import (contains, hilbert_series, minimalize,
                            monomials_of_degree, top_degree)
-from ginlab.orders import (DEGLEX, DEGREVLEX, LEX, InverseBlock, binomial,
-                           mono_divides, mono_mul)
+from ginlab.orders import (DEGLEX, DEGREVLEX, LEX, InverseBlock, binom_p_leq,
+                           binomial, mono_divides, mono_mul)
 from ginlab.poly import Polynomial
 from ginlab.props import PropertyVerdict, _rank
 from ginlab.series import (InadmissibleHilbertFunction, SeriesWindow,
@@ -133,6 +136,28 @@ def is_lexsegment_by_enumeration(J):
                     return PropertyVerdict(False, (m, gap))
             elif gap is None:
                 gap = m
+    return PropertyVerdict(True)
+
+
+def is_borel_fixed_by_scan(J, p=0):
+    """`ginlab.is_borel_fixed`: every shift (x_i / x_j)^s m of every
+    minimal generator m with x_j^t || m, i < j and s <= t allowed by the
+    characteristic-p binomial order must lie in J; the first that does not
+    is the witness."""
+    binom_p_leq(0, 0, p)
+    for m in J.gens:
+        for j, t in enumerate(m):
+            if t == 0:
+                continue
+            for i in range(j):
+                for s in range(1, t + 1):
+                    if not binom_p_leq(s, t, p):
+                        continue
+                    shifted = list(m)
+                    shifted[j] -= s
+                    shifted[i] += s
+                    if not contains(J, tuple(shifted)):
+                        return PropertyVerdict(False, (m, tuple(shifted)))
     return PropertyVerdict(True)
 
 

@@ -7,6 +7,10 @@ The file holds the JSON that `ginlab` printed, and its exit code, for:
   trials are not u-generic, including `InconclusiveSampling` exits
 - `check --property lexsegment` on a failing ideal (with its witness)
   and on a passing one
+- the Q path: `gin --route parametric --field Q` on the parametric
+  benchmark cases in lex and degrevlex, sampled `gin --field Q`, and `gb`
+  on systems with non-integer, non-monic rational coefficients, whose
+  reduced bases print those rationals
 
 Any change to the Groebner kernel, the u-check or the predicates that
 alters one byte of this output fails here. If a change of output is
@@ -28,8 +32,9 @@ from test_acceptance import CRIT4_GRID
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 
-#: the ideal file of a `check` command
+#: the ideal file of a `check` command and the polynomial file of `gb`
 IDEAL = "{ideal}"
+POLYS = "{polys}"
 
 #: the n=4 (2,2) lex gin, which is not a lexsegment ideal (criterion 5),
 #: and the n=3 (2,2) one, which is
@@ -39,6 +44,22 @@ IDEALS = {
     "gin-3-22": {"n": 3, "gens": [[2, 0, 0], [1, 1, 0], [1, 0, 2],
                                   [0, 4, 0]]},
 }
+
+#: `gb` inputs over Q: a homogeneous system and a non-homogeneous one,
+#: with leading coefficients other than 1 and non-integer coefficients
+SYSTEMS = {
+    "q-hom-3": {"n": 3, "polys": [
+        [["1/2", [2, 0, 0]], ["3/7", [0, 1, 1]], ["-5/4", [0, 0, 2]]],
+        [["2", [1, 1, 0]], ["1", [1, 0, 1]], ["-1/3", [0, 0, 2]]],
+        [["-3", [0, 2, 0]], ["5/4", [1, 0, 1]], ["7", [0, 1, 1]]]]},
+    "q-affine-2": {"n": 2, "polys": [
+        [["3", [2, 1]], ["-2/5", [0, 1]], ["1", [0, 0]]],
+        [["2", [1, 2]], ["7/3", [1, 0]], ["-1/2", [0, 1]]]]},
+}
+
+#: the parametric benchmark cases (`perfbench/workloads.GIN_PARAM_CASES`)
+PARAM_CASES = [(3, (2, 2)), (4, (2, 2)), (2, (3, 3)), (2, (2, 2, 3)),
+               (2, (2, 3, 3))]
 
 
 def _gin(n, degrees, *extra):
@@ -56,17 +77,22 @@ COMMANDS = (
        _gin(3, (3, 3), "--order", "degrevlex", "--bound", "1"),
        _gin(4, (2, 3, 2), "--order", "degrevlex", "--bound", "1")]
     + [["check", IDEAL, "--property", "lexsegment", name] for name in IDEALS]
+    + [_gin(n, d, "--order", order, "--route", "parametric", "--field", "Q")
+       for order in ("lex", "degrevlex") for n, d in PARAM_CASES]
+    + [_gin(3, d, "--field", "Q", "--seed", "0") for d in ((2, 2), (2, 2, 2))]
+    + [["gb", POLYS, "--order", order, name]
+       for name in SYSTEMS for order in ("lex", "degrevlex")]
 )
 
 
 def run(argv, tmp_dir):
-    """(exit code, stdout) of one command; a `check` command names its
-    ideal last, and the ideal is written to a file in `tmp_dir` first."""
-    if argv[0] == "check":
+    """(exit code, stdout) of one command; a `check` or `gb` command names
+    its input last, and the input is written to a file in `tmp_dir` first."""
+    if argv[0] in ("check", "gb"):
         *argv, name = argv
         path = Path(tmp_dir) / f"{name}.json"
-        path.write_text(json.dumps(IDEALS[name]))
-        argv = [str(path) if a == IDEAL else a for a in argv]
+        path.write_text(json.dumps({**IDEALS, **SYSTEMS}[name]))
+        argv = [str(path) if a in (IDEAL, POLYS) else a for a in argv]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)

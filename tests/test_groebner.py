@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -164,6 +165,38 @@ def test_budget_keeps_its_first_deadline(monkeypatch):
         budget.start().check(0)
 
 
+class TickingClock(FakeClock):
+    """A clock that moves on by `tick` seconds after each reading."""
+
+    def __init__(self, tick):
+        super().__init__()
+        self.tick = tick
+        self.readings = 0
+
+    def monotonic(self):
+        self.readings += 1
+        self.now += self.tick
+        return self.now - self.tick
+
+
+def test_deadline_is_checked_inside_one_long_normal_form(monkeypatch):
+    clock = TickingClock(0.6)
+    monkeypatch.setattr(groebner, "time", clock)
+    g = parse_poly("x1 - x2", R2, gl.LEX)
+    # x1^k -> x1^(k-1)*x2 -> ... -> x2^k takes k reduction steps
+    budget = Budget(ms=1000).start()  # reading 1: deadline 1.0
+    assert gl.normal_form(parse_poly("x1^1023", R2, gl.LEX), [g],
+                          budget=budget) == parse_poly("x2^1023", R2, gl.LEX)
+    assert clock.readings == 1  # no check in 1023 steps
+    # before any pair, the second generator reduces against the first in
+    # 3000 steps, read at steps 1024 (0.6 s) and 2048 (1.2 s)
+    clock.now = 0.0
+    with pytest.raises(BudgetExceeded):
+        gl.buchberger([g, parse_poly("x1^3000", R2, gl.LEX)], gl.LEX,
+                      Budget(ms=1000))
+    assert clock.readings == 4
+
+
 def test_one_deadline_covers_every_sampling_trial(monkeypatch):
     clock = FakeClock()
     monkeypatch.setattr(groebner, "time", clock)
@@ -189,11 +222,17 @@ FIELDS = [gl.QQ, gl.PrimeField(2), gl.PrimeField(32003)]
 ORDERS = [gl.LEX, gl.DEGLEX, gl.DEGREVLEX, "block"]
 
 
+#: non-integer coefficients of the systems over Q
+RATIONALS = [Fraction(1, 2), Fraction(-1, 2), Fraction(3, 7), Fraction(5, 4),
+             Fraction(-2, 3)]
+
+
 @st.composite
 def systems(draw):
     """2-3 polynomials in n <= 4 variables of degree <= 3, not homogeneous
     in general, over one field and under one order (an inverse block
-    order splits off the last variable as a parameter)."""
+    order splits off the last variable as a parameter); over Q the
+    coefficients include non-integers."""
     n = draw(st.integers(2, 4))
     field = draw(st.sampled_from(FIELDS))
     order = draw(st.sampled_from(ORDERS))
@@ -204,7 +243,10 @@ def systems(draw):
     ring = Ring(field, tuple(f"x{i + 1}" for i in range(n)))
     mono = st.sampled_from([m for d in range(4)
                             for m in gl.ideals.monomials_of_degree(n, d)])
-    term = st.tuples(mono, st.integers(-4, 4).filter(bool))
+    coeff = st.integers(-4, 4).filter(bool)
+    if field == gl.QQ:
+        coeff = st.one_of(coeff, st.sampled_from(RATIONALS))
+    term = st.tuples(mono, coeff)
     polys = draw(st.lists(st.lists(term, min_size=2, max_size=4),
                           min_size=2, max_size=3))
     gens = [Polynomial.from_terms(ring, order, terms) for terms in polys]
@@ -231,6 +273,59 @@ def test_packed_kernel_matches_tuple_kernel(system):
                     == tuple_s_polynomial(f, g, order).terms)
         assert (gl.normal_form(f, basis[1:], order).terms
                 == tuple_normal_form(f, basis[1:], order).terms)
+
+
+def test_rational_results_are_exact_with_leading_coefficients_2_and_3():
+    # pseudo-division scales by 2 and 3 inside the kernel; the public
+    # results must still be the exact rational ones, term for term
+    f = parse_poly("2*x1^2 + 1/3*x2^2 - x1*x3", R3, gl.LEX)
+    g = parse_poly("3*x1*x2 + 5/4*x3^2 + x2", R3, gl.LEX)
+    h = parse_poly("x1^3*x2 + 1/2*x2^3 + 7*x1*x2*x3 - x3", R3, gl.LEX)
+    s = gl.s_polynomial(f, g)
+    assert s == parse_poly("-1/2*x1*x2*x3 - 1/3*x1*x2 - 5/12*x1*x3^2"
+                           " + 1/6*x2^3", R3, gl.LEX)
+    assert s.terms == tuple_s_polynomial(f, g).terms
+    assert (gl.normal_form(h, [f, g]).terms
+            == tuple_normal_form(h, [f, g]).terms)
+    assert (gl.normal_form(h, [g, f]).terms
+            == tuple_normal_form(h, [g, f]).terms)
+    gb = gl.buchberger([f, g], gl.LEX)
+    basis = tuple(gb.generators)
+    assert [b.terms for b in basis] == [
+        b.terms for b in tuple_buchberger([f, g], gl.LEX)]
+    assert [b.terms for b in gl.reduce_basis(gb).generators] == [
+        b.terms for b in tuple_reduce_basis(basis, gl.LEX)]
+    assert all(type(c) is Fraction for b in basis for _, c in b.terms)
+
+
+def test_the_kernel_builds_no_fraction(monkeypatch):
+    """Over Q, one Buchberger run on integer input builds no Fraction
+    between packing and unpacking: the Fractions it makes are the
+    coefficients of the basis it returns."""
+    inst = gl.generic_templates(3, (2, 2))
+    gens = inst.templates()
+    made = []
+    real_new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    if hasattr(Fraction, "_from_coprime_ints"):
+        # Python 3.12+ builds arithmetic results without __new__
+        real_coprime = Fraction._from_coprime_ints.__func__
+
+        def counting_coprime(cls, *args):
+            made.append(args)
+            return real_coprime(cls, *args)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints",
+                            classmethod(counting_coprime))
+    gb = gl.buchberger(gens, inst.order)
+    monkeypatch.undo()
+    assert tuple(gb) == tuple(tuple_buchberger(gens, inst.order))
+    assert 0 < len(made) <= sum(len(g.terms) for g in gb)
 
 
 @pytest.mark.parametrize("n,degrees,order,parametric", [

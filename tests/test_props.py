@@ -2,6 +2,7 @@ import random
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import ginlab as gl
 from ginlab.ideals import monomials_of_degree
@@ -9,7 +10,7 @@ from ginlab.props import (borel_action_check, is_borel_fixed, is_lexsegment,
                           is_weakly_revlex)
 
 from conftest import GIN_32_22, INI_I, INI_J
-from oracles import is_lexsegment_by_enumeration
+from oracles import is_borel_fixed_by_scan, is_lexsegment_by_enumeration
 from test_ideals import random_monomial_ideal
 
 
@@ -82,6 +83,50 @@ def test_borel_action_validates_arguments():
         borel_action_check(J, 1, 0, 1)
     with pytest.raises(ValueError):
         borel_action_check(J, 0, 1, 0)
+
+
+def _strongly_stable_closure(gens):
+    """Every monomial that single moves x_i m / x_j (i < j) reach from
+    `gens`."""
+    seen, todo = set(gens), list(gens)
+    while todo:
+        m = todo.pop()
+        for j, t in enumerate(m):
+            for i in range(j if t else 0):
+                shifted = m[:i] + (m[i] + 1,) + m[i + 1:j] + (t - 1,) + m[j + 1:]
+                if shifted not in seen:
+                    seen.add(shifted)
+                    todo.append(shifted)
+    return seen
+
+
+@st.composite
+def monomial_ideals(draw):
+    """(J, p): a monomial ideal in n <= 5 variables, either on random
+    generators with exponents <= 4 or the strongly stable ideal of a few
+    monomials of degree <= 4, and a characteristic."""
+    n = draw(st.integers(1, 5))
+    p = draw(st.sampled_from([0, 2, 3, 32003]))
+    if draw(st.booleans()):
+        exps = st.tuples(*[st.integers(0, 4)] * n)
+        gens = draw(st.lists(exps, min_size=1, max_size=6))
+    else:
+        exps = st.tuples(*[st.integers(0, 2)] * n).filter(
+            lambda m: sum(m) <= 4)
+        gens = _strongly_stable_closure(
+            draw(st.lists(exps, min_size=1, max_size=3)))
+    gens = [g for g in gens if any(g)] or [(1,) * n]
+    return gl.minimalize(n, gens), p
+
+
+@settings(max_examples=300, deadline=None)
+@example((gl.minimalize(2, [(2, 0), (0, 2)]), 2))
+@example((gl.minimalize(2, [(3, 0), (0, 3)]), 3))
+@example((gl.minimalize(3, [(2, 0, 0), (1, 1, 0), (0, 1, 1)]), 3))
+@given(monomial_ideals())
+def test_is_borel_fixed_matches_full_scan(case):
+    J, p = case
+    assert is_borel_fixed(J, p) == is_borel_fixed_by_scan(J, p)
 
 
 def test_criterion_action_agreement():
