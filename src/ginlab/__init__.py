@@ -5,7 +5,7 @@ classification predicates."""
 from .fields import QQ, PrimeField, field_by_name
 from .orders import (LEX, DEGLEX, DEGREVLEX, ExponentOverflow, InverseBlock,
                      binom_p_leq, cmp_monomials)
-from .poly import Polynomial, Ring, block_leading_data, parse_poly, specialize, xring
+from .poly import Polynomial, Ring, parse_poly, specialize, xring
 from .groebner import (Budget, BudgetExceeded, GroebnerBasis, buchberger,
                        normal_form, reduce_basis, reduced_groebner_basis,
                        s_polynomial, stability_check)

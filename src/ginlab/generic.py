@@ -12,7 +12,7 @@ from .fields import QQ, PrimeField
 from .groebner import buchberger
 from .ideals import MonomialIdeal, minimalize, monomials_of_degree
 from .orders import LEX, InverseBlock, binomial
-from .poly import Polynomial, Ring, block_leading_data
+from .poly import Polynomial, Ring
 from .series import bracket_numerator
 
 GF32003 = PrimeField(32003)
@@ -237,14 +237,14 @@ def gin_by_sampling(inst, trials=5, seed=0, bound=None, budget=None):
 
 def gin_parametric(inst, budget=None):
     """Initial ideal of generic ideals from one Groebner run over k[t, x]
-    with the main order dominant and the parameter order as tie-break."""
+    with the main order dominant and the parameter order as tie-break.
+
+    The main block is the most significant in that order, so the x-part
+    of an element's lead is its block lead; the generic initial ideal is
+    generated by the nonconstant ones."""
     gb = buchberger(inst.templates(), inst.order, budget)
-    leads = []
-    for g in gb:
-        lm, _ = block_leading_data(g, inst.main_order)
-        if any(lm):
-            leads.append(lm)
+    leads = [m[:inst.n] for m in gb.lead_monomials()]
     return GinResult(
-        ideal=minimalize(inst.n, leads), route="parametric", n=inst.n,
-        degrees=inst.degrees, order_name=inst.main_order.name,
-        field_name=inst.field.name)
+        ideal=minimalize(inst.n, [m for m in leads if any(m)]),
+        route="parametric", n=inst.n, degrees=inst.degrees,
+        order_name=inst.main_order.name, field_name=inst.field.name)

@@ -34,6 +34,20 @@ normal forms, are the same as over Fractions. The public `normal_form`,
 `s_polynomial` and `reduce_basis` divide by the accumulated multiplier
 (`poly.Packed.den`) when they unpack, so they return exact rationals.
 
+The run's bookkeeping is incremental. The reducer table (`_Reducers`:
+the basis elements' reducer entries sorted by lead key) takes one
+`bisect` insertion per new element, instead of a sort of the whole basis
+for every normal form. New pairs pass Gebauer-Moeller's criteria
+(Gebauer-Moeller, "On an installation of Buchberger's algorithm",
+J. Symbolic Comput. 6, 1988): M keeps only the minimal candidate lcms,
+found in one scan in ascending int order, since a proper divisor of a
+packed monomial is a smaller int; F keeps one pair per lcm; the product
+criterion drops coprime leads; and the chain criterion B prunes the old
+pairs. The returned `GroebnerBasis` holds the packed elements and
+unpacks them into Polynomials when `generators` is first read, so a
+caller that reads only the leads and the Hilbert numerator, as the gin
+routes do, unpacks nothing.
+
 Hilbert-driven pair elimination. Let S = k[x_1..x_n] be the ring of all
 the variables, and let every generator be homogeneous of degree >= 1,
 with degrees d_1..d_s. The bracket series of those degrees is
@@ -83,9 +97,8 @@ from math import gcd
 from operator import itemgetter
 
 from .ideals import MonomialIdeal, hilbert_numerator, series_coefficient
-from .orders import EXP_MAX, ExponentOverflow
-from .poly import (Packed, PackedRing, Polynomial, block_leading_data,
-                   specialize)
+from .orders import EXP_MAX, ExponentOverflow, InverseBlock
+from .poly import Packed, PackedRing, Polynomial, specialize
 from .series import bracket_numerator
 
 
@@ -118,26 +131,78 @@ class Budget:
             raise BudgetExceeded("wall-clock budget exhausted")
 
 
-@dataclass(frozen=True)
 class GroebnerBasis:
     """A Groebner basis. `hilbert_numerator` is N(t) with
     HS(S/in G) = N(t) / (1 - t)^nvars, kept by the Hilbert-driven rule of
     `buchberger`; it is None when the input did not allow the rule or
-    the rule switched off."""
+    the rule switched off.
 
-    generators: tuple
-    order: object
-    reduced: bool = False
-    hilbert_numerator: tuple | None = None
+    A basis that `buchberger` or `reduce_basis` returns holds the packed
+    elements of its run. `generators`, and iteration, unpack them into
+    Polynomials on first access, once. `len()`, `lead_monomials()` and
+    `reduce_basis` read the packed elements, so a caller that reads only
+    the leads and the Hilbert numerator never unpacks. A basis built
+    from Polynomials, as ``GroebnerBasis(generators, order)``, holds
+    those.
+    """
+
+    __slots__ = ("order", "reduced", "hilbert_numerator", "_generators",
+                 "_ring", "_packed")
+
+    def __init__(self, generators, order, reduced=False,
+                 hilbert_numerator=None):
+        self._generators = tuple(generators)
+        self.order = order
+        self.reduced = reduced
+        self.hilbert_numerator = hilbert_numerator
+        self._ring = self._packed = None
+
+    @classmethod
+    def _of_packed(cls, R, packed, reduced=False, hilbert_numerator=None):
+        """The basis of the nonzero packed elements `packed` of `R`."""
+        gb = cls((), R.order, reduced, hilbert_numerator)
+        gb._generators = None
+        gb._ring, gb._packed = R, packed
+        return gb
+
+    @property
+    def generators(self):
+        if self._generators is None:
+            self._generators = tuple(map(self._ring.unpack, self._packed))
+        return self._generators
 
     def lead_monomials(self):
-        return [g.lm() for g in self.generators]
+        if self._packed is None:
+            return [g.lm() for g in self._generators]
+        layout = self._ring.layout
+        return [layout.unpack(layout.from_key(_lead_key(g)))
+                for g in self._packed]
 
     def __iter__(self):
         return iter(self.generators)
 
     def __len__(self):
-        return len(self.generators)
+        return len(self._generators if self._packed is None
+                   else self._packed)
+
+
+class _Reducers:
+    """The reducer table of a packed basis: its elements' reducer entries
+    (`PackedRing.reducer`) sorted by lead key, and the keys alone for
+    `bisect`. `add` inserts the entry of one more element after any equal
+    key, so the table grown one element at a time equals the table sorted
+    afresh."""
+
+    __slots__ = ("entries", "keys")
+
+    def __init__(self, R, G=()):
+        self.entries = sorted(map(R.reducer, G), key=itemgetter(0))
+        self.keys = [e[0] for e in self.entries]
+
+    def add(self, entry):
+        i = bisect_right(self.keys, entry[0])
+        self.keys.insert(i, entry[0])
+        self.entries.insert(i, entry)
 
 
 def normal_form(f, G, order=None, budget=None):
@@ -146,25 +211,25 @@ def normal_form(f, G, order=None, budget=None):
     Deterministic reducer selection: G is scanned in ascending order of
     lead monomial and the first divisor wins. On Polynomials the result is
     a Polynomial under `order` (default f's), with the exact rational
-    coefficients over Q. Inside `buchberger` f and G are `Packed`, `order`
-    is their `PackedRing`, and the result is `Packed`; over Q it is the
-    remainder times a nonzero constant (see `PackedRing`). A `budget`'s
-    deadline is checked every 1024 reduction steps.
+    coefficients over Q. Inside the kernel f is `Packed`, G is the
+    reducer table of a packed basis (`_Reducers`), `order` is their
+    `PackedRing`, and the result is `Packed`; over Q it is the remainder
+    times a nonzero constant (see `PackedRing`). A `budget`'s deadline is
+    checked every 1024 reduction steps.
     """
     if isinstance(f, Polynomial):
         R = PackedRing(f.ring, order or f.order)
-        return R.unpack(_reduce(R.pack(f), [R.pack(g) for g in G if g], R,
-                                budget))
+        table = _Reducers(R, [R.pack(g) for g in G if g])
+        return R.unpack(_reduce(R.pack(f), table, R, budget))
     return _reduce(f, G, order, budget)
 
 
-def _reduce(f, G, R, budget=None):
-    if not f or not G:
+def _reduce(f, reducers, R, budget=None):
+    table, keys = reducers.entries, reducers.keys
+    if not f or not keys:
         return f
     layout = R.layout
     guard, rev, from_key = layout.guard, layout.rev, layout.from_key
-    table = sorted(map(R.reducer, G), key=itemgetter(0))
-    keys = [r[0] for r in table]
     p = R.p
     den = f.den
     work = dict(f.terms)
@@ -271,24 +336,31 @@ def _update_pairs(leads, pairs, h, layout, serial):
     selection key orders pairs by lcm degree, then by the monomial order;
     the serial number keeps creation order among equal keys, which is the
     pair list's order, so ``min(pairs)`` is the first pair of least key.
+
+    Criterion M keeps only the minimal candidate lcms lcm(leads[i], h).
+    A proper divisor of a packed monomial is a smaller int, so the
+    distinct lcms are scanned in ascending int order, and each one that
+    no lcm kept before it divides is minimal. The new pairs then follow
+    the basis index order, the first index of an lcm standing for all
+    (criterion F).
     """
     t = len(leads)
     guard = layout.guard
     lcms = [layout.lcm(g, h) for g in leads]
-    seen = {}
-    for i, L in enumerate(lcms):
-        # drop L when another candidate lcm properly divides it
+    minimal = []
+    for L in sorted(set(lcms)):
         Lg = L | guard
-        if not any((Lg - Lj) & guard == guard and Lj != L for Lj in lcms):
-            # among equal lcms keep a single representative (criterion F)
-            seen.setdefault(L, i)
+        if not any((Lg - K) & guard == guard for K in minimal):
+            minimal.append(L)
+    minimal = set(minimal)
     new_pairs = []
-    for L, i in seen.items():
-        # Buchberger's coprimality criterion
-        if L == leads[i] + h:
-            continue
-        sel = (layout.degree(L) << layout.bits) + layout.key(L)
-        new_pairs.append((sel, next(serial), i, t, L))
+    for i, L in enumerate(lcms):
+        if L in minimal:
+            minimal.remove(L)
+            # Buchberger's coprimality criterion
+            if L != leads[i] + h:
+                sel = (layout.degree(L) << layout.bits) + layout.key(L)
+                new_pairs.append((sel, next(serial), i, t, L))
     # prune old pairs via the chain criterion
     surviving = [pair for pair in pairs
                  if not ((pair[4] | guard) - h) & guard == guard
@@ -386,19 +458,22 @@ def buchberger(gens, order=None, budget=None):
     G = []
     leads = []
     pairs = []
+    table = _Reducers(R)
 
     def add(h):
         if h:
             h = R.primitive(h)
-            lead = R.reducer(h)[1]
+            entry = R.reducer(h)
+            lead = entry[1]
             pairs[:] = _update_pairs(leads, pairs, lead, layout, serial)
             if hilbert is not None:
                 hilbert.add(leads, lead)
             G.append(h)
             leads.append(lead)
+            table.add(entry)
 
     for f in gens:
-        add(normal_form(R.pack(f), G, R, budget))
+        add(normal_form(R.pack(f), table, R, budget))
     while pairs:
         budget.check(len(pairs))
         best = min(pairs)
@@ -411,10 +486,9 @@ def buchberger(gens, order=None, budget=None):
                 continue
         pairs.remove(best)
         _, _, i, j, _ = best
-        add(normal_form(s_polynomial(G[i], G[j], R), G, R, budget))
+        add(normal_form(s_polynomial(G[i], G[j], R), table, R, budget))
     numerator = None if hilbert is None else hilbert.numerator()
-    return GroebnerBasis(tuple(map(R.unpack, G)), order,
-                         hilbert_numerator=numerator)
+    return GroebnerBasis._of_packed(R, G, hilbert_numerator=numerator)
 
 
 def _lead_key(g):
@@ -422,16 +496,20 @@ def _lead_key(g):
 
 
 def reduce_basis(gb):
-    """The unique reduced Groebner basis of the same ideal."""
+    """The unique reduced Groebner basis of the same ideal. A basis from
+    `buchberger` is reduced from its packed elements, without unpacking."""
     order = gb.order
-    polys = [g for g in gb.generators if g]
-    if not polys:
-        return GroebnerBasis((), order, reduced=True)
-    R = PackedRing(polys[0].ring, order)
+    R, G = gb._ring, gb._packed
+    if G is None:
+        polys = [g for g in gb.generators if g]
+        if not polys:
+            return GroebnerBasis((), order, reduced=True)
+        R = PackedRing(polys[0].ring, order)
+        G = map(R.pack, polys)
     divides = R.layout.divides
     # minimalize: drop generators whose lead is divisible by another lead
     minimal = []
-    for g in sorted(map(R.pack, polys), key=_lead_key):
+    for g in sorted(G, key=_lead_key):
         lead = R.reducer(g)[1]
         if not any(divides(R.reducer(h)[1], lead) for h in minimal):
             minimal = [h for h in minimal if not divides(lead, R.reducer(h)[1])]
@@ -441,14 +519,14 @@ def reduce_basis(gb):
     while changed:
         changed = False
         for i in range(len(minimal)):
-            others = minimal[:i] + minimal[i + 1:]
+            others = _Reducers(R, minimal[:i] + minimal[i + 1:])
             r = normal_form(minimal[i], others, R)
             if r.terms != minimal[i].terms:
                 minimal[i] = R.primitive(r)
                 changed = True
     reduced = sorted(map(R.monic, minimal), key=_lead_key, reverse=True)
-    return GroebnerBasis(tuple(map(R.unpack, reduced)), order, reduced=True,
-                         hilbert_numerator=gb.hilbert_numerator)
+    return GroebnerBasis._of_packed(R, reduced, reduced=True,
+                                    hilbert_numerator=gb.hilbert_numerator)
 
 
 def reduced_groebner_basis(gens, order=None, budget=None):
@@ -469,27 +547,28 @@ def stability_check(gb, point):
     is still a term of the specialized member (its coefficient there is
     the block leading coefficient evaluated at `point`); the verdict is
     stable when every vanished member specializes into the ideal of the
-    survivors.
+    survivors. Under the inverse block order the main block is the most
+    significant, so the x-part of a member's lead is its block lead.
     """
-    order = gb.order
-    main_order = getattr(order, "main_order", order)
     gens = list(gb.generators)
     if not gens:
         return StabilityVerdict(True, ())
     if gens[0].ring.nparams == 0:
         return StabilityVerdict(True, tuple(range(len(gens))))
+    order = gb.order
+    if not isinstance(order, InverseBlock):
+        raise ValueError("a basis with parameters needs an inverse block order")
     survivors = []
     sG = []
     vanished = []
     for idx, g in enumerate(gens):
-        lm, _ = block_leading_data(g, main_order)
         sg = specialize(g, point)
-        if lm in sg.as_dict():
+        if g.lm()[:order.nmain] in sg.as_dict():
             survivors.append(idx)
             sG.append(sg)
         else:
             vanished.append(sg)
     for sg in vanished:
-        if normal_form(sg, sG, main_order):
+        if normal_form(sg, sG, order.main_order):
             return StabilityVerdict(False, ())
     return StabilityVerdict(True, tuple(survivors))

@@ -104,51 +104,51 @@ def hilbert_numerator(J):
     the one occurring most often among generators that are not pure
     powers. Memoized per top-level call.
     """
-    memo = {}
+    return _poly_trim(_numerator(frozenset(J.gens), {}))
 
-    def rec(gens):
-        # gens: frozenset of minimal generators
-        if not gens:
-            return [1]
-        if any(not any(g) for g in gens):
-            return [0]  # unit ideal
-        key = gens
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        pure = [g for g in gens if sum(1 for e in g if e) == 1]
-        mixed = [g for g in gens if sum(1 for e in g if e) > 1]
-        if not mixed:
-            out = [1]
-            for g in pure:
-                d = sum(g)
-                factor = [1] + [0] * (d - 1) + [-1]
-                out = _poly_mul(out, factor)
-            memo[key] = out
-            return out
-        n = len(next(iter(gens)))
-        counts = [0] * n
-        for g in mixed:
-            for v, e in enumerate(g):
-                if e:
-                    counts[v] += 1
-        v = max(range(n), key=lambda i: counts[i])
-        pivot = tuple(1 if i == v else 0 for i in range(n))
-        plus = minimalize(n, list(gens) + [pivot]).gens
-        colon = minimalize(n, [tuple(max(e - p, 0) for e, p in zip(g, pivot))
-                               for g in gens]).gens
-        a = rec(frozenset(plus))
-        b = rec(frozenset(colon))
-        out = [0] * max(len(a), len(b) + 1)
-        for i, x in enumerate(a):
-            out[i] += x
-        for i, x in enumerate(b):
-            out[i + 1] += x
-        out = _poly_trim(out)
-        memo[key] = out
+
+def _numerator(gens, memo):
+    """N(t) of the ideal with the minimal generators `gens` (a frozenset),
+    memoized in `memo`. A module-level function, not a closure: a nested
+    function that calls itself keeps its memo in a reference cycle."""
+    if not gens:
+        return [1]
+    if any(not any(g) for g in gens):
+        return [0]  # unit ideal
+    hit = memo.get(gens)
+    if hit is not None:
+        return hit
+    pure = [g for g in gens if sum(1 for e in g if e) == 1]
+    mixed = [g for g in gens if sum(1 for e in g if e) > 1]
+    if not mixed:
+        out = [1]
+        for g in pure:
+            d = sum(g)
+            factor = [1] + [0] * (d - 1) + [-1]
+            out = _poly_mul(out, factor)
+        memo[gens] = out
         return out
-
-    return _poly_trim(rec(frozenset(J.gens)))
+    n = len(next(iter(gens)))
+    counts = [0] * n
+    for g in mixed:
+        for v, e in enumerate(g):
+            if e:
+                counts[v] += 1
+    v = max(range(n), key=lambda i: counts[i])
+    pivot = tuple(1 if i == v else 0 for i in range(n))
+    plus = minimalize(n, list(gens) + [pivot]).gens
+    colon = minimalize(n, [tuple(max(e - p, 0) for e, p in zip(g, pivot))
+                           for g in gens]).gens
+    a = _numerator(frozenset(plus), memo)
+    b = _numerator(frozenset(colon), memo)
+    out = [0] * max(len(a), len(b) + 1)
+    for i, x in enumerate(a):
+        out[i] += x
+    for i, x in enumerate(b):
+        out[i + 1] += x
+    out = _poly_trim(out)
+    memo[gens] = out
+    return out
 
 
 def series_coefficient(num, n, d):

@@ -4,7 +4,7 @@ A polynomial is a tuple of (monomial, coefficient) terms kept strictly
 descending under its active order, with exponent tuples as monomials:
 that is the public form. Rings may declare a main/parameter split: the
 first `nmain` variables are the main x-variables, the tail holds
-parameters. Specialization and block leading data operate on that split.
+parameters. Specialization operates on that split.
 
 The Groebner kernel works on the packed form instead (`PackedRing`,
 `Packed`): each monomial is the int order key of its packed exponent
@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .fields import QQ, RationalField
-from .orders import LEX, InverseBlock, mono_mul, mono_one, mono_str
+from .orders import InverseBlock, mono_mul, mono_one, mono_str
 
 
 class RingMismatch(ValueError):
@@ -56,9 +56,6 @@ class Ring:
 
     def main_ring(self):
         return Ring(self.field, self.names[: self.nmain])
-
-    def param_ring(self):
-        return Ring(self.field, self.names[self.nmain:])
 
 
 def xring(n, field=QQ):
@@ -372,24 +369,6 @@ def specialize(F, point):
         else:
             d[xm] = s
     return Polynomial.from_dict(out, out_order, d)
-
-
-def block_leading_data(F, main_order):
-    """Leading x-monomial of F in k[t][x] and its parameter coefficient.
-
-    Returns (lead_monomial over the main variables, lead_coefficient as a
-    polynomial over the parameter ring).
-    """
-    if not F:
-        raise ValueError("block leading data of the zero polynomial")
-    ring = F.ring
-    groups = {}
-    for m, c in F.terms:
-        groups.setdefault(m[: ring.nmain], []).append((m[ring.nmain:], c))
-    lead = max(groups, key=main_order.key)
-    tring = ring.param_ring()
-    coeff = Polynomial.from_dict(tring, LEX, dict(groups[lead]))
-    return lead, coeff
 
 
 # ---------------------------------------------------------------------------

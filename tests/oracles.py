@@ -12,6 +12,8 @@
 - `is_borel_fixed_by_scan`: the verdict and witness of
   `ginlab.is_borel_fixed`, by testing every allowed shift of every
   minimal generator
+- `block_leading_data`: the block lead of a parametric polynomial and its
+  parameter coefficient, by grouping its terms by x-part
 - the tuple Groebner kernel (`tuple_normal_form`, `tuple_s_polynomial`,
   `tuple_buchberger`, `tuple_reduce_basis`): the same algorithm as
   `ginlab.groebner` on exponent tuples, tuple order keys (`tuple_key`)
@@ -24,7 +26,7 @@ from ginlab.ideals import (contains, hilbert_series, minimalize,
                            monomials_of_degree, top_degree)
 from ginlab.orders import (DEGLEX, DEGREVLEX, LEX, InverseBlock, binom_p_leq,
                            binomial, mono_divides, mono_mul)
-from ginlab.poly import Polynomial
+from ginlab.poly import Polynomial, Ring
 from ginlab.props import PropertyVerdict, _rank
 from ginlab.series import (InadmissibleHilbertFunction, SeriesWindow,
                            default_horizon, froeberg_series)
@@ -159,6 +161,24 @@ def is_borel_fixed_by_scan(J, p=0):
                     if not contains(J, tuple(shifted)):
                         return PropertyVerdict(False, (m, tuple(shifted)))
     return PropertyVerdict(True)
+
+
+def block_leading_data(F, main_order):
+    """Leading x-monomial of F in k[t][x] and its parameter coefficient.
+
+    Returns (lead_monomial over the main variables, lead_coefficient as a
+    polynomial over the parameter ring).
+    """
+    if not F:
+        raise ValueError("block leading data of the zero polynomial")
+    ring = F.ring
+    groups = {}
+    for m, c in F.terms:
+        groups.setdefault(m[: ring.nmain], []).append((m[ring.nmain:], c))
+    lead = max(groups, key=main_order.key)
+    tring = Ring(ring.field, ring.names[ring.nmain:])
+    coeff = Polynomial.from_dict(tring, LEX, dict(groups[lead]))
+    return lead, coeff
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import count
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -15,7 +16,8 @@ from ginlab.series import bracket_numerator
 
 from conftest import GIN_32_22, INI_I, INI_J, POINT_A
 from test_acceptance import CRIT4_GRID
-from oracles import (hilbert_function_homogeneous, is_groebner,
+from oracles import (_tuple_update_pairs, block_leading_data,
+                     hilbert_function_homogeneous, is_groebner,
                      tuple_buchberger, tuple_normal_form, tuple_reduce_basis,
                      tuple_s_polynomial)
 
@@ -265,8 +267,11 @@ def test_packed_kernel_matches_tuple_kernel(system):
     basis = tuple(gb.generators)
     assert [g.terms for g in basis] == [
         g.terms for g in tuple_buchberger(gens, order)]
-    assert [g.terms for g in gl.reduce_basis(gb).generators] == [
-        g.terms for g in tuple_reduce_basis(basis, order)]
+    reduced = [g.terms for g in tuple_reduce_basis(basis, order)]
+    # from the packed run, and from Polynomials
+    assert [g.terms for g in gl.reduce_basis(gb).generators] == reduced
+    assert [g.terms for g in gl.reduce_basis(
+        gl.GroebnerBasis(basis, order)).generators] == reduced
     for f in gens:
         for g in basis:
             assert (gl.s_polynomial(f, g, order).terms
@@ -301,7 +306,7 @@ def test_rational_results_are_exact_with_leading_coefficients_2_and_3():
 def test_the_kernel_builds_no_fraction(monkeypatch):
     """Over Q, one Buchberger run on integer input builds no Fraction
     between packing and unpacking: the Fractions it makes are the
-    coefficients of the basis it returns."""
+    coefficients of the basis it returns, built when the basis is read."""
     inst = gl.generic_templates(3, (2, 2))
     gens = inst.templates()
     made = []
@@ -322,10 +327,10 @@ def test_the_kernel_builds_no_fraction(monkeypatch):
 
         monkeypatch.setattr(Fraction, "_from_coprime_ints",
                             classmethod(counting_coprime))
-    gb = gl.buchberger(gens, inst.order)
+    basis = tuple(gl.buchberger(gens, inst.order))
     monkeypatch.undo()
-    assert tuple(gb) == tuple(tuple_buchberger(gens, inst.order))
-    assert 0 < len(made) <= sum(len(g.terms) for g in gb)
+    assert basis == tuple(tuple_buchberger(gens, inst.order))
+    assert 0 < len(made) <= sum(len(g.terms) for g in basis)
 
 
 @pytest.mark.parametrize("n,degrees,order,parametric", [
@@ -347,6 +352,95 @@ def test_packed_kernel_matches_tuple_kernel_on_generic_ideals(
         gens = gl.sample_ideal(inst, seed=5)
     assert [g.terms for g in gl.buchberger(gens, order)] == [
         g.terms for g in tuple_buchberger(gens, order)]
+
+
+@st.composite
+def lead_sequences(draw):
+    """Up to 8 leads in n <= 5 variables with exponents <= 2, so that
+    equal lcms and coprime leads are common, under lex, degrevlex or an
+    inverse block order."""
+    n = draw(st.integers(1, 5))
+    order = draw(st.sampled_from(ORDERS if n > 1 else ORDERS[:3]))
+    if order == "block":
+        order = gl.InverseBlock(draw(st.sampled_from([gl.LEX, gl.DEGREVLEX])),
+                                draw(st.sampled_from([gl.LEX, gl.DEGREVLEX])),
+                                draw(st.integers(1, n - 1)))
+    leads = draw(st.lists(st.tuples(*[st.integers(0, 2)] * n),
+                          min_size=1, max_size=8))
+    return leads, order
+
+
+@settings(max_examples=150, deadline=None)
+# x1*x2 and x1*x3 give the same lcm with x2*x3; x4 is coprime to all
+@example(([(1, 1, 0, 0), (1, 0, 1, 0), (0, 1, 1, 0), (0, 0, 0, 1)], gl.LEX))
+@given(lead_sequences())
+def test_update_pairs_matches_tuple_update_pairs(case):
+    leads, order = case
+    n = len(leads[0])
+    ring = gl.xring(n)
+    layout = order.layout(n)
+    serial = count()
+    packed, pairs, G, tuple_pairs = [], [], [], []
+    for m in leads:
+        h = layout.pack(m)
+        pairs = groebner._update_pairs(packed, pairs, h, layout, serial)
+        packed.append(h)
+        f = Polynomial.from_terms(ring, order, [(m, 1)])
+        tuple_pairs = _tuple_update_pairs(G, tuple_pairs, f, order)
+        G.append(f)
+        assert [(i, j, layout.unpack(L))
+                for _, _, i, j, L in pairs] == tuple_pairs
+        # the pair list is in creation order
+        serials = [pair[1] for pair in pairs]
+        assert serials == sorted(serials)
+
+
+#: the five parametric cases of the gin_param benchmark workload, run as
+#: `gin --route parametric --field Q` runs them: lex, with the parameters
+#: under degrevlex
+GIN_PARAM_CASES = [(3, (2, 2)), (4, (2, 2)), (2, (3, 3)), (2, (2, 2, 3)),
+                   (2, (2, 3, 3))]
+
+
+def test_kernel_counts_on_the_parametric_cases(monkeypatch):
+    """The gin_param cases take exactly these normal forms, zero
+    reductions, S-polynomials and largest basis, counted at the wrap
+    points of the benchmark's tracer; a change to pair handling or
+    reducer choice shows here."""
+    real_nf, real_sp = groebner.normal_form, groebner.s_polynomial
+    real_buchberger = generic.buchberger
+    zero, spolys, sizes = [], [], []
+
+    def counting_nf(*args, **kwargs):
+        r = real_nf(*args, **kwargs)
+        zero.append(not r)
+        return r
+
+    def counting_sp(*args, **kwargs):
+        spolys.append(1)
+        return real_sp(*args, **kwargs)
+
+    def sizing(*args, **kwargs):
+        gb = real_buchberger(*args, **kwargs)
+        sizes.append(len(gb))
+        return gb
+
+    monkeypatch.setattr(groebner, "normal_form", counting_nf)
+    monkeypatch.setattr(groebner, "s_polynomial", counting_sp)
+    monkeypatch.setattr(generic, "buchberger", sizing)
+    for n, degrees in GIN_PARAM_CASES:
+        gl.gin_parametric(gl.generic_templates(n, degrees,
+                                               t_order=gl.DEGREVLEX))
+    assert (len(zero), sum(zero), len(spolys), max(sizes)) == (
+        356, 228, 344, 59)
+
+
+@pytest.mark.parametrize("n,degrees", GIN_PARAM_CASES)
+def test_packed_leads_are_the_block_leads(n, degrees):
+    inst = gl.generic_templates(n, degrees, t_order=gl.DEGREVLEX)
+    gb = gl.buchberger(inst.templates(), inst.order)
+    assert [m[:n] for m in gb.lead_monomials()] == [
+        block_leading_data(g, inst.main_order)[0] for g in gb.generators]
 
 
 # ---------------------------------------------------------------------------
@@ -478,6 +572,9 @@ def test_stability_vanishing_generator():
     gb = gl.GroebnerBasis((g1, g2), order)
     v = gl.stability_check(gb, (0,))
     assert v.stable and v.survivors == (1,)
+    # the block lead is the lead's x-part only under an inverse block order
+    with pytest.raises(ValueError):
+        gl.stability_check(gl.GroebnerBasis((g1, g2), gl.LEX), (0,))
 
 
 def test_stability_generic_point_matches_sampling():
@@ -486,7 +583,6 @@ def test_stability_generic_point_matches_sampling():
     point = gl.sample_point(inst, seed=11, bound=99)
     v = gl.stability_check(gb, point)
     assert v.stable
-    from ginlab.poly import block_leading_data
     leads = []
     for i in v.survivors:
         lm, _ = block_leading_data(gb.generators[i], gl.LEX)
