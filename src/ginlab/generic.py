@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from .fields import QQ, PrimeField
 from .groebner import buchberger
 from .ideals import MonomialIdeal, minimalize, monomials_of_degree
-from .orders import LEX, InverseBlock, binomial
+from .orders import LEX, InverseBlock, binomial, mono_divides
 from .poly import Polynomial, Ring
 from .series import bracket_numerator
 
@@ -78,37 +78,56 @@ class GenericInstance:
     def order(self):
         return InverseBlock(self.main_order, self.t_order, self.n)
 
-    @property
-    def ring(self):
-        names = [f"x{i + 1}" for i in range(self.n)]
-        for i, r in enumerate(self.term_counts):
-            names += [f"t{i + 1}_{k + 1}" for k in range(r)]
-        return Ring(self.field, tuple(names), self.n)
-
-    def templates(self):
-        """F_i = sum over degree-d_i monomials m_k of t_{i,k} * m_k,
-        with k indexing monomials in descending lex."""
-        ring = self.ring
-        order = self.order
-        out = []
-        offset = 0
-        for i, d in enumerate(self.degrees):
-            monos = monomials_of_degree(self.n, d)
-            terms = []
-            for k, m in enumerate(monos):
-                full = list(m) + [0] * self.nparams
-                full[self.n + offset + k] = 1
-                terms.append((tuple(full), 1))
-            out.append(Polynomial.from_terms(ring, order, terms))
-            offset += len(monos)
-        return out
-
     def main_ring(self):
         return Ring(self.field, tuple(f"x{i + 1}" for i in range(self.n)))
 
 
 def generic_templates(n, degrees, field=QQ, main_order=LEX, t_order=LEX):
     return GenericInstance(n, tuple(degrees), field, main_order, t_order)
+
+
+def normal_form_family(inst):
+    """The generators of the parametric route: one monic generator per
+    pivot, with a parameter on each standard monomial after the pivots.
+
+    The degrees are taken in nondecreasing order. For a degree d held by
+    k generators, the standard monomials are the degree-d monomials that
+    no pivot of a smaller degree divides, in descending main order; the
+    first k of them are the pivots of degree d (fewer when fewer exist:
+    the missing generators lie in the ideal of the earlier ones and are
+    dropped). Each generator is its pivot plus one fresh parameter times
+    each standard monomial that is not a pivot; all of those are smaller
+    than every pivot of degree d. So within a degree the family is in
+    reduced row echelon form, and no term of a generator is divisible by
+    the pivot of an earlier generator. Parameters are numbered generator
+    by generator and, within one, in descending main order of their
+    monomials; `inst.t_order` orders them.
+    """
+    n, order = inst.n, inst.main_order
+    pivots, rows = [], []
+    for d in sorted(set(inst.degrees)):
+        standard = [m for m in sorted(monomials_of_degree(n, d),
+                                      key=order.key, reverse=True)
+                    if not any(mono_divides(p, m) for p in pivots)]
+        k = inst.degrees.count(d)
+        pivots += standard[:k]
+        rows += [(p, standard[k:]) for p in standard[:k]]
+    names = [f"x{i + 1}" for i in range(n)]
+    for i, (_, tail) in enumerate(rows):
+        names += [f"t{i + 1}_{k + 1}" for k in range(len(tail))]
+    nparams = len(names) - n
+    ring = Ring(inst.field, tuple(names), n)
+    out = []
+    offset = 0
+    for pivot, tail in rows:
+        terms = [(pivot + (0,) * nparams, 1)]
+        for k, m in enumerate(tail):
+            t = [0] * nparams
+            t[offset + k] = 1
+            terms.append((m + tuple(t), 1))
+        out.append(Polynomial.from_terms(ring, inst.order, terms))
+        offset += len(tail)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +258,33 @@ def gin_parametric(inst, budget=None):
     """Initial ideal of generic ideals from one Groebner run over k[t, x]
     with the main order dominant and the parameter order as tie-break.
 
+    The run starts from `normal_form_family(inst)`, not from the full
+    templates (one parameter per monomial), and has the same answer:
+
+    - Let A be the space of coefficient points of the full templates.
+      The gin is in(I_a) for every point a of a nonempty Zariski-open
+      U in A (Bayer-Stillman 1987; Eisenbud, Commutative Algebra,
+      section 15.9).
+    - Map a point a to the family: divide each of its generators, in
+      nondecreasing degree, by the family members built before it; the
+      remainder lies in the span of the standard monomials. Then bring
+      the remainders of one degree to reduced row echelon form, dropping
+      the zero rows. Division by the earlier members is a linear
+      projection onto the standard span. It is onto, and it is the
+      identity on the family. The echelon step gives a family point
+      phi(a) wherever the remainders have full rank on the pivot
+      columns, which is an open V in A holding the whole family. Every
+      step is an invertible change of generators, so I_phi(a) = I_a.
+    - By Groebner stability, in(I_b) equals the initial ideal J of the
+      family's generic member (the one this run computes) for every b
+      in a nonempty open W of the family. phi^-1(W) is open in A and
+      nonempty, since it contains W. A is irreducible, so U meets
+      phi^-1(W); at a point a of both, gin = in(I_a) = in(I_phi(a)) = J.
+
     The main block is the most significant in that order, so the x-part
     of an element's lead is its block lead; the generic initial ideal is
     generated by the nonconstant ones."""
-    gb = buchberger(inst.templates(), inst.order, budget)
+    gb = buchberger(normal_form_family(inst), inst.order, budget)
     leads = [m[:inst.n] for m in gb.lead_monomials()]
     return GinResult(
         ideal=minimalize(inst.n, [m for m in leads if any(m)]),

@@ -28,6 +28,10 @@ POINT_A = (8, -6, 9, -1, 1, 5, 1, 2, 7, -4, 5, -8)
 #: lex initial ideal reached from POINT_A, and its generators
 GIN_32_22 = ((2, 0, 0), (1, 1, 0), (1, 0, 2), (0, 4, 0))
 
+#: lex gin of three quadrics in n=3
+GIN_3_222 = ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 3, 0), (0, 2, 1), (0, 1, 2),
+             (0, 0, 4))
+
 #: degrevlex initial ideals of the two example ideals above
 INI_I = ((2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 2), (0, 1, 2), (0, 0, 4))
 INI_J = ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 3, 0), (0, 2, 1), (0, 1, 2),

@@ -12,6 +12,9 @@
 - `is_borel_fixed_by_scan`: the verdict and witness of
   `ginlab.is_borel_fixed`, by testing every allowed shift of every
   minimal generator
+- `full_templates`: the parametric generators with one parameter per
+  monomial, F_i = sum over the degree-d_i monomials m_k of t_{i,k} m_k,
+  whose coordinates are the points that `ginlab.sample_point` draws
 - `block_leading_data`: the block lead of a parametric polynomial and its
   parameter coefficient, by grouping its terms by x-part
 - the tuple Groebner kernel (`tuple_normal_form`, `tuple_s_polynomial`,
@@ -161,6 +164,27 @@ def is_borel_fixed_by_scan(J, p=0):
                     if not contains(J, tuple(shifted)):
                         return PropertyVerdict(False, (m, tuple(shifted)))
     return PropertyVerdict(True)
+
+
+def full_templates(inst):
+    """F_i = sum over degree-d_i monomials m_k of t_{i,k} * m_k, with k
+    indexing monomials in descending lex, in k[x, t] under `inst.order`."""
+    names = [f"x{i + 1}" for i in range(inst.n)]
+    for i, r in enumerate(inst.term_counts):
+        names += [f"t{i + 1}_{k + 1}" for k in range(r)]
+    ring = Ring(inst.field, tuple(names), inst.n)
+    out = []
+    offset = 0
+    for d in inst.degrees:
+        monos = monomials_of_degree(inst.n, d)
+        terms = []
+        for k, m in enumerate(monos):
+            full = list(m) + [0] * inst.nparams
+            full[inst.n + offset + k] = 1
+            terms.append((tuple(full), 1))
+        out.append(Polynomial.from_terms(ring, inst.order, terms))
+        offset += len(monos)
+    return out
 
 
 def block_leading_data(F, main_order):

@@ -15,7 +15,7 @@ import ginlab as gl
 from ginlab.generic import GF32003
 from ginlab.series import lexsegment_of_froeberg
 
-from conftest import GIN_32_22, INI_I, INI_J, POINT_A
+from conftest import GIN_3_222, GIN_32_22, INI_I, INI_J, POINT_A
 from oracles import hilbert_function_bruteforce, hilbert_function_homogeneous
 from test_ideals import random_monomial_ideal
 
@@ -103,14 +103,14 @@ def test_criterion_6_route_agreement_small():
 @pytest.mark.slow
 def test_criterion_6_route_agreement_n3():
     t0 = time.perf_counter()
-    par = gl.gin_parametric(gl.generic_templates(3, (2, 2)),
-                            budget=gl.Budget(ms=30 * 60 * 1000))
-    sam = gl.gin_by_sampling(gl.generic_templates(3, (2, 2), field=GF32003),
-                             seed=0)
-    assert par.ideal == sam.ideal
-    assert par.ideal.gens == GIN_32_22
-    report("criterion-6b route-agreement n=3", time.perf_counter() - t0,
-           30 * 60)
+    for degrees, gin in [((2, 2), GIN_32_22), ((2, 2, 2), GIN_3_222)]:
+        par = gl.gin_parametric(gl.generic_templates(3, degrees),
+                                budget=gl.Budget(ms=60 * 1000))
+        sam = gl.gin_by_sampling(
+            gl.generic_templates(3, degrees, field=GF32003), seed=0)
+        assert par.ideal == sam.ideal
+        assert par.ideal.gens == gin
+    report("criterion-6b route-agreement n=3", time.perf_counter() - t0, 60)
 
 
 def test_criterion_7_borel_fixedness():

@@ -5,30 +5,31 @@ import pytest
 
 import ginlab as gl
 from ginlab.generic import (GF32003, InconclusiveSampling, SplitMix64,
-                            ideal_at_point, sample_point)
-from ginlab.orders import binomial
+                            ideal_at_point, normal_form_family, sample_point)
+from ginlab.orders import binomial, mono_divides
 from ginlab.poly import PackedRing
 
 from conftest import GIN_32_22, POINT_A
-from oracles import hilbert_function_homogeneous, u_generic_by_macaulay
+from oracles import (full_templates, hilbert_function_homogeneous,
+                     u_generic_by_macaulay)
 
 
 def test_template_shapes():
     inst = gl.generic_templates(3, (2, 2))
     assert inst.nparams == 12
-    assert all(len(F.terms) == 6 for F in inst.templates())
+    assert all(len(F.terms) == 6 for F in full_templates(inst))
     inst4 = gl.generic_templates(4, (2, 2))
     assert inst4.nparams == 20
     assert [binomial(4 + 2 - 1, 2)] * 2 == inst4.term_counts
     single = gl.generic_templates(1, (3,))
-    (F,) = single.templates()
+    (F,) = full_templates(single)
     assert F.terms == (((3, 1), 1),)
 
 
 def test_templates_have_distinct_parameters():
     inst = gl.generic_templates(3, (2, 3))
     seen = set()
-    for F in inst.templates():
+    for F in full_templates(inst):
         for m, _ in F.terms:
             tpart = m[inst.n:]
             assert sum(tpart) == 1
@@ -143,6 +144,56 @@ def test_route_agreement():
         sam = gl.gin_by_sampling(gl.generic_templates(n, degrees, field=GF32003),
                                  seed=17)
         assert par.ideal == sam.ideal
+
+
+@pytest.mark.parametrize("n,degrees,order,nparams,ngens", [
+    (3, (2, 2, 2), gl.LEX, 9, 3),
+    (3, (2, 2, 2), gl.DEGREVLEX, 9, 3),
+    (3, (2, 2), gl.LEX, 8, 2),
+    (2, (2, 3, 3), gl.LEX, 2, 3),
+    (3, (3, 2), gl.DEGREVLEX, 11, 2),
+    (4, (2, 2, 3), gl.LEX, 28, 3),
+    # x1^3 lies in (x1^2), and (x1, x2) holds every quadric
+    (1, (2, 3), gl.LEX, 0, 1),
+    (2, (1, 1, 2), gl.DEGREVLEX, 0, 2),
+])
+def test_normal_form_family_shape(n, degrees, order, nparams, ngens):
+    inst = gl.generic_templates(n, degrees, main_order=order)
+    family = normal_form_family(inst)
+    assert len(family) == ngens
+    assert all(F.ring.nparams == nparams for F in family)
+    pivots = [F.lm()[:n] for F in family]
+    # monic at its pivot, which no earlier generator's pivot divides
+    for k, F in enumerate(family):
+        assert F.lm() == pivots[k] + (0,) * nparams
+        assert F.lc() == 1
+        assert {sum(m[:n]) for m, _ in F.terms} == {sum(pivots[k])}
+        assert not any(mono_divides(p, pivots[k]) for p in pivots[:k])
+    # every other term is one fresh parameter on a monomial no pivot divides
+    seen = []
+    for F in family:
+        for m, c in F.terms[1:]:
+            assert c == 1 and sum(m[n:]) == 1
+            assert not any(mono_divides(p, m[:n]) for p in pivots)
+            seen.append(m[n:].index(1))
+    assert sorted(seen) == list(range(nparams))
+    assert [sum(p) for p in pivots] == sorted(sum(p) for p in pivots)
+
+
+@pytest.mark.parametrize("n,degrees,sampled,field,order", [
+    (3, (2, 2, 2), (2, 2, 2), gl.QQ, gl.LEX),
+    (3, (2, 2, 2), (2, 2, 2), gl.QQ, gl.DEGREVLEX),
+    (3, (3, 2), (2, 3), gl.QQ, gl.LEX),
+    (3, (3, 2), (2, 3), GF32003, gl.DEGREVLEX),
+    (1, (2, 3), (2, 3), gl.QQ, gl.LEX),
+    (2, (1, 1, 2), (1, 1, 2), gl.QQ, gl.DEGREVLEX),
+])
+def test_parametric_route_matches_sampling(n, degrees, sampled, field, order):
+    par = gl.gin_parametric(gl.generic_templates(n, degrees, field, order))
+    sam = gl.gin_by_sampling(gl.generic_templates(n, sampled, GF32003, order),
+                             seed=3)
+    assert sam.agreement == 5
+    assert par.ideal == sam.ideal
 
 
 def test_gin_routes_never_unpack_a_basis(monkeypatch):

@@ -16,7 +16,7 @@ from ginlab.series import bracket_numerator
 
 from conftest import GIN_32_22, INI_I, INI_J, POINT_A
 from test_acceptance import CRIT4_GRID
-from oracles import (_tuple_update_pairs, block_leading_data,
+from oracles import (_tuple_update_pairs, block_leading_data, full_templates,
                      hilbert_function_homogeneous, is_groebner,
                      tuple_buchberger, tuple_normal_form, tuple_reduce_basis,
                      tuple_s_polynomial)
@@ -144,7 +144,7 @@ def test_membership_is_order_independent(sample_ideal_a):
 def test_budget_exhaustion_raises():
     inst = gl.generic_templates(3, (2, 2))
     with pytest.raises(BudgetExceeded):
-        gl.buchberger(inst.templates(), inst.order, Budget(ms=0.0001))
+        gl.buchberger(full_templates(inst), inst.order, Budget(ms=0.0001))
 
 
 class FakeClock:
@@ -308,7 +308,7 @@ def test_the_kernel_builds_no_fraction(monkeypatch):
     between packing and unpacking: the Fractions it makes are the
     coefficients of the basis it returns, built when the basis is read."""
     inst = gl.generic_templates(3, (2, 2))
-    gens = inst.templates()
+    gens = full_templates(inst)
     made = []
     real_new = Fraction.__new__
 
@@ -346,7 +346,7 @@ def test_packed_kernel_matches_tuple_kernel_on_generic_ideals(
     if parametric:
         inst = gl.generic_templates(n, degrees, main_order=order,
                                     t_order=gl.DEGREVLEX)
-        gens, order = inst.templates(), inst.order
+        gens, order = full_templates(inst), inst.order
     else:
         inst = gl.generic_templates(n, degrees, gl.generic.GF32003, order)
         gens = gl.sample_ideal(inst, seed=5)
@@ -402,13 +402,12 @@ GIN_PARAM_CASES = [(3, (2, 2)), (4, (2, 2)), (2, (3, 3)), (2, (2, 2, 3)),
                    (2, (2, 3, 3))]
 
 
-def test_kernel_counts_on_the_parametric_cases(monkeypatch):
-    """The gin_param cases take exactly these normal forms, zero
-    reductions, S-polynomials and largest basis, counted at the wrap
-    points of the benchmark's tracer; a change to pair handling or
-    reducer choice shows here."""
+def _kernel_counts(monkeypatch, run):
+    """Normal forms, zero reductions, S-polynomials and largest basis of
+    the Buchberger runs that `run()` makes, counted at the wrap points of
+    the benchmark's tracer."""
     real_nf, real_sp = groebner.normal_form, groebner.s_polynomial
-    real_buchberger = generic.buchberger
+    real_buchberger = gl.buchberger
     zero, spolys, sizes = [], [], []
 
     def counting_nf(*args, **kwargs):
@@ -428,17 +427,37 @@ def test_kernel_counts_on_the_parametric_cases(monkeypatch):
     monkeypatch.setattr(groebner, "normal_form", counting_nf)
     monkeypatch.setattr(groebner, "s_polynomial", counting_sp)
     monkeypatch.setattr(generic, "buchberger", sizing)
-    for n, degrees in GIN_PARAM_CASES:
-        gl.gin_parametric(gl.generic_templates(n, degrees,
-                                               t_order=gl.DEGREVLEX))
-    assert (len(zero), sum(zero), len(spolys), max(sizes)) == (
-        356, 228, 344, 59)
+    run(sizing)
+    return len(zero), sum(zero), len(spolys), max(sizes)
+
+
+def test_kernel_counts_on_the_parametric_cases(monkeypatch):
+    """Buchberger on the full templates of the gin_param cases takes
+    exactly these counts; a change to pair handling or reducer choice
+    shows here."""
+    def run(buchberger):
+        for n, degrees in GIN_PARAM_CASES:
+            inst = gl.generic_templates(n, degrees, t_order=gl.DEGREVLEX)
+            buchberger(full_templates(inst), inst.order)
+
+    assert _kernel_counts(monkeypatch, run) == (356, 228, 344, 59)
+
+
+def test_kernel_counts_of_the_parametric_route(monkeypatch):
+    """`gin_parametric` on the gin_param cases, from the normal-form
+    family: a change to the family or to the kernel shows here."""
+    def run(buchberger):
+        for n, degrees in GIN_PARAM_CASES:
+            gl.gin_parametric(gl.generic_templates(n, degrees,
+                                                   t_order=gl.DEGREVLEX))
+
+    assert _kernel_counts(monkeypatch, run) == (34, 13, 22, 7)
 
 
 @pytest.mark.parametrize("n,degrees", GIN_PARAM_CASES)
 def test_packed_leads_are_the_block_leads(n, degrees):
     inst = gl.generic_templates(n, degrees, t_order=gl.DEGREVLEX)
-    gb = gl.buchberger(inst.templates(), inst.order)
+    gb = gl.buchberger(full_templates(inst), inst.order)
     assert [m[:n] for m in gb.lead_monomials()] == [
         block_leading_data(g, inst.main_order)[0] for g in gb.generators]
 
@@ -579,7 +598,7 @@ def test_stability_vanishing_generator():
 
 def test_stability_generic_point_matches_sampling():
     inst = gl.generic_templates(2, (2, 2))
-    gb = gl.buchberger(inst.templates(), inst.order)
+    gb = gl.buchberger(full_templates(inst), inst.order)
     point = gl.sample_point(inst, seed=11, bound=99)
     v = gl.stability_check(gb, point)
     assert v.stable

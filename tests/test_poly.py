@@ -7,7 +7,7 @@ import ginlab as gl
 from ginlab.poly import (Polynomial, Ring, RingMismatch, parse_poly,
                          poly_from_json, poly_to_json, specialize)
 
-from oracles import block_leading_data
+from oracles import block_leading_data, full_templates
 
 R2 = gl.xring(2)
 
@@ -56,7 +56,7 @@ def test_specialize_fixed_point(sample_ideal_a):
 
 def test_specialize_zero_point():
     inst = gl.generic_templates(2, (2,))
-    F = inst.templates()[0]
+    F = full_templates(inst)[0]
     assert specialize(F, (0, 0, 0)).is_zero()
 
 
@@ -67,7 +67,7 @@ def test_specialize_no_parameters_is_identity():
 
 def test_specialize_requires_full_point():
     inst = gl.generic_templates(2, (2,))
-    F = inst.templates()[0]
+    F = full_templates(inst)[0]
     with pytest.raises(ValueError):
         specialize(F, (1, 2))
 
