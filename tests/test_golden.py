@@ -11,8 +11,13 @@ The file holds the JSON that `ginlab` printed, and its exit code, for:
   benchmark cases in lex and degrevlex, sampled `gin --field Q`, and `gb`
   on systems with non-integer, non-monic rational coefficients, whose
   reduced bases print those rationals
+- `lexseg` and `bound` on the seven jobs of the lexseg benchmark workload
+  and on two larger cases, and `hilbert --horizon 12` on the two `check`
+  ideals: the lexsegment construction and the Hilbert numerator behind
+  its re-check
 
-Any change to the Groebner kernel, the u-check or the predicates that
+Any change to the Groebner kernel, the u-check, the predicates or the
+Hilbert series that
 alters one byte of this output fails here. If a change of output is
 intended, re-record the file with
 
@@ -62,6 +67,15 @@ PARAM_CASES = [(3, (2, 2)), (4, (2, 2)), (2, (3, 3)), (2, (2, 2, 3)),
                (2, (2, 3, 3))]
 
 
+#: the lexseg benchmark workload (`perfbench/workloads.WORKLOADS`), then
+#: two larger cases
+SERIES_CASES = [("bound", 4, (2, 2, 4)), ("lexseg", 4, (2, 2, 3)),
+                ("bound", 4, (2, 3)), ("bound", 4, (2, 2, 3)),
+                ("lexseg", 4, (2, 2, 2)), ("lexseg", 4, (2, 3)),
+                ("lexseg", 3, (4, 4)),
+                ("lexseg", 5, (2, 2, 3)), ("bound", 4, (3, 3))]
+
+
 def _gin(n, degrees, *extra):
     return ["gin", "-n", str(n), "-d", ",".join(map(str, degrees)), *extra]
 
@@ -82,13 +96,17 @@ COMMANDS = (
     + [_gin(3, d, "--field", "Q", "--seed", "0") for d in ((2, 2), (2, 2, 2))]
     + [["gb", POLYS, "--order", order, name]
        for name in SYSTEMS for order in ("lex", "degrevlex")]
+    + [[cmd, "-n", str(n), "-d", ",".join(map(str, d))]
+       for cmd, n, d in SERIES_CASES]
+    + [["hilbert", IDEAL, "--horizon", "12", name] for name in IDEALS]
 )
 
 
 def run(argv, tmp_dir):
-    """(exit code, stdout) of one command; a `check` or `gb` command names
-    its input last, and the input is written to a file in `tmp_dir` first."""
-    if argv[0] in ("check", "gb"):
+    """(exit code, stdout) of one command; a `check`, `hilbert` or `gb`
+    command names its input last, and the input is written to a file in
+    `tmp_dir` first."""
+    if argv[0] in ("check", "hilbert", "gb"):
         *argv, name = argv
         path = Path(tmp_dir) / f"{name}.json"
         path.write_text(json.dumps({**IDEALS, **SYSTEMS}[name]))
