@@ -84,8 +84,15 @@ def _ideal_json(J, with_strings=True):
 
 
 def _load_ideal(path):
-    with open(path) as fh:
-        return MonomialIdeal.from_json(json.load(fh))
+    """The ideal in the JSON file `path`. A file that cannot be read, or
+    that does not hold an ideal ({"n": ..., "gens": [[non-negative int
+    exponents], ...]}), is a usage error: exit 2 with the reason."""
+    try:
+        with open(path) as fh:
+            return MonomialIdeal.from_json(json.load(fh))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        build_parser().error(f"{path}: not a readable ideal file: "
+                             f"{type(exc).__name__}: {exc}")
 
 
 # ---------------------------------------------------------------------------

@@ -96,7 +96,7 @@ from itertools import count, zip_longest
 from math import gcd
 from operator import itemgetter
 
-from .ideals import MonomialIdeal, hilbert_numerator, series_coefficient
+from .ideals import packed_numerator, series_coefficient
 from .orders import EXP_MAX, ExponentOverflow, InverseBlock
 from .poly import Packed, PackedRing, Polynomial, specialize
 from .series import bracket_numerator
@@ -376,9 +376,12 @@ class _HilbertCount:
     is the numerator of HS(S/in G) - H, so HF(S/in G)_d - H_d is its
     degree-d coefficient over (1 - t)^n. Adding a lead m to J = in(G),
     m not in J, subtracts t^deg(m) N(J : m) from the numerator of J. J : m
-    is generated by the quotients g / gcd(g, m); the variables among them
-    split off as a factor (1 - t)^k, and in the sampled trials nothing
-    else is usually left.
+    is generated by the packed quotients g / gcd(g, m). The k variables
+    among them split off as a factor (1 - t)^k, a product of k binomials
+    and the fast path: in the sampled trials nothing else is usually
+    left. The quotients that no such variable divides go, still packed,
+    to `ideals.packed_numerator`, which finds their minimal generators
+    itself.
     """
 
     def __init__(self, layout, degrees):
@@ -396,13 +399,8 @@ class _HilbertCount:
         variables = [q for q in colon
                      if q and q & ones == q and not q & (q - 1)]
         fields = sum(variables) * EXP_MAX
-        # the other minimal generators; a divisor is no larger as an int
-        rest = []
-        for q in sorted(colon):
-            if not q & fields and not any(layout.divides(r, q) for r in rest):
-                rest.append(q)
-        sub = (hilbert_numerator(MonomialIdeal(
-            layout.nvars, tuple(map(layout.unpack, rest)))) if rest else [1])
+        rest = [q for q in colon if not q & fields]
+        sub = packed_numerator(layout, rest) if rest else [1]
         for _ in variables:
             sub = [a - b for a, b in zip(sub + [0], [0] + sub)]
         excess = self.excess

@@ -1,11 +1,21 @@
-"""Monomial ideals: minimal generators, membership, Hilbert data."""
+"""Monomial ideals: minimal generators, membership, Hilbert data.
+
+A `MonomialIdeal` holds exponent tuples, and minimal generators and
+membership work on them. The Hilbert numerator runs on packed monomials
+(`orders.Layout`): `packed_numerator` is the one pivot recursion, used
+by `hilbert_numerator` on a `LEX` packing of the generators and by the
+Groebner kernel's Hilbert count on its own packing. A packed field holds
+at most EXP_MAX = 32767, so the Hilbert data of an ideal with a larger
+exponent or generator degree raise `ExponentOverflow`; minimalization
+and membership have no such limit.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
 
-from .orders import binomial, mono_divides
+from .orders import _FIELD, EXP_MAX, FIELD_BITS, LEX, binomial, mono_divides
 
 
 @dataclass(frozen=True)
@@ -16,9 +26,15 @@ class MonomialIdeal:
     gens: tuple  # exponent tuples, pairwise indivisible, descending lex
 
     def __post_init__(self):
+        if not isinstance(self.n, int) or self.n < 1:
+            raise ValueError(f"an ideal needs at least one variable, not {self.n!r}")
         for g in self.gens:
             if len(g) != self.n:
                 raise ValueError(f"generator {g} does not have {self.n} exponents")
+            if not all(isinstance(e, int) and not isinstance(e, bool)
+                       and e >= 0 for e in g):
+                raise ValueError(f"generator {g} has an exponent that is not "
+                                 f"a non-negative integer")
 
     def is_zero(self):
         return not self.gens
@@ -81,15 +97,6 @@ def monomials_of_degree(n, d):
 # ---------------------------------------------------------------------------
 # Hilbert series
 
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
 def _poly_trim(a):
     while len(a) > 1 and a[-1] == 0:
         a = a[:-1]
@@ -99,54 +106,89 @@ def _poly_trim(a):
 def hilbert_numerator(J):
     """Integer coefficients of N(t) with HS(S/J; t) = N(t) / (1-t)^n.
 
-    Pivot recursion on a degree-one variable monomial: splitting along a
-    pivot p gives N(J) = N(J + (p)) + t * N(J : p). The pivot variable is
-    the one occurring most often among generators that are not pure
-    powers. Memoized per top-level call.
+    The generators are packed under `LEX` and handed to
+    `packed_numerator`. An exponent or a generator degree above EXP_MAX
+    = 32767 does not fit a packed field and raises `ExponentOverflow`.
     """
-    return _poly_trim(_numerator(frozenset(J.gens), {}))
+    layout = LEX.layout(J.n)
+    mask = layout.exponent_mask
+    return packed_numerator(layout, [layout.pack(g) & mask for g in J.gens])
 
 
-def _numerator(gens, memo):
-    """N(t) of the ideal with the minimal generators `gens` (a frozenset),
-    memoized in `memo`. A module-level function, not a closure: a nested
-    function that calls itself keeps its memo in a reference cycle."""
+def packed_numerator(layout, gens):
+    """N(t) of the monomial ideal generated by the packed monomials `gens`
+    of `layout`, whose degree fields must be zero (``& exponent_mask``).
+
+    Pivot recursion (Bayer-Stillman; Bigatti, "Computation of
+    Hilbert-Poincare series", JPAA 1997): for a variable x_v, N(J) =
+    N(J + (x_v)) + t * N(J : x_v). The pivot is the variable occurring in
+    the most generators that are not pure powers, ties going to the most
+    significant field; N(J) does not depend on the choice. An ideal of
+    pure powers only has N(t) = prod(1 - t^d). Memoized per call.
+    """
+    return _numerator(frozenset(_minimal(gens, layout.guard)), layout, {})
+
+
+def _minimal(gens, guard):
+    """The packed monomials among `gens` that no other one divides. A
+    proper divisor is a smaller int, so one ascending scan keeps each
+    monomial that no monomial kept before it divides."""
+    kept = []
+    for m in sorted(gens):
+        mg = m | guard
+        for g in kept:
+            if (mg - g) & guard == guard:
+                break
+        else:
+            kept.append(m)
+    return kept
+
+
+def _numerator(gens, layout, memo):
+    """N(t) of the ideal with the minimal packed generators `gens` (a
+    frozenset) of `layout`. Adding EXP_MAX to every exponent field sets
+    the guard bit of each nonzero one, so ``nz >> 15`` has a one in every
+    field the generator uses. A module-level function, not a closure: a
+    nested function that calls itself keeps its memo in a reference
+    cycle."""
     if not gens:
         return [1]
-    if any(not any(g) for g in gens):
+    if 0 in gens:
         return [0]  # unit ideal
     hit = memo.get(gens)
     if hit is not None:
         return hit
-    pure = [g for g in gens if sum(1 for e in g if e) == 1]
-    mixed = [g for g in gens if sum(1 for e in g if e) > 1]
+    fill, guard = layout.exponent_mask, layout.guard
+    mixed = 0  # per field, the mixed generators that use it
+    pure = []
+    for g in gens:
+        nz = (g + fill) & guard
+        if nz & (nz - 1):
+            mixed += nz >> (FIELD_BITS - 1)
+        else:  # a pure power x_v^d, with d = g / x_v
+            pure.append(g // (nz >> (FIELD_BITS - 1)))
     if not mixed:
         out = [1]
-        for g in pure:
-            d = sum(g)
-            factor = [1] + [0] * (d - 1) + [-1]
-            out = _poly_mul(out, factor)
-        memo[gens] = out
-        return out
-    n = len(next(iter(gens)))
-    counts = [0] * n
-    for g in mixed:
-        for v, e in enumerate(g):
-            if e:
-                counts[v] += 1
-    v = max(range(n), key=lambda i: counts[i])
-    pivot = tuple(1 if i == v else 0 for i in range(n))
-    plus = minimalize(n, list(gens) + [pivot]).gens
-    colon = minimalize(n, [tuple(max(e - p, 0) for e, p in zip(g, pivot))
-                           for g in gens]).gens
-    a = _numerator(frozenset(plus), memo)
-    b = _numerator(frozenset(colon), memo)
-    out = [0] * max(len(a), len(b) + 1)
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i + 1] += x
-    out = _poly_trim(out)
+        for d in pure:  # times 1 - t^d
+            out += [0] * d
+            for i in range(len(out) - 1, d - 1, -1):
+                out[i] -= out[i - d]
+    else:
+        best = 0
+        for s in layout.exponent_shifts:
+            c = (mixed >> s) & _FIELD
+            if c > best:
+                best, shift = c, s
+        pivot, field = 1 << shift, _FIELD << shift
+        a = _numerator(frozenset([g for g in gens if not g & field] + [pivot]),
+                       layout, memo)
+        b = _numerator(frozenset(_minimal(
+            [g - pivot if g & field else g for g in gens], guard)),
+            layout, memo)
+        out = a + [0] * (len(b) + 1 - len(a))
+        for i, x in enumerate(b, 1):
+            out[i] += x
+        out = _poly_trim(out)
     memo[gens] = out
     return out
 
@@ -162,8 +204,11 @@ def hilbert_series(J, horizon=None):
     """Coefficients of HS(S/J; t) up to the horizon (inclusive)."""
     if horizon is None:
         horizon = max(top_degree(J) + J.n, 10)
-    num = hilbert_numerator(J)
-    return [series_coefficient(num, J.n, d) for d in range(horizon + 1)]
+    # times 1 / (1 - t), n times: n prefix sums
+    coeffs = (hilbert_numerator(J) + [0] * horizon)[:horizon + 1]
+    for _ in range(J.n):
+        coeffs = list(accumulate(coeffs))
+    return coeffs
 
 
 def hilbert_function(J, d):

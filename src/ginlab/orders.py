@@ -3,8 +3,10 @@
 Variables follow the convention x1 > x2 > ... > xn: index 0 is the
 largest variable. Exponent tuples are the public form of a monomial.
 
-Inside the Groebner kernel a monomial is one Python int, packed by the
-`Layout` that ``order.layout(n)`` returns:
+In the hot paths a monomial is one Python int, packed by the `Layout`
+that ``order.layout(n)`` returns: the Groebner kernel runs on packed
+monomials, and so does the Hilbert numerator (`ideals.packed_numerator`),
+both for monomial ideals and for the kernel's count of its leads.
 
 - Every field is FIELD_BITS = 16 bits wide. Its top bit is a guard bit,
   clear in every valid monomial, so an exponent is at most EXP_MAX =
@@ -125,7 +127,9 @@ class Layout:
         # the lowest bit of every exponent field, degree fields left out
         self.exponent_ones = sum(1 << s for s, k in zip(shift, source)
                                  if k < nvars)
-        self._exponents = self.exponent_ones * EXP_MAX
+        self.exponent_mask = self.exponent_ones * EXP_MAX
+        # the shifts of the exponent fields, most significant first
+        self.exponent_shifts = [s for s, k in zip(shift, source) if k < nvars]
         # per block: the slice of the exponent tuple its degree sums; the
         # shift of its degree field; and the shift, mask and multiplier
         # that sum its exponent fields into their top field
@@ -190,7 +194,7 @@ class Layout:
     def quotient(self, a, b):
         """a / gcd(a, b), the generator that a gives the colon ideal
         (a) : b, with its degree fields zero."""
-        return (self.fieldmax(a, b) - b) & self._exponents
+        return (self.fieldmax(a, b) - b) & self.exponent_mask
 
     def lcm(self, a, b):
         """Least common multiple; its degree fields are summed anew."""

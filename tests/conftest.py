@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 import ginlab as gl
+
+# `--hypothesis-profile=ci` (the CI workflow) draws the same examples on
+# every run and prints the blob that replays a failure; local runs keep
+# the default, randomized profile
+settings.register_profile("ci", derandomize=True, print_blob=True)
 
 
 @pytest.fixture

@@ -1,6 +1,8 @@
 """Independent routes that only the tests use to check the library.
 
 - `hilbert_function_bruteforce`: count standard monomials one by one
+- `tuple_hilbert_numerator`: the Hilbert numerator by the pivot
+  recursion on exponent tuples, with tuple minimalization at every split
 - `hilbert_function_homogeneous`: dim (S/I)_d of a polynomial ideal as
   the corank of its degree-d Macaulay matrix (the criterion-8 oracle)
 - `u_generic_by_macaulay`: the u-genericity verdict from those coranks
@@ -38,6 +40,70 @@ from ginlab.series import (InadmissibleHilbertFunction, SeriesWindow,
 def hilbert_function_bruteforce(J, d):
     """Count degree-d monomials outside J by direct enumeration."""
     return sum(1 for m in monomials_of_degree(J.n, d) if not contains(J, m))
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _poly_trim(a):
+    while len(a) > 1 and a[-1] == 0:
+        a = a[:-1]
+    return a
+
+
+def tuple_hilbert_numerator(J):
+    """`ginlab.hilbert_numerator` on exponent tuples: N(J) = N(J + (p)) +
+    t * N(J : p) for the variable p occurring most often among the
+    generators that are not pure powers, both sides minimalized as
+    tuples. Memoized per top-level call."""
+    return _poly_trim(_tuple_numerator(frozenset(J.gens), {}))
+
+
+def _tuple_numerator(gens, memo):
+    if not gens:
+        return [1]
+    if any(not any(g) for g in gens):
+        return [0]  # unit ideal
+    hit = memo.get(gens)
+    if hit is not None:
+        return hit
+    pure = [g for g in gens if sum(1 for e in g if e) == 1]
+    mixed = [g for g in gens if sum(1 for e in g if e) > 1]
+    if not mixed:
+        out = [1]
+        for g in pure:
+            d = sum(g)
+            factor = [1] + [0] * (d - 1) + [-1]
+            out = _poly_mul(out, factor)
+        memo[gens] = out
+        return out
+    n = len(next(iter(gens)))
+    counts = [0] * n
+    for g in mixed:
+        for v, e in enumerate(g):
+            if e:
+                counts[v] += 1
+    v = max(range(n), key=lambda i: counts[i])
+    pivot = tuple(1 if i == v else 0 for i in range(n))
+    plus = minimalize(n, list(gens) + [pivot]).gens
+    colon = minimalize(n, [tuple(max(e - p, 0) for e, p in zip(g, pivot))
+                           for g in gens]).gens
+    a = _tuple_numerator(frozenset(plus), memo)
+    b = _tuple_numerator(frozenset(colon), memo)
+    out = [0] * max(len(a), len(b) + 1)
+    for i, x in enumerate(a):
+        out[i] += x
+    for i, x in enumerate(b):
+        out[i + 1] += x
+    out = _poly_trim(out)
+    memo[gens] = out
+    return out
 
 
 def hilbert_function_homogeneous(gens, d):

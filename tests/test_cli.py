@@ -185,6 +185,57 @@ def test_hilbert_cmd(capsys, tmp_path):
     assert json.loads(out)["coeffs"] == [1, 3, 4, 4, 4, 4]
 
 
+#: ideal files that do not hold an ideal: the file text, and a part of
+#: the reason that the usage error must name
+BAD_IDEAL_FILES = {
+    "negative exponent": ('{"n": 2, "gens": [[-1, 2]]}', "non-negative"),
+    "float exponent": ('{"n": 2, "gens": [[1.5, 2]]}', "non-negative"),
+    "bool exponent": ('{"n": 2, "gens": [[true, 2]]}', "non-negative"),
+    "wrong length": ('{"n": 2, "gens": [[1, 2, 3]]}', "does not have 2"),
+    "no variables": ('{"n": 0, "gens": []}', "at least one variable"),
+    "missing key": ('{"gens": [[1, 2]]}', "KeyError"),
+    "not an object": ("[[1, 2]]", "TypeError"),
+    "generator not a list": ('{"n": 2, "gens": [5]}', "TypeError"),
+    "not JSON": ("{n: 2", "JSONDecodeError"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_IDEAL_FILES)
+@pytest.mark.parametrize("command", [
+    ["hilbert"], ["check", "--property", "lexsegment"],
+    ["check", "--property", "weakly-revlex"], ["check", "--property", "borel"],
+], ids=" ".join)
+def test_bad_ideal_file_is_usage_error(command, name, capsys, tmp_path):
+    text, reason = BAD_IDEAL_FILES[name]
+    f = tmp_path / "bad.json"
+    f.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main([command[0], str(f), *command[1:]])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""  # no verdict
+    assert "usage:" in err and str(f) in err and reason in err
+
+
+def test_missing_ideal_file_is_usage_error(capsys, tmp_path):
+    missing = str(tmp_path / "missing.json")
+    with pytest.raises(SystemExit) as exc:
+        main(["hilbert", missing])
+    assert exc.value.code == 2
+    assert missing in capsys.readouterr().err
+
+
+def test_exponent_past_the_field_width(capsys, tmp_path):
+    f = tmp_path / "big.json"
+    f.write_text(json.dumps({"n": 2, "gens": [[40000, 0]]}))
+    code, out = run(capsys, "hilbert", str(f), "--horizon", "3")
+    assert code == 1
+    assert json.loads(out)["error"] == "ExponentOverflow"
+    # membership stays on exponent tuples, so the predicates still answer
+    code, out = run(capsys, "check", str(f), "--property", "borel")
+    assert code == 0 and json.loads(out)["holds"] is True
+
+
 def test_gb_cmd(capsys, tmp_path):
     from ginlab.poly import poly_to_json, parse_poly
     R = gl.xring(2)

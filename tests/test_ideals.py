@@ -1,13 +1,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ginlab as gl
-from ginlab.ideals import hilbert_numerator, hilbert_series, monomials_of_degree
-from ginlab.orders import binomial
+from ginlab.ideals import (hilbert_numerator, hilbert_series,
+                           monomials_of_degree, packed_numerator,
+                           series_coefficient)
+from ginlab.orders import (DEGLEX, DEGREVLEX, EXP_MAX, FIELD_BITS, LEX,
+                           ExponentOverflow, InverseBlock, binomial)
 
 from conftest import GIN_32_22, INI_I, INI_J
-from oracles import hilbert_function_bruteforce
+from oracles import hilbert_function_bruteforce, tuple_hilbert_numerator
 
 
 def random_monomial_ideal(rng, n, max_gens=6, max_exp=4):
@@ -107,3 +111,91 @@ def test_monomials_of_degree_complete_and_descending():
             assert len(monos) == binomial(n - 1 + d, d)
             assert all(len(m) == n and sum(m) == d for m in monos)
             assert all(a > b for a, b in zip(monos, monos[1:]))
+
+
+@pytest.mark.parametrize("gens", [
+    [(-1, 2)], [(1.5, 2)], [(True, 2)], [("1", 2)], [(1, 2, 3)], [(1,)],
+], ids=repr)
+def test_monomial_ideal_rejects_bad_exponents(gens):
+    with pytest.raises(ValueError):
+        gl.MonomialIdeal(2, tuple(gens))
+    # a string exponent fails in `minimalize` before the check
+    with pytest.raises((ValueError, TypeError)):
+        gl.MonomialIdeal.from_json({"n": 2, "gens": [list(g) for g in gens]})
+
+
+def test_monomial_ideal_needs_a_variable():
+    with pytest.raises(ValueError):
+        gl.MonomialIdeal(0, ())
+
+
+@st.composite
+def monomial_ideals(draw):
+    """(n, generators): n <= 5, exponents <= 5; the generators may repeat
+    or divide each other, and may be none (the zero ideal) or include 1
+    (the unit ideal), pure powers and lone variables."""
+    n = draw(st.integers(1, 5))
+    exponent = st.integers(0, 5)
+    var = st.integers(0, n - 1)
+    power = st.builds(lambda v, e: tuple(e if i == v else 0 for i in range(n)),
+                      var, st.integers(1, 5))
+    lone = st.builds(lambda v: tuple(int(i == v) for i in range(n)), var)
+    k = draw(st.integers(0, 10))
+    gens = (draw(st.lists(st.tuples(*[exponent] * n).filter(any),
+                          min_size=k, max_size=k))
+            + draw(st.lists(power, max_size=2))
+            + draw(st.lists(lone, max_size=1)))
+    if draw(st.integers(0, 9)) == 0:  # 1 swallows the rest, so rarely
+        gens.append((0,) * n)
+    return n, gens
+
+
+def _order(n, which):
+    # from n = 2 on the inverse block order has two blocks, so two degree
+    # fields: on top of the degrevlex main block and at the bottom of the
+    # lex parameter block
+    return {"lex": LEX, "deglex": DEGLEX, "degrevlex": DEGREVLEX,
+            "inverse-block": InverseBlock(DEGREVLEX, LEX, (n + 1) // 2)}[which]
+
+
+@settings(max_examples=150, deadline=None)
+@given(monomial_ideals(),
+       st.sampled_from(["lex", "deglex", "degrevlex", "inverse-block"]))
+def test_packed_numerator_matches_tuple_recursion(ideal, which):
+    n, gens = ideal
+    layout = _order(n, which).layout(n)
+    J = gl.minimalize(n, gens)
+    expected = tuple_hilbert_numerator(J)
+    packed = [layout.pack(g) & layout.exponent_mask for g in gens]
+    assert packed_numerator(layout, packed) == expected
+    assert hilbert_numerator(J) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(monomial_ideals(), st.integers(0, 14))
+def test_hilbert_series_by_prefix_sums(ideal, horizon):
+    n, gens = ideal
+    J = gl.minimalize(n, gens)
+    num = hilbert_numerator(J)
+    assert hilbert_series(J, horizon) == [
+        series_coefficient(num, n, d) for d in range(horizon + 1)]
+
+
+def test_inverse_block_layout_has_two_degree_fields():
+    layout = _order(4, "inverse-block").layout(4)
+    assert layout.bits == FIELD_BITS * (4 + 2)
+    assert len(layout.exponent_shifts) == 4
+
+
+@pytest.mark.parametrize("gens", [[(EXP_MAX + 1, 0)], [(1, EXP_MAX + 1)],
+                                  [(20000, 20000)]], ids=repr)
+def test_hilbert_data_past_the_field_width_raise(gens):
+    J = gl.minimalize(2, gens)
+    with pytest.raises(ExponentOverflow):
+        hilbert_numerator(J)
+    with pytest.raises(ExponentOverflow):
+        hilbert_series(J, 3)
+    # the tuple operations have no such limit
+    assert gl.contains(J, (40000, 40000))
+    assert hilbert_numerator(gl.minimalize(2, [(EXP_MAX, 0)])) == (
+        [1] + [0] * (EXP_MAX - 1) + [-1])
