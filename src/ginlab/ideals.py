@@ -13,7 +13,7 @@ and membership have no such limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, combinations_with_replacement
+from itertools import accumulate, chain, combinations_with_replacement
 
 from .orders import _FIELD, EXP_MAX, FIELD_BITS, LEX, binomial, mono_divides
 
@@ -31,10 +31,10 @@ class MonomialIdeal:
         for g in self.gens:
             if len(g) != self.n:
                 raise ValueError(f"generator {g} does not have {self.n} exponents")
-            if not all(isinstance(e, int) and not isinstance(e, bool)
-                       and e >= 0 for e in g):
-                raise ValueError(f"generator {g} has an exponent that is not "
-                                 f"a non-negative integer")
+        # `type`, not `isinstance`, so that bools are refused too
+        if (not {int}.issuperset(map(type, chain.from_iterable(self.gens)))
+                or min(chain.from_iterable(self.gens), default=0) < 0):
+            raise ValueError("an exponent is not a non-negative integer")
 
     def is_zero(self):
         return not self.gens
