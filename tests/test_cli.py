@@ -185,9 +185,10 @@ def test_hilbert_cmd(capsys, tmp_path):
     assert json.loads(out)["coeffs"] == [1, 3, 4, 4, 4, 4]
 
 
-#: ideal files that do not hold an ideal: the file text, and a part of
-#: the reason that the usage error must name
+#: ideal files that do not hold an ideal: the file text (None: no file),
+#: and a part of the reason that the usage error must name
 BAD_IDEAL_FILES = {
+    "missing file": (None, "FileNotFoundError"),
     "negative exponent": ('{"n": 2, "gens": [[-1, 2]]}', "non-negative"),
     "float exponent": ('{"n": 2, "gens": [[1.5, 2]]}', "non-negative"),
     "bool exponent": ('{"n": 2, "gens": [[true, 2]]}', "non-negative"),
@@ -208,21 +209,14 @@ BAD_IDEAL_FILES = {
 def test_bad_ideal_file_is_usage_error(command, name, capsys, tmp_path):
     text, reason = BAD_IDEAL_FILES[name]
     f = tmp_path / "bad.json"
-    f.write_text(text)
+    if text is not None:
+        f.write_text(text)
     with pytest.raises(SystemExit) as exc:
         main([command[0], str(f), *command[1:]])
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""  # no verdict
     assert "usage:" in err and str(f) in err and reason in err
-
-
-def test_missing_ideal_file_is_usage_error(capsys, tmp_path):
-    missing = str(tmp_path / "missing.json")
-    with pytest.raises(SystemExit) as exc:
-        main(["hilbert", missing])
-    assert exc.value.code == 2
-    assert missing in capsys.readouterr().err
 
 
 def test_exponent_past_the_field_width(capsys, tmp_path):
