@@ -76,6 +76,14 @@ def _parse_case(text):
     return n, s, dmin, int(parts[3])
 
 
+def _parse_field(text):
+    """An argparse type: a coefficient field by name, "Q" or "F<prime>"."""
+    try:
+        return field_by_name(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _ideal_json(J, with_strings=True):
     out = J.to_json()
     if with_strings:
@@ -83,23 +91,29 @@ def _ideal_json(J, with_strings=True):
     return out
 
 
-def _load_ideal(path):
-    """The ideal in the JSON file `path`. A file that cannot be read, or
-    that does not hold an ideal ({"n": ..., "gens": [[non-negative int
-    exponents], ...]}), is a usage error: exit 2 with the reason."""
+def _load(path, what, parse):
+    """`parse` of the JSON in the file `path`. A file that cannot be read,
+    or whose contents `parse` refuses, is a usage error: exit 2 with the
+    reason."""
     try:
         with open(path) as fh:
-            return MonomialIdeal.from_json(json.load(fh))
+            return parse(json.load(fh))
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        build_parser().error(f"{path}: not a readable ideal file: "
+        build_parser().error(f"{path}: not a readable {what} file: "
                              f"{type(exc).__name__}: {exc}")
+
+
+def _load_ideal(path):
+    """The ideal in the JSON file `path`: {"n": ..., "gens": [[non-negative
+    int exponents], ...]}."""
+    return _load(path, "ideal", MonomialIdeal.from_json)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_gin(args):
-    field = field_by_name(args.field)
+    field = args.field
     main_order = order_by_name(args.order)
     t_order = order_by_name(args.t_order)
     inst = generic_templates(args.n, args.degrees, field, main_order, t_order)
@@ -160,13 +174,15 @@ def cmd_hilbert(args):
 
 
 def cmd_gb(args):
-    with open(args.polys) as fh:
-        data = json.load(fh)
-    n = int(data["n"])
-    field = field_by_name(data.get("field", "Q"))
-    ring = Ring(field, tuple(f"x{i + 1}" for i in range(n)))
     order = order_by_name(args.order)
-    polys = [poly_from_json(ring, order, p) for p in data["polys"]]
+
+    def parse(data):
+        n = int(data["n"])
+        ring = Ring(field_by_name(data.get("field", "Q")),
+                    tuple(f"x{i + 1}" for i in range(n)))
+        return n, [poly_from_json(ring, order, p) for p in data["polys"]]
+
+    n, polys = _load(args.polys, "polynomial system", parse)
     budget = Budget(ms=args.budget_ms, max_pairs=args.max_pairs)
     gb = reduce_basis(buchberger(polys, order, budget))
     emit({
@@ -187,8 +203,11 @@ def _survey_seeds(route, seed, trials):
     return list(trial_seeds(seed, trials)) if route == "sample" else []
 
 
-def survey_row(n, degrees, order_name, route, seed, trials, field, budget_ms):
-    """One SurveyRow as a plain dict; per-case failures land in 'error'."""
+def survey_row(n, degrees, order_name, route, seed, trials, field, budget_ms,
+               bound):
+    """One SurveyRow as a plain dict; per-case failures land in 'error'.
+    `bound(n, degrees)` gives maxgbdeg_bound, with the degrees sorted: the
+    bracket series is symmetric in them."""
     t0 = time.perf_counter()
     row = {
         "schema": SCHEMA, "n": n, "s": len(degrees),
@@ -206,13 +225,13 @@ def survey_row(n, degrees, order_name, route, seed, trials, field, budget_ms):
             res = gin_parametric(inst, budget=budget)
             row["agreement"] = None
         J = res.ideal
-        bound_ideal, _ = lexsegment_of_froeberg(n, degrees)
+        maxgbdeg_bound = bound(n, tuple(sorted(degrees)))
         row["gin"] = _ideal_json(J, with_strings=False)
         row["is_lexsegment"] = is_lexsegment(J).holds
         row["is_weakly_revlex"] = is_weakly_revlex(J).holds
         row["is_borel_fixed"] = is_borel_fixed(J, field.char).holds
         row["maxdeg_gin"] = top_degree(J)
-        row["maxgbdeg_bound"] = top_degree(bound_ideal)
+        row["maxgbdeg_bound"] = maxgbdeg_bound
         row["error"] = None
     except FAILURES as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
@@ -226,7 +245,10 @@ def _row_key(row):
 
 
 def cmd_survey(args):
-    field = field_by_name(args.field)
+    field = args.field
+    # rows whose degrees permute each other share one bound
+    bound = cache(lambda n, degrees:
+                  top_degree(lexsegment_of_froeberg(n, degrees)[0]))
     cases = []
     for n, s, dmin, dmax in args.case:
         for degrees in product(range(dmin, dmax + 1), repeat=s):
@@ -251,7 +273,7 @@ def cmd_survey(args):
                 rows.append(done)
                 continue
             row = survey_row(n, degrees, args.order, args.route, args.seed,
-                             args.trials, field, args.budget_ms)
+                             args.trials, field, args.budget_ms, bound)
             fh.write(json.dumps(row) + "\n")
             existing[key] = row
             rows.append(row)
@@ -294,7 +316,7 @@ def build_parser():
     p.add_argument("--route", choices=["sample", "parametric"], default="sample")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=_positive, default=5)
-    p.add_argument("--field", default="F32003")
+    p.add_argument("--field", type=_parse_field, default="F32003")
     p.add_argument("--bound", type=int, default=None,
                    help="coefficient bound for sampling")
     common_budget(p)
@@ -345,7 +367,7 @@ def build_parser():
     p.add_argument("--route", choices=["sample", "parametric"], default="sample")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=_positive, default=5)
-    p.add_argument("--field", default="F32003")
+    p.add_argument("--field", type=_parse_field, default="F32003")
     p.add_argument("--budget-ms", type=float, default=None)
     p.add_argument("--out", required=True, help="output path prefix")
     p.set_defaults(func=cmd_survey)

@@ -2,12 +2,14 @@
 
 A `MonomialIdeal` holds exponent tuples, and minimal generators and
 membership work on them. The Hilbert numerator runs on packed monomials
-(`orders.Layout`): `packed_numerator` is the one pivot recursion, used
-by `hilbert_numerator` on a `LEX` packing of the generators and by the
-Groebner kernel's Hilbert count on its own packing. A packed field holds
-at most EXP_MAX = 32767, so the Hilbert data of an ideal with a larger
-exponent or generator degree raise `ExponentOverflow`; minimalization
-and membership have no such limit.
+(`orders.Layout`). `hilbert_numerator` packs the generators under `LEX`
+and takes the Eliahou-Kervaire sum when a certificate proves the ideal
+stable (`stable_numerator`), as every lexsegment ideal is. Otherwise it
+runs `packed_numerator`, the one pivot recursion, which the Groebner
+kernel's Hilbert count also calls on its own packing. A packed field
+holds at most EXP_MAX = 32767, so the Hilbert data of an ideal with a
+larger exponent or generator degree raise `ExponentOverflow`;
+minimalization and membership have no such limit.
 """
 
 from __future__ import annotations
@@ -106,13 +108,103 @@ def _poly_trim(a):
 def hilbert_numerator(J):
     """Integer coefficients of N(t) with HS(S/J; t) = N(t) / (1-t)^n.
 
-    The generators are packed under `LEX` and handed to
-    `packed_numerator`. An exponent or a generator degree above EXP_MAX
-    = 32767 does not fit a packed field and raises `ExponentOverflow`.
+    The generators are packed under `LEX` first, so an exponent or a
+    generator degree above EXP_MAX = 32767 raises `ExponentOverflow`
+    whichever route runs. A stable J takes the Eliahou-Kervaire sum of
+    `stable_numerator`; any other J, and a J whose generators are not
+    minimal, the pivot recursion of `packed_numerator`. Both give the
+    same N(t), so the choice depends on the input only.
     """
     layout = LEX.layout(J.n)
-    mask = layout.exponent_mask
-    return packed_numerator(layout, [layout.pack(g) & mask for g in J.gens])
+    packed = [layout.pack(g) for g in J.gens]
+    num = stable_numerator(J.n, packed)
+    if num is None:
+        mask = layout.exponent_mask
+        num = packed_numerator(layout, [P & mask for P in packed])
+    return num
+
+
+def stable_numerator(n, gens):
+    """N(t) of the ideal J generated by `gens`, `LEX`-packed monomials in
+    n variables (degree field included), if a certificate proves that J
+    is stable and `gens` minimal; None otherwise.
+
+    J is stable when x_j w / x_m(w) lies in J for every member w and
+    every j < m(w), m(w) being the largest index of a variable dividing
+    w. Then N(t) = 1 - sum_u t^deg(u) (1 - t)^(m(u) - 1) over the minimal
+    generators u (Eliahou-Kervaire, J. Algebra 129, 1990). Why the
+    certificate makes that sum exact:
+
+    - The cones u * k[x_m(u), ..., x_n] are pairwise disjoint, so the sum
+      counts a subset of J: the members whose sorted variable word (x_i
+      repeated by its exponent, indices ascending) has a generator as a
+      prefix.
+    - That subset is all of J iff every member has a generator prefix,
+      which holds iff J is stable.
+    - Stability follows from the moves x_j u / x_m(u) of the generators
+      alone. Write a member w as u * v with u a generator. Either x_m(w)
+      divides v, and x_j w / x_m(w) = u * (x_j v / x_m(w)); or it divides
+      u, so m(u) = m(w) and x_j w / x_m(w) = (x_j u / x_m(u)) * v.
+    - So the certificate asks that each generator move has a generator
+      prefix. If J is stable every move does, so it accepts exactly the
+      stable ideals. The sum is then an exact Hilbert numerator, not an
+      assumption about how J was built.
+    - Minimality is certified too. In a stable J a redundant generator g
+      has a minimal generator as a proper prefix; so two generators that
+      share a prefix up to their last variable, or a generator with a
+      generator as a proper prefix, send J to the recursion instead.
+
+    Every prefix of a word that ends in the variable x_v is head * x_v^k,
+    head being the word's part in x_1 .. x_(v-1). Minimal generators of
+    that shape differ only in k, so a table from head * x_v to k, built in
+    one pass, answers "is a prefix ending in x_v a generator" with one
+    lookup. A move x_j u / x_m(u) keeps u's prefixes that end before x_j,
+    proper divisors of u, so only the variables from x_j on are looked up:
+    at most n lookups per move, whatever the degree. A second pass checks
+    the generators and collects the Eliahou-Kervaire terms; the first
+    failure returns None.
+    """
+    if not gens:
+        return [1]
+    words = []  # (exponent fields, x_n lowest; shift of the last variable)
+    last = {}  # head * x_v -> k, for each generator head * x_v^k
+    for P in gens:
+        u = P >> FIELD_BITS
+        if not u:  # the unit ideal, alone if minimal
+            return [0] if len(gens) == 1 else None
+        low = (u & -u).bit_length() - 1
+        low -= low % FIELD_BITS
+        k = u >> low & _FIELD
+        key = u - (k - 1 << low)
+        if key in last:
+            return None
+        last[key] = k
+        words.append((u, low))
+
+    def has_prefix(w, top, stop):
+        # a generator among the prefixes of w ending in a variable whose
+        # field lies at a shift in (stop, top]
+        for s in range(top, stop, -FIELD_BITS):
+            k = w >> s & _FIELD
+            if k and last.get((w >> s) - k + 1 << s, _FIELD) <= k:
+                return True
+        return False
+
+    top = FIELD_BITS * (n - 1)  # the field of x_1
+    terms = {}  # (degree, m(u) - 1) -> how many generators
+    for P, (u, low) in zip(gens, words):
+        if has_prefix(u, top, low):  # a proper prefix is a generator
+            return None
+        for s in range(top, low, -FIELD_BITS):  # x_j from x_1 to x_m(u)-1
+            if not has_prefix(u + (1 << s) - (1 << low), s, -1):
+                return None
+        key = (P & _FIELD, n - 1 - low // FIELD_BITS)
+        terms[key] = terms.get(key, 0) + 1
+    out = [1] + [0] * max(d + m for d, m in terms)
+    for (d, m), c in terms.items():  # minus c t^d (1 - t)^m
+        for i in range(m + 1):
+            out[d + i] -= (-1) ** i * binomial(m, i) * c
+    return _poly_trim(out)
 
 
 def packed_numerator(layout, gens):
@@ -120,11 +212,16 @@ def packed_numerator(layout, gens):
     of `layout`, whose degree fields must be zero (``& exponent_mask``).
 
     Pivot recursion (Bayer-Stillman; Bigatti, "Computation of
-    Hilbert-Poincare series", JPAA 1997): for a variable x_v, N(J) =
-    N(J + (x_v)) + t * N(J : x_v). The pivot is the variable occurring in
-    the most generators that are not pure powers, ties going to the most
-    significant field; N(J) does not depend on the choice. An ideal of
-    pure powers only has N(t) = prod(1 - t^d). Memoized per call.
+    Hilbert-Poincare series", JPAA 1997): for a power x_v^e, N(J) =
+    N(J + (x_v^e)) + t^e * N(J : x_v^e). The pivot variable occurs in the
+    most generators that are not pure powers, ties going to the most
+    significant field, and e is the least positive x_v exponent among
+    them. A pure power x_v^d that is a minimal generator has d > e, so
+    every generator that x_v divides is a multiple of x_v^e: it leaves
+    J + (x_v^e) and loses x_v^e in the colon. N(J) does not depend on
+    the choice; a large e keeps the recursion shallow where x_v = x_v^1
+    would peel one exponent per level. An ideal of pure powers only has
+    N(t) = prod(1 - t^d). Memoized per call.
     """
     return _numerator(frozenset(_minimal(gens, layout.guard)), layout, {})
 
@@ -179,14 +276,16 @@ def _numerator(gens, layout, memo):
             c = (mixed >> s) & _FIELD
             if c > best:
                 best, shift = c, s
-        pivot, field = 1 << shift, _FIELD << shift
-        a = _numerator(frozenset([g for g in gens if not g & field] + [pivot]),
-                       layout, memo)
-        b = _numerator(frozenset(_minimal(
-            [g - pivot if g & field else g for g in gens], guard)),
-            layout, memo)
-        out = a + [0] * (len(b) + 1 - len(a))
-        for i, x in enumerate(b, 1):
+        field = _FIELD << shift
+        rest = [g for g in gens if not g & field]
+        using = [g for g in gens if g & field]
+        pivot = min(map(field.__and__, using))  # x_v^e
+        e = pivot >> shift
+        a = _numerator(frozenset(rest + [pivot]), layout, memo)
+        b = _numerator(frozenset(_minimal(rest + [g - pivot for g in using],
+                                          guard)), layout, memo)
+        out = a + [0] * (len(b) + e - len(a))
+        for i, x in enumerate(b, e):
             out[i] += x
         out = _poly_trim(out)
     memo[gens] = out

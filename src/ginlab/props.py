@@ -50,17 +50,23 @@ def is_lexsegment(J):
     lex-smallest (the Macaulay bound; n for d = 1), and J_d is a lex
     segment iff its k generators are the k largest of those: the
     monomials of ascending lex rank h^<d-1> - k .. h^<d-1> - 1, unranked
-    as in `series.lexsegment_of_hf`. Only the first failing degree is
-    listed, to find the witness: a member that follows a missing
-    monomial.
+    as in `series.lexsegment_of_hf`. A degree without generators is
+    S_1 J_{d-1}, a lex segment, and applying the bound t times to the
+    digits of h_e is `_macaulay_shift(digits, t)`. So only the generator
+    degrees are visited, with one Macaulay representation each; the
+    degree-1 monomials, n = C(n, 1), start the walk as the digits [n].
+    Only the first failing degree is listed, to find the witness: a
+    member that follows a missing monomial.
     """
     n = J.n
     by_degree = {}
     for g in J.gens:
         by_degree.setdefault(sum(g), set()).add(g)
-    bound = n  # degree-d monomials outside S_1 J_{d-1}
-    for d in range(1, top_degree(J) + 1):
-        gens = by_degree.get(d, set())
+    e, digits = 1, [n]  # h_e = sum C(c_j, j) over the digits
+    for d in sorted(by_degree):
+        # degree-d monomials outside S_{d-e} J_e
+        bound = _macaulay_shift(digits, d - e)
+        gens = by_degree[d]
         h = bound - len(gens)
         if gens != {_lex_monomial(n, d, r) for r in range(h, bound)}:
             gap = None
@@ -70,7 +76,7 @@ def is_lexsegment(J):
                         return PropertyVerdict(False, (m, gap))
                 elif gap is None:
                     gap = m
-        bound = _macaulay_shift(_macaulay_digits(h, d), 1)
+        e, digits = d, _macaulay_digits(h, d)
     return PropertyVerdict(True)
 
 

@@ -192,7 +192,11 @@ def lexsegment_of_hf(n, hf, horizon=None, polynomial_from=None):
     <= horizon are returned, and the flag says whether any was left out.
 
     One Hilbert-series computation of the result re-checks it against
-    `hf`, through the last degree that was read.
+    `hf`, through the last degree that was read. A lexsegment ideal is
+    stable, so `ideals.hilbert_numerator` certifies that and takes the
+    Eliahou-Kervaire sum; a result that failed the certificate would go
+    through the pivot recursion instead. Either way the re-check is an
+    exact Hilbert series of the ideal returned.
     """
     h = list(hf.coeffs if isinstance(hf, SeriesWindow) else hf)
     if not h or h[0] != 1:

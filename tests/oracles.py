@@ -14,6 +14,8 @@
 - `is_borel_fixed_by_scan`: the verdict and witness of
   `ginlab.is_borel_fixed`, by testing every allowed shift of every
   minimal generator
+- `is_stable_by_scan`: whether a monomial ideal is stable, by moving
+  every member in the box of divisors of the generators' lcm
 - `full_templates`: the parametric generators with one parameter per
   monomial, F_i = sum over the degree-d_i monomials m_k of t_{i,k} m_k,
   whose coordinates are the points that `ginlab.sample_point` draws
@@ -26,6 +28,7 @@
 """
 
 import heapq
+from itertools import product
 
 from ginlab.ideals import (contains, hilbert_series, minimalize,
                            monomials_of_degree, top_degree)
@@ -230,6 +233,27 @@ def is_borel_fixed_by_scan(J, p=0):
                     if not contains(J, tuple(shifted)):
                         return PropertyVerdict(False, (m, tuple(shifted)))
     return PropertyVerdict(True)
+
+
+def is_stable_by_scan(J):
+    """Whether x_j w / x_m lies in J for every member w of J, m the
+    largest index of a variable dividing w and j < m, scanning the
+    members that divide the lcm of the generators. That box is enough: if
+    the move of a member w = g * v (g a generator) leaves J, x_m divides
+    g and not v, for otherwise the move is g times a move of v; so the
+    same move of g leaves J too."""
+    top = [max((g[i] for g in J.gens), default=0) for i in range(J.n)]
+    for w in product(*(range(e + 1) for e in top)):
+        if not contains(J, w):
+            continue
+        support = [i for i, e in enumerate(w) if e]
+        for j in range(support[-1] if support else 0):
+            moved = list(w)
+            moved[support[-1]] -= 1
+            moved[j] += 1
+            if not contains(J, tuple(moved)):
+                return False
+    return True
 
 
 def full_templates(inst):

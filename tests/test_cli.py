@@ -9,6 +9,7 @@ import pytest
 import ginlab as gl
 from ginlab import cli
 from ginlab.cli import main
+from ginlab.ideals import series_coefficient, top_degree
 
 from conftest import GIN_32_22
 
@@ -169,6 +170,9 @@ def test_bound_cmd(capsys):
     ["hilbert", "ideal.json", "--horizon", "-1"],
     ["survey", "--case", "0:1:2:2", "--out", "rows"],
     ["survey", "--case", "2:2:2:2", "--trials", "0", "--out", "rows"],
+    ["gin", "-n", "2", "-d", "2,2", "--field", "bogus"],
+    ["gin", "-n", "2", "-d", "2,2", "--field", "F4"],
+    ["survey", "--case", "2:2:2:2", "--field", "bogus", "--out", "rows"],
 ], ids=lambda argv: " ".join(argv))
 def test_out_of_range_argument_is_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -183,6 +187,25 @@ def test_hilbert_cmd(capsys, tmp_path):
     code, out = run(capsys, "hilbert", str(f), "--horizon", "5")
     assert code == 0
     assert json.loads(out)["coeffs"] == [1, 3, 4, 4, 4, 4]
+
+
+def test_hilbert_cmd_on_a_high_power(capsys, tmp_path):
+    # not stable, so the pivot recursion runs; x1^3000 is one pivot
+    f = tmp_path / "ideal.json"
+    f.write_text(json.dumps({"n": 2, "gens": [[3000, 1], [0, 2]]}))
+    code, out = run(capsys, "hilbert", str(f))
+    assert code == 0
+    num = [1, 0, -1] + [0] * 2998 + [-1, 1]  # 1 - t^2 - t^3001 + t^3002
+    assert json.loads(out)["coeffs"] == [
+        series_coefficient(num, 2, d) for d in range(3004)]
+
+
+@pytest.mark.parametrize("top", [3000, 40000])
+def test_check_lexsegment_of_a_high_power(top, capsys, tmp_path):
+    f = tmp_path / "ideal.json"
+    f.write_text(json.dumps({"n": 2, "gens": [[top, 0]]}))
+    code, out = run(capsys, "check", str(f), "--property", "lexsegment")
+    assert code == 0 and json.loads(out)["holds"] is True
 
 
 #: ideal files that do not hold an ideal: the file text (None: no file),
@@ -246,6 +269,17 @@ def test_gb_cmd(capsys, tmp_path):
     assert J.gens == gl.minimalize(2, gb.lead_monomials()).gens
 
 
+def test_gb_file_with_a_bad_field_is_usage_error(capsys, tmp_path):
+    f = tmp_path / "sys.json"
+    f.write_text(json.dumps({"n": 1, "field": "F4", "polys": [[["1", [1]]]]}))
+    with pytest.raises(SystemExit) as exc:
+        main(["gb", str(f)])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "usage:" in err and str(f) in err and "not prime" in err
+
+
 def test_ideal_round_trip(tmp_path):
     J = gl.minimalize(3, list(GIN_32_22))
     assert gl.MonomialIdeal.from_json(json.loads(json.dumps(J.to_json()))) == J
@@ -264,6 +298,29 @@ def test_survey_small_grid(capsys, tmp_path):
         assert row["is_lexsegment"] is True
     csv_text = out.with_suffix(".csv").read_text()
     assert csv_text.splitlines()[0].startswith("n,s,degrees")
+
+
+def test_survey_computes_one_bound_per_sorted_degrees(capsys, tmp_path,
+                                                     monkeypatch):
+    calls = []
+
+    def counted(n, degrees, horizon=None):
+        calls.append((n, degrees))
+        return gl.series.lexsegment_of_froeberg(n, degrees, horizon)
+
+    monkeypatch.setattr(cli, "lexsegment_of_froeberg", counted)
+    out = tmp_path / "rows"
+    code, _ = run(capsys, "survey", "--case", "2:2:1:2", "--case", "3:2:1:2",
+                  "--out", str(out), "--seed", "4", "--trials", "1")
+    assert code == 0
+    rows = [json.loads(l) for l in out.with_suffix(".jsonl").read_text().splitlines()]
+    assert len(rows) == 8  # (1,1), (1,2), (2,1), (2,2) for each n
+    assert sorted(calls) == [(n, d) for n in (2, 3)
+                             for d in ((1, 1), (1, 2), (2, 2))]
+    for row in rows:
+        assert row["error"] is None
+        L, _ = gl.series.lexsegment_of_froeberg(row["n"], tuple(row["degrees"]))
+        assert row["maxgbdeg_bound"] == top_degree(L)
 
 
 def test_survey_idempotent_append(capsys, tmp_path):

@@ -4,14 +4,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ginlab as gl
-from ginlab.ideals import (hilbert_numerator, hilbert_series,
+from ginlab.ideals import (contains, hilbert_numerator, hilbert_series,
                            monomials_of_degree, packed_numerator,
-                           series_coefficient)
+                           series_coefficient, stable_numerator)
 from ginlab.orders import (DEGLEX, DEGREVLEX, EXP_MAX, FIELD_BITS, LEX,
                            ExponentOverflow, InverseBlock, binomial)
 
 from conftest import GIN_32_22, INI_I, INI_J
-from oracles import hilbert_function_bruteforce, tuple_hilbert_numerator
+from oracles import (hilbert_function_bruteforce, is_stable_by_scan,
+                     tuple_hilbert_numerator)
 
 
 def random_monomial_ideal(rng, n, max_gens=6, max_exp=4):
@@ -199,3 +200,71 @@ def test_hilbert_data_past_the_field_width_raise(gens):
     assert gl.contains(J, (40000, 40000))
     assert hilbert_numerator(gl.minimalize(2, [(EXP_MAX, 0)])) == (
         [1] + [0] * (EXP_MAX - 1) + [-1])
+
+
+def _stable_closure(n, gens):
+    """The smallest stable ideal containing the monomials `gens`: add the
+    moves x_j w / x_m(w) of the generators until every one lies in it."""
+    todo, kept = list(gens), list(gens)
+    while todo:
+        w = todo.pop()
+        support = [i for i, e in enumerate(w) if e]
+        for j in range(support[-1] if support else 0):
+            moved = list(w)
+            moved[support[-1]] -= 1
+            moved[j] += 1
+            moved = tuple(moved)
+            if not any(all(a <= b for a, b in zip(g, moved)) for g in kept):
+                kept.append(moved)
+                todo.append(moved)
+    return gl.minimalize(n, kept)
+
+
+def _certificate(J):
+    layout = LEX.layout(J.n)
+    return stable_numerator(J.n, [layout.pack(g) for g in J.gens])
+
+
+@settings(max_examples=150, deadline=None)
+@given(monomial_ideals())
+def test_stable_ideals_take_the_eliahou_kervaire_sum(ideal):
+    n, gens = ideal
+    J = _stable_closure(n, gens)
+    assert all(contains(J, g) for g in gens)
+    expected = tuple_hilbert_numerator(J)
+    assert _certificate(J) == expected
+    assert hilbert_numerator(J) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(monomial_ideals())
+def test_stability_certificate_is_exact(ideal):
+    n, gens = ideal
+    J = gl.minimalize(n, gens)
+    assert (_certificate(J) is not None) == is_stable_by_scan(J)
+
+
+def test_stability_certificate_needs_minimal_generators():
+    # x1 * x2 is redundant, and the sum over both would count it twice
+    J = gl.MonomialIdeal(2, ((1, 1), (1, 0)))
+    assert _certificate(J) is None
+    assert _certificate(gl.minimalize(2, J.gens)) == [1, -1]
+    assert hilbert_numerator(J) == [1, -1]
+    assert _certificate(gl.MonomialIdeal(2, ((1, 0), (1, 0)))) is None
+
+
+def test_stable_numerator_of_lexsegment_ideals():
+    for n, degrees in [(3, (2, 2)), (4, (3, 3, 3)), (5, (2, 2, 3))]:
+        L, _ = gl.series.lexsegment_of_froeberg(n, degrees)
+        layout = LEX.layout(n)
+        packed = [layout.pack(g) for g in L.gens]
+        assert stable_numerator(n, packed) == packed_numerator(
+            layout, [P & layout.exponent_mask for P in packed])
+
+
+def test_power_pivot_keeps_the_recursion_shallow():
+    # pivoting on x1 alone would recurse 3000 levels deep
+    J = gl.minimalize(2, [(3000, 1), (0, 2)])
+    assert _certificate(J) is None  # x1 * x2 is missing: not stable
+    assert hilbert_numerator(J) == (
+        [1, 0, -1] + [0] * 2998 + [-1, 1])

@@ -8,6 +8,7 @@ import ginlab as gl
 from ginlab.ideals import monomials_of_degree
 from ginlab.props import (borel_action_check, is_borel_fixed, is_lexsegment,
                           is_weakly_revlex)
+from ginlab.series import _macaulay_digits
 
 from conftest import GIN_32_22, INI_I, INI_J
 from oracles import is_borel_fixed_by_scan, is_lexsegment_by_enumeration
@@ -43,6 +44,29 @@ def test_is_lexsegment_matches_enumeration():
     verdicts = [is_lexsegment(J) for J in ideals]
     assert verdicts == [is_lexsegment_by_enumeration(J) for J in ideals]
     assert {v.holds for v in verdicts} == {True, False}
+
+
+def test_is_lexsegment_visits_generator_degrees_only(monkeypatch):
+    """One Macaulay representation per generator degree, however far
+    apart the degrees lie; the verdicts stay those of the scan."""
+    calls = []
+
+    def counted(a, d):
+        calls.append(d)
+        return _macaulay_digits(a, d)
+
+    monkeypatch.setattr(gl.props, "_macaulay_digits", counted)
+    J = gl.minimalize(2, [(40000, 0)])
+    assert is_lexsegment(J).holds
+    assert calls == [40000]
+    for n, gens in [(2, [(3, 0), (2, 9), (1, 30)]),
+                    (3, [(2, 0, 0), (1, 1, 0), (1, 0, 7), (0, 12, 0)]),
+                    (2, [(3, 0), (1, 9)]),  # x1^2 x2^8 is missing
+                    (3, [(2, 0, 0), (1, 0, 1), (0, 12, 0)])]:
+        J = gl.minimalize(n, gens)
+        calls.clear()
+        assert is_lexsegment(J) == is_lexsegment_by_enumeration(J)
+        assert len(calls) <= len({sum(g) for g in gens})
 
 
 def test_is_weakly_revlex_examples():
