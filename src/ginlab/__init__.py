@@ -4,11 +4,10 @@ classification predicates."""
 
 from .fields import QQ, PrimeField, field_by_name
 from .orders import (LEX, DEGLEX, DEGREVLEX, ExponentOverflow, InverseBlock,
-                     binom_p_leq, cmp_monomials)
-from .poly import Polynomial, Ring, parse_poly, specialize, xring
+                     binom_p_leq)
+from .poly import Polynomial, Ring, parse_poly, xring
 from .groebner import (Budget, BudgetExceeded, GroebnerBasis, buchberger,
-                       normal_form, reduce_basis, reduced_groebner_basis,
-                       s_polynomial, stability_check)
+                       reduce_basis, reduced_groebner_basis)
 from .ideals import (MonomialIdeal, contains, hilbert_function,
                      hilbert_numerator, hilbert_series, maxdeg, minimalize)
 from .series import (InadmissibleHilbertFunction, SeriesWindow,
@@ -18,7 +17,7 @@ from .generic import (GenericInstance, GinResult, InconclusiveSampling,
                       generic_templates, gin_by_sampling, gin_parametric,
                       ideal_at_point, is_u_generic, sample_ideal,
                       sample_point)
-from .props import (PropertyVerdict, borel_action_check, is_borel_fixed,
-                    is_lexsegment, is_weakly_revlex)
+from .props import (PropertyVerdict, is_borel_fixed, is_lexsegment,
+                    is_weakly_revlex)
 
 __version__ = "0.1.0"

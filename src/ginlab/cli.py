@@ -24,7 +24,7 @@ from .generic import (InconclusiveSampling, generic_templates,
                       gin_by_sampling, gin_parametric, trial_seeds)
 from .groebner import (Budget, BudgetExceeded, buchberger, reduce_basis)
 from .ideals import MonomialIdeal, hilbert_series, minimalize, top_degree
-from .orders import ExponentOverflow, mono_str, order_by_name
+from .orders import ExponentOverflow, binom_p_leq, mono_str, order_by_name
 from .poly import Ring, poly_from_json, poly_to_json
 from .props import is_borel_fixed, is_lexsegment, is_weakly_revlex
 from .series import (InadmissibleHilbertFunction, SeriesWindow,
@@ -68,12 +68,13 @@ def _parse_degrees(text):
 
 
 def _parse_case(text):
-    """An argparse type: a survey case n:s:dmin:dmax with n, s, dmin >= 1."""
+    """An argparse type: a survey case n:s:dmin:dmax with n, s, dmin >= 1
+    and dmax >= dmin."""
     parts = text.split(":")
     if len(parts) != 4:
         raise argparse.ArgumentTypeError(f"{text!r} is not n:s:dmin:dmax")
     n, s, dmin = (_positive(x) for x in parts[:3])
-    return n, s, dmin, int(parts[3])
+    return n, s, dmin, _at_least(dmin)(parts[3])
 
 
 def _parse_field(text):
@@ -82,6 +83,16 @@ def _parse_field(text):
         return field_by_name(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _characteristic(text):
+    """An argparse type: a characteristic, 0 or a prime."""
+    p = int(text)
+    try:
+        binom_p_leq(0, 0, p)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return p
 
 
 def _ideal_json(J, with_strings=True):
@@ -124,7 +135,7 @@ def cmd_gin(args):
     else:
         result = gin_parametric(inst, budget=budget)
     out = result.to_json()
-    out["ideal"]["gens_str"] = [mono_str(g) for g in result.ideal.gens]
+    out["ideal"] = _ideal_json(result.ideal)
     emit(out)
     return 0
 
@@ -149,8 +160,7 @@ def cmd_froeberg(args):
 
 def cmd_lexseg(args):
     if args.hf_file:
-        with open(args.hf_file) as fh:
-            hf = SeriesWindow.from_json(json.load(fh))
+        hf = _load(args.hf_file, "Hilbert function", SeriesWindow.from_json)
         J, uncertain = lexsegment_of_hf(args.n, hf, args.horizon)
     else:
         J, uncertain = lexsegment_of_froeberg(args.n, args.degrees,
@@ -317,7 +327,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=_positive, default=5)
     p.add_argument("--field", type=_parse_field, default="F32003")
-    p.add_argument("--bound", type=int, default=None,
+    p.add_argument("--bound", type=_positive, default=None,
                    help="coefficient bound for sampling")
     common_budget(p)
     p.set_defaults(func=cmd_gin)
@@ -326,7 +336,8 @@ def build_parser():
     p.add_argument("ideal", help="ideal JSON file")
     p.add_argument("--property", choices=["lexsegment", "weakly-revlex", "borel"],
                    required=True)
-    p.add_argument("-p", type=int, default=0, help="characteristic for borel")
+    p.add_argument("-p", type=_characteristic, default=0,
+                   help="characteristic for borel")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("froeberg", help="bracket series")

@@ -30,9 +30,9 @@ constant, so the same terms stay nonzero, the same reducer is chosen at
 every step, and a remainder differs from the rational one only by a
 constant factor; taking its primitive part gives the basis element that
 rational arithmetic gives. The basis, and every count of pairs and
-normal forms, are the same as over Fractions. The public `normal_form`,
-`s_polynomial` and `reduce_basis` divide by the accumulated multiplier
-(`poly.Packed.den`) when they unpack, so they return exact rationals.
+normal forms, are the same as over Fractions. Unpacking divides by the
+accumulated multiplier (`poly.Packed.den`), so the basis that comes out
+has the exact rational coefficients.
 
 The run's bookkeeping is incremental. The reducer table (`_Reducers`:
 the basis elements' reducer entries sorted by lead key) takes one
@@ -97,8 +97,8 @@ from math import gcd
 from operator import itemgetter
 
 from .ideals import packed_numerator, series_coefficient
-from .orders import EXP_MAX, ExponentOverflow, InverseBlock
-from .poly import Packed, PackedRing, Polynomial, specialize
+from .orders import EXP_MAX, ExponentOverflow
+from .poly import Packed, PackedRing
 from .series import bracket_numerator
 
 
@@ -132,38 +132,27 @@ class Budget:
 
 
 class GroebnerBasis:
-    """A Groebner basis. `hilbert_numerator` is N(t) with
-    HS(S/in G) = N(t) / (1 - t)^nvars, kept by the Hilbert-driven rule of
-    `buchberger`; it is None when the input did not allow the rule or
-    the rule switched off.
+    """A Groebner basis: the nonzero packed elements `packed` of a run of
+    `buchberger` or `reduce_basis` in the `PackedRing` R.
+    `hilbert_numerator` is N(t) with HS(S/in G) = N(t) / (1 - t)^nvars,
+    kept by the Hilbert-driven rule of `buchberger`; it is None when the
+    input did not allow the rule or the rule switched off.
 
-    A basis that `buchberger` or `reduce_basis` returns holds the packed
-    elements of its run. `generators`, and iteration, unpack them into
-    Polynomials on first access, once. `len()`, `lead_monomials()` and
-    `reduce_basis` read the packed elements, so a caller that reads only
-    the leads and the Hilbert numerator never unpacks. A basis built
-    from Polynomials, as ``GroebnerBasis(generators, order)``, holds
-    those.
+    `generators`, and iteration, unpack the elements into Polynomials on
+    first access, once. `len()`, `lead_monomials()` and `reduce_basis`
+    read the packed elements, so a caller that reads only the leads and
+    the Hilbert numerator never unpacks.
     """
 
     __slots__ = ("order", "reduced", "hilbert_numerator", "_generators",
                  "_ring", "_packed")
 
-    def __init__(self, generators, order, reduced=False,
-                 hilbert_numerator=None):
-        self._generators = tuple(generators)
-        self.order = order
+    def __init__(self, R, packed, reduced=False, hilbert_numerator=None):
+        self.order = R.order
         self.reduced = reduced
         self.hilbert_numerator = hilbert_numerator
-        self._ring = self._packed = None
-
-    @classmethod
-    def _of_packed(cls, R, packed, reduced=False, hilbert_numerator=None):
-        """The basis of the nonzero packed elements `packed` of `R`."""
-        gb = cls((), R.order, reduced, hilbert_numerator)
-        gb._generators = None
-        gb._ring, gb._packed = R, packed
-        return gb
+        self._generators = None
+        self._ring, self._packed = R, packed
 
     @property
     def generators(self):
@@ -172,8 +161,6 @@ class GroebnerBasis:
         return self._generators
 
     def lead_monomials(self):
-        if self._packed is None:
-            return [g.lm() for g in self._generators]
         layout = self._ring.layout
         return [layout.unpack(layout.from_key(_lead_key(g)))
                 for g in self._packed]
@@ -182,8 +169,7 @@ class GroebnerBasis:
         return iter(self.generators)
 
     def __len__(self):
-        return len(self._generators if self._packed is None
-                   else self._packed)
+        return len(self._packed)
 
 
 class _Reducers:
@@ -205,26 +191,15 @@ class _Reducers:
         self.entries.insert(i, entry)
 
 
-def normal_form(f, G, order=None, budget=None):
-    """Remainder of f on full division by G.
+def normal_form(f, reducers, R, budget=None):
+    """Remainder of the packed f of the `PackedRing` R on full division
+    by the reducer table `reducers` (`_Reducers`) of a packed basis.
 
-    Deterministic reducer selection: G is scanned in ascending order of
-    lead monomial and the first divisor wins. On Polynomials the result is
-    a Polynomial under `order` (default f's), with the exact rational
-    coefficients over Q. Inside the kernel f is `Packed`, G is the
-    reducer table of a packed basis (`_Reducers`), `order` is their
-    `PackedRing`, and the result is `Packed`; over Q it is the remainder
-    times a nonzero constant (see `PackedRing`). A `budget`'s deadline is
-    checked every 1024 reduction steps.
+    Deterministic reducer selection: the table is scanned in ascending
+    order of lead monomial and the first divisor wins. Over Q the result
+    is the remainder times a nonzero constant (see `PackedRing`). A
+    `budget`'s deadline is checked every 1024 reduction steps.
     """
-    if isinstance(f, Polynomial):
-        R = PackedRing(f.ring, order or f.order)
-        table = _Reducers(R, [R.pack(g) for g in G if g])
-        return R.unpack(_reduce(R.pack(f), table, R, budget))
-    return _reduce(f, G, order, budget)
-
-
-def _reduce(f, reducers, R, budget=None):
     table, keys = reducers.entries, reducers.keys
     if not f or not keys:
         return f
@@ -282,24 +257,10 @@ def _reduce(f, reducers, R, budget=None):
     return Packed(rem, den)
 
 
-def s_polynomial(f, g, order=None):
-    """S(f, g) = L/lt(f) * f - L/lt(g) * g with L = lcm of the leads.
-
-    On Polynomials the result is a Polynomial under `order` (default f's),
-    with the exact rational coefficients over Q; inside `buchberger` f
-    and g are `Packed` and `order` is their `PackedRing`.
-    """
-    if isinstance(f, Polynomial):
-        if not f or not g:
-            raise ValueError("s-polynomial of the zero polynomial")
-        R = PackedRing(f.ring, order or f.order)
-        return R.unpack(_s_poly(R.pack(f), R.pack(g), R))
-    return _s_poly(f, g, order)
-
-
-def _s_poly(f, g, R):
-    """S(f, g) of packed f and g. With integer leading coefficients a, b
-    and h = gcd(a, b) it is (b/h * L/lead(f) * tail(f)
+def s_polynomial(f, g, R):
+    """S(f, g) = L/lt(f) * f - L/lt(g) * g of packed f and g of the
+    `PackedRing` R, L the lcm of the leads. With integer leading
+    coefficients a, b and h = gcd(a, b) it is (b/h * L/lead(f) * tail(f)
     - a/h * L/lead(g) * tail(g)) / (a*b/h); over GF(p) a = b = 1."""
     layout, p = R.layout, R.p
     f_key, f_lead, f_slack, f_tail, a = R.reducer(f)
@@ -486,7 +447,7 @@ def buchberger(gens, order=None, budget=None):
         _, _, i, j, _ = best
         add(normal_form(s_polynomial(G[i], G[j], R), table, R, budget))
     numerator = None if hilbert is None else hilbert.numerator()
-    return GroebnerBasis._of_packed(R, G, hilbert_numerator=numerator)
+    return GroebnerBasis(R, G, hilbert_numerator=numerator)
 
 
 def _lead_key(g):
@@ -494,16 +455,9 @@ def _lead_key(g):
 
 
 def reduce_basis(gb):
-    """The unique reduced Groebner basis of the same ideal. A basis from
-    `buchberger` is reduced from its packed elements, without unpacking."""
-    order = gb.order
+    """The unique reduced Groebner basis of the same ideal, reduced from
+    the packed elements of `gb` without unpacking."""
     R, G = gb._ring, gb._packed
-    if G is None:
-        polys = [g for g in gb.generators if g]
-        if not polys:
-            return GroebnerBasis((), order, reduced=True)
-        R = PackedRing(polys[0].ring, order)
-        G = map(R.pack, polys)
     divides = R.layout.divides
     # minimalize: drop generators whose lead is divisible by another lead
     minimal = []
@@ -523,50 +477,9 @@ def reduce_basis(gb):
                 minimal[i] = R.primitive(r)
                 changed = True
     reduced = sorted(map(R.monic, minimal), key=_lead_key, reverse=True)
-    return GroebnerBasis._of_packed(R, reduced, reduced=True,
-                                    hilbert_numerator=gb.hilbert_numerator)
+    return GroebnerBasis(R, reduced, reduced=True,
+                         hilbert_numerator=gb.hilbert_numerator)
 
 
 def reduced_groebner_basis(gens, order=None, budget=None):
     return reduce_basis(buchberger(gens, order, budget))
-
-
-@dataclass(frozen=True)
-class StabilityVerdict:
-    stable: bool
-    survivors: tuple  # 0-based indices into the basis, empty when unstable
-
-
-def stability_check(gb, point):
-    """Kalkbrener-style specialization test for an inverse-block basis.
-
-    Splits the basis by whether the block leading coefficient survives
-    specialization at `point`, that is whether the block-lead x-monomial
-    is still a term of the specialized member (its coefficient there is
-    the block leading coefficient evaluated at `point`); the verdict is
-    stable when every vanished member specializes into the ideal of the
-    survivors. Under the inverse block order the main block is the most
-    significant, so the x-part of a member's lead is its block lead.
-    """
-    gens = list(gb.generators)
-    if not gens:
-        return StabilityVerdict(True, ())
-    if gens[0].ring.nparams == 0:
-        return StabilityVerdict(True, tuple(range(len(gens))))
-    order = gb.order
-    if not isinstance(order, InverseBlock):
-        raise ValueError("a basis with parameters needs an inverse block order")
-    survivors = []
-    sG = []
-    vanished = []
-    for idx, g in enumerate(gens):
-        sg = specialize(g, point)
-        if g.lm()[:order.nmain] in sg.as_dict():
-            survivors.append(idx)
-            sG.append(sg)
-        else:
-            vanished.append(sg)
-    for sg in vanished:
-        if normal_form(sg, sG, order.main_order):
-            return StabilityVerdict(False, ())
-    return StabilityVerdict(True, tuple(survivors))

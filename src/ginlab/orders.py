@@ -65,14 +65,6 @@ class ExponentOverflow(OverflowError):
 # ---------------------------------------------------------------------------
 # monomial helpers (monomials are plain tuples of non-negative ints)
 
-def mono_one(n):
-    return (0,) * n
-
-
-def mono_mul(m1, m2):
-    return tuple(a + b for a, b in zip(m1, m2))
-
-
 def mono_divides(m1, m2):
     """True iff m1 divides m2."""
     return all(a <= b for a, b in zip(m1, m2))
@@ -312,18 +304,6 @@ def order_by_name(name):
         return ORDERS_BY_NAME[name]
     except KeyError:
         raise ValueError(f"unknown monomial order {name!r}") from None
-
-
-def cmp_monomials(m1, m2, order):
-    """Total-order comparison: -1, 0 or 1."""
-    if len(m1) != len(m2):
-        raise DimensionMismatch(f"exponent lengths differ: {len(m1)} vs {len(m2)}")
-    k1, k2 = order.key(m1), order.key(m2)
-    if k1 < k2:
-        return -1
-    if k1 > k2:
-        return 1
-    return 0
 
 
 # ---------------------------------------------------------------------------

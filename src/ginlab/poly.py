@@ -4,7 +4,7 @@ A polynomial is a tuple of (monomial, coefficient) terms kept strictly
 descending under its active order, with exponent tuples as monomials:
 that is the public form. Rings may declare a main/parameter split: the
 first `nmain` variables are the main x-variables, the tail holds
-parameters. Specialization operates on that split.
+parameters (the coefficients of the parametric family).
 
 The Groebner kernel works on the packed form instead (`PackedRing`,
 `Packed`): each monomial is the int order key of its packed exponent
@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .fields import QQ, RationalField
-from .orders import InverseBlock, mono_mul, mono_one, mono_str
+from .fields import QQ
+from .orders import mono_str
 
 
 class RingMismatch(ValueError):
@@ -54,9 +54,6 @@ class Ring:
     def nparams(self):
         return self.nvars - self.nmain
 
-    def main_ring(self):
-        return Ring(self.field, self.names[: self.nmain])
-
 
 def xring(n, field=QQ):
     """Plain ring k[x1..xn] with no parameters."""
@@ -75,10 +72,6 @@ class Polynomial:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, ring, order):
-        return cls(ring, order, ())
-
-    @classmethod
     def from_dict(cls, ring, order, d):
         zero = ring.field.zero
         items = [(m, c) for m, c in d.items() if c != zero]
@@ -94,19 +87,6 @@ class Polynomial:
                 raise RingMismatch(f"term has {len(m)} exponents, ring has {ring.nvars}")
             d[m] = add(d.get(m, ring.field.zero), ring.field.of(c))
         return cls.from_dict(ring, order, d)
-
-    @classmethod
-    def constant(cls, ring, order, c):
-        c = ring.field.of(c)
-        if c == ring.field.zero:
-            return cls.zero(ring, order)
-        return cls(ring, order, [(mono_one(ring.nvars), c)])
-
-    @classmethod
-    def variable(cls, ring, order, i, power=1):
-        m = [0] * ring.nvars
-        m[i] = power
-        return cls(ring, order, [(tuple(m), ring.field.one)])
 
     # -- inspection ---------------------------------------------------------
 
@@ -131,9 +111,6 @@ class Polynomial:
         degs = {sum(m) for m, _ in self.terms}
         return len(degs) <= 1
 
-    def as_dict(self):
-        return dict(self.terms)
-
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -147,78 +124,6 @@ class Polynomial:
 
     def __str__(self):
         return format_poly(self)
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def _check(self, other):
-        if self.ring != other.ring:
-            raise RingMismatch("operands live in different rings")
-
-    def resorted(self, order):
-        if order == self.order:
-            return self
-        items = sorted(self.terms, key=lambda t: order.key(t[0]), reverse=True)
-        return Polynomial(self.ring, order, items)
-
-    def __add__(self, other):
-        self._check(other)
-        fld = self.ring.field
-        d = dict(self.terms)
-        for m, c in other.terms:
-            s = fld.add(d.get(m, fld.zero), c)
-            if s == fld.zero:
-                d.pop(m, None)
-            else:
-                d[m] = s
-        return Polynomial.from_dict(self.ring, self.order, d)
-
-    def __neg__(self):
-        neg = self.ring.field.neg
-        return Polynomial(self.ring, self.order, [(m, neg(c)) for m, c in self.terms])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        self._check(other)
-        fld = self.ring.field
-        d = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m = mono_mul(m1, m2)
-                s = fld.add(d.get(m, fld.zero), fld.mul(c1, c2))
-                if s == fld.zero:
-                    d.pop(m, None)
-                else:
-                    d[m] = s
-        return Polynomial.from_dict(self.ring, self.order, d)
-
-    def scale(self, c):
-        fld = self.ring.field
-        c = fld.of(c)
-        if c == fld.zero:
-            return Polynomial.zero(self.ring, self.order)
-        return Polynomial(self.ring, self.order,
-                          [(m, fld.mul(c, cc)) for m, cc in self.terms])
-
-    def monic(self):
-        if not self.terms:
-            return self
-        return self.scale(self.ring.field.inv(self.lc()))
-
-    def primitive(self):
-        """Strip rational content: integer coefficients with gcd 1, lc > 0.
-
-        Over a prime field this normalizes to a monic polynomial instead.
-        """
-        if not self.terms:
-            return self
-        if not isinstance(self.ring.field, RationalField):
-            return self.monic()
-        coeffs = [c for _, c in self.terms]
-        den = lcm(*(c.denominator for c in coeffs))
-        num = gcd(*(c.numerator for c in coeffs))
-        return self.scale(Fraction(-den if coeffs[0] < 0 else den, num))
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +201,8 @@ class PackedRing:
         return Packed(F.terms, lc)
 
     def primitive(self, F):
-        """`Polynomial.primitive` in packed form: monic over GF(p); over
-        Q the integer terms divided by their content, with lc > 0."""
+        """F normalized: monic over GF(p); over Q the integer terms
+        divided by their content, with lc > 0."""
         if self.p:
             return self.monic(F)
         content = gcd(*(c for _, c in F.terms))
@@ -329,46 +234,6 @@ class PackedRing:
                 a = 1
             r = g.reducer = (lead_key, lead, bound - lead, tail, a)
         return r
-
-
-# ---------------------------------------------------------------------------
-# main/parameter split operations
-
-def specialize(F, point):
-    """Substitute parameter values, returning a polynomial over the main ring.
-
-    `point` is a sequence of field elements, one per parameter variable of
-    F's ring (in ring order), or a dict keyed by parameter name.
-    """
-    ring = F.ring
-    if ring.nparams == 0:
-        return F
-    pnames = ring.names[ring.nmain:]
-    if isinstance(point, dict):
-        missing = [t for t in pnames if t not in point]
-        if missing:
-            raise ValueError(f"unassigned parameter variables: {missing}")
-        values = [ring.field.of(point[t]) for t in pnames]
-    else:
-        if len(point) != len(pnames):
-            raise ValueError(
-                f"point has {len(point)} coordinates, ring has {len(pnames)} parameters")
-        values = [ring.field.of(v) for v in point]
-    fld = ring.field
-    out = ring.main_ring()
-    out_order = F.order.main_order if isinstance(F.order, InverseBlock) else F.order
-    d = {}
-    for m, c in F.terms:
-        xm = m[: ring.nmain]
-        for v, e in zip(values, m[ring.nmain:]):
-            for _ in range(e):
-                c = fld.mul(c, v)
-        s = fld.add(d.get(xm, fld.zero), c)
-        if s == fld.zero:
-            d.pop(xm, None)
-        else:
-            d[xm] = s
-    return Polynomial.from_dict(out, out_order, d)
 
 
 # ---------------------------------------------------------------------------

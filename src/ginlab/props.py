@@ -1,5 +1,5 @@
 """Classification predicates on monomial ideals: lexsegment, weakly
-reverse lexicographic, and Borel-fixed (combinatorial and action-based).
+reverse lexicographic, and Borel-fixed.
 
 Every failing verdict carries a witness that can be re-validated with
 `contains` alone.
@@ -8,11 +8,9 @@ Every failing verdict carries a witness that can be re-validated with
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .fields import QQ
-from .ideals import contains, monomials_of_degree, top_degree
-from .orders import DEGREVLEX, binom_p_leq, binomial, mono_str
+from .ideals import contains, monomials_of_degree
+from .orders import DEGREVLEX, binom_p_leq, mono_str
 from .series import _lex_monomial, _macaulay_digits, _macaulay_shift
 
 
@@ -81,14 +79,17 @@ def is_lexsegment(J):
 
 
 def is_weakly_revlex(J):
-    """Minimal generators only: same-degree revlex-larger monomials are in J."""
+    """Minimal generators only: same-degree revlex-larger monomials are in
+    J. g's key is taken before the monomials of its degree are listed, so
+    a degree too large for a packed field raises `ExponentOverflow` at
+    once."""
     keyed = {}  # degree -> [(degrevlex key, monomial)] in descending lex
     for g in J.gens:
+        gkey = DEGREVLEX.key(g)
         d = sum(g)
         if d not in keyed:
             monos = monomials_of_degree(J.n, d)
             keyed[d] = list(zip(map(DEGREVLEX.key, monos), monos))
-        gkey = DEGREVLEX.key(g)
         for key, m in keyed[d]:
             if key > gkey and not contains(J, m):
                 return PropertyVerdict(False, (g, m))
@@ -135,76 +136,3 @@ def _shift(m, i, j, s):
     shifted[j] -= s
     shifted[i] += s
     return tuple(shifted)
-
-
-def _rank(rows, fld):
-    """Rank of a matrix over the field `fld` by Gaussian elimination."""
-    rows = [list(r) for r in rows]
-    zero = fld.zero
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != zero),
-                   None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = fld.inv(rows[rank][col])
-        rows[rank] = [fld.mul(inv, x) for x in rows[rank]]
-        for r in range(rank + 1, len(rows)):
-            f = rows[r][col]
-            if f != zero:
-                rows[r] = [fld.sub(a, fld.mul(f, b))
-                           for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
-def borel_action_check(J, i, j, c, horizon=None):
-    """Definition-level check: the substitution x_j -> x_j + c*x_i maps each
-    graded piece of J onto itself (verified by exact row reduction over Q).
-    """
-    if i >= j:
-        raise ValueError("need i < j")
-    c = Fraction(c)
-    if c == 0:
-        raise ValueError("need c != 0")
-    D = horizon if horizon is not None else top_degree(J)
-    for d in range(1, D + 1):
-        members = [m for m in monomials_of_degree(J.n, d) if contains(J, m)]
-        if not members:
-            continue
-        index = {m: k for k, m in enumerate(members)}
-        rows = []
-        for m in members:
-            image = _substitute(m, i, j, c)
-            row = [Fraction(0)] * len(members)
-            ok = True
-            for mono, coeff in image.items():
-                if mono not in index:
-                    ok = False
-                    break
-                row[index[mono]] = coeff
-            if not ok:
-                return False
-            rows.append(row)
-        if _rank(rows, QQ) != len(members):
-            return False
-    return True
-
-
-def _substitute(m, i, j, c):
-    """Expand m under x_j -> x_j + c*x_i as {monomial: coefficient}."""
-    e = m[j]
-    out = {}
-    for k in range(e + 1):
-        mono = list(m)
-        mono[j] = e - k
-        mono[i] += k
-        coeff = binomial(e, k) * c ** k
-        mono = tuple(mono)
-        out[mono] = out.get(mono, Fraction(0)) + coeff
-    return {mm: cc for mm, cc in out.items() if cc}

@@ -21,21 +21,33 @@
   whose coordinates are the points that `ginlab.sample_point` draws
 - `block_leading_data`: the block lead of a parametric polynomial and its
   parameter coefficient, by grouping its terms by x-part
+- `borel_action_check`: Borel-fixedness by its definition, the action
+  of x_j -> x_j + c*x_i on each graded piece, by exact row reduction
+- `specialize` and `stability_check`: parameter values substituted into
+  a polynomial, and the specialization-stability test of a parametric
+  basis (the paper's stability method, which no command runs)
 - the tuple Groebner kernel (`tuple_normal_form`, `tuple_s_polynomial`,
   `tuple_buchberger`, `tuple_reduce_basis`): the same algorithm as
   `ginlab.groebner` on exponent tuples, tuple order keys (`tuple_key`)
   and field-object arithmetic, the reference for the packed kernel
+
+No oracle imports a private name of ginlab: a reference must not share
+kernel code with what it checks.
 """
 
 import heapq
+from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 
+from ginlab.fields import QQ, RationalField
 from ginlab.ideals import (contains, hilbert_series, minimalize,
                            monomials_of_degree, top_degree)
 from ginlab.orders import (DEGLEX, DEGREVLEX, LEX, InverseBlock, binom_p_leq,
-                           binomial, mono_divides, mono_mul)
+                           binomial, mono_divides)
 from ginlab.poly import Polynomial, Ring
-from ginlab.props import PropertyVerdict, _rank
+from ginlab.props import PropertyVerdict
 from ginlab.series import (InadmissibleHilbertFunction, SeriesWindow,
                            default_horizon, froeberg_series)
 
@@ -107,6 +119,32 @@ def _tuple_numerator(gens, memo):
     out = _poly_trim(out)
     memo[gens] = out
     return out
+
+
+def _rank(rows, fld):
+    """Rank of a matrix over the field `fld` by Gaussian elimination."""
+    rows = [list(r) for r in rows]
+    zero = fld.zero
+    rank = 0
+    ncols = len(rows[0]) if rows else 0
+    col = 0
+    while rank < len(rows) and col < ncols:
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != zero),
+                   None)
+        if piv is None:
+            col += 1
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = fld.inv(rows[rank][col])
+        rows[rank] = [fld.mul(inv, x) for x in rows[rank]]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col]
+            if f != zero:
+                rows[r] = [fld.sub(a, fld.mul(f, b))
+                           for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+        col += 1
+    return rank
 
 
 def hilbert_function_homogeneous(gens, d):
@@ -235,6 +273,45 @@ def is_borel_fixed_by_scan(J, p=0):
     return PropertyVerdict(True)
 
 
+def borel_action_check(J, i, j, c, horizon=None):
+    """Whether the substitution x_j -> x_j + c*x_i (i < j, c != 0) maps
+    each graded piece of J onto itself, through degree `horizon` (default
+    the top generator degree): the images of the degree-d members must
+    lie in their span and have full rank over Q."""
+    if i >= j:
+        raise ValueError("need i < j")
+    c = Fraction(c)
+    if c == 0:
+        raise ValueError("need c != 0")
+    D = horizon if horizon is not None else top_degree(J)
+    for d in range(1, D + 1):
+        members = [m for m in monomials_of_degree(J.n, d) if contains(J, m)]
+        index = {m: k for k, m in enumerate(members)}
+        rows = []
+        for m in members:
+            row = [Fraction(0)] * len(members)
+            for mono, coeff in _substitute(m, i, j, c).items():
+                if mono not in index:
+                    return False
+                row[index[mono]] = coeff
+            rows.append(row)
+        if _rank(rows, QQ) != len(members):
+            return False
+    return True
+
+
+def _substitute(m, i, j, c):
+    """Expand m under x_j -> x_j + c*x_i as {monomial: coefficient}."""
+    e = m[j]
+    out = {}
+    for k in range(e + 1):
+        mono = list(m)
+        mono[j] = e - k
+        mono[i] += k
+        out[tuple(mono)] = binomial(e, k) * c ** k
+    return out
+
+
 def is_stable_by_scan(J):
     """Whether x_j w / x_m lies in J for every member w of J, m the
     largest index of a variable dividing w and j < m, scanning the
@@ -295,6 +372,63 @@ def block_leading_data(F, main_order):
     return lead, coeff
 
 
+def specialize(F, point):
+    """F with its parameters set to `point` (one value per parameter
+    variable, in ring order), over the main variables, under the main
+    order of an inverse block order."""
+    ring, fld = F.ring, F.ring.field
+    if len(point) != ring.nparams:
+        raise ValueError(f"point has {len(point)} coordinates, "
+                         f"ring has {ring.nparams} parameters")
+    values = [fld.of(v) for v in point]
+    terms = []
+    for m, c in F.terms:
+        for v, e in zip(values, m[ring.nmain:]):
+            for _ in range(e):
+                c = fld.mul(c, v)
+        terms.append((m[: ring.nmain], c))
+    order = F.order.main_order if isinstance(F.order, InverseBlock) else F.order
+    return Polynomial.from_terms(Ring(fld, ring.names[: ring.nmain]), order,
+                                 terms)
+
+
+@dataclass(frozen=True)
+class StabilityVerdict:
+    stable: bool
+    survivors: tuple  # 0-based indices into the basis, empty when unstable
+
+
+def stability_check(gens, point):
+    """Kalkbrener-style specialization test for a basis `gens` under an
+    inverse block order (their own order).
+
+    Splits the basis by whether the block leading coefficient survives
+    specialization at `point`, that is whether the block-lead x-monomial
+    is still a term of the specialized member (its coefficient there is
+    the block leading coefficient evaluated at `point`); the verdict is
+    stable when every vanished member specializes into the ideal of the
+    survivors. Under the inverse block order the main block is the most
+    significant, so the x-part of a member's lead is its block lead.
+    """
+    gens = list(gens)
+    if not gens or gens[0].ring.nparams == 0:
+        return StabilityVerdict(True, tuple(range(len(gens))))
+    order = gens[0].order
+    if not isinstance(order, InverseBlock):
+        raise ValueError("a basis with parameters needs an inverse block order")
+    survivors, kept, vanished = [], [], []
+    for idx, g in enumerate(gens):
+        sg = specialize(g, point)
+        if g.lm()[: order.nmain] in dict(sg.terms):
+            survivors.append(idx)
+            kept.append(sg)
+        else:
+            vanished.append(sg)
+    if any(tuple_normal_form(sg, kept, order.main_order) for sg in vanished):
+        return StabilityVerdict(False, ())
+    return StabilityVerdict(True, tuple(survivors))
+
+
 # ---------------------------------------------------------------------------
 # the tuple Groebner kernel
 
@@ -311,6 +445,10 @@ def tuple_key(order, m):
         # same degree: smaller exponent in the last differing variable wins
         return (sum(m), tuple(-e for e in reversed(m)))
     raise ValueError(f"no tuple key for {order!r}")
+
+
+def mono_mul(m1, m2):
+    return tuple(a + b for a, b in zip(m1, m2))
 
 
 def mono_div(m1, m2):
@@ -340,6 +478,26 @@ def _from_dict(ring, order, d):
 
 def _resorted(f, order):
     return _from_dict(f.ring, order, dict(f.terms))
+
+
+def monic(f):
+    """f divided by its leading coefficient."""
+    fld = f.ring.field
+    inv = fld.inv(f.lc()) if f else fld.one
+    return Polynomial(f.ring, f.order,
+                      [(m, fld.mul(inv, c)) for m, c in f.terms])
+
+
+def primitive(f):
+    """f with its rational content stripped: integer coefficients with
+    gcd 1 and lc > 0; monic over a prime field."""
+    if not f or not isinstance(f.ring.field, RationalField):
+        return monic(f)
+    coeffs = [c for _, c in f.terms]
+    den = lcm(*(c.denominator for c in coeffs))
+    s = Fraction(-den if coeffs[0] < 0 else den,
+                 gcd(*(c.numerator for c in coeffs)))
+    return Polynomial(f.ring, f.order, [(m, s * c) for m, c in f.terms])
 
 
 def tuple_s_polynomial(f, g, order=None):
@@ -453,7 +611,7 @@ def tuple_buchberger(gens, order=None):
     for f in gens:
         h = tuple_normal_form(f, G, order)
         if h:
-            h = h.primitive()
+            h = primitive(h)
             pairs = _tuple_update_pairs(G, pairs, h, order)
             G.append(h)
     while pairs:
@@ -464,7 +622,7 @@ def tuple_buchberger(gens, order=None):
         s = tuple_s_polynomial(G[i], G[j], order)
         h = tuple_normal_form(s, G, order)
         if h:
-            h = h.primitive()
+            h = primitive(h)
             pairs = _tuple_update_pairs(G, pairs, h, order)
             G.append(h)
     return tuple(G)
@@ -488,5 +646,5 @@ def tuple_reduce_basis(G, order):
             if r != minimal[i]:
                 minimal[i] = r
                 changed = True
-    return tuple(sorted((g.monic() for g in minimal),
+    return tuple(sorted(map(monic, minimal),
                         key=lambda g: tuple_key(order, g.lm()), reverse=True))

@@ -19,6 +19,17 @@ def run(capsys, *argv):
     return code, capsys.readouterr().out
 
 
+def usage_error(capsys, *argv):
+    """The stderr of a run that must exit 2 with a usage error and print
+    nothing on stdout."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "usage:" in err
+    return err
+
+
 def test_gin_sample(capsys):
     code, out = run(capsys, "gin", "-n", "3", "-d", "2,2", "--order", "lex",
                     "--route", "sample")
@@ -61,10 +72,8 @@ def test_gin_deterministic_bytes(capsys):
     assert out1 == out2
 
 
-def test_usage_error_exit_code():
-    with pytest.raises(SystemExit) as exc:
-        main(["gin", "-n", "3"])
-    assert exc.value.code == 2
+def test_usage_error_exit_code(capsys):
+    usage_error(capsys, "gin", "-n", "3")
 
 
 def test_parser_is_built_once(capsys):
@@ -173,12 +182,12 @@ def test_bound_cmd(capsys):
     ["gin", "-n", "2", "-d", "2,2", "--field", "bogus"],
     ["gin", "-n", "2", "-d", "2,2", "--field", "F4"],
     ["survey", "--case", "2:2:2:2", "--field", "bogus", "--out", "rows"],
+    ["check", "ideal.json", "--property", "borel", "-p", "4"],
+    ["gin", "-n", "2", "-d", "2,2", "--bound", "0"],
+    ["survey", "--case", "2:2:3:1", "--out", "rows"],
 ], ids=lambda argv: " ".join(argv))
 def test_out_of_range_argument_is_usage_error(argv, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    assert "usage:" in capsys.readouterr().err
+    usage_error(capsys, *argv)
 
 
 def test_hilbert_cmd(capsys, tmp_path):
@@ -234,20 +243,38 @@ def test_bad_ideal_file_is_usage_error(command, name, capsys, tmp_path):
     f = tmp_path / "bad.json"
     if text is not None:
         f.write_text(text)
-    with pytest.raises(SystemExit) as exc:
-        main([command[0], str(f), *command[1:]])
-    assert exc.value.code == 2
-    out, err = capsys.readouterr()
-    assert out == ""  # no verdict
-    assert "usage:" in err and str(f) in err and reason in err
+    err = usage_error(capsys, command[0], str(f), *command[1:])
+    assert str(f) in err and reason in err
+
+
+#: Hilbert-function files for `lexseg --hf-file` that do not hold one,
+#: as in BAD_IDEAL_FILES
+BAD_HF_FILES = {
+    "missing file": (None, "FileNotFoundError"),
+    "coefficient not an int": ('{"coeffs": "x"}', "ValueError"),
+    "missing key": ('{"coefficients": [1, 2]}', "KeyError"),
+    "not JSON": ('{"coeffs": [1, 2', "JSONDecodeError"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_HF_FILES)
+def test_bad_hf_file_is_usage_error(name, capsys, tmp_path):
+    text, reason = BAD_HF_FILES[name]
+    f = tmp_path / "hf.json"
+    if text is not None:
+        f.write_text(text)
+    err = usage_error(capsys, "lexseg", "-n", "2", "--hf-file", str(f))
+    assert str(f) in err and reason in err
 
 
 def test_exponent_past_the_field_width(capsys, tmp_path):
     f = tmp_path / "big.json"
     f.write_text(json.dumps({"n": 2, "gens": [[40000, 0]]}))
-    code, out = run(capsys, "hilbert", str(f), "--horizon", "3")
-    assert code == 1
-    assert json.loads(out)["error"] == "ExponentOverflow"
+    for argv in (["hilbert", str(f), "--horizon", "3"],
+                 ["check", str(f), "--property", "weakly-revlex"]):
+        code, out = run(capsys, *argv)
+        assert code == 1
+        assert json.loads(out)["error"] == "ExponentOverflow"
     # membership stays on exponent tuples, so the predicates still answer
     code, out = run(capsys, "check", str(f), "--property", "borel")
     assert code == 0 and json.loads(out)["holds"] is True
@@ -272,12 +299,8 @@ def test_gb_cmd(capsys, tmp_path):
 def test_gb_file_with_a_bad_field_is_usage_error(capsys, tmp_path):
     f = tmp_path / "sys.json"
     f.write_text(json.dumps({"n": 1, "field": "F4", "polys": [[["1", [1]]]]}))
-    with pytest.raises(SystemExit) as exc:
-        main(["gb", str(f)])
-    assert exc.value.code == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert "usage:" in err and str(f) in err and "not prime" in err
+    err = usage_error(capsys, "gb", str(f))
+    assert str(f) in err and "not prime" in err
 
 
 def test_ideal_round_trip(tmp_path):
@@ -381,12 +404,3 @@ def test_cli_does_not_import_numpy():
             "    assert main(['gin', '-n', '3', '-d', '2,2']) == 0\n"
             "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
-
-
-def test_survey_empty_grid(capsys, tmp_path):
-    out = tmp_path / "rows"
-    code, msg = run(capsys, "survey", "--case", "3:2:3:2", "--out", str(out))
-    assert code == 0
-    assert json.loads(msg)["cases"] == 0
-    assert out.with_suffix(".jsonl").read_text() == ""
-    assert len(out.with_suffix(".csv").read_text().splitlines()) == 1
