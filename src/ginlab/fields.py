@@ -1,8 +1,9 @@
 """Exact coefficient fields: arbitrary-precision rationals and prime fields.
 
 Field objects are stateless descriptors; elements are plain Python values
-(`fractions.Fraction` for the rationals, ints in ``[0, p)`` for GF(p)) so
-that polynomial arithmetic stays allocation-light.
+(`fractions.Fraction` for the rationals, ints in ``[0, p)`` for GF(p)).
+A field converts (`of`) and adds elements, for `Polynomial.from_terms`;
+the Groebner kernel computes on ints itself (`poly.PackedRing`).
 """
 
 from __future__ import annotations
@@ -27,26 +28,6 @@ class RationalField:
     @staticmethod
     def add(a, b):
         return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def div(a, b):
-        return a / b
-
-    @staticmethod
-    def inv(a):
-        return 1 / a
 
     def __repr__(self):
         return "QQ"
@@ -92,21 +73,6 @@ class PrimeField:
 
     def add(self, a, b):
         return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def div(self, a, b):
-        return a * pow(b, -1, self.p) % self.p
-
-    def inv(self, a):
-        return pow(a, -1, self.p)
 
     def __repr__(self):
         return f"GF({self.p})"

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .fields import QQ, PrimeField
 from .groebner import buchberger
-from .ideals import MonomialIdeal, minimalize, monomials_of_degree
+from .ideals import MonomialIdeal, monomials_of_degree, packed_ideal
 from .orders import LEX, InverseBlock, binomial, mono_divides
 from .poly import Polynomial, Ring
 from .series import bracket_numerator
@@ -230,9 +230,9 @@ def trial_seeds(seed, trials):
 def gin_by_sampling(inst, trials=5, seed=0, bound=None, budget=None):
     """Majority initial ideal across sampled specializations.
 
-    Each trial reads its initial ideal off the leads of one Groebner basis
-    (any Groebner basis has the same leading ideal) and its u-genericity
-    verdict off the Hilbert numerator the same run kept.
+    Each trial reads its initial ideal off the packed leads of one
+    Groebner basis (any Groebner basis has the same leading ideal) and its
+    u-genericity verdict off the Hilbert numerator the same run kept.
     """
     seeds = trial_seeds(seed, trials)
     ideals = []
@@ -240,7 +240,7 @@ def gin_by_sampling(inst, trials=5, seed=0, bound=None, budget=None):
     for s in seeds:
         gens = sample_ideal(inst, s, bound)
         gb = buchberger(gens, inst.main_order, budget)
-        ideals.append(minimalize(inst.n, gb.lead_monomials()))
+        ideals.append(packed_ideal(gb.layout, gb.packed_leads()))
         flags.append(is_u_generic(gb, inst))
     counts = Counter(ideals)
     top = counts.most_common()
@@ -282,11 +282,13 @@ def gin_parametric(inst, budget=None):
       phi^-1(W); at a point a of both, gin = in(I_a) = in(I_phi(a)) = J.
 
     The main block is the most significant in that order, so the x-part
-    of an element's lead is its block lead; the generic initial ideal is
-    generated by the nonconstant ones."""
+    of an element's lead is its block lead, and its packed form is the
+    lead's top fields; the generic initial ideal is generated by the
+    nonconstant ones."""
     gb = buchberger(normal_form_family(inst), inst.order, budget)
-    leads = [m[:inst.n] for m in gb.lead_monomials()]
+    main = inst.main_order.layout(inst.n)
+    low = gb.layout.bits - main.bits
     return GinResult(
-        ideal=minimalize(inst.n, [m for m in leads if any(m)]),
+        ideal=packed_ideal(main, {P >> low for P in gb.packed_leads()} - {0}),
         route="parametric", n=inst.n, degrees=inst.degrees,
         order_name=inst.main_order.name, field_name=inst.field.name)

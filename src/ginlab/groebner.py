@@ -6,47 +6,29 @@ k[t, x] under an inverse block order. Over the rationals every basis
 element is kept primitive (integer coefficients, content stripped, lc > 0)
 to control coefficient growth.
 
-The kernel works in packed form (`poly.PackedRing`): a monomial is one
-int with a 16-bit field per variable and per block degree, each field
-topped by a guard bit, and a term carries the monomial's order key
-``P - 2*(P & rev)`` (degrevlex fields count negatively). The key is
-linear, so multiplying a term by a monomial adds keys; the division heap,
-pair selection and sorting compare ints; ``a`` divides ``b`` iff
-``((b | guard) - a) & guard == guard``. A product whose exponent or
-degree would outgrow its field raises `orders.ExponentOverflow` first.
-Polynomials with exponent tuples go in and come out.
+The kernel works in packed form (`poly.PackedRing`, `orders.Layout`): a
+term is (order key, int coefficient), so products add keys, the heap and
+pair selection compare ints, and divisibility is one guard-bit test. A
+product whose exponent or degree would outgrow its field raises
+`orders.ExponentOverflow` first. Polynomials go in and come out.
 
 Coefficients are ints in both fields, in one reduction loop and one
-S-polynomial routine. Over GF(p) they are reduced inline with ``% p``,
-and a reducer's tail is divided by its leading coefficient. Over Q the
-kernel is fraction-free (pseudo-division; Cox-Little-O'Shea, "Ideals,
-Varieties, and Algorithms", and Geddes-Czapor-Labahn, "Algorithms for
-Computer Algebra", ch. 2): denominators are cleared when packing, and a
-reduction step that cancels the term c against a reducer with integer
-leading coefficient a first multiplies the working polynomial and the
-remainder so far by a / gcd(a, c). An S-polynomial cross-multiplies the
-two tails by b/h and a/h, with h = gcd(a, b). Each scaling is a nonzero
-constant, so the same terms stay nonzero, the same reducer is chosen at
-every step, and a remainder differs from the rational one only by a
-constant factor; taking its primitive part gives the basis element that
-rational arithmetic gives. The basis, and every count of pairs and
-normal forms, are the same as over Fractions. Unpacking divides by the
-accumulated multiplier (`poly.Packed.den`), so the basis that comes out
-has the exact rational coefficients.
+S-polynomial routine: reduced with ``% p`` over GF(p), and over Q
+fraction-free (pseudo-division; Cox-Little-O'Shea, "Ideals, Varieties,
+and Algorithms", and Geddes-Czapor-Labahn, "Algorithms for Computer
+Algebra", ch. 2; see `PackedRing`). An S-polynomial cross-multiplies
+the two tails by b/h and a/h, with h = gcd(a, b). Every scaling is a
+nonzero constant, so the basis, and every count of pairs and normal
+forms, are the same as over Fractions, and unpacking divides by the
+accumulated multiplier (`poly.Packed.den`).
 
-The run's bookkeeping is incremental. The reducer table (`_Reducers`:
-the basis elements' reducer entries sorted by lead key) takes one
-`bisect` insertion per new element, instead of a sort of the whole basis
-for every normal form. New pairs pass Gebauer-Moeller's criteria
-(Gebauer-Moeller, "On an installation of Buchberger's algorithm",
-J. Symbolic Comput. 6, 1988): M keeps only the minimal candidate lcms,
-found in one scan in ascending int order, since a proper divisor of a
-packed monomial is a smaller int; F keeps one pair per lcm; the product
-criterion drops coprime leads; and the chain criterion B prunes the old
-pairs. The returned `GroebnerBasis` holds the packed elements and
-unpacks them into Polynomials when `generators` is first read, so a
-caller that reads only the leads and the Hilbert numerator, as the gin
-routes do, unpacks nothing.
+The run's bookkeeping is incremental: the reducer table (`_Reducers`)
+takes one `bisect` insertion per new element, and new pairs pass
+Gebauer-Moeller's criteria (Gebauer-Moeller, "On an installation of
+Buchberger's algorithm", J. Symbolic Comput. 6, 1988; `_update_pairs`).
+The returned `GroebnerBasis` unpacks its elements only when `generators`
+is read, so the gin routes, which read the leads and the Hilbert
+numerator, unpack nothing.
 
 Hilbert-driven pair elimination. Let S = k[x_1..x_n] be the ring of all
 the variables, and let every generator be homogeneous of degree >= 1,
@@ -96,7 +78,8 @@ from itertools import count, zip_longest
 from math import gcd
 from operator import itemgetter
 
-from .ideals import packed_numerator, series_coefficient
+from .ideals import (_minimal, _poly_trim, packed_numerator,
+                     series_coefficient)
 from .orders import EXP_MAX, ExponentOverflow
 from .poly import Packed, PackedRing
 from .series import bracket_numerator
@@ -139,9 +122,9 @@ class GroebnerBasis:
     input did not allow the rule or the rule switched off.
 
     `generators`, and iteration, unpack the elements into Polynomials on
-    first access, once. `len()`, `lead_monomials()` and `reduce_basis`
-    read the packed elements, so a caller that reads only the leads and
-    the Hilbert numerator never unpacks.
+    first access, once. `len()`, the leads and `reduce_basis` read the
+    packed elements, so a caller that reads only the leads and the
+    Hilbert numerator never unpacks.
     """
 
     __slots__ = ("order", "reduced", "hilbert_numerator", "_generators",
@@ -160,10 +143,16 @@ class GroebnerBasis:
             self._generators = tuple(map(self._ring.unpack, self._packed))
         return self._generators
 
+    @property
+    def layout(self):
+        return self._ring.layout
+
+    def packed_leads(self):
+        """An iterator over the leading monomials, packed by `layout`."""
+        return map(self.layout.from_key, map(_lead_key, self._packed))
+
     def lead_monomials(self):
-        layout = self._ring.layout
-        return [layout.unpack(layout.from_key(_lead_key(g)))
-                for g in self._packed]
+        return list(map(self.layout.unpack, self.packed_leads()))
 
     def __iter__(self):
         return iter(self.generators)
@@ -198,7 +187,8 @@ def normal_form(f, reducers, R, budget=None):
     Deterministic reducer selection: the table is scanned in ascending
     order of lead monomial and the first divisor wins. Over Q the result
     is the remainder times a nonzero constant (see `PackedRing`). A
-    `budget`'s deadline is checked every 1024 reduction steps.
+    `budget`'s deadline is checked every 1024 reduction steps, and at
+    every rescaling over Q, which costs O(terms) itself.
     """
     table, keys = reducers.entries, reducers.keys
     if not f or not keys:
@@ -233,6 +223,8 @@ def normal_form(f, reducers, R, budget=None):
                     g = gcd(a, c)
                     c //= g
                     if a != g:
+                        if budget is not None:
+                            budget.check_time()
                         s = a // g
                         for mk in work:
                             work[mk] *= s
@@ -298,22 +290,15 @@ def _update_pairs(leads, pairs, h, layout, serial):
     the serial number keeps creation order among equal keys, which is the
     pair list's order, so ``min(pairs)`` is the first pair of least key.
 
-    Criterion M keeps only the minimal candidate lcms lcm(leads[i], h).
-    A proper divisor of a packed monomial is a smaller int, so the
-    distinct lcms are scanned in ascending int order, and each one that
-    no lcm kept before it divides is minimal. The new pairs then follow
+    Criterion M keeps only the minimal candidate lcms lcm(leads[i], h),
+    found by the ascending scan of `ideals._minimal`. The new pairs follow
     the basis index order, the first index of an lcm standing for all
     (criterion F).
     """
     t = len(leads)
     guard = layout.guard
     lcms = [layout.lcm(g, h) for g in leads]
-    minimal = []
-    for L in sorted(set(lcms)):
-        Lg = L | guard
-        if not any((Lg - K) & guard == guard for K in minimal):
-            minimal.append(L)
-    minimal = set(minimal)
+    minimal = set(_minimal(set(lcms), guard))
     new_pairs = []
     for i, L in enumerate(lcms):
         if L in minimal:
@@ -384,11 +369,8 @@ class _HilbertCount:
 
     def numerator(self):
         """The Hilbert numerator of S/in(G), without trailing zeros."""
-        num = [a + b for a, b in zip_longest(self.excess, self.expected,
-                                             fillvalue=0)]
-        while len(num) > 1 and not num[-1]:
-            num.pop()
-        return tuple(num)
+        return tuple(_poly_trim([a + b for a, b in zip_longest(
+            self.excess, self.expected, fillvalue=0)]))
 
 
 def buchberger(gens, order=None, budget=None):
@@ -458,14 +440,12 @@ def reduce_basis(gb):
     """The unique reduced Groebner basis of the same ideal, reduced from
     the packed elements of `gb` without unpacking."""
     R, G = gb._ring, gb._packed
-    divides = R.layout.divides
-    # minimalize: drop generators whose lead is divisible by another lead
-    minimal = []
-    for g in sorted(G, key=_lead_key):
-        lead = R.reducer(g)[1]
-        if not any(divides(R.reducer(h)[1], lead) for h in minimal):
-            minimal = [h for h in minimal if not divides(lead, R.reducer(h)[1])]
-            minimal.append(g)
+    # minimalize: the first of equal leads stays, divisible leads go
+    first = {}
+    for g in G:
+        first.setdefault(R.reducer(g)[1], g)
+    minimal = sorted(map(first.get, _minimal(first, R.layout.guard)),
+                     key=_lead_key)
     # tail-reduce until stable
     changed = True
     while changed:

@@ -1,15 +1,18 @@
 """Monomial ideals: minimal generators, membership, Hilbert data.
 
-A `MonomialIdeal` holds exponent tuples, and minimal generators and
-membership work on them. The Hilbert numerator runs on packed monomials
-(`orders.Layout`). `hilbert_numerator` packs the generators under `LEX`
-and takes the Eliahou-Kervaire sum when a certificate proves the ideal
-stable (`stable_numerator`), as every lexsegment ideal is. Otherwise it
-runs `packed_numerator`, the one pivot recursion, which the Groebner
-kernel's Hilbert count also calls on its own packing. A packed field
-holds at most EXP_MAX = 32767, so the Hilbert data of an ideal with a
-larger exponent or generator degree raise `ExponentOverflow`;
-minimalization and membership have no such limit.
+A `MonomialIdeal` holds exponent tuples; divisibility is tested on
+packed ints. `contains` packs the generators once into a divisor index
+(`_Divisors`), fields just wide enough for their largest exponent, and
+`minimalize` packs the same way for `_minimal`, the one ascending scan,
+which `packed_ideal` runs on the kernel's packed leads. The Hilbert
+numerator runs on packed monomials (`orders.Layout`). `hilbert_numerator`
+packs the generators under `LEX` and takes the Eliahou-Kervaire sum when
+a certificate proves the ideal stable (`stable_numerator`), as every
+lexsegment ideal is. Otherwise it runs `packed_numerator`, the one pivot
+recursion, which the Groebner kernel's Hilbert count also calls on its
+own packing. A `LEX` field holds at most EXP_MAX = 32767, so the Hilbert
+data of an ideal with a larger exponent or generator degree raise
+`ExponentOverflow`; minimalization and membership have no such limit.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate, chain, combinations_with_replacement
 
-from .orders import _FIELD, EXP_MAX, FIELD_BITS, LEX, binomial, mono_divides
+from .orders import _FIELD, EXP_MAX, FIELD_BITS, LEX, binomial
 
 
 @dataclass(frozen=True)
@@ -28,21 +31,7 @@ class MonomialIdeal:
     gens: tuple  # exponent tuples, pairwise indivisible, descending lex
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"an ideal needs at least one variable, not {self.n!r}")
-        for g in self.gens:
-            if len(g) != self.n:
-                raise ValueError(f"generator {g} does not have {self.n} exponents")
-        # `type`, not `isinstance`, so that bools are refused too
-        if (not {int}.issuperset(map(type, chain.from_iterable(self.gens)))
-                or min(chain.from_iterable(self.gens), default=0) < 0):
-            raise ValueError("an exponent is not a non-negative integer")
-
-    def is_zero(self):
-        return not self.gens
-
-    def is_unit(self):
-        return any(not any(g) for g in self.gens)
+        _check(self.n, self.gens)
 
     def to_json(self):
         return {"n": self.n, "gens": [list(g) for g in self.gens]}
@@ -51,21 +40,73 @@ class MonomialIdeal:
     def from_json(cls, data):
         return minimalize(int(data["n"]), [tuple(g) for g in data["gens"]])
 
+    def divisor_index(self):
+        """The `_Divisors` of the generators, built on first use."""
+        index = self.__dict__.get("_index")
+        if index is None:
+            index = _Divisors(self.n, self.gens)
+            object.__setattr__(self, "_index", index)
+        return index
+
+
+def _check(n, gens):
+    """ValueError unless `gens` are n-tuples of non-negative ints, n >= 1."""
+    if not isinstance(n, int) or n < 1:
+        raise ValueError(f"an ideal needs at least one variable, not {n!r}")
+    for g in gens:
+        if len(g) != n:
+            raise ValueError(f"generator {g} does not have {n} exponents")
+    # `type`, not `isinstance`, so that bools are refused too
+    if (not {int}.issuperset(map(type, chain.from_iterable(gens)))
+            or min(chain.from_iterable(gens), default=0) < 0):
+        raise ValueError("an exponent is not a non-negative integer")
+
+
+class _Divisors:
+    """Exponent tuples in n variables packed one field per variable, x1
+    on top, each field wide enough for `top`, the largest exponent of
+    `gens`, under a guard bit. `pack` clamps an exponent to top, which
+    changes no divisibility by a generator, so g divides m iff
+    ``((pack(m) | guard) - pack(g)) & guard == guard``, however large m's
+    exponents. `packed` lists the packed generators; these ints sort lex."""
+
+    def __init__(self, n, gens):
+        top = max(chain.from_iterable(gens), default=0)
+        width = top.bit_length() + 1
+        self.shifts = range(width * (n - 1), -1, -width)
+        self.tops = (top,) * n
+        self.guard = sum(1 << (s + width - 1) for s in self.shifts)
+        self.packed = list(map(self.pack, gens))
+
+    def pack(self, m):
+        return sum(map(int.__lshift__, map(min, m, self.tops), self.shifts))
+
 
 def minimalize(n, monomials):
-    """Drop every monomial divisible by another one in the set."""
-    mins = []
-    for m in sorted(set(monomials), key=sum):
-        if not any(mono_divides(g, m) for g in mins):
-            mins.append(m)
-    mins.sort(reverse=True)  # descending lex
-    return MonomialIdeal(n, tuple(mins))
+    """Drop every monomial divisible by another one; checked, then packed."""
+    monomials = tuple(set(monomials))
+    _check(n, monomials)
+    index = _Divisors(n, monomials)
+    packed = dict(zip(index.packed, monomials))
+    kept = sorted(_minimal(packed, index.guard), reverse=True)  # desc. lex
+    return MonomialIdeal(n, tuple(map(packed.get, kept)))
+
+
+def packed_ideal(layout, monomials):
+    """The MonomialIdeal generated by the packed monomials of `layout`:
+    minimalized packed (degree fields may be set), survivors unpacked."""
+    gens = map(layout.unpack, _minimal(set(monomials), layout.guard))
+    return MonomialIdeal(layout.nvars, tuple(sorted(gens, reverse=True)))
 
 
 def contains(J, m):
+    """Whether the monomial m lies in J, through J's divisor index."""
     if len(m) != J.n:
         raise ValueError(f"monomial has {len(m)} exponents, ideal is in {J.n} variables")
-    return any(mono_divides(g, m) for g in J.gens)
+    index = J.divisor_index()
+    guard = index.guard
+    mg = index.pack(m) | guard
+    return guard in map(guard.__and__, map(mg.__sub__, index.packed))
 
 
 def maxdeg(J):
@@ -99,9 +140,9 @@ def monomials_of_degree(n, d):
 # ---------------------------------------------------------------------------
 # Hilbert series
 
-def _poly_trim(a):
+def _poly_trim(a):  # in place, down to one coefficient
     while len(a) > 1 and a[-1] == 0:
-        a = a[:-1]
+        a.pop()
     return a
 
 
@@ -233,10 +274,7 @@ def _minimal(gens, guard):
     kept = []
     for m in sorted(gens):
         mg = m | guard
-        for g in kept:
-            if (mg - g) & guard == guard:
-                break
-        else:
+        if guard not in map(guard.__and__, map(mg.__sub__, kept)):
             kept.append(m)
     return kept
 

@@ -177,6 +177,21 @@ class Layout:
         """Total degree: the sum of the degree fields."""
         return sum((P >> b[0]) & _FIELD for b in self._blocks)
 
+    def field_bound(self, lead, keys):
+        """A packed B such that ``B + q`` sets a guard bit iff some
+        monomial with an order key in `keys` (the largest packed as
+        `lead`) times packed q overflows a field. With several blocks B
+        is their field-wise maximum; with one, D in every field, D their
+        largest degree (lead's if graded, else the largest bottom field
+        of a key): exact, as D + q_f <= D + deg(q), a product's degree."""
+        if len(self._blocks) > 1:
+            for k in keys:
+                lead = self.fieldmax(lead, self.from_key(k))
+            return lead
+        shift = self._blocks[0][0]
+        D = lead >> shift if shift else max(map(_FIELD.__and__, keys))
+        return D * (self.guard >> (FIELD_BITS - 1))
+
     def fieldmax(self, a, b):
         """Field-wise maximum of two packed monomials, degree fields too."""
         ge = ((a | self.guard) - b) & self.guard  # guard set where a >= b

@@ -8,11 +8,9 @@ parameters (the coefficients of the parametric family).
 
 The Groebner kernel works on the packed form instead (`PackedRing`,
 `Packed`): each monomial is the int order key of its packed exponent
-vector (see `orders.Layout`: 16-bit fields with guard bits, a degree
-field per block, reversed fields for degrevlex, the linear key
-``P - 2*(P & rev)``), so a term is (key, coefficient), a product of
-monomials is a sum of keys and sorting by monomial is sorting ints. The
-coefficients are ints: over GF(p) in [0, p), reduced inline with ``% p``;
+vector (see `orders.Layout`), so a term is (key, coefficient), a product
+of monomials is a sum of keys and sorting by monomial is sorting ints.
+The coefficients are ints: over GF(p) in [0, p), reduced inline with ``% p``;
 over Q unbounded, with the denominators cleared. A packed polynomial over
 Q stands for its integer terms divided by the int `Packed.den`, the
 multiplier that packing and pseudo-division accumulated, so the kernel
@@ -25,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter
 
 from .fields import QQ
 from .orders import mono_str
@@ -215,33 +214,30 @@ class PackedRing:
     def reducer(self, g):
         """(lead key, lead, slack, tail, a) of a nonzero packed g,
         computed once and cached on g. `lead` is the packed leading
-        monomial; ``slack + m`` sets a guard bit iff multiplying g's
-        monomials by m / lead overflows a field (slack is the field-wise
-        maximum of g's monomials minus the lead); `tail` lists the other
-        terms. Over GF(p) the tail is divided by the leading coefficient
-        and ``a`` is 1; over Q the tail is g's own and ``a`` is g's
-        integer leading coefficient."""
+        monomial and `tail` lists the other terms. ``slack + m`` sets a
+        guard bit iff multiplying g's monomials by m / lead overflows a
+        field (slack is `Layout.field_bound` minus lead: under one block
+        the largest degree in every field, no pass over the monomials
+        under a graded order). Over GF(p) the tail is divided by the
+        leading coefficient, unless that is 1, and ``a`` is 1; over Q the
+        tail is g's own and ``a`` is g's integer leading coefficient."""
         r = g.reducer
         if r is None:
             layout, p = self.layout, self.p
             (lead_key, a), *tail = g.terms
-            lead = bound = layout.from_key(lead_key)
-            for k, _ in tail:
-                bound = layout.fieldmax(bound, layout.from_key(k))
-            if p:
+            lead = layout.from_key(lead_key)
+            keys = map(itemgetter(0), g.terms)
+            slack = layout.field_bound(lead, keys) - lead
+            if p and a != 1:
                 inv = pow(a, -1, p)
                 tail = [(k, c * inv % p) for k, c in tail]
                 a = 1
-            r = g.reducer = (lead_key, lead, bound - lead, tail, a)
+            r = g.reducer = (lead_key, lead, slack, tail, a)
         return r
 
 
 # ---------------------------------------------------------------------------
 # text / JSON forms
-
-def coeff_str(c):
-    return str(c)
-
 
 def format_poly(f, names=None):
     if not f.terms:
@@ -266,7 +262,7 @@ def format_poly(f, names=None):
 
 
 def poly_to_json(f):
-    return [[coeff_str(c), list(m)] for m, c in f.terms]
+    return [[str(c), list(m)] for m, c in f.terms]
 
 
 def poly_from_json(ring, order, data):

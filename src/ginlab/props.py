@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ideals import contains, monomials_of_degree
-from .orders import DEGREVLEX, binom_p_leq, mono_str
+from .orders import EXP_MAX, ExponentOverflow, binom_p_leq, mono_str
 from .series import _lex_monomial, _macaulay_digits, _macaulay_shift
 
 
@@ -80,19 +80,24 @@ def is_lexsegment(J):
 
 def is_weakly_revlex(J):
     """Minimal generators only: same-degree revlex-larger monomials are in
-    J. g's key is taken before the monomials of its degree are listed, so
-    a degree too large for a packed field raises `ExponentOverflow` at
-    once."""
-    keyed = {}  # degree -> [(degrevlex key, monomial)] in descending lex
+    J; the witness is the first failing generator and the lex-largest
+    monomial it misses. Each degree's monomials, in descending revlex order
+    (lex reversed, on reversed tuples), are decided once, as far as each
+    generator needs. A degree above EXP_MAX, too large for a packed degree
+    field, raises `ExponentOverflow` before its monomials are listed."""
+    walks = {}  # degree -> [monomials in descending revlex, how many decided]
     for g in J.gens:
-        gkey = DEGREVLEX.key(g)
         d = sum(g)
-        if d not in keyed:
-            monos = monomials_of_degree(J.n, d)
-            keyed[d] = list(zip(map(DEGREVLEX.key, monos), monos))
-        for key, m in keyed[d]:
-            if key > gkey and not contains(J, m):
-                return PropertyVerdict(False, (g, m))
+        if d > EXP_MAX:
+            raise ExponentOverflow()
+        if d not in walks:
+            walks[d] = [[m[::-1] for m in monomials_of_degree(J.n, d)[::-1]], 0]
+        walk = walks[d]
+        i = walk[0].index(g)
+        missing = [m for m in walk[0][walk[1]:i] if not contains(J, m)]
+        if missing:
+            return PropertyVerdict(False, (g, max(missing)))
+        walk[1] = max(walk[1], i)
     return PropertyVerdict(True)
 
 

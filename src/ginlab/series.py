@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .ideals import (MonomialIdeal, hilbert_series, series_coefficient,
-                     top_degree)
+from .ideals import (MonomialIdeal, _poly_trim, hilbert_series,
+                     series_coefficient, top_degree)
 
 
 class InadmissibleHilbertFunction(ValueError):
@@ -117,9 +117,7 @@ def bracket_numerator(n, degrees):
     h = froeberg_series(n, degrees, top).coeffs
     num = [sum((-1) ** j * comb(n, j) * h[e - j] for j in range(min(n, e) + 1))
            for e in range(top + 1)]
-    while len(num) > 1 and not num[-1]:
-        num.pop()
-    return num
+    return _poly_trim(num)
 
 
 def _macaulay_digits(a, d):

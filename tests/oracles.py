@@ -1,5 +1,10 @@
 """Independent routes that only the tests use to check the library.
 
+- `tuple_minimalize` and `tuple_contains`: minimal generators and
+  membership on exponent tuples, the reference for the packed scans of
+  `ginlab.ideals` and the membership test of every brute-force oracle
+- `Arith`: field arithmetic on the coefficients of a ginlab field, for
+  the tuple kernel and the row reductions below
 - `hilbert_function_bruteforce`: count standard monomials one by one
 - `tuple_hilbert_numerator`: the Hilbert numerator by the pivot
   recursion on exponent tuples, with tuple minimalization at every split
@@ -11,6 +16,9 @@
   by listing every monomial and testing it for divisibility
 - `is_lexsegment_by_enumeration`: the verdict and witness of
   `ginlab.is_lexsegment`, by listing every monomial up to maxdeg
+- `is_weakly_revlex_by_scan`: the verdict and witness of
+  `ginlab.is_weakly_revlex`, by testing every monomial of each
+  generator's degree against it
 - `is_borel_fixed_by_scan`: the verdict and witness of
   `ginlab.is_borel_fixed`, by testing every allowed shift of every
   minimal generator
@@ -42,8 +50,8 @@ from itertools import product
 from math import gcd, lcm
 
 from ginlab.fields import QQ, RationalField
-from ginlab.ideals import (contains, hilbert_series, minimalize,
-                           monomials_of_degree, top_degree)
+from ginlab.ideals import (MonomialIdeal, hilbert_series, monomials_of_degree,
+                           top_degree)
 from ginlab.orders import (DEGLEX, DEGREVLEX, LEX, InverseBlock, binom_p_leq,
                            binomial, mono_divides)
 from ginlab.poly import Polynomial, Ring
@@ -52,9 +60,57 @@ from ginlab.series import (InadmissibleHilbertFunction, SeriesWindow,
                            default_horizon, froeberg_series)
 
 
+class Arith:
+    """Arithmetic in a ginlab field `fld`, on its elements: Fractions over
+    Q, ints in [0, p) over GF(p)."""
+
+    def __init__(self, fld):
+        self.p, self.zero, self.one = fld.char, fld.zero, fld.one
+
+    def _r(self, x):
+        return x % self.p if self.p else x
+
+    def add(self, a, b):
+        return self._r(a + b)
+
+    def sub(self, a, b):
+        return self._r(a - b)
+
+    def mul(self, a, b):
+        return self._r(a * b)
+
+    def neg(self, a):
+        return self._r(-a)
+
+    def inv(self, a):
+        return pow(a, -1, self.p) if self.p else 1 / a
+
+    def div(self, a, b):
+        return self.mul(a, self.inv(b))
+
+
+def tuple_minimalize(n, monomials):
+    """`ginlab.minimalize` on exponent tuples: in ascending degree, keep
+    each monomial that no monomial kept before it divides."""
+    mins = []
+    for m in sorted(set(monomials), key=sum):
+        if not any(mono_divides(g, m) for g in mins):
+            mins.append(m)
+    return MonomialIdeal(n, tuple(sorted(mins, reverse=True)))
+
+
+def tuple_contains(J, m):
+    """`ginlab.contains` on exponent tuples: some generator divides m."""
+    if len(m) != J.n:
+        raise ValueError(f"monomial has {len(m)} exponents, "
+                         f"ideal is in {J.n} variables")
+    return any(mono_divides(g, m) for g in J.gens)
+
+
 def hilbert_function_bruteforce(J, d):
     """Count degree-d monomials outside J by direct enumeration."""
-    return sum(1 for m in monomials_of_degree(J.n, d) if not contains(J, m))
+    return sum(1 for m in monomials_of_degree(J.n, d)
+               if not tuple_contains(J, m))
 
 
 def _poly_mul(a, b):
@@ -106,9 +162,9 @@ def _tuple_numerator(gens, memo):
                 counts[v] += 1
     v = max(range(n), key=lambda i: counts[i])
     pivot = tuple(1 if i == v else 0 for i in range(n))
-    plus = minimalize(n, list(gens) + [pivot]).gens
-    colon = minimalize(n, [tuple(max(e - p, 0) for e, p in zip(g, pivot))
-                           for g in gens]).gens
+    plus = tuple_minimalize(n, list(gens) + [pivot]).gens
+    colon = tuple_minimalize(
+        n, [tuple(max(e - p, 0) for e, p in zip(g, pivot)) for g in gens]).gens
     a = _tuple_numerator(frozenset(plus), memo)
     b = _tuple_numerator(frozenset(colon), memo)
     out = [0] * max(len(a), len(b) + 1)
@@ -123,6 +179,7 @@ def _tuple_numerator(gens, memo):
 
 def _rank(rows, fld):
     """Rank of a matrix over the field `fld` by Gaussian elimination."""
+    fld = Arith(fld)
     rows = [list(r) for r in rows]
     zero = fld.zero
     rank = 0
@@ -222,15 +279,15 @@ def lexsegment_by_enumeration(n, hf, horizon=None):
         in_ideal = len(segment) - len(new)
         # every degree-d multiple of an earlier generator must sit inside
         # the segment, otherwise no lexsegment ideal matches hf
-        multiples = (dim - hilbert_series(minimalize(n, gens), horizon=d)[d]
-                     if gens else 0)
+        multiples = (dim - hilbert_series(tuple_minimalize(n, gens),
+                                          horizon=d)[d] if gens else 0)
         if multiples != in_ideal:
             raise InadmissibleHilbertFunction(
                 f"degree-{d} piece is not a lex segment for the given function")
         if new:
             last_gen_degree = d
         gens.extend(new)
-    J = minimalize(n, gens)
+    J = tuple_minimalize(n, gens)
     if tuple(hilbert_series(J, horizon=D)[: D + 1]) != coeffs[: D + 1]:
         raise InadmissibleHilbertFunction(
             "constructed lexsegment ideal does not reproduce the Hilbert function")
@@ -243,11 +300,23 @@ def is_lexsegment_by_enumeration(J):
     for d in range(1, top_degree(J) + 1):
         gap = None
         for m in monomials_of_degree(J.n, d):
-            if contains(J, m):
+            if tuple_contains(J, m):
                 if gap is not None:
                     return PropertyVerdict(False, (m, gap))
             elif gap is None:
                 gap = m
+    return PropertyVerdict(True)
+
+
+def is_weakly_revlex_by_scan(J):
+    """`ginlab.is_weakly_revlex`: for each generator g, in J's order, scan
+    the monomials of g's degree in descending lex order; the first one
+    that is revlex-larger than g and missing from J is the witness."""
+    for g in J.gens:
+        key = tuple_key(DEGREVLEX, g)
+        for m in monomials_of_degree(J.n, sum(g)):
+            if tuple_key(DEGREVLEX, m) > key and not tuple_contains(J, m):
+                return PropertyVerdict(False, (g, m))
     return PropertyVerdict(True)
 
 
@@ -268,7 +337,7 @@ def is_borel_fixed_by_scan(J, p=0):
                     shifted = list(m)
                     shifted[j] -= s
                     shifted[i] += s
-                    if not contains(J, tuple(shifted)):
+                    if not tuple_contains(J, tuple(shifted)):
                         return PropertyVerdict(False, (m, tuple(shifted)))
     return PropertyVerdict(True)
 
@@ -285,7 +354,8 @@ def borel_action_check(J, i, j, c, horizon=None):
         raise ValueError("need c != 0")
     D = horizon if horizon is not None else top_degree(J)
     for d in range(1, D + 1):
-        members = [m for m in monomials_of_degree(J.n, d) if contains(J, m)]
+        members = [m for m in monomials_of_degree(J.n, d)
+                   if tuple_contains(J, m)]
         index = {m: k for k, m in enumerate(members)}
         rows = []
         for m in members:
@@ -321,14 +391,14 @@ def is_stable_by_scan(J):
     same move of g leaves J too."""
     top = [max((g[i] for g in J.gens), default=0) for i in range(J.n)]
     for w in product(*(range(e + 1) for e in top)):
-        if not contains(J, w):
+        if not tuple_contains(J, w):
             continue
         support = [i for i, e in enumerate(w) if e]
         for j in range(support[-1] if support else 0):
             moved = list(w)
             moved[support[-1]] -= 1
             moved[j] += 1
-            if not contains(J, tuple(moved)):
+            if not tuple_contains(J, tuple(moved)):
                 return False
     return True
 
@@ -385,7 +455,7 @@ def specialize(F, point):
     for m, c in F.terms:
         for v, e in zip(values, m[ring.nmain:]):
             for _ in range(e):
-                c = fld.mul(c, v)
+                c = Arith(fld).mul(c, v)
         terms.append((m[: ring.nmain], c))
     order = F.order.main_order if isinstance(F.order, InverseBlock) else F.order
     return Polynomial.from_terms(Ring(fld, ring.names[: ring.nmain]), order,
@@ -482,7 +552,7 @@ def _resorted(f, order):
 
 def monic(f):
     """f divided by its leading coefficient."""
-    fld = f.ring.field
+    fld = Arith(f.ring.field)
     inv = fld.inv(f.lc()) if f else fld.one
     return Polynomial(f.ring, f.order,
                       [(m, fld.mul(inv, c)) for m, c in f.terms])
@@ -507,7 +577,7 @@ def tuple_s_polynomial(f, g, order=None):
     order = order or f.order
     f = _resorted(f, order)
     g = _resorted(g, order)
-    fld = f.ring.field
+    fld = Arith(f.ring.field)
     L = mono_lcm(f.lm(), g.lm())
     d = {}
     for h, sign in ((f, fld.one), (g, fld.neg(fld.one))):
@@ -534,7 +604,7 @@ def tuple_normal_form(f, G, order=None):
     leads = [(g.lm(), g.lc(), g.terms) for g in divs]
     if not leads:
         return f
-    fld = f.ring.field
+    fld = Arith(f.ring.field)
     zero = fld.zero
     work = dict(f.terms)
     heap = [(_neg_key(tuple_key(order, m)), m) for m in work]

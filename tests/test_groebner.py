@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import count
 
@@ -10,7 +11,7 @@ from ginlab import generic, groebner
 from ginlab.generic import GF32003
 from ginlab.groebner import Budget, BudgetExceeded
 from ginlab.ideals import monomials_of_degree
-from ginlab.orders import ExponentOverflow
+from ginlab.orders import EXP_MAX, ExponentOverflow
 from ginlab.poly import PackedRing, Polynomial, Ring, parse_poly
 from ginlab.series import bracket_numerator
 
@@ -215,6 +216,23 @@ def test_deadline_is_checked_inside_one_long_normal_form(monkeypatch):
         gl.buchberger([g, parse_poly("x1^3000", R2, gl.LEX)], gl.LEX,
                       Budget(ms=1000))
     assert clock.readings == 4
+
+
+def test_deadline_is_read_at_every_rescaling_over_q():
+    """Over Q a reduction step may rescale the whole working polynomial,
+    and within one normal form of this system the coefficients grow so
+    fast that 1024 steps took 44 s past a 250 ms budget. The deadline is
+    read at every rescaling too."""
+    ring = Ring(gl.QQ, ("x1", "x2", "x3", "x4"))
+    order = gl.InverseBlock(gl.LEX, gl.LEX, 3)
+    gens = [parse_poly(text, ring, order) for text in (
+        "-2*x3^3 + 5/4*x3^2 - 1/2*x3*x4^2",
+        "3/7*x1*x2 + 3/7*x1*x3^2 + 2*x3^2*x4 + 1/2",
+        "-2*x1^3 - x1*x3^2 - 2*x2*x3")]
+    start = time.monotonic()
+    with pytest.raises(BudgetExceeded):
+        gl.buchberger(gens, order, Budget(ms=250))
+    assert time.monotonic() - start < 10
 
 
 def test_one_deadline_covers_every_sampling_trial(monkeypatch):
@@ -589,6 +607,69 @@ def test_product_past_the_field_width_raises():
                         parse_poly("x2^20000 + x1", R2, gl.LEX))
     assert normal_form(parse_poly("x1*x2", R2, gl.LEX), [g]) == parse_poly(
         "x2^20001", R2, gl.LEX)
+
+
+#: orders with one block, where a reducer's slack is the largest degree
+#: in every field, and an inverse block, where it is the field-wise maximum
+SLACK_ORDERS = [gl.LEX, gl.DEGLEX, gl.DEGREVLEX,
+                gl.InverseBlock(gl.LEX, gl.DEGREVLEX, 2)]
+BIG = st.one_of(st.integers(0, 3), st.integers(0, 20000))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(SLACK_ORDERS),
+       st.lists(st.tuples(BIG, BIG, BIG).filter(lambda m: sum(m) <= EXP_MAX),
+                min_size=1, max_size=4),
+       st.tuples(BIG, BIG, BIG))
+def test_reducer_slack_flags_exactly_the_overflowing_products(order, monos,
+                                                              q):
+    """For m = lead(g) * q, ``slack + m`` sets a guard bit iff a monomial
+    of g times q has an exponent or a block degree past EXP_MAX."""
+    R = PackedRing(R3, order)
+    g = Polynomial.from_terms(R3, order, [(m, 1) for m in monos])
+    try:
+        m = R.layout.pack(mono_mul(g.lm(), q))
+    except ExponentOverflow:
+        assume(False)
+    slack = R.reducer(R.pack(g))[2]
+
+    def overflows(t):
+        try:
+            R.layout.pack(mono_mul(t, q))
+        except ExponentOverflow:
+            return True
+        return False
+
+    assert bool((slack + m) & R.layout.guard) == any(
+        overflows(t) for t, _ in g.terms)
+
+
+def test_products_at_the_field_width_edge():
+    """Products of degree EXP_MAX reduce as in the tuple kernel (in
+    `normal_form` every exponent stays far below it, so the degree field
+    decides); one degree more raises, in `normal_form` and in
+    `s_polynomial`."""
+    g = parse_poly("x1 - x2^20000", R3, gl.LEX)
+    f2 = parse_poly("x1*x2 - x3^20000", R3, gl.LEX)
+    for k, fits in ((12767, True), (12768, False)):
+        f = parse_poly(f"x1*x3^{k} + x3", R3, gl.LEX)
+        h = parse_poly(f"x1*x3^{k} + x2", R3, gl.LEX)
+        if fits:
+            assert normal_form(f, [g]) == tuple_normal_form(f, [g])
+            assert normal_form(f, [g]) == parse_poly(
+                f"x2^20000*x3^{k} + x3", R3, gl.LEX)
+            assert s_polynomial(f2, h) == tuple_s_polynomial(f2, h)
+            assert s_polynomial(f2, h) == parse_poly(
+                f"-x3^{20000 + k} - x2^2", R3, gl.LEX)
+        else:
+            with pytest.raises(ExponentOverflow):
+                normal_form(f, [g])
+            with pytest.raises(ExponentOverflow):
+                s_polynomial(f2, h)
+    # in a run, the lcm of x1 and the reduced lead must fit too
+    f = parse_poly("x1*x3^12766 + x3", R3, gl.LEX)
+    assert [b.terms for b in gl.buchberger([g, f], gl.LEX)] == [
+        b.terms for b in tuple_buchberger([g, f], gl.LEX)]
 
 
 # ---------------------------------------------------------------------------

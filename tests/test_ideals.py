@@ -12,7 +12,8 @@ from ginlab.orders import (DEGLEX, DEGREVLEX, EXP_MAX, FIELD_BITS, LEX,
 
 from conftest import GIN_32_22, INI_I, INI_J
 from oracles import (hilbert_function_bruteforce, is_stable_by_scan,
-                     tuple_hilbert_numerator)
+                     tuple_contains, tuple_hilbert_numerator,
+                     tuple_minimalize)
 
 
 def random_monomial_ideal(rng, n, max_gens=6, max_exp=4):
@@ -54,6 +55,36 @@ def test_contains_generators():
 def test_contains_dimension_check():
     with pytest.raises(ValueError):
         gl.contains(gl.minimalize(2, [(1, 0)]), (1, 0, 0))
+
+
+@st.composite
+def membership_cases(draw):
+    """(n, generators, queries) in n <= 4 variables, exponents up to
+    40000. Generators may repeat or be multiples of others; queries
+    include multiples of generators and monomials whose every exponent
+    is above every generator exponent."""
+    n = draw(st.integers(1, 4))
+    exponent = st.one_of(st.integers(0, 3), st.integers(0, 40000))
+    mono = st.tuples(*[exponent] * n)
+    gens = draw(st.lists(mono, max_size=8))
+    multiples = [tuple(a + b for a, b in zip(g, draw(mono)))
+                 for g in draw(st.lists(st.sampled_from(gens), max_size=4))
+                 ] if gens else []
+    top = max((e for g in gens for e in g), default=0)
+    above = st.tuples(*[st.integers(top + 1, top + 10**6)] * n)
+    queries = draw(st.lists(mono, max_size=6)) + draw(st.lists(above,
+                                                              max_size=2))
+    return n, gens + multiples, queries + multiples
+
+
+@settings(max_examples=300, deadline=None)
+@given(membership_cases())
+def test_packed_membership_matches_tuple_scans(case):
+    n, gens, queries = case
+    J = gl.minimalize(n, gens)
+    assert J == tuple_minimalize(n, gens)
+    for m in queries + gens:
+        assert gl.contains(J, m) == tuple_contains(J, m)
 
 
 def test_hilbert_numerator_zero_ideal():

@@ -11,7 +11,7 @@ from ginlab.series import _macaulay_digits
 
 from conftest import GIN_32_22, INI_I, INI_J
 from oracles import (borel_action_check, is_borel_fixed_by_scan,
-                     is_lexsegment_by_enumeration)
+                     is_lexsegment_by_enumeration, is_weakly_revlex_by_scan)
 from test_ideals import random_monomial_ideal
 
 
@@ -151,6 +151,18 @@ def monomial_ideals(draw):
 def test_is_borel_fixed_matches_full_scan(case):
     J, p = case
     assert is_borel_fixed(J, p) == is_borel_fixed_by_scan(J, p)
+
+
+@settings(max_examples=300, deadline=None)
+@example((gl.minimalize(3, list(INI_J)), 0))
+# x2^2 and x1*x3 both miss for x2*x3: the lex-larger x1*x3 is the witness
+@example((gl.minimalize(3, [(2, 0, 0), (1, 1, 0), (0, 1, 1)]), 0))
+@given(monomial_ideals())
+def test_is_weakly_revlex_matches_full_scan(case):
+    """Deciding each monomial once gives the verdict and the witness of
+    the scan that tests every monomial for every generator."""
+    J, _ = case
+    assert is_weakly_revlex(J) == is_weakly_revlex_by_scan(J)
 
 
 def test_criterion_action_agreement():
