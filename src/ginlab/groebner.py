@@ -30,6 +30,17 @@ The returned `GroebnerBasis` unpacks its elements only when `generators`
 is read, so the gin routes, which read the leads and the Hilbert
 numerator, unpack nothing.
 
+Division keeps its heap small (Monagan-Pearce, "Polynomial division
+using dynamic arrays, heaps, and packed exponent vectors", CASC 2007) by
+two zones. A lead divides only keys at least its own, as key(lead * q) =
+key(lead) + key(q), so a term below the least lead key of the table is
+irreducible. `normal_form` heaps only the keys at or above it; the rest
+stay in the working dict, where a rescaling over Q reaches them, and
+join the remainder in one sort when the heap is empty. Every key popped
+is larger than all of them, so the remainder, the reducers chosen and
+the step count are those of one heap over every term. In lex gins most
+remainder terms lie below that key.
+
 Hilbert-driven pair elimination. Let S = k[x_1..x_n] be the ring of all
 the variables, and let every generator be homogeneous of degree >= 1,
 with degrees d_1..d_s. The bracket series of those degrees is
@@ -78,9 +89,8 @@ from itertools import count, zip_longest
 from math import gcd
 from operator import itemgetter
 
-from .ideals import (_minimal, _poly_trim, packed_numerator,
-                     series_coefficient)
-from .orders import EXP_MAX, ExponentOverflow
+from .ideals import _minimal, _poly_trim, packed_numerator
+from .orders import EXP_MAX, FIELD_BITS, ExponentOverflow, binomial
 from .poly import Packed, PackedRing
 from .series import bracket_numerator
 
@@ -188,7 +198,9 @@ def normal_form(f, reducers, R, budget=None):
     order of lead monomial and the first divisor wins. Over Q the result
     is the remainder times a nonzero constant (see `PackedRing`). A
     `budget`'s deadline is checked every 1024 reduction steps, and at
-    every rescaling over Q, which costs O(terms) itself.
+    every rescaling over Q, which costs O(terms) itself. Only the terms
+    at or above the least lead key pass through the heap (see the module
+    docstring).
     """
     table, keys = reducers.entries, reducers.keys
     if not f or not keys:
@@ -197,9 +209,10 @@ def normal_form(f, reducers, R, budget=None):
     guard, rev, from_key = layout.guard, layout.rev, layout.from_key
     p = R.p
     den = f.den
+    least = keys[0]
     work = dict(f.terms)
     get = work.get
-    heap = [-k for k in work]
+    heap = [-k for k in work if k >= least]
     heapify(heap)
     rem = []
     steps = 0
@@ -236,7 +249,8 @@ def normal_form(f, reducers, R, budget=None):
                     s = get(mk)
                     if s is None:
                         work[mk] = -c * tc % p if p else -(c * tc)
-                        heappush(heap, -mk)
+                        if mk >= least:
+                            heappush(heap, -mk)
                     else:
                         s = (s - c * tc) % p if p else s - c * tc
                         if s:
@@ -246,6 +260,8 @@ def normal_form(f, reducers, R, budget=None):
                 break
         else:
             rem.append((k, c))
+    # what is left lies below every lead, and below every key popped
+    rem += sorted(work.items(), reverse=True)
     return Packed(rem, den)
 
 
@@ -283,35 +299,46 @@ def s_polynomial(f, g, R):
 
 def _update_pairs(leads, pairs, h, layout, serial):
     """Gebauer-Moeller update of the pair set when a polynomial with packed
-    lead h joins a basis with packed leads `leads`.
+    lead h joins a basis with packed leads `leads`; it also returns the
+    quotients q_i = leads[i] / gcd(leads[i], h), degree fields zero.
 
     A pair is (selection key, serial number, i, j, packed lcm). The
     selection key orders pairs by lcm degree, then by the monomial order;
     the serial number keeps creation order among equal keys, which is the
     pair list's order, so ``min(pairs)`` is the first pair of least key.
 
-    Criterion M keeps only the minimal candidate lcms lcm(leads[i], h),
-    found by the ascending scan of `ideals._minimal`. The new pairs follow
-    the basis index order, the first index of an lcm standing for all
-    (criterion F).
+    The criteria read the quotients, made in one pass over the exponent
+    fields: lcm(g, h) = h q, so lcms divide or equal as quotients do.
+    Criterion M keeps only the minimal ones, found by the ascending scan
+    of `ideals._minimal`; the first index of an lcm stands for all
+    (criterion F). Only the lcm of a pair that also passes Buchberger's
+    coprimality criterion gets its degree fields, so only it can raise
+    `ExponentOverflow`.
     """
     t = len(leads)
-    guard = layout.guard
-    lcms = [layout.lcm(g, h) for g in leads]
-    minimal = set(_minimal(set(lcms), guard))
+    guard, emask = layout.guard, layout.exponent_mask
+    quotients = []
+    for g in leads:
+        # g - h in the fields where g >= h: each guard bit stays set there
+        d = (g | guard) - h
+        ge = d & guard
+        quotients.append(d & (ge - (ge >> (FIELD_BITS - 1))) & emask)
+    minimal = set(_minimal(set(quotients), guard))
     new_pairs = []
-    for i, L in enumerate(lcms):
-        if L in minimal:
-            minimal.remove(L)
-            # Buchberger's coprimality criterion
-            if L != leads[i] + h:
+    for i, q in enumerate(quotients):
+        if q in minimal:
+            minimal.remove(q)
+            # Buchberger's coprimality criterion: gcd 1 iff q = leads[i]
+            if q != leads[i] & emask:
+                L = layout.lcm(leads[i], h)
                 sel = (layout.degree(L) << layout.bits) + layout.key(L)
                 new_pairs.append((sel, next(serial), i, t, L))
     # prune old pairs via the chain criterion
     surviving = [pair for pair in pairs
                  if not ((pair[4] | guard) - h) & guard == guard
-                 or lcms[pair[2]] == pair[4] or lcms[pair[3]] == pair[4]]
-    return surviving + new_pairs
+                 or quotients[pair[2]] == (pair[4] - h) & emask
+                 or quotients[pair[3]] == (pair[4] - h) & emask]
+    return surviving + new_pairs, quotients
 
 
 class _HilbertCount:
@@ -322,12 +349,12 @@ class _HilbertCount:
     is the numerator of HS(S/in G) - H, so HF(S/in G)_d - H_d is its
     degree-d coefficient over (1 - t)^n. Adding a lead m to J = in(G),
     m not in J, subtracts t^deg(m) N(J : m) from the numerator of J. J : m
-    is generated by the packed quotients g / gcd(g, m). The k variables
-    among them split off as a factor (1 - t)^k, a product of k binomials
-    and the fast path: in the sampled trials nothing else is usually
-    left. The quotients that no such variable divides go, still packed,
-    to `ideals.packed_numerator`, which finds their minimal generators
-    itself.
+    is generated by the packed quotients g / gcd(g, m) of `_update_pairs`.
+    The k variables among them split off as a factor (1 - t)^k, a product
+    of k binomials and the fast path: in the sampled trials nothing else
+    is usually left. The quotients that no such variable divides go,
+    still packed, to `ideals.packed_numerator`, which finds their minimal
+    generators itself.
     """
 
     def __init__(self, layout, degrees):
@@ -335,13 +362,15 @@ class _HilbertCount:
         self.expected = bracket_numerator(layout.nvars, degrees)
         self.excess = [-c for c in self.expected]
         self.excess[0] += 1  # the numerator of S/(0) is 1
+        self.binomials = []  # C(n - 1 + j, j), the coefficients of 1/(1-t)^n
         self.checked = 0  # HF_e = H_e holds for every e <= checked
 
-    def add(self, leads, m):
-        """Account for lead m joining the leads `leads`."""
+    def add(self, quotients, m):
+        """Account for lead m joining leads g with the packed quotients
+        g / gcd(g, m)."""
         layout = self.layout
-        quotient, ones = layout.quotient, layout.exponent_ones
-        colon = {quotient(g, m) for g in leads}
+        ones = layout.exponent_ones
+        colon = set(quotients)
         variables = [q for q in colon
                      if q and q & ones == q and not q & (q - 1)]
         fields = sum(variables) * EXP_MAX
@@ -357,7 +386,9 @@ class _HilbertCount:
 
     def complete(self, d):
         """Whether HF(S/in G)_d = H_d."""
-        return not series_coefficient(self.excess, self.layout.nvars, d)
+        b, n = self.binomials, self.layout.nvars
+        b += [binomial(n - 1 + j, j) for j in range(len(b), d + 1)]
+        return not sum(map(int.__mul__, self.excess[:d + 1], b[d::-1]))
 
     def agrees_below(self, d):
         """Whether HF(S/in G)_e = H_e in the degrees e < d not compared
@@ -406,9 +437,10 @@ def buchberger(gens, order=None, budget=None):
             h = R.primitive(h)
             entry = R.reducer(h)
             lead = entry[1]
-            pairs[:] = _update_pairs(leads, pairs, lead, layout, serial)
+            pairs[:], quotients = _update_pairs(leads, pairs, lead, layout,
+                                                serial)
             if hilbert is not None:
-                hilbert.add(leads, lead)
+                hilbert.add(quotients, lead)
             G.append(h)
             leads.append(lead)
             table.add(entry)

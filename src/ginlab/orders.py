@@ -198,11 +198,6 @@ class Layout:
         mask = ge - (ge >> (FIELD_BITS - 1))
         return (a & mask) | (b & ~mask)
 
-    def quotient(self, a, b):
-        """a / gcd(a, b), the generator that a gives the colon ideal
-        (a) : b, with its degree fields zero."""
-        return (self.fieldmax(a, b) - b) & self.exponent_mask
-
     def lcm(self, a, b):
         """Least common multiple; its degree fields are summed anew."""
         L = self.fieldmax(a, b)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .ideals import contains, monomials_of_degree
 from .orders import EXP_MAX, ExponentOverflow, binom_p_leq, mono_str
-from .series import _lex_monomial, _macaulay_digits, _macaulay_shift
+from .series import _lex_monomials, _macaulay_digits, _macaulay_shift
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ def is_lexsegment(J):
         bound = _macaulay_shift(digits, d - e)
         gens = by_degree[d]
         h = bound - len(gens)
-        if gens != {_lex_monomial(n, d, r) for r in range(h, bound)}:
+        if gens != set(_lex_monomials(n, d, h, bound)):
             gap = None
             for m in monomials_of_degree(n, d):
                 if contains(J, m):

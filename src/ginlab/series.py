@@ -142,15 +142,29 @@ def _macaulay_shift(digits, t):
     return sum(comb(c + t, d - i + t) for i, c in enumerate(digits))
 
 
-def _lex_monomial(n, d, r):
-    """The degree-d monomial in n variables with exactly r monomials of
-    degree d below it in lex order."""
+def _lex_monomials(n, d, lo, hi):
+    """The degree-d monomials in n variables with lo, ..., hi - 1 monomials
+    of degree d below them in lex order. Numbering the variables x_n = 0,
+    ..., x_1 = n - 1, the j-th smallest index among the d factors of the
+    first is c_j - (j - 1), c_j the digits of lo. Each next one is a colex
+    step of the digits: of the k factors of least index, k - 1 drop to x_n
+    and one moves up a variable."""
+    if lo >= hi:
+        return []
     m = [0] * n
-    for i, c in enumerate(_macaulay_digits(r, d)):
-        # numbering the variables x_n = 0, ..., x_1 = n - 1, the j-th
-        # smallest index among the d factors is c_j - (j - 1), j = d - i
+    for i, c in enumerate(_macaulay_digits(lo, d)):
         m[n - 1 - (c - (d - i - 1))] += 1
-    return tuple(m)
+    out = [tuple(m)]
+    for _ in range(lo + 1, hi):
+        v = n - 1
+        while not m[v]:
+            v -= 1
+        k = m[v]
+        m[v] = 0
+        m[v - 1] += 1
+        m[-1] += k - 1
+        out.append(tuple(m))
+    return out
 
 
 def _coefficient(h, d, n, start):
@@ -217,13 +231,17 @@ def lexsegment_of_hf(n, hf, horizon=None, polynomial_from=None):
         if hd > bound:
             raise InadmissibleHilbertFunction(
                 f"degree-{d} piece is not a lex segment for the given function")
-        gens.extend(_lex_monomial(n, d, r) for r in range(hd, bound))
-        digits = _macaulay_digits(hd, d)
-        if start is not None and d >= start and all(
-                _macaulay_shift(digits, t) == _coefficient(h, d + t, n, start)
-                for t in range(1, n + 1)):
-            break
+        gens += _lex_monomials(n, d, hd, bound)
+        # without generators the digits of h_d are those of h_{d-1}, each
+        # plus one, and a last 0: the same sum, and the digits are unique
+        digits = ([c + 1 for c in digits] + [0] if hd == bound and d > 1
+                  else _macaulay_digits(hd, d))
         bound = _macaulay_shift(digits, 1)
+        if start is not None and d >= start and bound == _coefficient(
+                h, d + 1, n, start) and all(
+                _macaulay_shift(digits, t) == _coefficient(h, d + t, n, start)
+                for t in range(2, n + 1)):
+            break
     top = d if start is None else d + n
     J = MonomialIdeal(n, tuple(sorted(gens, reverse=True)))
     if hilbert_series(J, horizon=top) != h[:top + 1]:

@@ -317,6 +317,66 @@ def test_packed_kernel_matches_tuple_kernel(system):
                 == tuple_normal_form(f, basis[1:], order).terms)
 
 
+#: lex, degrevlex and an inverse block order, for the two zones of
+#: `normal_form`
+ZONE_ORDERS = [gl.LEX, gl.DEGREVLEX, gl.InverseBlock(gl.DEGREVLEX, gl.LEX, 2)]
+ZONE_MONOS = [m for d in range(4) for m in monomials_of_degree(3, d)]
+
+
+@st.composite
+def two_zone_cases(draw):
+    """f and 1-3 reducers in 3 variables of degree <= 3, over GF(7),
+    GF(32003) or Q, with leading coefficients other than 1. f's terms are
+    drawn around the least lead: below it, the least lead itself, and
+    multiples of the leads, whose tails then cross it."""
+    field = draw(st.sampled_from([gl.QQ, gl.PrimeField(7),
+                                  gl.PrimeField(32003)]))
+    order = draw(st.sampled_from(ZONE_ORDERS))
+    ring = Ring(field, ("x1", "x2", "x3"))
+    coeff = st.sampled_from([1, -1, 2, 3, -5, Fraction(1, 2),
+                             Fraction(-2, 3)])
+    term = st.tuples(st.sampled_from(ZONE_MONOS), coeff)
+    G = [Polynomial.from_terms(ring, order, terms) for terms in draw(
+        st.lists(st.lists(term, min_size=1, max_size=4),
+                 min_size=1, max_size=3))]
+    G = [g for g in G if g]
+    assume(G)
+    least = min((g.lm() for g in G), key=order.key)
+    below = [m for m in ZONE_MONOS if order.key(m) < order.key(least)]
+    terms = draw(st.lists(st.tuples(st.sampled_from(below), coeff),
+                          max_size=3)) if below else []
+    if draw(st.booleans()):
+        terms.append((least, draw(coeff)))
+    for g in draw(st.lists(st.sampled_from(G), max_size=2)):
+        q = draw(st.sampled_from(ZONE_MONOS[:4]))
+        terms.append((mono_mul(g.lm(), q), draw(coeff)))
+    return Polynomial.from_terms(ring, order, terms), G, order
+
+
+def _zone_case(field, order, f, G):
+    ring = Ring(field, ("x1", "x2", "x3"))
+    return (parse_poly(f, ring, order),
+            [parse_poly(g, ring, order) for g in G], order)
+
+
+@settings(max_examples=200, deadline=None)
+# f wholly below the least lead x1
+@example(_zone_case(gl.QQ, gl.LEX, "x2^2 + 3*x3", ["x1 - x2"]))
+# a term equal to the least lead x2^2, one below it
+@example(_zone_case(gl.PrimeField(7), gl.LEX, "x2^2 + x3^2",
+                    ["x1*x2 - x3", "2*x2^2 + x3"]))
+# tails on both sides of the least lead x2^2 (x1*x2 > x2^2 > x1*x3)
+@example(_zone_case(gl.QQ, gl.DEGREVLEX, "x1^2*x2 + x2*x3",
+                    ["x1*x2 - x2^2 + x3^2", "x2^2 - x1*x3"]))
+# over Q the step x1 -> x2/2 rescales while x3 waits below x1
+@example(_zone_case(gl.QQ, gl.LEX, "x1 + x3", ["2*x1 - x2"]))
+@given(two_zone_cases())
+def test_two_zone_normal_form_matches_tuple_normal_form(case):
+    f, G, order = case
+    assert (normal_form(f, G, order).terms
+            == tuple_normal_form(f, G, order).terms)
+
+
 def test_rational_results_are_exact_with_leading_coefficients_2_and_3():
     # pseudo-division scales by 2 and 3 inside the kernel; the public
     # results must still be the exact rational ones, term for term
@@ -420,7 +480,12 @@ def test_update_pairs_matches_tuple_update_pairs(case):
     packed, pairs, G, tuple_pairs = [], [], [], []
     for m in leads:
         h = layout.pack(m)
-        pairs = groebner._update_pairs(packed, pairs, h, layout, serial)
+        pairs, quotients = groebner._update_pairs(packed, pairs, h, layout,
+                                                  serial)
+        # a / gcd(a, h) for every old lead a, degree fields zero
+        assert [layout.unpack(q) for q in quotients] == [
+            tuple(x - min(x, y) for x, y in zip(g.lm(), m)) for g in G]
+        assert all(q == q & layout.exponent_mask for q in quotients)
         packed.append(h)
         f = Polynomial.from_terms(ring, order, [(m, 1)])
         tuple_pairs = _tuple_update_pairs(G, tuple_pairs, f, order)
@@ -670,6 +735,17 @@ def test_products_at_the_field_width_edge():
     f = parse_poly("x1*x3^12766 + x3", R3, gl.LEX)
     assert [b.terms for b in gl.buchberger([g, f], gl.LEX)] == [
         b.terms for b in tuple_buchberger([g, f], gl.LEX)]
+
+
+def test_coprime_leads_with_an_lcm_past_the_field_width():
+    """x1 and the reduced lead x2^20000*x3^12767 are coprime, so their
+    pair is dropped before its lcm, of degree 32768, would be packed."""
+    gens = [parse_poly("x1 - x2^20000", R3, gl.LEX),
+            parse_poly("x1*x3^12767 + x3", R3, gl.LEX)]
+    basis = [b.terms for b in gl.buchberger(gens, gl.LEX)]
+    assert basis == [b.terms for b in tuple_buchberger(gens, gl.LEX)]
+    assert basis == [parse_poly(g, R3, gl.LEX).terms for g in
+                     ("x1 - x2^20000", "x2^20000*x3^12767 + x3")]
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,20 @@ def test_lexsegment_inadmissible_input():
         lexsegment_of_hf(2, (1, 2, 3), polynomial_from=2)
 
 
+def test_lex_monomials_unrank_consecutive_ranks():
+    """Every window of ranks, unranked from its first rank and then by
+    colex steps, is that slice of the ascending-lex enumeration."""
+    for n in range(1, 6):
+        for d in range(7):
+            ascending = gl.ideals.monomials_of_degree(n, d)[::-1]
+            N = len(ascending)
+            assert series._lex_monomials(n, d, 0, N) == ascending
+            for lo in range(N + 1):
+                for hi in (lo, lo + 1, lo + 3, N):
+                    assert (series._lex_monomials(n, d, lo, min(hi, N))
+                            == ascending[lo:hi])
+
+
 def test_macaulay_generator_maximality():
     # the lexsegment ideal has, degree by degree, at least as many minimal
     # generators as any monomial ideal with the same Hilbert series
