@@ -5,16 +5,22 @@ The file holds the JSON that `ginlab` printed, and its exit code, for:
 - `gin` on the criterion-4 grid, lex and degrevlex, seed 0
 - `gin` at non-generic points (`--field F2`, `--bound 1`), where sampled
   trials are not u-generic, including `InconclusiveSampling` exits
-- `check --property lexsegment` on a failing ideal (with its witness)
-  and on a passing one
+- `check --property lexsegment`, `weakly-revlex` and `borel` on four
+  ideals: the n=4 and n=3 (2,2) lex gins, the n=3 (2,2) degrevlex gin,
+  and (x2^2) in two variables, so that each property fails with a
+  witness and holds at least once
 - the Q path: `gin --route parametric --field Q` on the parametric
   benchmark cases in lex and degrevlex, sampled `gin --field Q`, and `gb`
   on systems with non-integer, non-monic rational coefficients, whose
   reduced bases print those rationals
+- `gin -n 3 -d 2,2,2,2 --trials 1`, where s > n and the u-check compares
+  against the numerator of a truncated bracket series
 - `lexseg` and `bound` on the seven jobs of the lexseg benchmark workload
-  and on two larger cases, and `hilbert --horizon 12` on the two `check`
+  and on two larger cases, and `hilbert --horizon 12` on the `check`
   ideals: the lexsegment construction and the Hilbert numerator behind
   its re-check
+- `froeberg` at n=3 on (2,2), which is not truncated, and on (2,2,2,2),
+  which is
 
 Any change to the Groebner kernel, the u-check, the predicates or the
 Hilbert series that
@@ -42,12 +48,15 @@ IDEAL = "{ideal}"
 POLYS = "{polys}"
 
 #: the n=4 (2,2) lex gin, which is not a lexsegment ideal (criterion 5),
-#: and the n=3 (2,2) one, which is
+#: the n=3 (2,2) one, which is, the n=3 (2,2) degrevlex gin, which is
+#: weakly revlex, and (x2^2), which has none of the three properties
 IDEALS = {
     "gin-4-22": {"n": 4, "gens": [[2, 0, 0, 0], [1, 1, 0, 0], [1, 0, 2, 0],
                                   [0, 4, 0, 0]]},
     "gin-3-22": {"n": 3, "gens": [[2, 0, 0], [1, 1, 0], [1, 0, 2],
                                   [0, 4, 0]]},
+    "drl-3-22": {"n": 3, "gens": [[2, 0, 0], [1, 1, 0], [0, 3, 0]]},
+    "x2-squared": {"n": 2, "gens": [[0, 2]]},
 }
 
 #: `gb` inputs over Q: a homogeneous system and a non-homogeneous one,
@@ -90,7 +99,8 @@ COMMANDS = (
        _gin(3, (2, 2, 2), "--bound", "1"),
        _gin(3, (3, 3), "--order", "degrevlex", "--bound", "1"),
        _gin(4, (2, 3, 2), "--order", "degrevlex", "--bound", "1")]
-    + [["check", IDEAL, "--property", "lexsegment", name] for name in IDEALS]
+    + [["check", IDEAL, "--property", prop, name]
+       for prop in ("lexsegment", "weakly-revlex", "borel") for name in IDEALS]
     + [_gin(n, d, "--order", order, "--route", "parametric", "--field", "Q")
        for order in ("lex", "degrevlex") for n, d in PARAM_CASES]
     + [_gin(3, d, "--field", "Q", "--seed", "0") for d in ((2, 2), (2, 2, 2))]
@@ -99,6 +109,8 @@ COMMANDS = (
     + [[cmd, "-n", str(n), "-d", ",".join(map(str, d))]
        for cmd, n, d in SERIES_CASES]
     + [["hilbert", IDEAL, "--horizon", "12", name] for name in IDEALS]
+    + [_gin(3, (2, 2, 2, 2), "--trials", "1")]
+    + [["froeberg", "-n", "3", "-d", d] for d in ("2,2", "2,2,2,2")]
 )
 
 
