@@ -23,7 +23,7 @@ from .fields import field_by_name
 from .generic import (InconclusiveSampling, generic_templates,
                       gin_by_sampling, gin_parametric, trial_seeds)
 from .groebner import (Budget, BudgetExceeded, buchberger, reduce_basis)
-from .ideals import MonomialIdeal, hilbert_series, minimalize, top_degree
+from .ideals import MonomialIdeal, hilbert_series, packed_ideal, top_degree
 from .orders import ExponentOverflow, binom_p_leq, mono_str, order_by_name
 from .poly import Ring, poly_from_json, poly_to_json
 from .props import is_borel_fixed, is_lexsegment, is_weakly_revlex
@@ -124,10 +124,8 @@ def _load_ideal(path):
 # subcommands
 
 def cmd_gin(args):
-    field = args.field
-    main_order = order_by_name(args.order)
-    t_order = order_by_name(args.t_order)
-    inst = generic_templates(args.n, args.degrees, field, main_order, t_order)
+    inst = generic_templates(args.n, args.degrees, args.field,
+                             order_by_name(args.order))
     budget = Budget(ms=args.budget_ms, max_pairs=args.max_pairs)
     if args.route == "sample":
         result = gin_by_sampling(inst, trials=args.trials, seed=args.seed,
@@ -190,9 +188,9 @@ def cmd_gb(args):
         n = int(data["n"])
         ring = Ring(field_by_name(data.get("field", "Q")),
                     tuple(f"x{i + 1}" for i in range(n)))
-        return n, [poly_from_json(ring, order, p) for p in data["polys"]]
+        return [poly_from_json(ring, order, p) for p in data["polys"]]
 
-    n, polys = _load(args.polys, "polynomial system", parse)
+    polys = _load(args.polys, "polynomial system", parse)
     budget = Budget(ms=args.budget_ms, max_pairs=args.max_pairs)
     gb = reduce_basis(buchberger(polys, order, budget))
     emit({
@@ -200,7 +198,8 @@ def cmd_gb(args):
         "order": args.order,
         "basis": [poly_to_json(g) for g in gb.generators],
         "basis_str": [str(g) for g in gb.generators],
-        "initial_ideal": _ideal_json(minimalize(n, gb.lead_monomials())),
+        "initial_ideal": _ideal_json(packed_ideal(gb.layout,
+                                                  gb.packed_leads())),
     })
     return 0
 
@@ -321,8 +320,6 @@ def build_parser():
     p.add_argument("-n", type=_positive, required=True)
     p.add_argument("-d", "--degrees", type=_parse_degrees, required=True)
     p.add_argument("--order", choices=["lex", "degrevlex"], default="lex")
-    p.add_argument("--t-order", choices=["lex", "deglex", "degrevlex"],
-                   default="degrevlex")
     p.add_argument("--route", choices=["sample", "parametric"], default="sample")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=_positive, default=5)

@@ -10,10 +10,10 @@ from dataclasses import dataclass
 
 from .fields import QQ, PrimeField
 from .groebner import buchberger
-from .ideals import MonomialIdeal, monomials_of_degree, packed_ideal
-from .orders import LEX, InverseBlock, binomial, mono_divides
+from .ideals import MonomialIdeal, packed_ideal
+from .orders import DEGREVLEX, LEX, InverseBlock, binomial, mono_divides
 from .poly import Polynomial, Ring
-from .series import bracket_numerator
+from .series import _lex_monomials, bracket_numerator
 
 GF32003 = PrimeField(32003)
 
@@ -56,7 +56,6 @@ class GenericInstance:
     degrees: tuple
     field: object = QQ
     main_order: object = LEX
-    t_order: object = LEX
 
     def __post_init__(self):
         if self.n < 1 or any(d < 1 for d in self.degrees):
@@ -76,14 +75,16 @@ class GenericInstance:
 
     @property
     def order(self):
-        return InverseBlock(self.main_order, self.t_order, self.n)
+        """The inverse block order of the parametric route, degrevlex on
+        the parameters (see `gin_parametric`)."""
+        return InverseBlock(self.main_order, DEGREVLEX, self.n)
 
     def main_ring(self):
         return Ring(self.field, tuple(f"x{i + 1}" for i in range(self.n)))
 
 
-def generic_templates(n, degrees, field=QQ, main_order=LEX, t_order=LEX):
-    return GenericInstance(n, tuple(degrees), field, main_order, t_order)
+def generic_templates(n, degrees, field=QQ, main_order=LEX):
+    return GenericInstance(n, tuple(degrees), field, main_order)
 
 
 def normal_form_family(inst):
@@ -101,12 +102,14 @@ def normal_form_family(inst):
     reduced row echelon form, and no term of a generator is divisible by
     the pivot of an earlier generator. Parameters are numbered generator
     by generator and, within one, in descending main order of their
-    monomials; `inst.t_order` orders them.
+    monomials; `inst.order` ranks them by degrevlex. The monomials of a
+    degree come from `series._lex_monomials` and are sorted by the main
+    order.
     """
     n, order = inst.n, inst.main_order
     pivots, rows = [], []
     for d in sorted(set(inst.degrees)):
-        standard = [m for m in sorted(monomials_of_degree(n, d),
+        standard = [m for m in sorted(_lex_monomials(n, d),
                                       key=order.key, reverse=True)
                     if not any(mono_divides(p, m) for p in pivots)]
         k = inst.degrees.count(d)
@@ -149,12 +152,11 @@ def ideal_at_point(inst, point):
     if len(point) != inst.nparams:
         raise ValueError(f"point needs {inst.nparams} coordinates")
     ring = inst.main_ring()
-    fld = inst.field
     out = []
     offset = 0
-    for i, d in enumerate(inst.degrees):
-        monos = monomials_of_degree(inst.n, d)
-        terms = [(m, fld.of(point[offset + k])) for k, m in enumerate(monos)]
+    for d in inst.degrees:
+        monos = _lex_monomials(inst.n, d)[::-1]  # descending lex
+        terms = zip(monos, point[offset:offset + len(monos)])
         out.append(Polynomial.from_terms(ring, inst.main_order, terms))
         offset += len(monos)
     return out
@@ -256,7 +258,8 @@ def gin_by_sampling(inst, trials=5, seed=0, bound=None, budget=None):
 
 def gin_parametric(inst, budget=None):
     """Initial ideal of generic ideals from one Groebner run over k[t, x]
-    with the main order dominant and the parameter order as tie-break.
+    with the main order dominant and degrevlex on the parameters as
+    tie-break.
 
     The run starts from `normal_form_family(inst)`, not from the full
     templates (one parameter per monomial), and has the same answer:
@@ -284,7 +287,9 @@ def gin_parametric(inst, budget=None):
     The main block is the most significant in that order, so the x-part
     of an element's lead is its block lead, and its packed form is the
     lead's top fields; the generic initial ideal is generated by the
-    nonconstant ones."""
+    nonconstant ones. These x-parts generate the initial ideal of the
+    family over k(t) (Becker-Weispfenning, Groebner Bases, section 6),
+    which no parameter order changes, so the route fixes one: degrevlex."""
     gb = buchberger(normal_form_family(inst), inst.order, budget)
     main = inst.main_order.layout(inst.n)
     low = gb.layout.bits - main.bits

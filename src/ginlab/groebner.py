@@ -137,12 +137,11 @@ class GroebnerBasis:
     Hilbert numerator never unpacks.
     """
 
-    __slots__ = ("order", "reduced", "hilbert_numerator", "_generators",
-                 "_ring", "_packed")
+    __slots__ = ("order", "hilbert_numerator", "_generators", "_ring",
+                 "_packed")
 
-    def __init__(self, R, packed, reduced=False, hilbert_numerator=None):
+    def __init__(self, R, packed, hilbert_numerator=None):
         self.order = R.order
-        self.reduced = reduced
         self.hilbert_numerator = hilbert_numerator
         self._generators = None
         self._ring, self._packed = R, packed
@@ -478,19 +477,13 @@ def reduce_basis(gb):
         first.setdefault(R.reducer(g)[1], g)
     minimal = sorted(map(first.get, _minimal(first, R.layout.guard)),
                      key=_lead_key)
-    # tail-reduce until stable
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(minimal)):
-            others = _Reducers(R, minimal[:i] + minimal[i + 1:])
-            r = normal_form(minimal[i], others, R)
-            if r.terms != minimal[i].terms:
-                minimal[i] = R.primitive(r)
-                changed = True
+    # tail-reduce in one pass: the leads never change, so a tail reduced
+    # against them stays reduced
+    for i in range(len(minimal)):
+        others = _Reducers(R, minimal[:i] + minimal[i + 1:])
+        minimal[i] = R.primitive(normal_form(minimal[i], others, R))
     reduced = sorted(map(R.monic, minimal), key=_lead_key, reverse=True)
-    return GroebnerBasis(R, reduced, reduced=True,
-                         hilbert_numerator=gb.hilbert_numerator)
+    return GroebnerBasis(R, reduced, hilbert_numerator=gb.hilbert_numerator)
 
 
 def reduced_groebner_basis(gens, order=None, budget=None):

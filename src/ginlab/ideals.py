@@ -10,17 +10,21 @@ packs the generators under `LEX` and takes the Eliahou-Kervaire sum when
 a certificate proves the ideal stable (`stable_numerator`), as every
 lexsegment ideal is. Otherwise it runs `packed_numerator`, the one pivot
 recursion, which the Groebner kernel's Hilbert count also calls on its
-own packing. A `LEX` field holds at most EXP_MAX = 32767, so the Hilbert
-data of an ideal with a larger exponent or generator degree raise
-`ExponentOverflow`; minimalization and membership have no such limit.
+own packing. `hilbert_series` expands the numerator by `power_series`,
+n prefix sums, the one expansion of N(t) / (1 - t)^n, which the bracket
+series of `series` runs too. A `LEX` field holds at most EXP_MAX = 32767,
+so the Hilbert data of an ideal with a larger exponent or generator
+degree raise `ExponentOverflow`; minimalization and membership have no
+such limit. Nothing here lists the monomials of a degree: that is
+`series._lex_monomials`, the one enumerator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain, combinations_with_replacement
+from itertools import accumulate, chain
 
-from .orders import _FIELD, EXP_MAX, FIELD_BITS, LEX, binomial
+from .orders import _FIELD, FIELD_BITS, LEX, binomial
 
 
 @dataclass(frozen=True)
@@ -118,23 +122,6 @@ def maxdeg(J):
 def top_degree(J):
     """maxdeg(J), or 0 for the zero ideal."""
     return maxdeg(J) if J.gens else 0
-
-
-def monomials_of_degree(n, d):
-    """All degree-d monomials in n variables, in descending lex order.
-
-    No sort is needed: `combinations_with_replacement` yields the sorted
-    variable-index tuples in ascending lex order, and where two of them
-    first differ the smaller index gives its variable one more factor, so
-    the monomials come out in descending lex order.
-    """
-    out = []
-    for bars in combinations_with_replacement(range(n), d):
-        m = [0] * n
-        for i in bars:
-            m[i] += 1
-        out.append(tuple(m))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -330,22 +317,21 @@ def _numerator(gens, layout, memo):
     return out
 
 
-def series_coefficient(num, n, d):
-    """The degree-d coefficient of num(t) / (1 - t)^n, with `num` a list of
-    integer coefficients: 1 / (1 - t)^n has coefficients binom(n-1+i, i)."""
-    return sum(c * binomial(n - 1 + d - i, d - i)
-               for i, c in enumerate(num[:d + 1]))
+def power_series(num, n, horizon):
+    """The coefficients of num(t) / (1 - t)^n through degree `horizon`,
+    `num` being a list of integer coefficients: times 1 / (1 - t), n
+    times, is n prefix sums."""
+    coeffs = (num + [0] * horizon)[:horizon + 1]
+    for _ in range(n):
+        coeffs = list(accumulate(coeffs))
+    return coeffs
 
 
 def hilbert_series(J, horizon=None):
     """Coefficients of HS(S/J; t) up to the horizon (inclusive)."""
     if horizon is None:
         horizon = max(top_degree(J) + J.n, 10)
-    # times 1 / (1 - t), n times: n prefix sums
-    coeffs = (hilbert_numerator(J) + [0] * horizon)[:horizon + 1]
-    for _ in range(J.n):
-        coeffs = list(accumulate(coeffs))
-    return coeffs
+    return power_series(hilbert_numerator(J), J.n, horizon)
 
 
 def hilbert_function(J, d):

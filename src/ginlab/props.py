@@ -2,14 +2,15 @@
 reverse lexicographic, and Borel-fixed.
 
 Every failing verdict carries a witness that can be re-validated with
-`contains` alone.
+`contains` alone. Where a predicate lists the monomials of a degree, it
+takes them from `series._lex_monomials`, the one monomial enumerator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ideals import contains, monomials_of_degree
+from .ideals import contains
 from .orders import EXP_MAX, ExponentOverflow, binom_p_leq, mono_str
 from .series import _lex_monomials, _macaulay_digits, _macaulay_shift
 
@@ -68,7 +69,7 @@ def is_lexsegment(J):
         h = bound - len(gens)
         if gens != set(_lex_monomials(n, d, h, bound)):
             gap = None
-            for m in monomials_of_degree(n, d):
+            for m in reversed(_lex_monomials(n, d)):
                 if contains(J, m):
                     if gap is not None:
                         return PropertyVerdict(False, (m, gap))
@@ -82,8 +83,8 @@ def is_weakly_revlex(J):
     """Minimal generators only: same-degree revlex-larger monomials are in
     J; the witness is the first failing generator and the lex-largest
     monomial it misses. Each degree's monomials, in descending revlex order
-    (lex reversed, on reversed tuples), are decided once, as far as each
-    generator needs. A degree above EXP_MAX, too large for a packed degree
+    (the reversed tuples of the ascending lex list), are decided once, as
+    far as each generator needs. A degree above EXP_MAX, too large for a packed degree
     field, raises `ExponentOverflow` before its monomials are listed."""
     walks = {}  # degree -> [monomials in descending revlex, how many decided]
     for g in J.gens:
@@ -91,7 +92,7 @@ def is_weakly_revlex(J):
         if d > EXP_MAX:
             raise ExponentOverflow()
         if d not in walks:
-            walks[d] = [[m[::-1] for m in monomials_of_degree(J.n, d)[::-1]], 0]
+            walks[d] = [[m[::-1] for m in _lex_monomials(J.n, d)], 0]
         walk = walks[d]
         i = walk[0].index(g)
         missing = [m for m in walk[0][walk[1]:i] if not contains(J, m)]

@@ -16,6 +16,12 @@ zero) and its Macaulay bound as h_d^<d> = sum C(c_j + 1, j + 1). Then:
   (the combinatorial number system, in reversed variables);
 - L has no generator past degree e iff h_{e+t} = sum C(c_j + t, j + t)
   for all t >= 1, the digits being those of h_e (Gotzmann persistence).
+
+The unranker `_lex_monomials`, asked for every rank, lists all of S_d in
+ascending lex order; it is the one monomial enumerator of ginlab, which
+the predicates and the generic templates use too. The bracket series is
+prod(1 - t^d_i) expanded by `ideals.power_series`, and its numerator for
+s > n is the truncated series times (1 - t)^n, n differences.
 """
 
 from __future__ import annotations
@@ -23,8 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .ideals import (MonomialIdeal, _poly_trim, hilbert_series,
-                     series_coefficient, top_degree)
+from .ideals import (MonomialIdeal, _poly_trim, hilbert_series, power_series,
+                     top_degree)
 
 
 class InadmissibleHilbertFunction(ValueError):
@@ -97,9 +103,8 @@ def froeberg_series(n, degrees, horizon=None):
     """Bracketed expansion of prod(1 - t^d_i) / (1 - t)^n."""
     _check_degrees(n, degrees)
     D = default_horizon(n, degrees) if horizon is None else horizon
-    num = _product_numerator(degrees)
     return bracket_truncate(SeriesWindow(tuple(
-        series_coefficient(num, n, d) for d in range(D + 1))))
+        power_series(_product_numerator(degrees), n, D))))
 
 
 def bracket_numerator(n, degrees):
@@ -108,15 +113,15 @@ def bracket_numerator(n, degrees):
 
     It is prod(1 - t^d_i) when s <= n, where no coefficient is truncated,
     and the polynomial H * (1 - t)^n when s > n. Its degree is at most
-    sum(d_i) either way, so the window of H through that degree gives it.
+    sum(d_i) either way, so the window of H through that degree gives it:
+    times 1 - t, n times, is n differences.
     """
     _check_degrees(n, degrees)
     if len(degrees) <= n:
         return _product_numerator(degrees)
-    top = sum(degrees)
-    h = froeberg_series(n, degrees, top).coeffs
-    num = [sum((-1) ** j * comb(n, j) * h[e - j] for j in range(min(n, e) + 1))
-           for e in range(top + 1)]
+    num = list(froeberg_series(n, degrees, sum(degrees)).coeffs)
+    for _ in range(n):
+        num = [a - b for a, b in zip(num, [0] + num)]
     return _poly_trim(num)
 
 
@@ -142,13 +147,16 @@ def _macaulay_shift(digits, t):
     return sum(comb(c + t, d - i + t) for i, c in enumerate(digits))
 
 
-def _lex_monomials(n, d, lo, hi):
+def _lex_monomials(n, d, lo=0, hi=None):
     """The degree-d monomials in n variables with lo, ..., hi - 1 monomials
-    of degree d below them in lex order. Numbering the variables x_n = 0,
-    ..., x_1 = n - 1, the j-th smallest index among the d factors of the
-    first is c_j - (j - 1), c_j the digits of lo. Each next one is a colex
-    step of the digits: of the k factors of least index, k - 1 drop to x_n
-    and one moves up a variable."""
+    of degree d below them in lex order, in ascending lex order; all of
+    them by default. Numbering the variables x_n = 0, ..., x_1 = n - 1,
+    the j-th smallest index among the d factors of the first is
+    c_j - (j - 1), c_j the digits of lo. Each next one is a colex step of
+    the digits: of the k factors of least index, k - 1 drop to x_n and
+    one moves up a variable."""
+    if hi is None:
+        hi = comb(n - 1 + d, d)
     if lo >= hi:
         return []
     m = [0] * n

@@ -1,5 +1,12 @@
 """Independent routes that only the tests use to check the library.
 
+- `monomials_of_degree`: every monomial of a degree, in descending lex
+  order, from `combinations_with_replacement`; the reference for the
+  colex unranker `ginlab.series._lex_monomials`, and the enumerator of
+  every brute-force oracle below
+- `series_coefficient`: one coefficient of num(t) / (1 - t)^n as a
+  binomial convolution, the reference for the prefix sums of
+  `ginlab.ideals.power_series`
 - `tuple_minimalize` and `tuple_contains`: minimal generators and
   membership on exponent tuples, the reference for the packed scans of
   `ginlab.ideals` and the membership test of every brute-force oracle
@@ -46,12 +53,11 @@ kernel code with what it checks.
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import gcd, lcm
 
 from ginlab.fields import QQ, RationalField
-from ginlab.ideals import (MonomialIdeal, hilbert_series, monomials_of_degree,
-                           top_degree)
+from ginlab.ideals import MonomialIdeal, hilbert_series, top_degree
 from ginlab.orders import (DEGLEX, DEGREVLEX, LEX, InverseBlock, binom_p_leq,
                            binomial, mono_divides)
 from ginlab.poly import Polynomial, Ring
@@ -87,6 +93,30 @@ class Arith:
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
+
+
+def monomials_of_degree(n, d):
+    """All degree-d monomials in n variables, in descending lex order.
+
+    No sort is needed: `combinations_with_replacement` yields the sorted
+    variable-index tuples in ascending lex order, and where two of them
+    first differ the smaller index gives its variable one more factor, so
+    the monomials come out in descending lex order.
+    """
+    out = []
+    for bars in combinations_with_replacement(range(n), d):
+        m = [0] * n
+        for i in bars:
+            m[i] += 1
+        out.append(tuple(m))
+    return out
+
+
+def series_coefficient(num, n, d):
+    """The degree-d coefficient of num(t) / (1 - t)^n, with `num` a list of
+    integer coefficients: 1 / (1 - t)^n has coefficients binom(n-1+i, i)."""
+    return sum(c * binomial(n - 1 + d - i, d - i)
+               for i, c in enumerate(num[:d + 1]))
 
 
 def tuple_minimalize(n, monomials):

@@ -17,7 +17,7 @@ from ginlab.series import lexsegment_of_froeberg
 
 from conftest import GIN_3_222, GIN_32_22, INI_I, INI_J, POINT_A
 from oracles import (borel_action_check, hilbert_function_bruteforce,
-                     hilbert_function_homogeneous)
+                     hilbert_function_homogeneous, monomials_of_degree)
 from test_ideals import random_monomial_ideal
 
 
@@ -150,7 +150,6 @@ def test_criterion_8_oracle_equivalences():
         gens = []
         for _ in range(rng.randint(1, 3)):
             deg = rng.randint(1, 2)
-            from ginlab.ideals import monomials_of_degree
             from ginlab.poly import Polynomial
             terms = [(m, rng.randint(1, 32002))
                      for m in monomials_of_degree(3, deg)

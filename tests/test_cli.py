@@ -9,9 +9,10 @@ import pytest
 import ginlab as gl
 from ginlab import cli
 from ginlab.cli import main
-from ginlab.ideals import series_coefficient, top_degree
+from ginlab.ideals import top_degree
 
 from conftest import GIN_32_22
+from oracles import series_coefficient
 
 
 def run(capsys, *argv):
@@ -184,6 +185,7 @@ def test_bound_cmd(capsys):
     ["survey", "--case", "2:2:2:2", "--field", "bogus", "--out", "rows"],
     ["check", "ideal.json", "--property", "borel", "-p", "4"],
     ["gin", "-n", "2", "-d", "2,2", "--bound", "0"],
+    ["gin", "-n", "2", "-d", "2,2", "--t-order", "lex"],
     ["survey", "--case", "2:2:3:1", "--out", "rows"],
 ], ids=lambda argv: " ".join(argv))
 def test_out_of_range_argument_is_usage_error(argv, capsys):

@@ -10,7 +10,6 @@ import ginlab as gl
 from ginlab import generic, groebner
 from ginlab.generic import GF32003
 from ginlab.groebner import Budget, BudgetExceeded
-from ginlab.ideals import monomials_of_degree
 from ginlab.orders import EXP_MAX, ExponentOverflow
 from ginlab.poly import PackedRing, Polynomial, Ring, parse_poly
 from ginlab.series import bracket_numerator
@@ -19,7 +18,7 @@ from conftest import GIN_32_22, INI_I, INI_J, POINT_A
 from test_acceptance import CRIT4_GRID
 from oracles import (_tuple_update_pairs, block_leading_data, full_templates,
                      hilbert_function_homogeneous, is_groebner, mono_mul,
-                     stability_check, tuple_buchberger,
+                     monomials_of_degree, stability_check, tuple_buchberger,
                      tuple_hilbert_numerator, tuple_normal_form,
                      tuple_reduce_basis, tuple_s_polynomial)
 
@@ -280,7 +279,7 @@ def systems(draw):
                                 n - 1)
     ring = Ring(field, tuple(f"x{i + 1}" for i in range(n)))
     mono = st.sampled_from([m for d in range(4)
-                            for m in gl.ideals.monomials_of_degree(n, d)])
+                            for m in monomials_of_degree(n, d)])
     coeff = st.integers(-4, 4).filter(bool)
     if field == gl.QQ:
         coeff = st.one_of(coeff, st.sampled_from(RATIONALS))
@@ -441,8 +440,7 @@ def test_packed_kernel_matches_tuple_kernel_on_generic_ideals(
     # generic ideals give S-pairs of equal lcm, so these cases also check
     # that ties are taken in the order the pairs were made
     if parametric:
-        inst = gl.generic_templates(n, degrees, main_order=order,
-                                    t_order=gl.DEGREVLEX)
+        inst = gl.generic_templates(n, degrees, main_order=order)
         gens, order = full_templates(inst), inst.order
     else:
         inst = gl.generic_templates(n, degrees, gl.generic.GF32003, order)
@@ -539,7 +537,7 @@ def test_kernel_counts_on_the_parametric_cases(monkeypatch):
     shows here."""
     def run(buchberger):
         for n, degrees in GIN_PARAM_CASES:
-            inst = gl.generic_templates(n, degrees, t_order=gl.DEGREVLEX)
+            inst = gl.generic_templates(n, degrees)
             buchberger(full_templates(inst), inst.order)
 
     assert _kernel_counts(monkeypatch, run) == (356, 228, 344, 59)
@@ -550,15 +548,14 @@ def test_kernel_counts_of_the_parametric_route(monkeypatch):
     family: a change to the family or to the kernel shows here."""
     def run(buchberger):
         for n, degrees in GIN_PARAM_CASES:
-            gl.gin_parametric(gl.generic_templates(n, degrees,
-                                                   t_order=gl.DEGREVLEX))
+            gl.gin_parametric(gl.generic_templates(n, degrees))
 
     assert _kernel_counts(monkeypatch, run) == (34, 13, 22, 7)
 
 
 @pytest.mark.parametrize("n,degrees", GIN_PARAM_CASES)
 def test_packed_leads_are_the_block_leads(n, degrees):
-    inst = gl.generic_templates(n, degrees, t_order=gl.DEGREVLEX)
+    inst = gl.generic_templates(n, degrees)
     gb = gl.buchberger(full_templates(inst), inst.order)
     assert [m[:n] for m in gb.lead_monomials()] == [
         block_leading_data(g, inst.main_order)[0] for g in gb.generators]

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import ginlab as gl
-from ginlab.ideals import monomials_of_degree
 from ginlab.orders import EXP_MAX, DimensionMismatch, ExponentOverflow
 
-from oracles import mono_div, mono_lcm, mono_mul, tuple_key
+from oracles import (mono_div, mono_lcm, mono_mul, monomials_of_degree,
+                     tuple_key)
 
 monos3 = st.tuples(*[st.integers(0, 6)] * 3)
 all_orders = [gl.LEX, gl.DEGLEX, gl.DEGREVLEX,

@@ -1,17 +1,16 @@
 import random
-from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import ginlab as gl
-from ginlab.ideals import monomials_of_degree
 from ginlab.props import is_borel_fixed, is_lexsegment, is_weakly_revlex
 from ginlab.series import _macaulay_digits
 
 from conftest import GIN_32_22, INI_I, INI_J
 from oracles import (borel_action_check, is_borel_fixed_by_scan,
-                     is_lexsegment_by_enumeration, is_weakly_revlex_by_scan)
+                     is_lexsegment_by_enumeration, is_weakly_revlex_by_scan,
+                     monomials_of_degree)
 from test_ideals import random_monomial_ideal
 
 

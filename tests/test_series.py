@@ -15,7 +15,8 @@ from ginlab.ideals import hilbert_series, top_degree
 from ginlab.props import is_lexsegment
 
 from conftest import GIN_32_22
-from oracles import lexsegment_by_enumeration
+from oracles import (lexsegment_by_enumeration, monomials_of_degree,
+                     series_coefficient)
 from test_acceptance import CRIT4_GRID
 from test_ideals import random_monomial_ideal
 
@@ -44,13 +45,18 @@ def test_bracket_numerator_expands_to_the_bracket_series():
     for n in range(1, 5):
         for s in range(1, 5):
             for degrees in [(2,) * s, (3,) * s, (1, 3, 2, 2)[:s]]:
-                num = bracket_numerator(n, degrees)
                 top = sum(degrees) + n + 3
-                expanded = [sum(c * comb(n - 1 + d - i, n - 1)
-                                for i, c in enumerate(num) if i <= d)
-                            for d in range(top + 1)]
-                assert tuple(expanded) == froeberg_series(n, degrees,
-                                                          top).coeffs
+                window = froeberg_series(n, degrees, top)
+                product = [1]
+                for d in degrees:
+                    product = [a - b for a, b in
+                               zip(product + [0] * d, [0] * d + product)]
+                assert window == bracket_truncate(SeriesWindow(tuple(
+                    series_coefficient(product, n, e)
+                    for e in range(top + 1))))
+                num = bracket_numerator(n, degrees)
+                assert tuple(series_coefficient(num, n, e)
+                             for e in range(top + 1)) == window.coeffs
                 assert len(num) <= sum(degrees) + 1 and num[-1]
 
 
@@ -106,8 +112,9 @@ def test_lex_monomials_unrank_consecutive_ranks():
     colex steps, is that slice of the ascending-lex enumeration."""
     for n in range(1, 6):
         for d in range(7):
-            ascending = gl.ideals.monomials_of_degree(n, d)[::-1]
+            ascending = monomials_of_degree(n, d)[::-1]
             N = len(ascending)
+            assert series._lex_monomials(n, d) == ascending
             assert series._lex_monomials(n, d, 0, N) == ascending
             for lo in range(N + 1):
                 for hi in (lo, lo + 1, lo + 3, N):
