@@ -102,9 +102,7 @@ def normal_form_family(inst):
     reduced row echelon form, and no term of a generator is divisible by
     the pivot of an earlier generator. Parameters are numbered generator
     by generator and, within one, in descending main order of their
-    monomials; `inst.order` ranks them by degrevlex. The monomials of a
-    degree come from `series._lex_monomials` and are sorted by the main
-    order.
+    monomials; `inst.order` ranks them by degrevlex.
     """
     n, order = inst.n, inst.main_order
     pivots, rows = [], []

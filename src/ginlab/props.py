@@ -84,8 +84,9 @@ def is_weakly_revlex(J):
     J; the witness is the first failing generator and the lex-largest
     monomial it misses. Each degree's monomials, in descending revlex order
     (the reversed tuples of the ascending lex list), are decided once, as
-    far as each generator needs. A degree above EXP_MAX, too large for a packed degree
-    field, raises `ExponentOverflow` before its monomials are listed."""
+    far as each generator needs. A degree above EXP_MAX, too large for a
+    packed degree field, raises `ExponentOverflow` before its monomials
+    are listed."""
     walks = {}  # degree -> [monomials in descending revlex, how many decided]
     for g in J.gens:
         d = sum(g)
