@@ -10,9 +10,8 @@ from .groebner import (Budget, BudgetExceeded, GroebnerBasis, buchberger,
                        reduce_basis, reduced_groebner_basis)
 from .ideals import (MonomialIdeal, contains, hilbert_function,
                      hilbert_numerator, hilbert_series, maxdeg, minimalize)
-from .series import (InadmissibleHilbertFunction, SeriesWindow,
-                     bracket_truncate, froeberg_series, lexsegment_of_hf,
-                     maxgbdeg_bound)
+from .series import (InadmissibleHilbertFunction, bracket_truncate,
+                     froeberg_series, lexsegment_bound, lexsegment_of_hf)
 from .generic import (GenericInstance, GinResult, InconclusiveSampling,
                       generic_templates, gin_by_sampling, gin_parametric,
                       ideal_at_point, is_u_generic, sample_ideal,

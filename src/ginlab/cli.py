@@ -27,8 +27,8 @@ from .ideals import MonomialIdeal, hilbert_series, packed_ideal, top_degree
 from .orders import ExponentOverflow, binom_p_leq, mono_str, order_by_name
 from .poly import Ring, poly_from_json, poly_to_json
 from .props import is_borel_fixed, is_lexsegment, is_weakly_revlex
-from .series import (InadmissibleHilbertFunction, SeriesWindow,
-                     froeberg_series, lexsegment_of_froeberg,
+from .series import (InadmissibleHilbertFunction, froeberg_series,
+                     lexsegment_bound, lexsegment_of_froeberg,
                      lexsegment_of_hf)
 
 SCHEMA = 1
@@ -116,8 +116,14 @@ def _load(path, what, parse):
 
 def _load_ideal(path):
     """The ideal in the JSON file `path`: {"n": ..., "gens": [[non-negative
-    int exponents], ...]}."""
-    return _load(path, "ideal", MonomialIdeal.from_json)
+    int exponents], ...]}, or such an object under "ideal" (`gin` output)
+    or "gin" (a `survey` row)."""
+    def parse(data):
+        if "gens" not in data:
+            data = data["ideal"] if "ideal" in data else data["gin"]
+        return MonomialIdeal.from_json(data)
+
+    return _load(path, "ideal", parse)
 
 
 # ---------------------------------------------------------------------------
@@ -151,14 +157,14 @@ def cmd_check(args):
 
 
 def cmd_froeberg(args):
-    series = froeberg_series(args.n, args.degrees, args.horizon)
-    emit(series.to_json())
+    emit({"coeffs": list(froeberg_series(args.n, args.degrees, args.horizon))})
     return 0
 
 
 def cmd_lexseg(args):
     if args.hf_file:
-        hf = _load(args.hf_file, "Hilbert function", SeriesWindow.from_json)
+        hf = _load(args.hf_file, "Hilbert function",
+                   lambda data: [int(c) for c in data["coeffs"]])
         J, uncertain = lexsegment_of_hf(args.n, hf, args.horizon)
     else:
         J, uncertain = lexsegment_of_froeberg(args.n, args.degrees,
@@ -170,8 +176,8 @@ def cmd_lexseg(args):
 
 
 def cmd_bound(args):
-    J, uncertain = lexsegment_of_froeberg(args.n, args.degrees, args.horizon)
-    emit({"bound": top_degree(J), "horizon_uncertain": uncertain})
+    bound, uncertain = lexsegment_bound(args.n, args.degrees, args.horizon)
+    emit({"bound": bound, "horizon_uncertain": uncertain})
     return 0
 
 
@@ -212,16 +218,14 @@ def _survey_seeds(route, seed, trials):
     return list(trial_seeds(seed, trials)) if route == "sample" else []
 
 
-def survey_row(n, degrees, order_name, route, seed, trials, field, budget_ms,
-               bound):
-    """One SurveyRow as a plain dict; per-case failures land in 'error'.
-    `bound(n, degrees)` gives maxgbdeg_bound, with the degrees sorted: the
-    bracket series is symmetric in them."""
+def survey_row(n, degrees, order_name, route, seed, trials, field, budget_ms):
+    """One SurveyRow as a plain dict; per-case failures land in 'error'."""
     t0 = time.perf_counter()
     row = {
         "schema": SCHEMA, "n": n, "s": len(degrees),
         "degrees": list(degrees), "order": order_name, "route": route,
-        "seeds": _survey_seeds(route, seed, trials), "budget_ms": budget_ms,
+        "field": field.name, "seeds": _survey_seeds(route, seed, trials),
+        "budget_ms": budget_ms,
     }
     try:
         inst = generic_templates(n, degrees, field, order_by_name(order_name))
@@ -234,13 +238,12 @@ def survey_row(n, degrees, order_name, route, seed, trials, field, budget_ms,
             res = gin_parametric(inst, budget=budget)
             row["agreement"] = None
         J = res.ideal
-        maxgbdeg_bound = bound(n, tuple(sorted(degrees)))
         row["gin"] = _ideal_json(J, with_strings=False)
         row["is_lexsegment"] = is_lexsegment(J).holds
         row["is_weakly_revlex"] = is_weakly_revlex(J).holds
         row["is_borel_fixed"] = is_borel_fixed(J, field.char).holds
         row["maxdeg_gin"] = top_degree(J)
-        row["maxgbdeg_bound"] = maxgbdeg_bound
+        row["maxgbdeg_bound"] = lexsegment_bound(n, degrees)[0]
         row["error"] = None
     except FAILURES as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
@@ -250,14 +253,10 @@ def survey_row(n, degrees, order_name, route, seed, trials, field, budget_ms,
 
 def _row_key(row):
     return (row["n"], tuple(row["degrees"]), row["order"], row["route"],
-            tuple(row.get("seeds", [])))
+            row.get("field"), tuple(row.get("seeds", [])))
 
 
 def cmd_survey(args):
-    field = args.field
-    # rows whose degrees permute each other share one bound
-    bound = cache(lambda n, degrees:
-                  top_degree(lexsegment_of_froeberg(n, degrees)[0]))
     cases = []
     for n, s, dmin, dmax in args.case:
         for degrees in product(range(dmin, dmax + 1), repeat=s):
@@ -274,7 +273,7 @@ def cmd_survey(args):
     rows = []
     with open(jsonl, "a") as fh:
         for n, degrees in cases:
-            key = (n, degrees, args.order, args.route, seeds)
+            key = (n, degrees, args.order, args.route, args.field.name, seeds)
             done = existing.get(key)
             # a failure is retried under a different budget, not the same one
             if done is not None and (done["error"] is None
@@ -282,7 +281,7 @@ def cmd_survey(args):
                 rows.append(done)
                 continue
             row = survey_row(n, degrees, args.order, args.route, args.seed,
-                             args.trials, field, args.budget_ms, bound)
+                             args.trials, args.field, args.budget_ms)
             fh.write(json.dumps(row) + "\n")
             existing[key] = row
             rows.append(row)

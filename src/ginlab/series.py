@@ -12,10 +12,11 @@ zero) and its Macaulay bound as h_d^<d> = sum C(c_j + 1, j + 1). Then:
 - the lexsegment ideal L with that function has as degree-(d+1) minimal
   generators the monomials whose lex rank, counted from the smallest
   monomial, lies in [h_{d+1}, h_d^<d>);
-- the monomial of lex rank r in degree d is read off the same digits of r
+- the monomial of lex rank k in degree d is read off the same digits of k
   (the combinatorial number system, in reversed variables);
-- L has no generator past degree e iff h_{e+t} = sum C(c_j + t, j + t)
-  for all t >= 1, the digits being those of h_e (Gotzmann persistence).
+- for the bracket series, L has no generator past max(1, r, G), and its
+  top degree is G when G > r: r the `regularity_index`, G the
+  `gotzmann_number` of the Hilbert polynomial.
 
 The unranker `_lex_monomials`, asked for every rank, lists all of S_d in
 ascending lex order; it is the one monomial enumerator of ginlab, which
@@ -26,7 +27,6 @@ s > n is the truncated series times (1 - t)^n, n differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .ideals import (MonomialIdeal, _poly_trim, hilbert_series, power_series,
@@ -37,35 +37,15 @@ class InadmissibleHilbertFunction(ValueError):
     """The given coefficients cannot come from a lexsegment ideal."""
 
 
-@dataclass(frozen=True)
-class SeriesWindow:
-    """First D+1 coefficients of a formal power series."""
-
-    coeffs: tuple
-
-    def __getitem__(self, d):
-        return self.coeffs[d]
-
-    def __len__(self):
-        return len(self.coeffs)
-
-    def to_json(self):
-        return {"coeffs": list(self.coeffs)}
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(tuple(int(c) for c in data["coeffs"]))
-
-
 def bracket_truncate(series):
     """Zero every coefficient from the first non-positive one onward."""
     out = []
     alive = True
-    for c in series.coeffs:
+    for c in series:
         if alive and c <= 0:
             alive = False
         out.append(c if alive else 0)
-    return SeriesWindow(tuple(out))
+    return tuple(out)
 
 
 def default_horizon(n, degrees):
@@ -103,8 +83,7 @@ def froeberg_series(n, degrees, horizon=None):
     """Bracketed expansion of prod(1 - t^d_i) / (1 - t)^n."""
     _check_degrees(n, degrees)
     D = default_horizon(n, degrees) if horizon is None else horizon
-    return bracket_truncate(SeriesWindow(tuple(
-        power_series(_product_numerator(degrees), n, D))))
+    return bracket_truncate(power_series(_product_numerator(degrees), n, D))
 
 
 def bracket_numerator(n, degrees):
@@ -119,7 +98,7 @@ def bracket_numerator(n, degrees):
     _check_degrees(n, degrees)
     if len(degrees) <= n:
         return _product_numerator(degrees)
-    num = list(froeberg_series(n, degrees, sum(degrees)).coeffs)
+    num = list(froeberg_series(n, degrees, sum(degrees)))
     for _ in range(n):
         num = [a - b for a, b in zip(num, [0] + num)]
     return _poly_trim(num)
@@ -175,60 +154,77 @@ def _lex_monomials(n, d, lo=0, hi=None):
     return out
 
 
-def _coefficient(h, d, n, start):
-    """h[d]. Past its end the list `h` is extended as the polynomial of
-    degree < n that it is from degree `start` on (a vanishing n-th finite
-    difference); the list must reach degree start + n - 1 for that."""
-    while len(h) <= d:
-        if start is None or len(h) < start + n:
-            raise ValueError(f"coefficients end at degree {len(h) - 1}, "
-                             f"before degree {d} is determined")
-        h.append(sum((-1) ** (j + 1) * comb(n, j) * h[-j]
-                     for j in range(1, n + 1)))
-    return h[d]
+def _binomial(x, k):
+    """C(x, k) as a polynomial in x, at any integer x."""
+    return comb(x, k) if x >= 0 else (-1) ** k * comb(k - x - 1, k)
 
 
-def lexsegment_of_hf(n, hf, horizon=None, polynomial_from=None):
+def gotzmann_number(n, degrees):
+    """The number G of terms of the Gotzmann representation
+    P(d) = sum_{i=1..G} C(d + a_i - i + 1, a_i), a_1 >= ... >= a_G >= 0, of
+    the Hilbert polynomial P of the bracket series; 0 when P = 0.
+
+    P is the bracket series from r = `regularity_index` on. The k-th
+    difference of term i is C(d + a_i - k - i + 1, a_i - k) if a_i >= k,
+    else 0; it is 1 when a_i = k. So the k-th difference of P at r + k,
+    less the terms with a_i > k, counts the terms with a_i = k. Terms with
+    one a_i have consecutive indices, so each group sums to two binomials.
+
+    Proof that no generator of the lexsegment ideal L lies past
+    E = max(1, r, G), and that G is its top degree when G > r:
+
+    - For e >= max(r, G), term i of P(e) is C(c_j, j) with j = e - i + 1
+      >= 1 and c_j = j + a_i, and c_j > c_{j-1} as the a_i do not
+      increase: the Macaulay representation of h_e = P(e). So h_e^<e> =
+      sum C(c_j + 1, j + 1) = P(e + 1), and L_{e+1} = S_1 L_e.
+    - If G > r and L has no generator in degree G, none lies past
+      G - 1 >= r, and by Gotzmann persistence (Math. Z. 158, 1978; Green,
+      "Generic initial ideals", 1998) h_{G-1+t} = sum C(c_j + t, j + t)
+      for every t, the c_j being the digits of h_{G-1}. As a polynomial
+      in d = G - 1 + t, with a = c_j - j, that is a Gotzmann
+      representation of P with at most G - 1 terms, which uniqueness
+      rules out.
+    """
+    r = regularity_index(n, degrees)
+    p = froeberg_series(n, degrees, r + n - 1)[r:]
+    groups, G = [], 0  # (a_i, the terms before the group, the group size)
+    for k in range(n - 1, -1, -1):
+        size = sum((-1) ** j * comb(k, j) * p[k - j] for j in range(k + 1))
+        for a, before, m in groups:
+            top = r + a - before + 1
+            size -= _binomial(top, a - k + 1) - _binomial(top - m, a - k + 1)
+        groups.append((k, G, size))
+        G += size
+    return G
+
+
+def lexsegment_of_hf(n, hf, horizon=None):
     """The lexsegment ideal whose quotient has the Hilbert function `hf`,
     and a flag that is true when generators may lie past those returned.
 
-    `hf` is a SeriesWindow or a coefficient sequence starting at degree 0.
-    The ideal is built degree by degree from Macaulay representations (see
-    the module docstring); a coefficient above the Macaulay bound raises
-    InadmissibleHilbertFunction.
-
-    Without `polynomial_from`, `hf` is a finite window and says nothing
-    past its end, or past `horizon` if that is smaller. The ideal is built
-    through that degree and flagged horizon-uncertain when a generator lies
-    in the last n degrees of the window: the one heuristic left here.
-
-    With `polynomial_from=r`, the caller guarantees that h_d is a
-    polynomial in d of degree < n for d >= r, and `hf` must reach degree
-    r + n - 1; later coefficients follow from that. The construction stops
-    at the first degree e >= r where Gotzmann persistence holds at
-    e+1..e+n. Both sides of that test are polynomials of degree < n in the
-    shift, so n agreeing values prove that no generator lies past e. The
-    flag is then exact: with `horizon`, only generators of degree
-    <= horizon are returned, and the flag says whether any was left out.
+    `hf` is a coefficient sequence starting at degree 0, a finite window
+    that says nothing past its end, or past `horizon` if that is smaller.
+    The ideal is built through that degree, degree by degree from Macaulay
+    representations (see the module docstring); a coefficient above the
+    Macaulay bound raises InadmissibleHilbertFunction. The result is
+    flagged horizon-uncertain when a generator lies in the last n degrees
+    of the window: the one heuristic left here.
 
     One Hilbert-series computation of the result re-checks it against
-    `hf`, through the last degree that was read. A lexsegment ideal is
-    stable, so `ideals.hilbert_numerator` certifies that and takes the
+    `hf` through that degree. A lexsegment ideal is stable, so
+    `ideals.hilbert_numerator` certifies that and takes the
     Eliahou-Kervaire sum; a result that failed the certificate would go
     through the pivot recursion instead. Either way the re-check is an
     exact Hilbert series of the ideal returned.
     """
-    h = list(hf.coeffs if isinstance(hf, SeriesWindow) else hf)
+    h = list(hf)
     if not h or h[0] != 1:
         raise InadmissibleHilbertFunction("Hilbert function must start with 1")
-    if polynomial_from is None:
-        last = len(h) - 1 if horizon is None else min(horizon, len(h) - 1)
-    start = polynomial_from
+    last = len(h) - 1 if horizon is None else min(horizon, len(h) - 1)
     gens = []
-    d, bound = 0, n  # bound = h_d^<d>, the largest admissible h_{d+1}
-    while start is not None or d < last:
-        d += 1
-        hd = _coefficient(h, d, n, start)
+    bound = n  # h_d^<d>, the largest admissible h_{d+1}
+    for d in range(1, last + 1):
+        hd = h[d]
         dim = comb(n - 1 + d, d)
         if hd > dim:
             raise InadmissibleHilbertFunction(
@@ -245,41 +241,40 @@ def lexsegment_of_hf(n, hf, horizon=None, polynomial_from=None):
         digits = ([c + 1 for c in digits] + [0] if hd == bound and d > 1
                   else _macaulay_digits(hd, d))
         bound = _macaulay_shift(digits, 1)
-        if start is not None and d >= start and bound == _coefficient(
-                h, d + 1, n, start) and all(
-                _macaulay_shift(digits, t) == _coefficient(h, d + t, n, start)
-                for t in range(2, n + 1)):
-            break
-    top = d if start is None else d + n
     J = MonomialIdeal(n, tuple(sorted(gens, reverse=True)))
-    if hilbert_series(J, horizon=top) != h[:top + 1]:
+    if hilbert_series(J, horizon=last) != h[:last + 1]:
         raise InadmissibleHilbertFunction(
             "constructed lexsegment ideal does not reproduce the Hilbert function")
-    if start is None:
-        return J, bool(gens) and sum(gens[-1]) > last - n
-    if horizon is None:
-        return J, False
-    kept = tuple(g for g in J.gens if sum(g) <= horizon)
-    return MonomialIdeal(n, kept), len(kept) < len(J.gens)
+    return J, bool(gens) and sum(gens[-1]) > last - n
 
 
 def lexsegment_of_froeberg(n, degrees, horizon=None):
-    """Lexsegment ideal of the bracket series, with a certified horizon.
+    """Lexsegment ideal of the bracket series, with an exact flag.
 
-    The bracket series is a polynomial of degree < n from
-    `regularity_index` on, so its window through that index plus n
-    determines it, and `lexsegment_of_hf` proves where the generators stop.
-    Gotzmann's persistence theorem guarantees that this happens by the
-    larger of that index and the Gotzmann number of the Hilbert
-    polynomial. With `horizon`, only generators of degree <= horizon are
-    returned and the flag is true iff one was left out.
+    It is built from the series through E + n, E = max(1, r, G) (see
+    `gotzmann_number`), so the re-check runs n degrees past the last
+    generator. With `horizon`, only generators of degree <= horizon are
+    returned and the flag says whether one was left out; the build stops
+    at max(1, r, horizon) if that is below E, as then G > horizon.
     """
-    reg = regularity_index(n, degrees)
-    hf = froeberg_series(n, degrees, reg + n)
-    return lexsegment_of_hf(n, hf, horizon, polynomial_from=reg)
+    r = regularity_index(n, degrees)
+    E = max(1, r, gotzmann_number(n, degrees))
+    stop = E if horizon is None else min(E, max(1, r, horizon))
+    J, _ = lexsegment_of_hf(n, froeberg_series(n, degrees, stop + n))
+    if horizon is None:
+        return J, False
+    kept = tuple(g for g in J.gens if sum(g) <= horizon)
+    return MonomialIdeal(n, kept), stop < E or len(kept) < len(J.gens)
 
 
-def maxgbdeg_bound(n, hf, horizon=None):
-    """Upper bound on reduced-basis degrees from the lexsegment ideal."""
-    J, _ = lexsegment_of_hf(n, hf, horizon)
-    return top_degree(J)
+def lexsegment_bound(n, degrees, horizon=None):
+    """The top degree of the generators of degree <= horizon of the
+    lexsegment ideal of the bracket series, a bound on reduced-basis
+    degrees, and whether a generator lies past it. That is G when G > r
+    (see `gotzmann_number`), and then no ideal is built unless horizon < G.
+    """
+    G = gotzmann_number(n, degrees)
+    if G > regularity_index(n, degrees) and (horizon is None or horizon >= G):
+        return G, False
+    J, uncertain = lexsegment_of_froeberg(n, degrees, horizon)
+    return top_degree(J), uncertain

@@ -21,6 +21,10 @@
 - `is_groebner`: Buchberger's S-polynomial criterion
 - `lexsegment_by_enumeration`: the lexsegment ideal of a Hilbert function
   by listing every monomial and testing it for divisibility
+- `macaulay_bound` and `persistence_degree`: the Macaulay bound by the
+  greedy representation, and the degree from which the bracket series
+  follows it n times in a row, the reference for the stop degree of
+  `ginlab.series.lexsegment_of_froeberg`
 - `is_lexsegment_by_enumeration`: the verdict and witness of
   `ginlab.is_lexsegment`, by listing every monomial up to maxdeg
 - `is_weakly_revlex_by_scan`: the verdict and witness of
@@ -62,8 +66,8 @@ from ginlab.orders import (DEGLEX, DEGREVLEX, LEX, InverseBlock, binom_p_leq,
                            binomial, mono_divides)
 from ginlab.poly import Polynomial, Ring
 from ginlab.props import PropertyVerdict
-from ginlab.series import (InadmissibleHilbertFunction, SeriesWindow,
-                           default_horizon, froeberg_series)
+from ginlab.series import (InadmissibleHilbertFunction, default_horizon,
+                           froeberg_series, regularity_index)
 
 
 class Arith:
@@ -292,7 +296,7 @@ def lexsegment_by_enumeration(n, hf, horizon=None):
     in every degree. Returns the ideal and the finite-window flag: true
     when a generator lies in the last n degrees of the window.
     """
-    coeffs = tuple(hf.coeffs) if isinstance(hf, SeriesWindow) else tuple(hf)
+    coeffs = tuple(hf)
     D = len(coeffs) - 1 if horizon is None else min(horizon, len(coeffs) - 1)
     if not coeffs or coeffs[0] != 1:
         raise InadmissibleHilbertFunction("Hilbert function must start with 1")
@@ -322,6 +326,40 @@ def lexsegment_by_enumeration(n, hf, horizon=None):
         raise InadmissibleHilbertFunction(
             "constructed lexsegment ideal does not reproduce the Hilbert function")
     return J, bool(J.gens) and last_gen_degree > D - n
+
+
+def macaulay_bound(a, d):
+    """a^<d>, from the textbook greedy d-th Macaulay representation of a."""
+    out = 0
+    while a > 0:
+        k = d
+        while binomial(k + 1, d) <= a:
+            k += 1
+        a -= binomial(k, d)
+        out += binomial(k + 1, d + 1)
+        d -= 1
+    return out
+
+
+def persistence_degree(n, degrees, limit):
+    """The first e >= max(1, r), r the regularity index, at which the
+    bracket series h persists: the Macaulay bound, iterated from h_e, gives
+    h_{e+1}, ..., h_{e+n}. Both sides are polynomials of degree < n in the
+    shift from there on, so n agreeing values prove that the lexsegment
+    ideal of h has no generator past e (Gotzmann persistence). None if no
+    e <= limit persists."""
+    e = max(1, regularity_index(n, degrees))
+    h = froeberg_series(n, degrees, limit + n)
+    while e <= limit:
+        a = h[e]
+        for t in range(1, n + 1):
+            a = macaulay_bound(a, e + t - 1)
+            if a != h[e + t]:
+                break
+        else:
+            return e
+        e += 1
+    return None
 
 
 def is_lexsegment_by_enumeration(J):

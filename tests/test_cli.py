@@ -152,7 +152,8 @@ def test_lexseg_inadmissible_exit_code(capsys, tmp_path, monkeypatch):
     # no (n, degrees) is known whose bracket series is inadmissible, so
     # `bound` gets the function above in place of the bracket series
     monkeypatch.setattr("ginlab.series.froeberg_series",
-                        lambda n, degrees, horizon=None: [1, 2, 9])
+                        lambda n, degrees, horizon: (1, 2, 9)
+                        + (0,) * (horizon - 2))
     code, out = run(capsys, "bound", "-n", "2", "-d", "2,2")
     assert code == 1
     assert json.loads(out) == {
@@ -168,6 +169,16 @@ def test_bound_cmd(capsys):
     code, out = run(capsys, "bound", "-n", "3", "-d", "2,2", "--horizon", "3")
     assert code == 0
     assert json.loads(out) == {"bound": 3, "horizon_uncertain": True}
+
+
+@pytest.mark.parametrize("n, degrees, bound", [
+    (7, "2,2,2", 22578), (7, "2,2,3,3", 148332), (8, "2,2,2,2", 11356522)])
+def test_bound_cmd_at_the_gotzmann_number(n, degrees, bound, capsys):
+    # 22578 is what building the whole lexsegment ideal gives for
+    # n=7 (2,2,2); the bound is now read off the Hilbert polynomial
+    code, out = run(capsys, "bound", "-n", str(n), "-d", degrees)
+    assert code == 0
+    assert json.loads(out) == {"bound": bound, "horizon_uncertain": False}
 
 
 @pytest.mark.parametrize("argv", [
@@ -209,6 +220,28 @@ def test_hilbert_cmd_on_a_high_power(capsys, tmp_path):
     num = [1, 0, -1] + [0] * 2998 + [-1, 1]  # 1 - t^2 - t^3001 + t^3002
     assert json.loads(out)["coeffs"] == [
         series_coefficient(num, 2, d) for d in range(3004)]
+
+
+@pytest.mark.parametrize("prop", ["lexsegment", "weakly-revlex", "borel"])
+def test_check_reads_gin_output_and_survey_rows(prop, capsys, tmp_path):
+    code, out = run(capsys, "gin", "-n", "3", "-d", "2,2", "--order",
+                    "degrevlex", "--trials", "1")
+    assert code == 0
+    gin_file = tmp_path / "gin.json"
+    gin_file.write_text(out)
+    ideal_file = tmp_path / "ideal.json"
+    ideal_file.write_text(json.dumps(json.loads(out)["ideal"]))
+    rows = tmp_path / "rows"
+    run(capsys, "survey", "--case", "3:2:2:2", "--order", "degrevlex",
+        "--trials", "1", "--out", str(rows))
+    verdicts = []
+    for f in (ideal_file, gin_file, rows.with_suffix(".jsonl")):
+        code, out = run(capsys, "check", str(f), "--property", prop)
+        assert code == 0
+        verdicts.append(json.loads(out))
+    assert verdicts[0] == verdicts[1] == verdicts[2]
+    # the degrevlex gin (x1^2, x1*x2, x2^3) is not a lexsegment ideal
+    assert verdicts[0]["holds"] == (prop != "lexsegment")
 
 
 @pytest.mark.parametrize("top", [3000, 40000])
@@ -325,23 +358,13 @@ def test_survey_small_grid(capsys, tmp_path):
     assert csv_text.splitlines()[0].startswith("n,s,degrees")
 
 
-def test_survey_computes_one_bound_per_sorted_degrees(capsys, tmp_path,
-                                                     monkeypatch):
-    calls = []
-
-    def counted(n, degrees, horizon=None):
-        calls.append((n, degrees))
-        return gl.series.lexsegment_of_froeberg(n, degrees, horizon)
-
-    monkeypatch.setattr(cli, "lexsegment_of_froeberg", counted)
+def test_survey_bound_is_the_lexsegment_top_degree(capsys, tmp_path):
     out = tmp_path / "rows"
     code, _ = run(capsys, "survey", "--case", "2:2:1:2", "--case", "3:2:1:2",
                   "--out", str(out), "--seed", "4", "--trials", "1")
     assert code == 0
     rows = [json.loads(l) for l in out.with_suffix(".jsonl").read_text().splitlines()]
     assert len(rows) == 8  # (1,1), (1,2), (2,1), (2,2) for each n
-    assert sorted(calls) == [(n, d) for n in (2, 3)
-                             for d in ((1, 1), (1, 2), (2, 2))]
     for row in rows:
         assert row["error"] is None
         L, _ = gl.series.lexsegment_of_froeberg(row["n"], tuple(row["degrees"]))
@@ -393,6 +416,33 @@ def test_survey_retries_failure_under_another_budget(capsys, tmp_path):
     code, msg = run(capsys, *case, "--budget-ms", "0.0001")
     assert code == 0 and json.loads(msg)["failures"] == 0
     assert len(out.with_suffix(".jsonl").read_text().splitlines()) == 2
+
+
+def test_survey_rerun_under_another_field_recomputes(capsys, tmp_path):
+    out = tmp_path / "rows"
+    case = ("survey", "--case", "3:2:2:2", "--out", str(out), "--seed", "4",
+            "--trials", "1")
+    run(capsys, *case)
+    run(capsys, *case, "--field", "F2")
+    rows = [json.loads(l)
+            for l in out.with_suffix(".jsonl").read_text().splitlines()]
+    assert [r["field"] for r in rows] == ["F32003", "F2"]
+    assert rows[0]["gin"]["gens"] == [list(g) for g in GIN_32_22]
+    # over F2 the sampled quadrics of seed 4 are not generic
+    assert rows[1]["gin"]["gens"] == [[2, 0, 0]]
+    fresh = tmp_path / "fresh"
+    run(capsys, "survey", "--case", "3:2:2:2", "--out", str(fresh), "--seed",
+        "4", "--trials", "1", "--field", "F2")
+    assert rows[1] == {**json.loads(fresh.with_suffix(".jsonl").read_text()),
+                       "runtime_ms": rows[1]["runtime_ms"]}
+    # a row without a field, from an older file, is computed again
+    legacy = dict(rows[0])
+    del legacy["field"]
+    out.with_suffix(".jsonl").write_text(json.dumps(legacy) + "\n")
+    run(capsys, *case)
+    rows = [json.loads(l)
+            for l in out.with_suffix(".jsonl").read_text().splitlines()]
+    assert len(rows) == 2 and rows[1]["field"] == "F32003"
 
 
 def test_cli_does_not_import_numpy():

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
@@ -7,34 +8,36 @@ from hypothesis import assume, given, settings, strategies as st
 
 import ginlab as gl
 from ginlab import series
-from ginlab.series import (InadmissibleHilbertFunction, SeriesWindow,
-                           bracket_numerator, bracket_truncate,
-                           froeberg_series, lexsegment_of_froeberg,
-                           lexsegment_of_hf, maxgbdeg_bound, regularity_index)
+from ginlab.series import (InadmissibleHilbertFunction, bracket_numerator,
+                           bracket_truncate, froeberg_series,
+                           gotzmann_number, lexsegment_bound,
+                           lexsegment_of_froeberg, lexsegment_of_hf,
+                           regularity_index)
 from ginlab.ideals import hilbert_series, top_degree
 from ginlab.props import is_lexsegment
 
 from conftest import GIN_32_22
-from oracles import (lexsegment_by_enumeration, monomials_of_degree,
+from oracles import (lexsegment_by_enumeration, macaulay_bound,
+                     monomials_of_degree, persistence_degree,
                      series_coefficient)
 from test_acceptance import CRIT4_GRID
 from test_ideals import random_monomial_ideal
 
 
 def test_bracket_truncate():
-    s = SeriesWindow((1, 2, 0, -2, -1))
-    assert bracket_truncate(s).coeffs == (1, 2, 0, 0, 0)
-    pos = SeriesWindow((1, 3, 6, 10))
-    assert bracket_truncate(pos).coeffs == pos.coeffs
-    assert bracket_truncate(SeriesWindow((0, 5, 5))).coeffs == (0, 0, 0)
+    s = (1, 2, 0, -2, -1)
+    assert bracket_truncate(s) == (1, 2, 0, 0, 0)
+    pos = (1, 3, 6, 10)
+    assert bracket_truncate(pos) == pos
+    assert bracket_truncate([0, 5, 5]) == (0, 0, 0)
     assert bracket_truncate(bracket_truncate(s)) == bracket_truncate(s)
 
 
 def test_froeberg_known_values():
-    assert froeberg_series(3, (2, 2), 5).coeffs == (1, 3, 4, 4, 4, 4)
-    assert froeberg_series(3, (2, 2, 2), 5).coeffs == (1, 3, 3, 1, 0, 0)
+    assert froeberg_series(3, (2, 2), 5) == (1, 3, 4, 4, 4, 4)
+    assert froeberg_series(3, (2, 2, 2), 5) == (1, 3, 3, 1, 0, 0)
     # (1-t^2)^3/(1-t)^2 = 1 + 2t - 2t^3 - t^4, bracketed at index 2
-    assert froeberg_series(2, (2, 2, 2), 4).coeffs == (1, 2, 0, 0, 0)
+    assert froeberg_series(2, (2, 2, 2), 4) == (1, 2, 0, 0, 0)
 
 
 def test_bracket_numerator_expands_to_the_bracket_series():
@@ -51,12 +54,11 @@ def test_bracket_numerator_expands_to_the_bracket_series():
                 for d in degrees:
                     product = [a - b for a, b in
                                zip(product + [0] * d, [0] * d + product)]
-                assert window == bracket_truncate(SeriesWindow(tuple(
-                    series_coefficient(product, n, e)
-                    for e in range(top + 1))))
+                assert window == bracket_truncate(
+                    series_coefficient(product, n, e) for e in range(top + 1))
                 num = bracket_numerator(n, degrees)
                 assert tuple(series_coefficient(num, n, e)
-                             for e in range(top + 1)) == window.coeffs
+                             for e in range(top + 1)) == window
                 assert len(num) <= sum(degrees) + 1 and num[-1]
 
 
@@ -65,7 +67,7 @@ def test_froeberg_regular_sequence_stays_positive():
     for n, degrees in [(2, (2,)), (3, (2, 3)), (3, (2, 2, 2)), (4, (3, 3))]:
         if len(degrees) < n:
             s = froeberg_series(n, degrees, 20)
-            assert all(c > 0 for c in s.coeffs)
+            assert all(c > 0 for c in s)
 
 
 def test_lexsegment_quadrics_fixture():
@@ -102,9 +104,6 @@ def test_lexsegment_inadmissible_input():
         lexsegment_of_hf(2, (0, 2, 1))
     with pytest.raises(InadmissibleHilbertFunction):
         lexsegment_of_hf(2, (1, 2, -1))
-    # a polynomial tail needs n coefficients from its first degree on
-    with pytest.raises(ValueError):
-        lexsegment_of_hf(2, (1, 2, 3), polynomial_from=2)
 
 
 def test_lex_monomials_unrank_consecutive_ranks():
@@ -139,27 +138,14 @@ def test_macaulay_generator_maximality():
 
 
 def test_maxgbdeg_bound_values():
-    assert maxgbdeg_bound(3, (1, 3, 4, 4, 4, 4, 4, 4)) == 4
-    assert maxgbdeg_bound(3, (1, 3, 3, 1, 0, 0, 0, 0)) == 4
-    assert maxgbdeg_bound(2, (1, 2, 1, 0, 0, 0)) == 3
+    assert top_degree(lexsegment_of_hf(3, (1, 3, 4, 4, 4, 4, 4, 4))[0]) == 4
+    assert top_degree(lexsegment_of_hf(3, (1, 3, 3, 1, 0, 0, 0, 0))[0]) == 4
+    assert top_degree(lexsegment_of_hf(2, (1, 2, 1, 0, 0, 0))[0]) == 3
 
 
 def test_lexsegment_of_froeberg_matches_explicit_hf():
     J, uncertain = lexsegment_of_froeberg(3, (2, 2))
     assert J.gens == GIN_32_22 and not uncertain
-
-
-def macaulay_bound(a, d):
-    """a^<d>, from the textbook greedy d-th Macaulay representation of a."""
-    out = 0
-    while a > 0:
-        k = d
-        while comb(k + 1, d) <= a:
-            k += 1
-        a -= comb(k, d)
-        out += comb(k + 1, d + 1)
-        d -= 1
-    return out
 
 
 @st.composite
@@ -232,8 +218,6 @@ def test_froeberg_lexsegment_builds_once(monkeypatch):
 def test_certified_horizon_matches_enumeration_at_twice_it(n, degrees):
     J, uncertain = lexsegment_of_froeberg(n, degrees)
     assert not uncertain
-    # the construction stops at the first degree from the regularity index
-    # on (and from 1 on) past which no generator lies
     E = max(1, regularity_index(n, degrees), top_degree(J))
     L, _ = lexsegment_by_enumeration(n, froeberg_series(n, degrees, 2 * E))
     assert L == J
@@ -246,3 +230,42 @@ def test_explicit_horizon_flag_is_exact():
         J, uncertain = lexsegment_of_froeberg(3, (2, 2), horizon=H)
         assert J.gens == tuple(g for g in full.gens if sum(g) <= H)
         assert uncertain == (H < 4)
+
+
+#: every (n, sorted degrees) with n <= 6, s <= 5 and degrees in {1, 2, 3}
+GOTZMANN_GRID = [(n, degrees) for n in range(1, 7) for s in range(1, 6)
+                 for degrees in combinations_with_replacement((1, 2, 3), s)]
+
+
+def test_stop_degree_is_the_persistence_degree():
+    """E = max(1, r, G) is the first degree from which the bracket series
+    persists, and when G > r the bound is the top degree of the ideal built
+    through that degree. The oracle gives up past degree 1500, where E
+    lies for four cases (E = 2997 to 41085)."""
+    assert len(GOTZMANN_GRID) == 330
+    past_limit = 0
+    for n, degrees in GOTZMANN_GRID:
+        r, G = regularity_index(n, degrees), gotzmann_number(n, degrees)
+        E = max(1, r, G)
+        e = persistence_degree(n, degrees, limit=1500)
+        assert e == (E if E <= 1500 else None), (n, degrees)
+        past_limit += e is None
+        if e is not None and G > r:
+            L, _ = lexsegment_of_hf(n, froeberg_series(n, degrees, e))
+            assert lexsegment_bound(n, degrees) == (top_degree(L), False)
+    assert past_limit == 4
+
+
+def test_gotzmann_number_values():
+    # P = 4 for n=3 (2,2): 4 terms C(d - i + 1, 0)
+    assert gotzmann_number(3, (2, 2)) == 4
+    # a conic, P(d) = 2d + 1 = C(d + 1, 1) + C(d, 1)
+    assert gotzmann_number(3, (2,)) == 2
+    # a space quartic of genus 1, P(d) = 4d: four terms C(d + 2 - i, 1)
+    # sum to 4d - 2, and two terms 1 make up the rest
+    assert gotzmann_number(4, (2, 2)) == 6
+    # a canonical curve of genus 4, P(d) = 6d - 3: six linear terms, six 1s
+    assert gotzmann_number(4, (2, 3)) == 12
+    # Artinian: P = 0, no term
+    assert gotzmann_number(3, (2, 2, 2)) == 0
+    assert gotzmann_number(1, (1,)) == 0
