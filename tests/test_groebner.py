@@ -553,6 +553,22 @@ def test_kernel_counts_of_the_parametric_route(monkeypatch):
     assert _kernel_counts(monkeypatch, run) == (34, 13, 22, 7)
 
 
+@pytest.mark.parametrize("order,counts", [(gl.LEX, (320, 1, 264, 55)),
+                                          (gl.DEGREVLEX, (148, 0, 92, 11))])
+def test_kernel_counts_on_the_criterion_4_grid(monkeypatch, order, counts):
+    """Buchberger on the criterion-4 grid, sampled at seed 0 over
+    GF(32003), takes exactly these counts: they pin each decision of the
+    Hilbert-driven rule."""
+    systems = [gl.sample_ideal(gl.generic_templates(n, d, GF32003, order), 0)
+               for n, d in CRIT4_GRID]
+
+    def run(buchberger):
+        for gens in systems:
+            buchberger(gens, order)
+
+    assert _kernel_counts(monkeypatch, run) == counts
+
+
 @pytest.mark.parametrize("n,degrees", GIN_PARAM_CASES)
 def test_packed_leads_are_the_block_leads(n, degrees):
     inst = gl.generic_templates(n, degrees)
