@@ -62,6 +62,14 @@ _positive = _at_least(1)
 _non_negative = _at_least(0)
 
 
+def _milliseconds(text):
+    """An argparse type: a finite number of milliseconds, >= 0."""
+    value = float(text)
+    if not 0 <= value < float("inf"):  # NaN fails both
+        raise argparse.ArgumentTypeError(f"{text} is not a finite number >= 0")
+    return value
+
+
 def _parse_degrees(text):
     """An argparse type: comma-separated generator degrees, each >= 1."""
     return tuple(_positive(d) for d in text.split(","))
@@ -312,8 +320,8 @@ def build_parser():
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     def common_budget(p):
-        p.add_argument("--budget-ms", type=float, default=None)
-        p.add_argument("--max-pairs", type=int, default=None)
+        p.add_argument("--budget-ms", type=_milliseconds, default=None)
+        p.add_argument("--max-pairs", type=_non_negative, default=None)
 
     p = sub.add_parser("gin", help="initial ideal of generic ideals")
     p.add_argument("-n", type=_positive, required=True)
@@ -375,7 +383,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=_positive, default=5)
     p.add_argument("--field", type=_parse_field, default="F32003")
-    p.add_argument("--budget-ms", type=float, default=None)
+    p.add_argument("--budget-ms", type=_milliseconds, default=None)
     p.add_argument("--out", required=True, help="output path prefix")
     p.set_defaults(func=cmd_survey)
 

@@ -174,12 +174,17 @@ def is_u_generic(gb, inst):
     basis without a numerator comes from a run whose Hilbert function
     left the bracket series in a completed degree, so it does not match.
 
-    Returns "yes" (match, proven regular-sequence case s <= n),
-    "conjectural-yes" (match, s > n), or "no".
+    Returns "yes" on a match, for every s, and "no" otherwise. A match
+    proves that the generic Hilbert series is the bracket series H, in
+    the characteristic of `inst.field`:
+
+    - Macaulay ranks are lower semicontinuous, so the generic Hilbert
+      function is coefficientwise <= that of any point;
+    - Froeberg's inequality makes it >= H lexicographically;
+    - so a point whose series is H leaves the generic series only H.
     """
-    if gb.hilbert_numerator != tuple(bracket_numerator(inst.n, inst.degrees)):
-        return "no"
-    return "yes" if inst.s <= inst.n else "conjectural-yes"
+    expected = tuple(bracket_numerator(inst.n, inst.degrees))
+    return "yes" if gb.hilbert_numerator == expected else "no"
 
 
 # ---------------------------------------------------------------------------

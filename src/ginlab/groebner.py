@@ -72,11 +72,12 @@ for the rest of the run: in(G)_e = in(I)_e there, so HF(S/I) != H.
 
 The Hilbert numerator of in(G) is kept up to date as leads join, one
 colon ideal per lead (Bayer-Stillman; Bigatti, "Computation of
-Hilbert-Poincare series", JPAA 1997), so each check costs one sum. A run
-whose rule held to the end returns it as `GroebnerBasis.hilbert_numerator`:
-HF(S/I) equals H in every degree iff it equals `series.bracket_numerator`
-(the u-check of `generic.is_u_generic`). Input that is not homogeneous,
-or that has a constant generator, runs without the rule.
+Hilbert-Poincare series", JPAA 1997), so each check reads one
+coefficient (see `_HilbertCount`). A run whose rule held to the end
+returns it as `GroebnerBasis.hilbert_numerator`: HF(S/I) equals H in
+every degree iff it equals `series.bracket_numerator` (the u-check of
+`generic.is_u_generic`). Input that is not homogeneous, or that has a
+constant generator, runs without the rule.
 """
 
 from __future__ import annotations
@@ -85,12 +86,12 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from itertools import count, zip_longest
+from itertools import compress, count, zip_longest
 from math import gcd
 from operator import itemgetter
 
-from .ideals import _minimal, _poly_trim, packed_numerator
-from .orders import EXP_MAX, FIELD_BITS, ExponentOverflow, binomial
+from .ideals import _minimal, _poly_trim, packed_numerator, times_one_minus
+from .orders import EXP_MAX, FIELD_BITS, ExponentOverflow
 from .poly import Packed, PackedRing
 from .series import bracket_numerator
 
@@ -345,15 +346,17 @@ class _HilbertCount:
     the module docstring).
 
     Both are series over (1 - t)^n with polynomial numerators; `excess`
-    is the numerator of HS(S/in G) - H, so HF(S/in G)_d - H_d is its
-    degree-d coefficient over (1 - t)^n. Adding a lead m to J = in(G),
-    m not in J, subtracts t^deg(m) N(J : m) from the numerator of J. J : m
-    is generated by the packed quotients g / gcd(g, m) of `_update_pairs`.
-    The k variables among them split off as a factor (1 - t)^k, a product
-    of k binomials and the fast path: in the sampled trials nothing else
-    is usually left. The quotients that no such variable divides go,
-    still packed, to `ideals.packed_numerator`, which finds their minimal
-    generators itself.
+    is the numerator of HS(S/in G) - H. As (1 - t)^n is a unit of Z[[t]]
+    with constant term 1, HF(S/in G)_e = H_e for every e <= d iff
+    excess_e = 0 for every e <= d: the series first differ where `excess`
+    is first nonzero. Adding a lead m to J = in(G), m not in J, subtracts
+    t^deg(m) N(J : m) from the numerator of J. J : m is generated by the
+    packed quotients g / gcd(g, m) of `_update_pairs`. The k variables
+    among them split off as a factor (1 - t)^k, a product of k binomials
+    and the fast path: in the sampled trials nothing else is usually
+    left. The quotients that no such variable divides go, still packed,
+    to `ideals.packed_numerator`, which finds their minimal generators
+    itself.
     """
 
     def __init__(self, layout, degrees):
@@ -361,8 +364,6 @@ class _HilbertCount:
         self.expected = bracket_numerator(layout.nvars, degrees)
         self.excess = [-c for c in self.expected]
         self.excess[0] += 1  # the numerator of S/(0) is 1
-        self.binomials = []  # C(n - 1 + j, j), the coefficients of 1/(1-t)^n
-        self.checked = 0  # HF_e = H_e holds for every e <= checked
 
     def add(self, quotients, m):
         """Account for lead m joining leads g with the packed quotients
@@ -375,27 +376,16 @@ class _HilbertCount:
         fields = sum(variables) * EXP_MAX
         rest = [q for q in colon if not q & fields]
         sub = packed_numerator(layout, rest) if rest else [1]
-        for _ in variables:
-            sub = [a - b for a, b in zip(sub + [0], [0] + sub)]
+        sub = times_one_minus(sub, [1] * len(variables))
         excess = self.excess
         d = layout.degree(m)
         excess.extend([0] * (d + len(sub) - len(excess)))
         for i, c in enumerate(sub, d):
             excess[i] -= c
 
-    def complete(self, d):
-        """Whether HF(S/in G)_d = H_d."""
-        b, n = self.binomials, self.layout.nvars
-        b += [binomial(n - 1 + j, j) for j in range(len(b), d + 1)]
-        return not sum(map(int.__mul__, self.excess[:d + 1], b[d::-1]))
-
-    def agrees_below(self, d):
-        """Whether HF(S/in G)_e = H_e in the degrees e < d not compared
-        yet; call it only once every pair of degree < d is done."""
-        if not all(map(self.complete, range(self.checked + 1, d))):
-            return False
-        self.checked = max(self.checked, d - 1)
-        return True
+    def first_difference(self):
+        """The least degree e with HF(S/in G)_e != H_e, or None."""
+        return next(compress(count(), self.excess), None)
 
     def numerator(self):
         """The Hilbert numerator of S/in(G), without trailing zeros."""
@@ -451,9 +441,10 @@ def buchberger(gens, order=None, budget=None):
         best = min(pairs)
         if hilbert is not None:
             d = layout.degree(best[4])
-            if not hilbert.agrees_below(d):
+            e = hilbert.first_difference()
+            if e is not None and e < d:
                 hilbert = None
-            elif hilbert.complete(d):
+            elif e != d:
                 pairs[:] = [p for p in pairs if layout.degree(p[4]) != d]
                 continue
         pairs.remove(best)

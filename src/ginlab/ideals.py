@@ -12,11 +12,13 @@ lexsegment ideal is. Otherwise it runs `packed_numerator`, the one pivot
 recursion, which the Groebner kernel's Hilbert count also calls on its
 own packing. `hilbert_series` expands the numerator by `power_series`,
 n prefix sums, the one expansion of N(t) / (1 - t)^n, which the bracket
-series of `series` runs too. A `LEX` field holds at most EXP_MAX = 32767,
-so the Hilbert data of an ideal with a larger exponent or generator
-degree raise `ExponentOverflow`; minimalization and membership have no
-such limit. Nothing here lists the monomials of a degree: that is
-`series._lex_monomials`, the one enumerator.
+series of `series` runs too; the kernel's Hilbert count, which compares
+numerators, runs none. `times_one_minus`, the one product by
+prod(1 - t^d), undoes it for d = 1. A `LEX` field holds at most
+EXP_MAX = 32767, so the Hilbert data of an ideal with a larger exponent
+or generator degree raise `ExponentOverflow`; minimalization and
+membership have no such limit. Nothing here lists the monomials of a
+degree: that is `series._lex_monomials`, the one enumerator.
 """
 
 from __future__ import annotations
@@ -290,11 +292,7 @@ def _numerator(gens, layout, memo):
         else:  # a pure power x_v^d, with d = g / x_v
             pure.append(g // (nz >> (FIELD_BITS - 1)))
     if not mixed:
-        out = [1]
-        for d in pure:  # times 1 - t^d
-            out += [0] * d
-            for i in range(len(out) - 1, d - 1, -1):
-                out[i] -= out[i - d]
+        out = times_one_minus([1], pure)
     else:
         best = 0
         for s in layout.exponent_shifts:
@@ -325,6 +323,15 @@ def power_series(num, n, horizon):
     for _ in range(n):
         coeffs = list(accumulate(coeffs))
     return coeffs
+
+
+def times_one_minus(num, degrees):
+    """The coefficients of num(t) * prod(1 - t^d) over `degrees`, `num`
+    being a list of integer coefficients; with n ones it undoes
+    `power_series(num, n, ...)` through the horizon."""
+    for d in degrees:
+        num = [a - b for a, b in zip(num + [0] * d, [0] * d + num)]
+    return num
 
 
 def hilbert_series(J, horizon=None):

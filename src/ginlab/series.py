@@ -21,8 +21,9 @@ zero) and its Macaulay bound as h_d^<d> = sum C(c_j + 1, j + 1). Then:
 The unranker `_lex_monomials`, asked for every rank, lists all of S_d in
 ascending lex order; it is the one monomial enumerator of ginlab, which
 the predicates and the generic templates use too. The bracket series is
-prod(1 - t^d_i) expanded by `ideals.power_series`, and its numerator for
-s > n is the truncated series times (1 - t)^n, n differences.
+prod(1 - t^d_i) expanded by `ideals.power_series`, and its numerator is
+the truncated series times (1 - t)^n, both products by
+`ideals.times_one_minus`.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 from math import comb
 
 from .ideals import (MonomialIdeal, _poly_trim, hilbert_series, power_series,
-                     top_degree)
+                     times_one_minus, top_degree)
 
 
 class InadmissibleHilbertFunction(ValueError):
@@ -71,37 +72,24 @@ def _check_degrees(n, degrees):
         raise ValueError("need n >= 1 and all degrees >= 1")
 
 
-def _product_numerator(degrees):
-    """prod(1 - t^d_i) as integer coefficients."""
-    num = [1]
-    for d in degrees:
-        num = [a - b for a, b in zip(num + [0] * d, [0] * d + num)]
-    return num
-
-
 def froeberg_series(n, degrees, horizon=None):
     """Bracketed expansion of prod(1 - t^d_i) / (1 - t)^n."""
     _check_degrees(n, degrees)
     D = default_horizon(n, degrees) if horizon is None else horizon
-    return bracket_truncate(power_series(_product_numerator(degrees), n, D))
+    return bracket_truncate(power_series(times_one_minus([1], degrees), n, D))
 
 
 def bracket_numerator(n, degrees):
-    """The numerator N(t) of the bracket series H = N(t) / (1 - t)^n, as
+    """The numerator N(t) = H * (1 - t)^n of the bracket series H, as
     integer coefficients without trailing zeros.
 
-    It is prod(1 - t^d_i) when s <= n, where no coefficient is truncated,
-    and the polynomial H * (1 - t)^n when s > n. Its degree is at most
-    sum(d_i) either way, so the window of H through that degree gives it:
-    times 1 - t, n times, is n differences.
+    Its degree is at most sum(d_i), so the window of H through that
+    degree, times (1 - t)^n and cut to the window, gives it. When s <= n
+    no coefficient of H is truncated, and N(t) = prod(1 - t^d_i).
     """
-    _check_degrees(n, degrees)
-    if len(degrees) <= n:
-        return _product_numerator(degrees)
-    num = list(froeberg_series(n, degrees, sum(degrees)))
-    for _ in range(n):
-        num = [a - b for a, b in zip(num, [0] + num)]
-    return _poly_trim(num)
+    D = sum(degrees)
+    window = list(froeberg_series(n, degrees, D))
+    return _poly_trim(times_one_minus(window, [1] * n)[:D + 1])
 
 
 def _macaulay_digits(a, d):

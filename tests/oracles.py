@@ -272,7 +272,7 @@ def u_generic_by_macaulay(gens, inst):
     for d in range(D + 1):
         if hilbert_function_homogeneous(gens, d) != expected[d]:
             return "no"
-    return "yes" if inst.s <= inst.n else "conjectural-yes"
+    return "yes"
 
 
 def is_groebner(G, order=None):

@@ -198,6 +198,12 @@ def test_bound_cmd_at_the_gotzmann_number(n, degrees, bound, capsys):
     ["gin", "-n", "2", "-d", "2,2", "--bound", "0"],
     ["gin", "-n", "2", "-d", "2,2", "--t-order", "lex"],
     ["survey", "--case", "2:2:3:1", "--out", "rows"],
+    ["gin", "-n", "2", "-d", "2,2", "--budget-ms", "nan"],
+    ["gin", "-n", "2", "-d", "2,2", "--budget-ms", "-1"],
+    ["gin", "-n", "2", "-d", "2,2", "--max-pairs", "-1"],
+    ["gb", "system.json", "--budget-ms", "inf"],
+    ["survey", "--case", "2:2:2:2", "--budget-ms", "nan", "--out", "rows"],
+    ["survey", "--case", "2:2:2:2", "--budget-ms", "inf", "--out", "rows"],
 ], ids=lambda argv: " ".join(argv))
 def test_out_of_range_argument_is_usage_error(argv, capsys):
     usage_error(capsys, *argv)

@@ -113,8 +113,10 @@ def test_u_check_matches_macaulay_oracle():
             continue
         verdict = gl.is_u_generic(gl.buchberger(gens, order), inst)
         assert verdict == u_generic_by_macaulay(gens, inst), (inst, point)
-        verdicts.append(verdict)
-    assert {"yes", "conjectural-yes", "no"} <= set(verdicts)
+        verdicts.append((verdict, inst.s > inst.n))
+    # a match says "yes" for s > n too
+    assert {"yes", "no"} == {v for v, _ in verdicts}
+    assert ("yes", True) in verdicts
 
 
 def test_gin_by_sampling_known_cases():

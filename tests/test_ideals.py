@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 import ginlab as gl
 from ginlab.ideals import (contains, hilbert_numerator, hilbert_series,
-                           packed_numerator, stable_numerator)
+                           packed_numerator, power_series, stable_numerator,
+                           times_one_minus)
 from ginlab.orders import (DEGLEX, DEGREVLEX, EXP_MAX, FIELD_BITS, LEX,
                            ExponentOverflow, InverseBlock, binomial)
 from ginlab.series import _lex_monomials
@@ -211,6 +212,29 @@ def test_hilbert_series_by_prefix_sums(ideal, horizon):
     num = hilbert_numerator(J)
     assert hilbert_series(J, horizon) == [
         series_coefficient(num, n, d) for d in range(horizon + 1)]
+
+
+def _first_nonzero(coeffs):
+    return next((i for i, c in enumerate(coeffs) if c), None)
+
+
+NUMERATORS = st.lists(st.integers(-5, 5), min_size=1, max_size=8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(NUMERATORS, st.integers(0, 5), st.integers(0, 12))
+def test_power_series_is_first_nonzero_where_the_numerator_is(num, n, horizon):
+    # (1 - t)^n is a unit of Z[[t]] with constant term 1
+    assert _first_nonzero(power_series(num, n, horizon)) == _first_nonzero(
+        num[:horizon + 1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(NUMERATORS, st.integers(0, 5), st.integers(0, 12))
+def test_times_one_minus_undoes_power_series(num, n, horizon):
+    expanded = power_series(num, n, horizon)
+    assert times_one_minus(expanded, [1] * n)[:horizon + 1] == (
+        num + [0] * horizon)[:horizon + 1]
 
 
 def test_inverse_block_layout_has_two_degree_fields():
