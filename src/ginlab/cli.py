@@ -23,7 +23,8 @@ from .fields import field_by_name
 from .generic import (InconclusiveSampling, generic_templates,
                       gin_by_sampling, gin_parametric, trial_seeds)
 from .groebner import (Budget, BudgetExceeded, buchberger, reduce_basis)
-from .ideals import MonomialIdeal, hilbert_series, packed_ideal, top_degree
+from .ideals import (MonomialIdeal, _check, hilbert_series, packed_ideal,
+                     top_degree)
 from .orders import ExponentOverflow, binom_p_leq, mono_str, order_by_name
 from .poly import Ring, poly_from_json, poly_to_json
 from .props import is_borel_fixed, is_lexsegment, is_weakly_revlex
@@ -103,11 +104,10 @@ def _characteristic(text):
     return p
 
 
-def _ideal_json(J, with_strings=True):
-    out = J.to_json()
-    if with_strings:
-        out["gens_str"] = [mono_str(g) for g in J.gens]
-    return out
+def _with_strings(ideal_json):
+    """An ideal's JSON, its generators also written out as strings."""
+    ideal_json["gens_str"] = [mono_str(g) for g in ideal_json["gens"]]
+    return ideal_json
 
 
 def _load(path, what, parse):
@@ -147,7 +147,7 @@ def cmd_gin(args):
     else:
         result = gin_parametric(inst, budget=budget)
     out = result.to_json()
-    out["ideal"] = _ideal_json(result.ideal)
+    _with_strings(out["ideal"])
     emit(out)
     return 0
 
@@ -170,14 +170,14 @@ def cmd_froeberg(args):
 
 
 def cmd_lexseg(args):
-    if args.hf_file:
+    if args.degrees is None:
         hf = _load(args.hf_file, "Hilbert function",
                    lambda data: [int(c) for c in data["coeffs"]])
         J, uncertain = lexsegment_of_hf(args.n, hf, args.horizon)
     else:
         J, uncertain = lexsegment_of_froeberg(args.n, args.degrees,
                                               args.horizon)
-    out = _ideal_json(J)
+    out = _with_strings(J.to_json())
     out["horizon_uncertain"] = uncertain
     emit(out)
     return 0
@@ -202,7 +202,11 @@ def cmd_gb(args):
         n = int(data["n"])
         ring = Ring(field_by_name(data.get("field", "Q")),
                     tuple(f"x{i + 1}" for i in range(n)))
-        return [poly_from_json(ring, order, p) for p in data["polys"]]
+        _check(n, [exps for p in data["polys"] for _, exps in p])
+        polys = [poly_from_json(ring, order, p) for p in data["polys"]]
+        if not any(polys):
+            raise ValueError("the system has no nonzero polynomial")
+        return polys
 
     polys = _load(args.polys, "polynomial system", parse)
     budget = Budget(ms=args.budget_ms, max_pairs=args.max_pairs)
@@ -212,8 +216,8 @@ def cmd_gb(args):
         "order": args.order,
         "basis": [poly_to_json(g) for g in gb.generators],
         "basis_str": [str(g) for g in gb.generators],
-        "initial_ideal": _ideal_json(packed_ideal(gb.layout,
-                                                  gb.packed_leads())),
+        "initial_ideal": _with_strings(
+            packed_ideal(gb.layout, gb.packed_leads()).to_json()),
     })
     return 0
 
@@ -246,7 +250,7 @@ def survey_row(n, degrees, order_name, route, seed, trials, field, budget_ms):
             res = gin_parametric(inst, budget=budget)
             row["agreement"] = None
         J = res.ideal
-        row["gin"] = _ideal_json(J, with_strings=False)
+        row["gin"] = J.to_json()
         row["is_lexsegment"] = is_lexsegment(J).holds
         row["is_weakly_revlex"] = is_weakly_revlex(J).holds
         row["is_borel_fixed"] = is_borel_fixed(J, field.char).holds
@@ -352,8 +356,9 @@ def build_parser():
 
     p = sub.add_parser("lexseg", help="lexsegment ideal of a Hilbert function")
     p.add_argument("-n", type=_positive, required=True)
-    p.add_argument("-d", "--degrees", type=_parse_degrees, default=None)
-    p.add_argument("--hf-file", default=None)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("-d", "--degrees", type=_parse_degrees)
+    source.add_argument("--hf-file")
     p.add_argument("--horizon", type=_non_negative, default=None)
     p.set_defaults(func=cmd_lexseg)
 
@@ -391,10 +396,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.cmd == "lexseg" and not (args.degrees or args.hf_file):
-        parser.error("lexseg needs -d or --hf-file")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except FAILURES as exc:

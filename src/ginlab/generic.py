@@ -13,7 +13,7 @@ from .groebner import buchberger
 from .ideals import MonomialIdeal, packed_ideal
 from .orders import DEGREVLEX, LEX, InverseBlock, binomial, mono_divides
 from .poly import Polynomial, Ring
-from .series import _lex_monomials, bracket_numerator
+from .series import _check_degrees, _lex_monomials, bracket_numerator
 
 GF32003 = PrimeField(32003)
 
@@ -58,8 +58,7 @@ class GenericInstance:
     main_order: object = LEX
 
     def __post_init__(self):
-        if self.n < 1 or any(d < 1 for d in self.degrees):
-            raise ValueError("need n >= 1 and all degrees >= 1")
+        _check_degrees(self.n, self.degrees)
 
     @property
     def s(self):

@@ -24,6 +24,7 @@ degree: that is `series._lex_monomials`, the one enumerator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, chain
 
 from .orders import _FIELD, FIELD_BITS, LEX, binomial
@@ -46,13 +47,10 @@ class MonomialIdeal:
     def from_json(cls, data):
         return minimalize(int(data["n"]), [tuple(g) for g in data["gens"]])
 
+    @cached_property
     def divisor_index(self):
         """The `_Divisors` of the generators, built on first use."""
-        index = self.__dict__.get("_index")
-        if index is None:
-            index = _Divisors(self.n, self.gens)
-            object.__setattr__(self, "_index", index)
-        return index
+        return _Divisors(self.n, self.gens)
 
 
 def _check(n, gens):
@@ -109,7 +107,7 @@ def contains(J, m):
     """Whether the monomial m lies in J, through J's divisor index."""
     if len(m) != J.n:
         raise ValueError(f"monomial has {len(m)} exponents, ideal is in {J.n} variables")
-    index = J.divisor_index()
+    index = J.divisor_index
     guard = index.guard
     mg = index.pack(m) | guard
     return guard in map(guard.__and__, map(mg.__sub__, index.packed))

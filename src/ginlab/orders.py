@@ -35,10 +35,17 @@ or divides a monomial that does not fit.
 
 Every order's ``key(m)`` on exponent tuples is the key of the packed
 monomial, so the tuple boundary and the kernel sort alike.
+
+Orders are frozen values, equal when their fields are: `SingleBlock`
+(LEX, DEGLEX, DEGREVLEX) and `InverseBlock`. A layout depends only on
+the block structure, so every order with the same structure, in the
+same number of variables, shares one `Layout`, built once per process.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cache
 from math import comb
 from operator import itemgetter
 from struct import Struct
@@ -212,58 +219,42 @@ class Layout:
 # ---------------------------------------------------------------------------
 # orders
 
+_layout = cache(Layout)  # keyed by (nvars, blocks)
+
+
 class _Order:
-    """An order on one block of variables; subclasses set the flags."""
-
-    graded = False
-    reversed = False
-
-    def __init__(self):
-        self._layouts = {}
-
-    def blocks(self, variables):
-        if self.reversed:
-            variables = variables[::-1]
-        return ((variables, self.graded, self.reversed),)
+    """What every order derives from its `blocks`."""
 
     def layout(self, n):
         """The packed-monomial layout of n-variable monomials."""
-        layout = self._layouts.get(n)
-        if layout is None:
-            layout = self._layouts[n] = Layout(n, self.blocks(tuple(range(n))))
-        return layout
+        return _layout(n, self.blocks(tuple(range(n))))
 
     def key(self, m):
         """Sort key of an exponent tuple: bigger monomials, bigger keys."""
         layout = self.layout(len(m))
         return layout.key(layout.pack(m))
 
+
+@dataclass(frozen=True)
+class SingleBlock(_Order):
+    """An order on one block of variables: lex, refined by the total
+    degree first if `graded`; `reversed` makes it degrevlex (same degree:
+    smaller exponent in the last differing variable wins)."""
+
+    name: str
+    graded: bool = False
+    reversed: bool = False
+
+    def blocks(self, variables):
+        if self.reversed:
+            variables = variables[::-1]
+        return ((variables, self.graded, self.reversed),)
+
     def __repr__(self):
         return self.name
 
-    def __eq__(self, other):
-        return type(other) is type(self)
 
-    def __hash__(self):
-        return hash(self.name)
-
-
-class Lex(_Order):
-    name = "lex"
-
-
-class DegLex(_Order):
-    name = "deglex"
-    graded = True
-
-
-class DegRevLex(_Order):
-    # same degree: smaller exponent in the last differing variable wins
-    name = "degrevlex"
-    graded = True
-    reversed = True
-
-
+@dataclass(frozen=True)
 class InverseBlock(_Order):
     """Order on mixed main/parameter monomials: main part decides first.
 
@@ -272,13 +263,10 @@ class InverseBlock(_Order):
     parameter part this coincides with `main_order`.
     """
 
+    main_order: SingleBlock
+    param_order: SingleBlock
+    nmain: int
     name = "inverse-block"
-
-    def __init__(self, main_order, param_order, nmain):
-        super().__init__()
-        self.main_order = main_order
-        self.param_order = param_order
-        self.nmain = nmain
 
     def blocks(self, variables):
         if len(variables) < self.nmain:
@@ -289,22 +277,10 @@ class InverseBlock(_Order):
         return (self.main_order.blocks(main)
                 + (self.param_order.blocks(params) if params else ()))
 
-    def __repr__(self):
-        return f"inverse-block({self.main_order!r}; {self.param_order!r}; nmain={self.nmain})"
 
-    def __eq__(self, other):
-        return (type(other) is InverseBlock
-                and other.main_order == self.main_order
-                and other.param_order == self.param_order
-                and other.nmain == self.nmain)
-
-    def __hash__(self):
-        return hash(("inverse-block", self.main_order, self.param_order, self.nmain))
-
-
-LEX = Lex()
-DEGLEX = DegLex()
-DEGREVLEX = DegRevLex()
+LEX = SingleBlock("lex")
+DEGLEX = SingleBlock("deglex", graded=True)
+DEGREVLEX = SingleBlock("degrevlex", graded=True, reversed=True)
 
 ORDERS_BY_NAME = {"lex": LEX, "deglex": DEGLEX, "degrevlex": DEGREVLEX}
 

@@ -77,7 +77,7 @@ def test_usage_error_exit_code(capsys):
     usage_error(capsys, "gin", "-n", "3")
 
 
-def test_parser_is_built_once(capsys):
+def test_parser_is_built_once(capsys, tmp_path):
     parser = cli.build_parser()
     assert cli.build_parser() is parser
     gin = parser.parse_args(["gin", "-n", "3", "-d", "2,2", "--seed", "4"])
@@ -89,11 +89,18 @@ def test_parser_is_built_once(capsys):
     assert code == 0 and json.loads(out)["coeffs"][:3] == [1, 2, 2]
     code, out = run(capsys, "bound", "-n", "2", "-d", "2,2")
     assert code == 0 and json.loads(out)["bound"] == 3
+    hf = tmp_path / "hf.json"
+    hf.write_text('{"coeffs": [1, 3, 4]}')
     for _ in range(2):  # the usage-error path reuses the parser too
         with pytest.raises(SystemExit) as exc:
             main(["lexseg", "-n", "3"])
         assert exc.value.code == 2
-        assert "lexseg needs -d or --hf-file" in capsys.readouterr().err
+        assert ("one of the arguments -d/--degrees --hf-file is required"
+                in capsys.readouterr().err)
+        # -d is not silently dropped when a file is given too
+        err = usage_error(capsys, "lexseg", "-n", "3", "-d", "5,5",
+                          "--hf-file", str(hf))
+        assert "not allowed with argument" in err
 
 
 def test_gb_exponent_overflow_exit_code(capsys, tmp_path):
@@ -337,11 +344,40 @@ def test_gb_cmd(capsys, tmp_path):
     assert J.gens == gl.minimalize(2, gb.lead_monomials()).gens
 
 
-def test_gb_file_with_a_bad_field_is_usage_error(capsys, tmp_path):
+#: `gb` systems that do not hold one, as in BAD_IDEAL_FILES
+BAD_GB_FILES = {
+    "bad field": ({"n": 1, "field": "F4", "polys": [[["1", [1]]]]},
+                  "not prime"),
+    "negative exponent": ({"n": 2, "polys": [[["1", [-1, 2]]]]},
+                          "non-negative"),
+    "float exponent": ({"n": 2, "polys": [[["1", [1.5, 2]]]]},
+                       "non-negative"),
+    "bool exponent": ({"n": 2, "polys": [[["1", [True, 2]]]]},
+                      "non-negative"),
+    "no polynomial": ({"n": 2, "polys": []}, "no nonzero polynomial"),
+    "only zeros": ({"n": 2, "polys": [[], [["0", [1, 0]]]]},
+                   "no nonzero polynomial"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_GB_FILES)
+def test_bad_gb_file_is_usage_error(name, capsys, tmp_path):
+    data, reason = BAD_GB_FILES[name]
     f = tmp_path / "sys.json"
-    f.write_text(json.dumps({"n": 1, "field": "F4", "polys": [[["1", [1]]]]}))
+    f.write_text(json.dumps(data))
     err = usage_error(capsys, "gb", str(f))
-    assert str(f) in err and "not prime" in err
+    assert str(f) in err and reason in err
+
+
+def test_second_parametric_gin_builds_no_layout(capsys, monkeypatch):
+    argv = ["gin", "-n", "3", "-d", "2,2", "--route", "parametric",
+            "--field", "Q"]
+    first = run(capsys, *argv)
+    built = []
+    init = gl.orders.Layout.__init__
+    monkeypatch.setattr(gl.orders.Layout, "__init__",
+                        lambda self, *a: built.append(a) or init(self, *a))
+    assert run(capsys, *argv) == first and built == []
 
 
 def test_ideal_round_trip(tmp_path):

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import ginlab as gl
-from ginlab.orders import EXP_MAX, DimensionMismatch, ExponentOverflow
+from ginlab.orders import (EXP_MAX, DimensionMismatch, ExponentOverflow,
+                           SingleBlock)
 
 from oracles import (mono_div, mono_lcm, mono_mul, monomials_of_degree,
                      tuple_key)
@@ -46,6 +47,22 @@ def test_degrevlex_degree3_table():
     # within fixed degree, degrevlex and the key-based sort must agree
     assert got == sorted(got, key=gl.DEGREVLEX.key, reverse=True)
     assert got[0] == (3, 0, 0) and got[-1] == (0, 0, 3)
+
+
+def test_orders_are_values_sharing_one_layout_per_block_structure():
+    assert repr(gl.LEX) == "lex"
+    for make in (lambda: gl.InverseBlock(gl.LEX, gl.DEGREVLEX, 3),
+                 lambda: SingleBlock("degrevlex", graded=True, reversed=True)):
+        a, b = make(), make()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a.layout(7) is b.layout(7)
+    assert SingleBlock("degrevlex", True, True) == gl.DEGREVLEX
+    distinct = all_orders + [gl.InverseBlock(gl.LEX, gl.DEGREVLEX, 2),
+                             gl.InverseBlock(gl.LEX, gl.LEX, 1)]
+    assert len(set(distinct)) == len(distinct)
+    assert all(a != b for i, a in enumerate(distinct) for b in distinct[:i])
+    # the same blocks: LEX in 3 variables is the main block alone
+    assert gl.InverseBlock(gl.LEX, gl.DEGREVLEX, 3).layout(3) is gl.LEX.layout(3)
 
 
 def test_dimension_mismatch():
