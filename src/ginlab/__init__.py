@@ -2,7 +2,7 @@
 sampling and parametric pipelines, Hilbert-series combinatorics, and
 classification predicates."""
 
-from .fields import QQ, PrimeField, field_by_name
+from .fields import QQ, Field, PrimeField, field_by_name
 from .orders import (LEX, DEGLEX, DEGREVLEX, ExponentOverflow, InverseBlock,
                      binom_p_leq)
 from .poly import Polynomial, Ring, parse_poly, xring

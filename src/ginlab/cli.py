@@ -25,8 +25,9 @@ from .generic import (InconclusiveSampling, generic_templates,
 from .groebner import (Budget, BudgetExceeded, buchberger, reduce_basis)
 from .ideals import (MonomialIdeal, _check, hilbert_series, packed_ideal,
                      top_degree)
-from .orders import ExponentOverflow, binom_p_leq, mono_str, order_by_name
-from .poly import Ring, poly_from_json, poly_to_json
+from .orders import (ORDERS_BY_NAME, ExponentOverflow, binom_p_leq, mono_str,
+                     order_by_name)
+from .poly import poly_from_json, poly_to_json, xring
 from .props import is_borel_fixed, is_lexsegment, is_weakly_revlex
 from .series import (InadmissibleHilbertFunction, froeberg_series,
                      lexsegment_bound, lexsegment_of_froeberg,
@@ -169,10 +170,18 @@ def cmd_froeberg(args):
     return 0
 
 
+def _hf_coeffs(data):
+    """The coefficients of a Hilbert-function file, {"coeffs": [ints]}."""
+    coeffs = data["coeffs"]
+    # `type`, not `isinstance`, so that bools are refused too
+    if not {int}.issuperset(map(type, coeffs)):
+        raise ValueError("a coefficient is not an integer")
+    return coeffs
+
+
 def cmd_lexseg(args):
     if args.degrees is None:
-        hf = _load(args.hf_file, "Hilbert function",
-                   lambda data: [int(c) for c in data["coeffs"]])
+        hf = _load(args.hf_file, "Hilbert function", _hf_coeffs)
         J, uncertain = lexsegment_of_hf(args.n, hf, args.horizon)
     else:
         J, uncertain = lexsegment_of_froeberg(args.n, args.degrees,
@@ -200,8 +209,7 @@ def cmd_gb(args):
 
     def parse(data):
         n = int(data["n"])
-        ring = Ring(field_by_name(data.get("field", "Q")),
-                    tuple(f"x{i + 1}" for i in range(n)))
+        ring = xring(n, field_by_name(data.get("field", "Q")))
         _check(n, [exps for p in data["polys"] for _, exps in p])
         polys = [poly_from_json(ring, order, p) for p in data["polys"]]
         if not any(polys):
@@ -322,6 +330,7 @@ def build_parser():
     ap = argparse.ArgumentParser(prog="ginlab",
                                  description="Initial ideals of generic ideals")
     sub = ap.add_subparsers(dest="cmd", required=True)
+    orders = list(ORDERS_BY_NAME)
 
     def common_budget(p):
         p.add_argument("--budget-ms", type=_milliseconds, default=None)
@@ -330,7 +339,7 @@ def build_parser():
     p = sub.add_parser("gin", help="initial ideal of generic ideals")
     p.add_argument("-n", type=_positive, required=True)
     p.add_argument("-d", "--degrees", type=_parse_degrees, required=True)
-    p.add_argument("--order", choices=["lex", "degrevlex"], default="lex")
+    p.add_argument("--order", choices=orders, default="lex")
     p.add_argument("--route", choices=["sample", "parametric"], default="sample")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=_positive, default=5)
@@ -375,15 +384,14 @@ def build_parser():
 
     p = sub.add_parser("gb", help="reduced Groebner basis of explicit input")
     p.add_argument("polys", help="polynomial system JSON file")
-    p.add_argument("--order", choices=["lex", "deglex", "degrevlex"],
-                   default="degrevlex")
+    p.add_argument("--order", choices=orders, default="degrevlex")
     common_budget(p)
     p.set_defaults(func=cmd_gb)
 
     p = sub.add_parser("survey", help="verdict table over a parameter grid")
     p.add_argument("--case", type=_parse_case, action="append", required=True,
                    help="n:s:dmin:dmax (repeatable)")
-    p.add_argument("--order", choices=["lex", "degrevlex"], default="lex")
+    p.add_argument("--order", choices=orders, default="lex")
     p.add_argument("--route", choices=["sample", "parametric"], default="sample")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=_positive, default=5)

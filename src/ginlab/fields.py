@@ -1,42 +1,21 @@
-"""Exact coefficient fields: arbitrary-precision rationals and prime fields.
+"""Exact coefficient fields, which matter here only through their
+characteristic.
 
-Field objects are stateless descriptors; elements are plain Python values
-(`fractions.Fraction` for the rationals, ints in ``[0, p)`` for GF(p)).
-A field converts (`of`) and adds elements, for `Polynomial.from_terms`;
-the Groebner kernel computes on ints itself (`poly.PackedRing`).
+A field is the frozen value `Field(char)`: 0 is the rationals `QQ`, a
+prime p is GF(p) (`PrimeField(p)`). Fields are equal when their
+characteristics are. Elements are plain Python values:
+`fractions.Fraction` over Q, ints in ``[0, p)`` over GF(p). `of` is the
+one rule that turns an int or a Fraction into an element, for
+`Polynomial.from_terms`; the Groebner kernel computes on ints itself
+(`poly.PackedRing`).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 DEFAULT_PRIME = 32003
-
-
-class RationalField:
-    """The field of rationals; elements are Fraction instances."""
-
-    char = 0
-    name = "Q"
-
-    def of(self, x):
-        return Fraction(x)
-
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    def __repr__(self):
-        return "QQ"
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("QQ")
 
 
 def _is_prime(p):
@@ -52,39 +31,44 @@ def _is_prime(p):
     return True
 
 
-class PrimeField:
-    """GF(p) with elements stored as ints in [0, p)."""
+@dataclass(frozen=True)
+class Field:
+    """The field of characteristic `char`: Q for 0, GF(p) for a prime p."""
 
-    def __init__(self, p=DEFAULT_PRIME):
-        if not _is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
-        self.p = p
-        self.char = p
-        self.name = f"F{p}"
-        self.zero = 0
-        self.one = 1 % p
+    char: int
 
-    def of(self, x):
-        if isinstance(x, Fraction):
-            if x.denominator == 1:
-                return x.numerator % self.p
-            return (x.numerator % self.p) * pow(x.denominator, -1, self.p) % self.p
-        return int(x) % self.p
+    def __post_init__(self):
+        if self.char and not _is_prime(self.char):
+            raise ValueError(f"modulus {self.char} is not prime")
 
-    def add(self, a, b):
-        return (a + b) % self.p
+    @property
+    def name(self):
+        """The CLI/JSON name: "Q" or "F<p>"."""
+        return f"F{self.char}" if self.char else "Q"
 
     def __repr__(self):
-        return f"GF({self.p})"
+        return f"GF({self.char})" if self.char else "QQ"
 
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
+    def of(self, x):
+        """The element of an int or a Fraction x: a Fraction over Q; over
+        GF(p) an int in [0, p), the denominator inverted (a ValueError if
+        p divides it)."""
+        p = self.char
+        if not p:
+            return Fraction(x)
+        if isinstance(x, Fraction):
+            return x.numerator * pow(x.denominator, -1, p) % p
+        return x % p
 
-    def __hash__(self):
-        return hash(("GF", self.p))
+
+QQ = Field(0)
 
 
-QQ = RationalField()
+def PrimeField(p=DEFAULT_PRIME):
+    """GF(p); p must be prime."""
+    if not p:
+        raise ValueError("modulus 0 is not prime")
+    return Field(p)
 
 
 def field_by_name(name):

@@ -12,7 +12,7 @@ from .fields import QQ, PrimeField
 from .groebner import buchberger
 from .ideals import MonomialIdeal, packed_ideal
 from .orders import DEGREVLEX, LEX, InverseBlock, binomial, mono_divides
-from .poly import Polynomial, Ring
+from .poly import Polynomial, Ring, xring
 from .series import _check_degrees, _lex_monomials, bracket_numerator
 
 GF32003 = PrimeField(32003)
@@ -79,7 +79,7 @@ class GenericInstance:
         return InverseBlock(self.main_order, DEGREVLEX, self.n)
 
     def main_ring(self):
-        return Ring(self.field, tuple(f"x{i + 1}" for i in range(self.n)))
+        return xring(self.n, self.field)
 
 
 def generic_templates(n, degrees, field=QQ, main_order=LEX):
@@ -112,7 +112,7 @@ def normal_form_family(inst):
         k = inst.degrees.count(d)
         pivots += standard[:k]
         rows += [(p, standard[k:]) for p in standard[:k]]
-    names = [f"x{i + 1}" for i in range(n)]
+    names = list(inst.main_ring().names)
     for i, (_, tail) in enumerate(rows):
         names += [f"t{i + 1}_{k + 1}" for k in range(len(tail))]
     nparams = len(names) - n

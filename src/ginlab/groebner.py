@@ -90,8 +90,8 @@ from itertools import compress, count, zip_longest
 from math import gcd
 from operator import itemgetter
 
-from .ideals import _minimal, _poly_trim, packed_numerator, times_one_minus
-from .orders import EXP_MAX, FIELD_BITS, ExponentOverflow
+from .ideals import _minimal, _numerator, _poly_trim
+from .orders import FIELD_BITS, ExponentOverflow
 from .poly import Packed, PackedRing
 from .series import bracket_numerator
 
@@ -300,7 +300,8 @@ def s_polynomial(f, g, R):
 def _update_pairs(leads, pairs, h, layout, serial):
     """Gebauer-Moeller update of the pair set when a polynomial with packed
     lead h joins a basis with packed leads `leads`; it also returns the
-    quotients q_i = leads[i] / gcd(leads[i], h), degree fields zero.
+    minimal ones among the quotients q_i = leads[i] / gcd(leads[i], h),
+    degree fields zero: the minimal generators of (leads) : h.
 
     A pair is (selection key, serial number, i, j, packed lcm). The
     selection key orders pairs by lcm degree, then by the monomial order;
@@ -323,7 +324,8 @@ def _update_pairs(leads, pairs, h, layout, serial):
         d = (g | guard) - h
         ge = d & guard
         quotients.append(d & (ge - (ge >> (FIELD_BITS - 1))) & emask)
-    minimal = set(_minimal(set(quotients), guard))
+    colon = _minimal(set(quotients), guard)
+    minimal = set(colon)
     new_pairs = []
     for i, q in enumerate(quotients):
         if q in minimal:
@@ -338,7 +340,7 @@ def _update_pairs(leads, pairs, h, layout, serial):
                  if not ((pair[4] | guard) - h) & guard == guard
                  or quotients[pair[2]] == (pair[4] - h) & emask
                  or quotients[pair[3]] == (pair[4] - h) & emask]
-    return surviving + new_pairs, quotients
+    return surviving + new_pairs, colon
 
 
 class _HilbertCount:
@@ -350,13 +352,10 @@ class _HilbertCount:
     with constant term 1, HF(S/in G)_e = H_e for every e <= d iff
     excess_e = 0 for every e <= d: the series first differ where `excess`
     is first nonzero. Adding a lead m to J = in(G), m not in J, subtracts
-    t^deg(m) N(J : m) from the numerator of J. J : m is generated by the
-    packed quotients g / gcd(g, m) of `_update_pairs`. The k variables
-    among them split off as a factor (1 - t)^k, a product of k binomials
-    and the fast path: in the sampled trials nothing else is usually
-    left. The quotients that no such variable divides go, still packed,
-    to `ideals.packed_numerator`, which finds their minimal generators
-    itself.
+    t^deg(m) N(J : m) from the numerator of J. `_update_pairs` returns the
+    minimal generators of J : m, packed, so they go straight to
+    `ideals._numerator`, the pivot recursion, with no second
+    minimalization.
     """
 
     def __init__(self, layout, degrees):
@@ -365,20 +364,12 @@ class _HilbertCount:
         self.excess = [-c for c in self.expected]
         self.excess[0] += 1  # the numerator of S/(0) is 1
 
-    def add(self, quotients, m):
-        """Account for lead m joining leads g with the packed quotients
-        g / gcd(g, m)."""
-        layout = self.layout
-        ones = layout.exponent_ones
-        colon = set(quotients)
-        variables = [q for q in colon
-                     if q and q & ones == q and not q & (q - 1)]
-        fields = sum(variables) * EXP_MAX
-        rest = [q for q in colon if not q & fields]
-        sub = packed_numerator(layout, rest) if rest else [1]
-        sub = times_one_minus(sub, [1] * len(variables))
+    def add(self, colon, m):
+        """Account for lead m joining J, `colon` being the minimal packed
+        generators of J : m."""
+        sub = _numerator(frozenset(colon), self.layout, {})
         excess = self.excess
-        d = layout.degree(m)
+        d = self.layout.degree(m)
         excess.extend([0] * (d + len(sub) - len(excess)))
         for i, c in enumerate(sub, d):
             excess[i] -= c
@@ -426,10 +417,10 @@ def buchberger(gens, order=None, budget=None):
             h = R.primitive(h)
             entry = R.reducer(h)
             lead = entry[1]
-            pairs[:], quotients = _update_pairs(leads, pairs, lead, layout,
-                                                serial)
+            pairs[:], colon = _update_pairs(leads, pairs, lead, layout,
+                                            serial)
             if hilbert is not None:
-                hilbert.add(quotients, lead)
+                hilbert.add(colon, lead)
             G.append(h)
             leads.append(lead)
             table.add(entry)

@@ -8,13 +8,15 @@ which `packed_ideal` runs on the kernel's packed leads. The Hilbert
 numerator runs on packed monomials (`orders.Layout`). `hilbert_numerator`
 packs the generators under `LEX` and takes the Eliahou-Kervaire sum when
 a certificate proves the ideal stable (`stable_numerator`), as every
-lexsegment ideal is. Otherwise it runs `packed_numerator`, the one pivot
-recursion, which the Groebner kernel's Hilbert count also calls on its
-own packing. `hilbert_series` expands the numerator by `power_series`,
-n prefix sums, the one expansion of N(t) / (1 - t)^n, which the bracket
-series of `series` runs too; the kernel's Hilbert count, which compares
-numerators, runs none. `times_one_minus`, the one product by
-prod(1 - t^d), undoes it for d = 1. A `LEX` field holds at most
+lexsegment ideal is. Otherwise it runs `packed_numerator`, which
+minimalizes the generators for `_numerator`, the one pivot recursion;
+the Groebner kernel's Hilbert count runs `_numerator` on its own
+packing, on colon generators that are minimal already. `hilbert_series`
+expands the numerator by `power_series`, n prefix sums, the one
+expansion of N(t) / (1 - t)^n, which the bracket series of `series`
+runs too; the kernel's Hilbert count, which compares numerators, runs
+none. `times_one_minus`, the one product by prod(1 - t^d), undoes it
+for d = 1. A `LEX` field holds at most
 EXP_MAX = 32767, so the Hilbert data of an ideal with a larger exponent
 or generator degree raise `ExponentOverflow`; minimalization and
 membership have no such limit. Nothing here lists the monomials of a

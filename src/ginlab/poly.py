@@ -71,21 +71,22 @@ class Polynomial:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def from_dict(cls, ring, order, d):
-        zero = ring.field.zero
-        items = [(m, c) for m, c in d.items() if c != zero]
-        items.sort(key=lambda t: order.key(t[0]), reverse=True)
-        return cls(ring, order, items)
-
-    @classmethod
     def from_terms(cls, ring, order, terms):
+        """The polynomial of (monomial, coefficient) terms, each
+        coefficient an int or a Fraction taken into ``ring.field`` by its
+        `of`: the coefficients of one monomial add up, and zero sums
+        drop out."""
+        of = ring.field.of
         d = {}
-        add = ring.field.add
         for m, c in terms:
             if len(m) != ring.nvars:
                 raise RingMismatch(f"term has {len(m)} exponents, ring has {ring.nvars}")
-            d[m] = add(d.get(m, ring.field.zero), ring.field.of(c))
-        return cls.from_dict(ring, order, d)
+            d[m] = of(d.get(m, 0) + of(c))
+        layout = order.layout(ring.nvars)
+        key, pack = layout.key, layout.pack
+        items = sorted(((m, c) for m, c in d.items() if c),
+                       key=lambda t: key(pack(t[0])), reverse=True)
+        return cls(ring, order, items)
 
     # -- inspection ---------------------------------------------------------
 
@@ -122,7 +123,24 @@ class Polynomial:
         return f"Polynomial({self})"
 
     def __str__(self):
-        return format_poly(self)
+        if not self.terms:
+            return "0"
+        parts = []
+        for i, (m, c) in enumerate(self.terms):
+            ms = mono_str(m, self.ring.names)
+            neg = c < 0
+            mag = -c if neg else c
+            if ms == "1":
+                body = str(mag)
+            elif mag == 1:
+                body = ms
+            else:
+                body = f"{mag}*{ms}"
+            if i == 0:
+                parts.append(("-" if neg else "") + body)
+            else:
+                parts.append(("- " if neg else "+ ") + body)
+        return " ".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -218,48 +236,24 @@ class PackedRing:
         guard bit iff multiplying g's monomials by m / lead overflows a
         field (slack is `Layout.field_bound` minus lead: under one block
         the largest degree in every field, no pass over the monomials
-        under a graded order). Over GF(p) the tail is divided by the
-        leading coefficient, unless that is 1, and ``a`` is 1; over Q the
-        tail is g's own and ``a`` is g's integer leading coefficient."""
+        under a graded order). Over GF(p) the tail is that of `monic`,
+        and ``a`` is 1; over Q the tail is g's own and ``a`` is g's
+        integer leading coefficient."""
         r = g.reducer
         if r is None:
-            layout, p = self.layout, self.p
+            layout = self.layout
             (lead_key, a), *tail = g.terms
+            if self.p and a != 1:
+                (_, a), *tail = self.monic(g).terms
             lead = layout.from_key(lead_key)
             keys = map(itemgetter(0), g.terms)
             slack = layout.field_bound(lead, keys) - lead
-            if p and a != 1:
-                inv = pow(a, -1, p)
-                tail = [(k, c * inv % p) for k, c in tail]
-                a = 1
             r = g.reducer = (lead_key, lead, slack, tail, a)
         return r
 
 
 # ---------------------------------------------------------------------------
 # text / JSON forms
-
-def format_poly(f, names=None):
-    if not f.terms:
-        return "0"
-    names = names or f.ring.names
-    parts = []
-    for i, (m, c) in enumerate(f.terms):
-        ms = mono_str(m, names)
-        neg = isinstance(c, (int, Fraction)) and c < 0
-        mag = -c if neg else c
-        if ms == "1":
-            body = str(mag)
-        elif mag == 1:
-            body = ms
-        else:
-            body = f"{mag}*{ms}"
-        if i == 0:
-            parts.append(("-" if neg else "") + body)
-        else:
-            parts.append(("- " if neg else "+ ") + body)
-    return " ".join(parts)
-
 
 def poly_to_json(f):
     return [[str(c), list(m)] for m, c in f.terms]

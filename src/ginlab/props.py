@@ -23,12 +23,12 @@ class PropertyVerdict:
     def __bool__(self):
         return self.holds
 
-    def to_json(self, prop, names=None):
+    def to_json(self, prop):
         out = {"property": prop, "holds": self.holds}
         if self.witness is not None:
             member, missing = self.witness
-            out["witness"] = {"member": mono_str(member, names),
-                              "missing": mono_str(missing, names),
+            out["witness"] = {"member": mono_str(member),
+                              "missing": mono_str(missing),
                               "member_exponents": list(member),
                               "missing_exponents": list(missing)}
         return out

@@ -60,7 +60,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import gcd, lcm
 
-from ginlab.fields import QQ, RationalField
+from ginlab.fields import QQ
 from ginlab.ideals import MonomialIdeal, hilbert_series, top_degree
 from ginlab.orders import (DEGLEX, DEGREVLEX, LEX, InverseBlock, binom_p_leq,
                            binomial, mono_divides)
@@ -75,7 +75,7 @@ class Arith:
     Q, ints in [0, p) over GF(p)."""
 
     def __init__(self, fld):
-        self.p, self.zero, self.one = fld.char, fld.zero, fld.one
+        self.p, self.zero, self.one = fld.char, fld.of(0), fld.of(1)
 
     def _r(self, x):
         return x % self.p if self.p else x
@@ -257,7 +257,7 @@ def hilbert_function_homogeneous(gens, d):
         if df > d:
             continue
         for tau in monomials_of_degree(n, d - df):
-            row = [fld.zero] * len(basis)
+            row = [fld.of(0)] * len(basis)
             for m, c in f.terms:
                 row[index[mono_mul(m, tau)]] = c
             rows.append(row)
@@ -506,7 +506,7 @@ def block_leading_data(F, main_order):
         groups.setdefault(m[: ring.nmain], []).append((m[ring.nmain:], c))
     lead = max(groups, key=main_order.key)
     tring = Ring(ring.field, ring.names[ring.nmain:])
-    coeff = Polynomial.from_dict(tring, LEX, dict(groups[lead]))
+    coeff = Polynomial.from_terms(tring, LEX, groups[lead])
     return lead, coeff
 
 
@@ -608,8 +608,7 @@ def _neg_key(k):
 
 
 def _from_dict(ring, order, d):
-    zero = ring.field.zero
-    items = [(m, c) for m, c in d.items() if c != zero]
+    items = [(m, c) for m, c in d.items() if c]
     items.sort(key=lambda t: tuple_key(order, t[0]), reverse=True)
     return Polynomial(ring, order, items)
 
@@ -629,7 +628,7 @@ def monic(f):
 def primitive(f):
     """f with its rational content stripped: integer coefficients with
     gcd 1 and lc > 0; monic over a prime field."""
-    if not f or not isinstance(f.ring.field, RationalField):
+    if not f or f.ring.field.char:
         return monic(f)
     coeffs = [c for _, c in f.terms]
     den = lcm(*(c.denominator for c in coeffs))

@@ -118,12 +118,12 @@ def test_criterion_7_borel_fixedness():
     t0 = time.perf_counter()
     gins = [
         (gl.gin_by_sampling(gl.generic_templates(3, (2, 2), field=GF32003),
-                            seed=0).ideal, GF32003.p),
+                            seed=0).ideal, GF32003.char),
         (gl.gin_by_sampling(gl.generic_templates(4, (2, 2), field=GF32003),
-                            seed=0).ideal, GF32003.p),
+                            seed=0).ideal, GF32003.char),
         (gl.gin_parametric(gl.generic_templates(2, (2, 2))).ideal, 0),
     ]
-    gins += [(res.ideal, GF32003.p) for _, _, res in _crit4_rows[:4]]
+    gins += [(res.ideal, GF32003.char) for _, _, res in _crit4_rows[:4]]
     for J, p in gins:
         assert gl.is_borel_fixed(J, p).holds
     rng = random.Random(1234)

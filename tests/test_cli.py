@@ -168,6 +168,23 @@ def test_lexseg_inadmissible_exit_code(capsys, tmp_path, monkeypatch):
         "detail": "coefficient 9 at degree 2 exceeds dim S_2 = 3"}
 
 
+def test_gin_and_survey_take_every_order(capsys, tmp_path):
+    """deglex too: both gin routes give one ideal, and a survey row too."""
+    gins = []
+    for route in (["--route", "sample"],
+                  ["--route", "parametric", "--field", "Q"]):
+        code, out = run(capsys, "gin", "-n", "3", "-d", "2,2", "--order",
+                        "deglex", *route)
+        assert code == 0
+        gins.append(json.loads(out)["ideal"]["gens"])
+    rows = tmp_path / "rows"
+    code, _ = run(capsys, "survey", "--case", "3:2:2:2", "--order", "deglex",
+                  "--out", str(rows))
+    assert code == 0
+    gins.append(json.loads(rows.with_suffix(".jsonl").read_text())["gin"]["gens"])
+    assert gins[0] == gins[1] == gins[2]
+
+
 def test_bound_cmd(capsys):
     code, out = run(capsys, "bound", "-n", "3", "-d", "2,2")
     assert code == 0
@@ -302,6 +319,9 @@ BAD_HF_FILES = {
     "coefficient not an int": ('{"coeffs": "x"}', "ValueError"),
     "missing key": ('{"coefficients": [1, 2]}', "KeyError"),
     "not JSON": ('{"coeffs": [1, 2', "JSONDecodeError"),
+    "float coefficient": ('{"coeffs": [1, 2.9]}', "not an integer"),
+    "bool coefficient": ('{"coeffs": [1, true]}', "not an integer"),
+    "float and bool": ('{"coeffs": [1, 2.9, true]}', "not an integer"),
 }
 
 
@@ -348,6 +368,8 @@ def test_gb_cmd(capsys, tmp_path):
 BAD_GB_FILES = {
     "bad field": ({"n": 1, "field": "F4", "polys": [[["1", [1]]]]},
                   "not prime"),
+    "uninvertible coefficient": (
+        {"n": 1, "field": "F7", "polys": [[["1/7", [1]]]]}, "not invertible"),
     "negative exponent": ({"n": 2, "polys": [[["1", [-1, 2]]]]},
                           "non-negative"),
     "float exponent": ({"n": 2, "polys": [[["1", [1.5, 2]]]]},

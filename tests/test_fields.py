@@ -1,0 +1,54 @@
+from dataclasses import FrozenInstanceError
+from fractions import Fraction
+
+import pytest
+
+import ginlab as gl
+from ginlab.fields import QQ, Field, PrimeField, field_by_name
+
+
+def test_fields_are_values_keyed_by_their_characteristic():
+    assert PrimeField(7) == field_by_name("F7") == Field(7)
+    assert hash(PrimeField(7)) == hash(field_by_name("F7"))
+    assert QQ == field_by_name("Q") == field_by_name("QQ") == Field(0)
+    assert QQ != PrimeField(2) and PrimeField(2) != PrimeField(3)
+    for f in (QQ, PrimeField(2), PrimeField(7), PrimeField()):
+        assert field_by_name(f.name) == f
+    assert [(f.char, f.name, repr(f)) for f in (QQ, PrimeField())] == [
+        (0, "Q", "QQ"), (32003, "F32003", "GF(32003)")]
+    with pytest.raises(FrozenInstanceError):
+        QQ.char = 2
+
+
+@pytest.mark.parametrize("make,arg", [
+    (PrimeField, 0), (PrimeField, 1), (PrimeField, 4), (PrimeField, -7),
+    (field_by_name, "F0"), (field_by_name, "F4"), (Field, 9),
+])
+def test_a_modulus_that_is_not_prime_is_refused(make, arg):
+    with pytest.raises(ValueError):
+        make(arg)
+
+
+def test_of_is_the_one_coefficient_rule():
+    assert QQ.of(3) == 3 and type(QQ.of(3)) is Fraction
+    assert QQ.of(Fraction(-1, 2)) == Fraction(-1, 2)
+    F7 = PrimeField(7)
+    assert [F7.of(x) for x in (-1, 7, Fraction(1, 2), Fraction(-3))] == [
+        6, 0, 4, 4]
+    with pytest.raises(ValueError):
+        F7.of(Fraction(1, 7))
+
+
+def test_from_terms_sums_per_monomial_and_drops_zero_sums():
+    ring = gl.xring(2, PrimeField(7))
+    f = gl.Polynomial.from_terms(ring, gl.LEX, [
+        ((0, 1), 3), ((1, 0), Fraction(1, 2)), ((0, 1), 4), ((1, 0), 1)])
+    assert f.terms == (((1, 0), 5),)
+    # each term is taken into GF(7) first, so 1/7 is refused even where
+    # the rational sum would be zero
+    with pytest.raises(ValueError):
+        gl.Polynomial.from_terms(ring, gl.LEX, [
+            ((1, 0), Fraction(1, 7)), ((1, 0), Fraction(-1, 7))])
+    g = gl.Polynomial.from_terms(gl.xring(2), gl.DEGREVLEX, [
+        ((0, 2), 1), ((1, 0), Fraction(1, 2)), ((0, 2), -1), ((2, 0), 2)])
+    assert g.terms == (((2, 0), 2), ((1, 0), Fraction(1, 2)))

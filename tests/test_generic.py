@@ -189,6 +189,11 @@ def test_normal_form_family_shape(n, degrees, order, nparams, ngens):
     (3, (3, 2), (2, 3), GF32003, gl.DEGREVLEX),
     (1, (2, 3), (2, 3), gl.QQ, gl.LEX),
     (2, (1, 1, 2), (1, 1, 2), gl.QQ, gl.DEGREVLEX),
+    (3, (2, 2), (2, 2), gl.QQ, gl.DEGLEX),
+    (3, (2, 2, 2), (2, 2, 2), gl.QQ, gl.DEGLEX),
+    (3, (2, 3), (2, 3), gl.QQ, gl.DEGLEX),
+    (4, (2, 2), (2, 2), gl.QQ, gl.DEGLEX),
+    (2, (3, 3), (3, 3), gl.QQ, gl.DEGLEX),
 ])
 def test_parametric_route_matches_sampling(n, degrees, sampled, field, order):
     par = gl.gin_parametric(gl.generic_templates(n, degrees, field, order))
@@ -233,7 +238,7 @@ def test_borel_fixedness_of_gins():
     for n, degrees in [(2, (2, 2)), (3, (2, 2)), (3, (2, 2, 2))]:
         res = gl.gin_by_sampling(gl.generic_templates(n, degrees, field=GF32003),
                                  seed=1)
-        assert gl.is_borel_fixed(res.ideal, GF32003.p).holds
+        assert gl.is_borel_fixed(res.ideal, GF32003.char).holds
 
 
 def test_maxdeg_bounded_by_lexsegment_bound():

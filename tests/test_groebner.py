@@ -19,8 +19,9 @@ from test_acceptance import CRIT4_GRID
 from oracles import (_tuple_update_pairs, block_leading_data, full_templates,
                      hilbert_function_homogeneous, is_groebner, mono_mul,
                      monomials_of_degree, stability_check, tuple_buchberger,
-                     tuple_hilbert_numerator, tuple_normal_form,
-                     tuple_reduce_basis, tuple_s_polynomial)
+                     tuple_hilbert_numerator, tuple_minimalize,
+                     tuple_normal_form, tuple_reduce_basis,
+                     tuple_s_polynomial)
 
 R2 = gl.xring(2)
 R3 = gl.xring(3)
@@ -478,12 +479,14 @@ def test_update_pairs_matches_tuple_update_pairs(case):
     packed, pairs, G, tuple_pairs = [], [], [], []
     for m in leads:
         h = layout.pack(m)
-        pairs, quotients = groebner._update_pairs(packed, pairs, h, layout,
-                                                  serial)
-        # a / gcd(a, h) for every old lead a, degree fields zero
-        assert [layout.unpack(q) for q in quotients] == [
-            tuple(x - min(x, y) for x, y in zip(g.lm(), m)) for g in G]
-        assert all(q == q & layout.exponent_mask for q in quotients)
+        pairs, colon = groebner._update_pairs(packed, pairs, h, layout,
+                                              serial)
+        # the minimal ones among a / gcd(a, h) over the old leads a, which
+        # generate (leads) : h, with degree fields zero
+        assert tuple(sorted(map(layout.unpack, colon), reverse=True)) == (
+            tuple_minimalize(n, [tuple(x - min(x, y) for x, y in zip(g.lm(), m))
+                                 for g in G]).gens)
+        assert all(q == q & layout.exponent_mask for q in colon)
         packed.append(h)
         f = Polynomial.from_terms(ring, order, [(m, 1)])
         tuple_pairs = _tuple_update_pairs(G, tuple_pairs, f, order)
