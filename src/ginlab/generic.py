@@ -117,15 +117,18 @@ def normal_form_family(inst):
         names += [f"t{i + 1}_{k + 1}" for k in range(len(tail))]
     nparams = len(names) - n
     ring = Ring(inst.field, tuple(names), n)
+    one = inst.field.of(1)
     out = []
     offset = 0
     for pivot, tail in rows:
-        terms = [(pivot + (0,) * nparams, 1)]
+        # already descending: the main part decides, and the pivot comes
+        # before the tail's monomials, which are in descending main order
+        terms = [(pivot + (0,) * nparams, one)]
         for k, m in enumerate(tail):
             t = [0] * nparams
             t[offset + k] = 1
-            terms.append((m + tuple(t), 1))
-        out.append(Polynomial.from_terms(ring, inst.order, terms))
+            terms.append((m + tuple(t), one))
+        out.append(Polynomial(ring, inst.order, terms))
         offset += len(tail)
     return out
 
@@ -291,8 +294,12 @@ def gin_parametric(inst, budget=None):
     lead's top fields; the generic initial ideal is generated by the
     nonconstant ones. These x-parts generate the initial ideal of the
     family over k(t) (Becker-Weispfenning, Groebner Bases, section 6),
-    which no parameter order changes, so the route fixes one: degrevlex."""
-    gb = buchberger(normal_form_family(inst), inst.order, budget)
+    which no parameter order changes, so the route fixes one: degrevlex.
+    The run stops once its x-leads have the bracket series of the family's
+    degrees (`buchberger`'s `stop_at_gin`); then they already generate
+    that initial ideal."""
+    gb = buchberger(normal_form_family(inst), inst.order, budget,
+                    stop_at_gin=True)
     main = inst.main_order.layout(inst.n)
     low = gb.layout.bits - main.bits
     return GinResult(

@@ -78,6 +78,35 @@ returns it as `GroebnerBasis.hilbert_numerator`: HF(S/I) equals H in
 every degree iff it equals `series.bracket_numerator` (the u-check of
 `generic.is_u_generic`). Input that is not homogeneous, or that has a
 constant generator, runs without the rule.
+
+A certified stop for parametric runs (`buchberger`'s `stop_at_gin`).
+Let the ring be k[t, x] under an inverse block order, the main block x
+= x_1..x_n most significant, and let every generator be homogeneous in
+x of x-degree >= 1, with x-degrees d_1..d_s. Let K = k(t), I_K the
+ideal the generators span in K[x], S = K[x], and H the bracket series
+of d_1..d_s in n variables. The run keeps the Hilbert numerator of J,
+the ideal of the x-parts of its leads (the x-leads), with a
+`_HilbertCount` on the main-block layout, and ends its pair loop as soon
+as HS(S/J) = H. That is sound:
+
+- The x-lead of any g in I is its lead in K[x]: the main part decides
+  the order first, so the lead term of g carries the largest x-monomial
+  of g. Every element of the run lies in I, so J is contained in
+  in(I_K).
+- Hence HF(S/J) >= HF(S/in I_K) coefficientwise.
+- HF(S/in I_K) = HF(K[x]/I_K) >= H lexicographically: Froeberg's
+  inequality, over the field K.
+- If HS(S/J) = H, then HF(S/in I_K) <= H in every degree and >= H
+  lexicographically, so it equals H in every degree. J is contained in
+  in(I_K) with the same Hilbert function, so J = in(I_K), which is the
+  gin (`generic.gin_parametric`).
+- If the series never match, the run is exactly the full run.
+
+No pair is dropped by degree on this route, as the rule above does:
+pairs are selected by total degree in k[t, x], not by x-degree, and
+over k[t] a pair left out need not reduce to zero. So the result's
+x-leads generate in(I_K), but its elements need not be a Groebner basis
+of I in k[t, x].
 """
 
 from __future__ import annotations
@@ -297,26 +326,12 @@ def s_polynomial(f, g, R):
     return Packed(sorted(work.items(), reverse=True), a * b * h)
 
 
-def _update_pairs(leads, pairs, h, layout, serial):
-    """Gebauer-Moeller update of the pair set when a polynomial with packed
-    lead h joins a basis with packed leads `leads`; it also returns the
-    minimal ones among the quotients q_i = leads[i] / gcd(leads[i], h),
-    degree fields zero: the minimal generators of (leads) : h.
-
-    A pair is (selection key, serial number, i, j, packed lcm). The
-    selection key orders pairs by lcm degree, then by the monomial order;
-    the serial number keeps creation order among equal keys, which is the
-    pair list's order, so ``min(pairs)`` is the first pair of least key.
-
-    The criteria read the quotients, made in one pass over the exponent
-    fields: lcm(g, h) = h q, so lcms divide or equal as quotients do.
-    Criterion M keeps only the minimal ones, found by the ascending scan
-    of `ideals._minimal`; the first index of an lcm stands for all
-    (criterion F). Only the lcm of a pair that also passes Buchberger's
-    coprimality criterion gets its degree fields, so only it can raise
-    `ExponentOverflow`.
-    """
-    t = len(leads)
+def _colon(leads, h, layout):
+    """The quotients q_i = leads[i] / gcd(leads[i], h) of packed monomials
+    of `layout`, degree fields zero, made in one pass over the exponent
+    fields, and the minimal ones among them (ascending): the minimal
+    generators of (leads) : h. It is the unit ideal, 0 the first of them,
+    iff some lead divides h."""
     guard, emask = layout.guard, layout.exponent_mask
     quotients = []
     for g in leads:
@@ -324,7 +339,29 @@ def _update_pairs(leads, pairs, h, layout, serial):
         d = (g | guard) - h
         ge = d & guard
         quotients.append(d & (ge - (ge >> (FIELD_BITS - 1))) & emask)
-    colon = _minimal(set(quotients), guard)
+    return quotients, _minimal(set(quotients), guard)
+
+
+def _update_pairs(leads, pairs, h, layout, serial):
+    """Gebauer-Moeller update of the pair set when a polynomial with packed
+    lead h joins a basis with packed leads `leads`; it also returns the
+    minimal generators of (leads) : h (see `_colon`).
+
+    A pair is (selection key, serial number, i, j, packed lcm). The
+    selection key orders pairs by lcm degree, then by the monomial order;
+    the serial number keeps creation order among equal keys, which is the
+    pair list's order, so ``min(pairs)`` is the first pair of least key.
+
+    The criteria read the quotients q_i of `_colon`: lcm(g, h) = h q, so
+    lcms divide or equal as quotients do. Criterion M keeps only the
+    minimal ones, found by the ascending scan of `ideals._minimal`; the
+    first index of an lcm stands for all (criterion F). Only the lcm of a
+    pair that also passes Buchberger's coprimality criterion gets its
+    degree fields, so only it can raise `ExponentOverflow`.
+    """
+    t = len(leads)
+    guard, emask = layout.guard, layout.exponent_mask
+    quotients, colon = _colon(leads, h, layout)
     minimal = set(colon)
     new_pairs = []
     for i, q in enumerate(quotients):
@@ -344,16 +381,18 @@ def _update_pairs(leads, pairs, h, layout, serial):
 
 
 class _HilbertCount:
-    """HF(S/in G) against the bracket series H while leads join G (see
-    the module docstring).
+    """HF(S/J) against the bracket series H while monomials join J, the
+    ideal of the leads of G, or of their x-parts under `stop_at_gin`
+    (see the module docstring). It counts on `layout`: the run's, or the
+    main block's.
 
     Both are series over (1 - t)^n with polynomial numerators; `excess`
-    is the numerator of HS(S/in G) - H. As (1 - t)^n is a unit of Z[[t]]
-    with constant term 1, HF(S/in G)_e = H_e for every e <= d iff
-    excess_e = 0 for every e <= d: the series first differ where `excess`
-    is first nonzero. Adding a lead m to J = in(G), m not in J, subtracts
-    t^deg(m) N(J : m) from the numerator of J. `_update_pairs` returns the
-    minimal generators of J : m, packed, so they go straight to
+    is the numerator of HS(S/J) - H. As (1 - t)^n is a unit of Z[[t]]
+    with constant term 1, HF(S/J)_e = H_e for every e <= d iff excess_e =
+    0 for every e <= d: the series first differ where `excess` is first
+    nonzero. Adding a monomial m to J, m not in J, subtracts t^deg(m)
+    N(J : m) from the numerator of J. `_colon` gives the minimal
+    generators of J : m, packed, so they go straight to
     `ideals._numerator`, the pivot recursion, with no second
     minimalization.
     """
@@ -365,7 +404,7 @@ class _HilbertCount:
         self.excess[0] += 1  # the numerator of S/(0) is 1
 
     def add(self, colon, m):
-        """Account for lead m joining J, `colon` being the minimal packed
+        """Account for m joining J, `colon` being the minimal packed
         generators of J : m."""
         sub = _numerator(frozenset(colon), self.layout, {})
         excess = self.excess
@@ -375,16 +414,23 @@ class _HilbertCount:
             excess[i] -= c
 
     def first_difference(self):
-        """The least degree e with HF(S/in G)_e != H_e, or None."""
+        """The least degree e with HF(S/J)_e != H_e, or None."""
         return next(compress(count(), self.excess), None)
 
     def numerator(self):
-        """The Hilbert numerator of S/in(G), without trailing zeros."""
+        """The Hilbert numerator of S/J, without trailing zeros."""
         return tuple(_poly_trim([a + b for a, b in zip_longest(
             self.excess, self.expected, fillvalue=0)]))
 
 
-def buchberger(gens, order=None, budget=None):
+def _x_degree(g, nmain):
+    """The degree of g in its first `nmain` variables if every term has
+    the same one, else None."""
+    degrees = {sum(m[:nmain]) for m, _ in g.terms}
+    return degrees.pop() if len(degrees) == 1 else None
+
+
+def buchberger(gens, order=None, budget=None, *, stop_at_gin=False):
     """Groebner basis of the ideal generated by `gens`.
 
     Pair selection follows the normal strategy: smallest lcm degree first,
@@ -394,6 +440,14 @@ def buchberger(gens, order=None, budget=None):
     the Hilbert numerator of its initial ideal (see the module
     docstring); the basis is the same either way. The run is in packed
     form; the basis comes back as Polynomials.
+
+    `stop_at_gin` is for an `orders.InverseBlock` order: when every
+    generator is homogeneous of degree >= 1 in the main variables, the
+    run ends as soon as the main-block parts of its leads (the x-leads)
+    certify the initial ideal of the ideal over the fraction field of the
+    parameters (see the module docstring). The result's x-leads then
+    generate that initial ideal, but its elements need not be a Groebner
+    basis in k[t, x]. Without the certificate the run is the full one.
     """
     gens = [g for g in gens if g]
     if not gens:
@@ -406,6 +460,14 @@ def buchberger(gens, order=None, budget=None):
     hilbert = (_HilbertCount(layout, degrees)
                if min(degrees) >= 1 and all(g.is_homogeneous() for g in gens)
                else None)
+    xcount = None
+    if stop_at_gin:
+        main = order.main_order.layout(order.nmain)
+        low = layout.bits - main.bits
+        xdegrees = [_x_degree(g, order.nmain) for g in gens]
+        if None not in xdegrees and min(xdegrees) >= 1:
+            xcount = _HilbertCount(main, xdegrees)
+            xleads = []
     serial = count()
     G = []
     leads = []
@@ -421,6 +483,12 @@ def buchberger(gens, order=None, budget=None):
                                             serial)
             if hilbert is not None:
                 hilbert.add(colon, lead)
+            if xcount is not None:
+                m = lead >> low
+                _, colon = _colon(xleads, m, main)
+                if 0 not in colon[:1]:  # else m is in J already
+                    xcount.add(colon, m)
+                    xleads.append(m)
             G.append(h)
             leads.append(lead)
             table.add(entry)
@@ -428,6 +496,8 @@ def buchberger(gens, order=None, budget=None):
     for f in gens:
         add(normal_form(R.pack(f), table, R, budget))
     while pairs:
+        if xcount is not None and xcount.first_difference() is None:
+            break
         budget.check(len(pairs))
         best = min(pairs)
         if hilbert is not None:

@@ -260,8 +260,13 @@ def poly_to_json(f):
 
 
 def poly_from_json(ring, order, data):
+    """The polynomial of [[coefficient, exponents], ...]: a coefficient is
+    an int or a string such as "3/4"; a float or a bool is refused."""
     terms = []
     for cs, exps in data:
+        # `type`, not `isinstance`, so that bools are refused too
+        if type(cs) not in (int, str):
+            raise ValueError(f"coefficient {cs!r} is not an int or a string")
         terms.append((tuple(exps), Fraction(cs)))
     return Polynomial.from_terms(ring, order, terms)
 

@@ -376,6 +376,10 @@ BAD_GB_FILES = {
                        "non-negative"),
     "bool exponent": ({"n": 2, "polys": [[["1", [True, 2]]]]},
                       "non-negative"),
+    "float coefficient": ({"n": 2, "polys": [[[0.1, [1, 0]], ["1", [0, 1]]]]},
+                          "not an int or a string"),
+    "bool coefficient": ({"n": 2, "polys": [[[True, [1, 0]]]]},
+                         "not an int or a string"),
     "no polynomial": ({"n": 2, "polys": []}, "no nonzero polynomial"),
     "only zeros": ({"n": 2, "polys": [[], [["0", [1, 0]]]]},
                    "no nonzero polynomial"),

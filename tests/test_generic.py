@@ -6,8 +6,9 @@ import pytest
 import ginlab as gl
 from ginlab.generic import (GF32003, InconclusiveSampling, SplitMix64,
                             ideal_at_point, normal_form_family, sample_point)
+from ginlab.groebner import buchberger
 from ginlab.orders import binomial, mono_divides
-from ginlab.poly import PackedRing
+from ginlab.poly import PackedRing, Polynomial
 
 from conftest import GIN_32_22, POINT_A
 from oracles import (full_templates, hilbert_function_homogeneous,
@@ -182,7 +183,24 @@ def test_normal_form_family_shape(n, degrees, order, nparams, ngens):
     assert [sum(p) for p in pivots] == sorted(sum(p) for p in pivots)
 
 
-@pytest.mark.parametrize("n,degrees,sampled,field,order", [
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("order", [gl.LEX, gl.DEGLEX, gl.DEGREVLEX])
+@pytest.mark.parametrize("field", [gl.QQ, GF32003])
+def test_normal_form_family_is_built_normalized(n, order, field):
+    # the family skips `from_terms`, so its terms must already be in the
+    # order and the coefficient type that `from_terms` gives
+    for degrees in [(2,), (1, 2), (2, 2), (2, 3), (2, 2, 2), (3, 3)]:
+        for F in normal_form_family(
+                gl.generic_templates(n, degrees, field, order)):
+            G = Polynomial.from_terms(F.ring, F.order, F.terms)
+            assert F.terms == G.terms
+            assert [type(c) for _, c in F.terms] == [
+                type(c) for _, c in G.terms]
+
+
+#: (n, degrees, degrees sampled, field, order) of the parametric route
+#: checked against sampling
+ROUTE_CASES = [
     (3, (2, 2, 2), (2, 2, 2), gl.QQ, gl.LEX),
     (3, (2, 2, 2), (2, 2, 2), gl.QQ, gl.DEGREVLEX),
     (3, (3, 2), (2, 3), gl.QQ, gl.LEX),
@@ -194,13 +212,28 @@ def test_normal_form_family_shape(n, degrees, order, nparams, ngens):
     (3, (2, 3), (2, 3), gl.QQ, gl.DEGLEX),
     (4, (2, 2), (2, 2), gl.QQ, gl.DEGLEX),
     (2, (3, 3), (3, 3), gl.QQ, gl.DEGLEX),
-])
+]
+
+
+@pytest.mark.parametrize("n,degrees,sampled,field,order", ROUTE_CASES)
 def test_parametric_route_matches_sampling(n, degrees, sampled, field, order):
     par = gl.gin_parametric(gl.generic_templates(n, degrees, field, order))
     sam = gl.gin_by_sampling(gl.generic_templates(n, sampled, GF32003, order),
                              seed=3)
     assert sam.agreement == 5
     assert par.ideal == sam.ideal
+
+
+@pytest.mark.parametrize("n,degrees,field,order", [
+    (n, degrees, field, order) for n, degrees, _, field, order in ROUTE_CASES
+] + [(4, (2, 2, 2), gl.QQ, gl.DEGREVLEX), (3, (2, 2, 2), GF32003, gl.LEX)])
+def test_stopped_run_has_the_x_leads_of_the_full_run(n, degrees, field, order):
+    # `gin_parametric` stops its run once the x-leads certify the gin;
+    # the full run of the same family must lead to the same ideal
+    inst = gl.generic_templates(n, degrees, field, order)
+    full = buchberger(normal_form_family(inst), inst.order)
+    xleads = [m[:n] for m in full.lead_monomials() if any(m[:n])]
+    assert gl.gin_parametric(inst).ideal == gl.minimalize(n, xleads)
 
 
 def test_gin_routes_never_unpack_a_basis(monkeypatch):

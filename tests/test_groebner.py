@@ -553,7 +553,19 @@ def test_kernel_counts_of_the_parametric_route(monkeypatch):
         for n, degrees in GIN_PARAM_CASES:
             gl.gin_parametric(gl.generic_templates(n, degrees))
 
-    assert _kernel_counts(monkeypatch, run) == (34, 13, 22, 7)
+    assert _kernel_counts(monkeypatch, run) == (21, 0, 9, 7)
+
+
+def test_stop_without_a_certificate_is_the_full_run():
+    # over K = k(t1, t2) the ideal is x1 * (x1, x2), whose series
+    # 1 + 2t + t^2 + t^3 + ... never meets the bracket series 1 + 2t + t^2
+    # of two quadrics, so the flagged run may not stop early
+    ring = Ring(gl.QQ, ("x1", "x2", "t1", "t2"), 2)
+    order = gl.InverseBlock(gl.LEX, gl.DEGREVLEX, 2)
+    gens = [parse_poly("x1^2 + t1*x1*x2", ring, order),
+            parse_poly("x1*x2 + t2*x1^2", ring, order)]
+    full = gl.buchberger(gens, order).generators
+    assert gl.buchberger(gens, order, stop_at_gin=True).generators == full
 
 
 @pytest.mark.parametrize("order,counts", [(gl.LEX, (320, 1, 264, 55)),
