@@ -11,7 +11,6 @@ output.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
@@ -272,26 +271,55 @@ def survey_row(n, degrees, order_name, route, seed, trials, field, budget_ms):
 
 
 def _row_key(row):
+    """The case key of a survey row: a KeyError or a TypeError if the row
+    lacks its case fields, its "error", or a success its "gin"."""
+    if row["error"] is None and "gens" not in row["gin"]:
+        raise KeyError("gens")
     return (row["n"], tuple(row["degrees"]), row["order"], row["route"],
             row.get("field"), tuple(row.get("seeds", [])))
 
 
+def _load_rows(jsonl):
+    """The rows of the survey file `jsonl` by case key, none if there is
+    no such file. A file that cannot be read, or a line that is not a
+    survey row (say, the torn last line of a killed run), is a usage
+    error: exit 2 with the reason and the line number."""
+    rows = {}
+    try:
+        with open(jsonl) as fh:
+            for number, line in enumerate(fh, 1):
+                try:
+                    row = json.loads(line)
+                    rows[_row_key(row)] = row
+                except (ValueError, KeyError, TypeError) as exc:
+                    build_parser().error(
+                        f"{jsonl}: line {number} is not a survey row: "
+                        f"{type(exc).__name__}: {exc}")
+    except FileNotFoundError:
+        pass
+    except (OSError, ValueError) as exc:
+        build_parser().error(f"{jsonl}: not a readable survey file: "
+                             f"{type(exc).__name__}: {exc}")
+    return rows
+
+
 def cmd_survey(args):
+    import csv
     cases = []
     for n, s, dmin, dmax in args.case:
         for degrees in product(range(dmin, dmax + 1), repeat=s):
             cases.append((n, degrees))
     out = Path(args.out)
     jsonl = out.with_suffix(".jsonl")
-    existing = {}
-    if jsonl.exists():
-        with open(jsonl) as fh:
-            for line in fh:
-                r = json.loads(line)
-                existing[_row_key(r)] = r
+    existing = _load_rows(jsonl)
     seeds = tuple(_survey_seeds(args.route, args.seed, args.trials))
     rows = []
-    with open(jsonl, "a") as fh:
+    try:
+        fh = open(jsonl, "a")
+    except OSError as exc:
+        build_parser().error(f"{jsonl}: cannot append survey rows: "
+                             f"{type(exc).__name__}: {exc}")
+    with fh:
         for n, degrees in cases:
             key = (n, degrees, args.order, args.route, args.field.name, seeds)
             done = existing.get(key)

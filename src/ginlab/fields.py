@@ -12,8 +12,7 @@ one rule that turns an int or a Fraction into an element, for
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from .values import Frozen
 
 DEFAULT_PRIME = 32003
 
@@ -31,8 +30,7 @@ def _is_prime(p):
     return True
 
 
-@dataclass(frozen=True)
-class Field:
+class Field(Frozen):
     """The field of characteristic `char`: Q for 0, GF(p) for a prime p."""
 
     char: int
@@ -54,9 +52,13 @@ class Field:
         GF(p) an int in [0, p), the denominator inverted (a ValueError if
         p divides it)."""
         p = self.char
+        if p and isinstance(x, int):  # GF(p) sampling never loads fractions
+            return x % p
+        # a plain import, as a from-import costs a microsecond a call
+        import fractions
         if not p:
-            return Fraction(x)
-        if isinstance(x, Fraction):
+            return fractions.Fraction(x)
+        if isinstance(x, fractions.Fraction):
             return x.numerator * pow(x.denominator, -1, p) % p
         return x % p
 

@@ -6,7 +6,6 @@ Groebner run under an inverse block order.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .fields import QQ, PrimeField
 from .groebner import buchberger
@@ -14,6 +13,7 @@ from .ideals import MonomialIdeal, packed_ideal
 from .orders import DEGREVLEX, LEX, InverseBlock, binomial, mono_divides
 from .poly import Polynomial, Ring, xring
 from .series import _check_degrees, _lex_monomials, bracket_numerator
+from .values import Frozen
 
 GF32003 = PrimeField(32003)
 
@@ -50,8 +50,7 @@ class SplitMix64:
 # ---------------------------------------------------------------------------
 # templates
 
-@dataclass(frozen=True)
-class GenericInstance:
+class GenericInstance(Frozen):
     n: int
     degrees: tuple
     field: object = QQ
@@ -192,8 +191,7 @@ def is_u_generic(gb, inst):
 # ---------------------------------------------------------------------------
 # results
 
-@dataclass(frozen=True)
-class GinResult:
+class GinResult(Frozen):
     ideal: MonomialIdeal
     route: str  # "sampling" | "parametric"
     n: int

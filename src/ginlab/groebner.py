@@ -113,7 +113,6 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from itertools import compress, count, zip_longest
 from math import gcd
@@ -129,15 +128,15 @@ class BudgetExceeded(RuntimeError):
     """A configured wall-clock or pair-queue cap was hit; no partial output."""
 
 
-@dataclass
 class Budget:
     """A wall-clock and pair-queue cap for one command. The first `start`
     sets the deadline and later ones keep it, so every Buchberger run of
     the command shares it."""
 
-    ms: float | None = None
-    max_pairs: int | None = None
-    _deadline: float | None = field(default=None, repr=False)
+    def __init__(self, ms=None, max_pairs=None):
+        self.ms = ms
+        self.max_pairs = max_pairs
+        self._deadline = None
 
     def start(self):
         if self.ms is not None and self._deadline is None:

@@ -25,15 +25,14 @@ degree: that is `series._lex_monomials`, the one enumerator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain
 
 from .orders import _FIELD, FIELD_BITS, LEX, binomial
+from .values import Frozen
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(Frozen):
     """Minimal monomial generators, kept sorted in descending lex."""
 
     n: int

@@ -44,13 +44,13 @@ same number of variables, shares one `Layout`, built once per process.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import comb
 from operator import itemgetter
 from struct import Struct
 
 from .fields import _is_prime
+from .values import Frozen
 
 FIELD_BITS = 16
 EXP_MAX = (1 << (FIELD_BITS - 1)) - 1
@@ -222,7 +222,7 @@ class Layout:
 _layout = cache(Layout)  # keyed by (nvars, blocks)
 
 
-class _Order:
+class _Order(Frozen):
     """What every order derives from its `blocks`."""
 
     def layout(self, n):
@@ -235,7 +235,6 @@ class _Order:
         return layout.key(layout.pack(m))
 
 
-@dataclass(frozen=True)
 class SingleBlock(_Order):
     """An order on one block of variables: lex, refined by the total
     degree first if `graded`; `reversed` makes it degrevlex (same degree:
@@ -254,7 +253,6 @@ class SingleBlock(_Order):
         return self.name
 
 
-@dataclass(frozen=True)
 class InverseBlock(_Order):
     """Order on mixed main/parameter monomials: main part decides first.
 

@@ -20,21 +20,19 @@ polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
 
 from .fields import QQ
 from .orders import mono_str
+from .values import Frozen
 
 
 class RingMismatch(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Ring:
+class Ring(Frozen):
     """Variable names plus coefficient field; names[:nmain] are main vars."""
 
     field: object
@@ -204,6 +202,7 @@ class PackedRing:
         if self.p:
             terms = F.terms
         else:
+            from fractions import Fraction
             den = F.den
             terms = [(k, Fraction(c, den)) for k, c in F.terms]
         return Polynomial(self.ring, self.order,
@@ -262,6 +261,7 @@ def poly_to_json(f):
 def poly_from_json(ring, order, data):
     """The polynomial of [[coefficient, exponents], ...]: a coefficient is
     an int or a string such as "3/4"; a float or a bool is refused."""
+    from fractions import Fraction
     terms = []
     for cs, exps in data:
         # `type`, not `isinstance`, so that bools are refused too
@@ -273,6 +273,7 @@ def poly_from_json(ring, order, data):
 
 def parse_poly(text, ring, order):
     """Parse `c*x1^e1*...*xn^en` terms joined by + / -."""
+    from fractions import Fraction
     text = text.replace("-", "+-").replace(" ", "")
     if text.startswith("+-"):
         text = text[1:]

@@ -8,15 +8,13 @@ takes them from `series._lex_monomials`, the one monomial enumerator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .ideals import contains
 from .orders import EXP_MAX, ExponentOverflow, binom_p_leq, mono_str
 from .series import _lex_monomials, _macaulay_digits, _macaulay_shift
+from .values import Frozen
 
 
-@dataclass(frozen=True)
-class PropertyVerdict:
+class PropertyVerdict(Frozen):
     holds: bool
     witness: tuple | None = None  # (member-or-generator, missing monomial)
 

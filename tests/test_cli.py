@@ -411,6 +411,37 @@ def test_ideal_round_trip(tmp_path):
     assert gl.MonomialIdeal.from_json(json.loads(json.dumps(J.to_json()))) == J
 
 
+#: survey resume files that a survey refuses: the text appended to a file
+#: that holds one good row (None: --out lies in a missing directory), and
+#: the parts of the reason that the usage error must name
+BAD_SURVEY_FILES = {
+    "torn last line": ('{"schema": 1, "n": 2, "s',
+                       ("line 2", "JSONDecodeError")),
+    "row without its case": ('{"schema": 1}\n', ("line 2", "KeyError")),
+    "row not an object": ("[2, 2]\n", ("line 2", "TypeError")),
+    "missing directory": (None, ("FileNotFoundError",)),
+}
+
+
+@pytest.mark.parametrize("name", BAD_SURVEY_FILES)
+def test_bad_survey_file_is_usage_error(name, capsys, tmp_path):
+    text, reasons = BAD_SURVEY_FILES[name]
+    case = ["survey", "--case", "2:2:2:2", "--seed", "4", "--trials", "1"]
+    out = tmp_path / "rows"
+    if text is None:
+        out = tmp_path / "missing" / "rows"
+    else:
+        run(capsys, *case, "--out", str(out))
+        with open(out.with_suffix(".jsonl"), "a") as fh:
+            fh.write(text)
+    files = [out.with_suffix(".jsonl"), out.with_suffix(".csv")]
+    before = [f.read_text() for f in files if f.exists()]
+    err = usage_error(capsys, *case, "--case", "3:2:2:2", "--out", str(out))
+    assert str(files[0]) in err and all(r in err for r in reasons)
+    # a refused file gets no row appended, and no table is written
+    assert [f.read_text() for f in files if f.exists()] == before
+
+
 def test_survey_small_grid(capsys, tmp_path):
     out = tmp_path / "rows"
     code, _ = run(capsys, "survey", "--case", "2:2:2:2", "--case", "3:2:2:2",
@@ -513,14 +544,27 @@ def test_survey_rerun_under_another_field_recomputes(capsys, tmp_path):
     assert len(rows) == 2 and rows[1]["field"] == "F32003"
 
 
-def test_cli_does_not_import_numpy():
+def test_gin_start_up_imports_only_what_gin_runs(tmp_path):
+    """A fresh interpreter that runs one sampled `gin` loads none of
+    numpy, dataclasses (and its inspect), fractions (and its decimal) or
+    csv; a gin over Q and a survey, which load them, still run after it.
+    Modules that the interpreter's start loaded already are left out."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     code = ("import contextlib, io, sys\n"
+            "before = set(sys.modules)\n"
             "from ginlab.cli import main\n"
+            "unused = {'numpy', 'dataclasses', 'inspect', 'fractions',\n"
+            "          'decimal', 'csv'}\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    assert main(['gin', '-n', '3', '-d', '2,2']) == 0\n"
-            "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+            "    assert main(['gin', '-n', '2', '-d', '2,2']) == 0\n"
+            "    loaded = unused & set(sys.modules) - before\n"
+            "    assert main(['gin', '-n', '3', '-d', '2,2', '--route',\n"
+            "                 'parametric', '--field', 'Q']) == 0\n"
+            "    assert main(['survey', '--case', '2:2:2:2', '--trials', '1',\n"
+            "                 '--out', sys.argv[1]]) == 0\n"
+            "assert not loaded, f'gin loaded {sorted(loaded)}'\n")
+    subprocess.run([sys.executable, "-c", code, str(tmp_path / "rows")],
+                   env=env, check=True)

@@ -1,10 +1,10 @@
-from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
 
 import ginlab as gl
 from ginlab.fields import QQ, Field, PrimeField, field_by_name
+from ginlab.values import FrozenInstanceError
 
 
 def test_fields_are_values_keyed_by_their_characteristic():
@@ -18,6 +18,52 @@ def test_fields_are_values_keyed_by_their_characteristic():
         (0, "Q", "QQ"), (32003, "F32003", "GF(32003)")]
     with pytest.raises(FrozenInstanceError):
         QQ.char = 2
+    # the other frozen values: built positionally or by keyword, defaults
+    # filled in, equal and hash-equal when their fields are, and frozen
+    J = gl.minimalize(2, [(0, 2), (1, 0), (1, 1)])
+    names = ("x1", "x2")
+    values = [
+        (gl.Ring(QQ, names), gl.Ring(names=names, field=Field(0), nmain=2),
+         gl.Ring(QQ, names, 1)),
+        (gl.MonomialIdeal(2, ((1, 0), (0, 2))), J,
+         gl.MonomialIdeal(n=2, gens=((1, 0),))),
+        (gl.GenericInstance(2, (2, 2)),
+         gl.GenericInstance(n=2, degrees=(2, 2), field=QQ, main_order=gl.LEX),
+         gl.GenericInstance(2, (2, 2), PrimeField(7))),
+        (gl.GinResult(J, "parametric", 2, (1, 2), "lex", "Q"),
+         gl.GinResult(ideal=J, route="parametric", n=2, degrees=(1, 2),
+                      order_name="lex", field_name="Q", seeds=(),
+                      agreement=None, u_generic=()),
+         gl.GinResult(J, "sampling", 2, (1, 2), "lex", "Q", (7,), 1, ("yes",))),
+        (gl.PropertyVerdict(True), gl.PropertyVerdict(holds=True, witness=None),
+         gl.PropertyVerdict(False, ((1, 0), (0, 1)))),
+    ]
+    for a, b, other in values:
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != other
+        field = a._fields[0]
+        with pytest.raises(FrozenInstanceError):
+            setattr(a, field, getattr(b, field))
+        with pytest.raises(FrozenInstanceError):
+            delattr(a, field)
+    assert gl.PropertyVerdict(True) != (True, None)
+    assert repr(gl.PropertyVerdict(True)) == (
+        "PropertyVerdict(holds=True, witness=None)")
+    for make in (lambda: gl.Ring(QQ), lambda: gl.PropertyVerdict(True, None, 1),
+                 lambda: gl.PropertyVerdict(True, holds=True),
+                 lambda: gl.PropertyVerdict(truth=True)):
+        with pytest.raises(TypeError):
+            make()
+    # the checks of the constructors still run
+    for make in (lambda: gl.MonomialIdeal(2, ((1, 0, 0),)),
+                 lambda: gl.MonomialIdeal(0, ()),
+                 lambda: gl.GenericInstance(2, (2, 0)),
+                 lambda: gl.GenericInstance(n=0, degrees=(2,))):
+        with pytest.raises(ValueError):
+            make()
+    # the divisor index is built once, on first use
+    assert "divisor_index" not in vars(J)
+    assert J.divisor_index is J.divisor_index is vars(J)["divisor_index"]
 
 
 @pytest.mark.parametrize("make,arg", [

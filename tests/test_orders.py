@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 import ginlab as gl
 from ginlab.orders import (EXP_MAX, DimensionMismatch, ExponentOverflow,
                            SingleBlock)
+from ginlab.values import FrozenInstanceError
 
 from oracles import (mono_div, mono_lcm, mono_mul, monomials_of_degree,
                      tuple_key)
@@ -57,6 +58,15 @@ def test_orders_are_values_sharing_one_layout_per_block_structure():
         assert a is not b and a == b and hash(a) == hash(b)
         assert a.layout(7) is b.layout(7)
     assert SingleBlock("degrevlex", True, True) == gl.DEGREVLEX
+    assert SingleBlock(name="lex") == gl.LEX != SingleBlock("lex", True)
+    by_keyword = gl.InverseBlock(nmain=3, param_order=gl.DEGREVLEX,
+                                 main_order=gl.LEX)
+    assert by_keyword == gl.InverseBlock(gl.LEX, gl.DEGREVLEX, 3)
+    assert repr(by_keyword) == (
+        "InverseBlock(main_order=lex, param_order=degrevlex, nmain=3)")
+    for order, field in ((gl.DEGREVLEX, "graded"), (all_orders[3], "nmain")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(order, field, False)
     distinct = all_orders + [gl.InverseBlock(gl.LEX, gl.DEGREVLEX, 2),
                              gl.InverseBlock(gl.LEX, gl.LEX, 1)]
     assert len(set(distinct)) == len(distinct)
