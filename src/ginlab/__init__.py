@@ -5,11 +5,11 @@ classification predicates."""
 from .fields import QQ, Field, PrimeField, field_by_name
 from .orders import (LEX, DEGLEX, DEGREVLEX, ExponentOverflow, InverseBlock,
                      binom_p_leq)
-from .poly import Polynomial, Ring, parse_poly, xring
+from .poly import Polynomial, Ring, xring
 from .groebner import (Budget, BudgetExceeded, GroebnerBasis, buchberger,
-                       reduce_basis, reduced_groebner_basis)
-from .ideals import (MonomialIdeal, contains, hilbert_function,
-                     hilbert_numerator, hilbert_series, maxdeg, minimalize)
+                       reduce_basis)
+from .ideals import (MonomialIdeal, contains, hilbert_numerator,
+                     hilbert_series, minimalize, top_degree)
 from .series import (InadmissibleHilbertFunction, bracket_truncate,
                      froeberg_series, lexsegment_bound, lexsegment_of_hf)
 from .generic import (GenericInstance, GinResult, InconclusiveSampling,

@@ -19,20 +19,17 @@ from itertools import product
 from pathlib import Path
 
 from .fields import field_by_name
-from .generic import (InconclusiveSampling, generic_templates,
+from .generic import (SCHEMA, InconclusiveSampling, generic_templates,
                       gin_by_sampling, gin_parametric, trial_seeds)
 from .groebner import (Budget, BudgetExceeded, buchberger, reduce_basis)
 from .ideals import (MonomialIdeal, _check, hilbert_series, packed_ideal,
                      top_degree)
-from .orders import (ORDERS_BY_NAME, ExponentOverflow, binom_p_leq, mono_str,
-                     order_by_name)
+from .orders import ORDERS_BY_NAME, ExponentOverflow, binom_p_leq, mono_str
 from .poly import poly_from_json, poly_to_json, xring
 from .props import is_borel_fixed, is_lexsegment, is_weakly_revlex
 from .series import (InadmissibleHilbertFunction, froeberg_series,
                      lexsegment_bound, lexsegment_of_froeberg,
                      lexsegment_of_hf)
-
-SCHEMA = 1
 
 #: mathematical failures: exit 1 with the reason as JSON
 FAILURES = (InconclusiveSampling, BudgetExceeded, InadmissibleHilbertFunction,
@@ -139,7 +136,7 @@ def _load_ideal(path):
 
 def cmd_gin(args):
     inst = generic_templates(args.n, args.degrees, args.field,
-                             order_by_name(args.order))
+                             ORDERS_BY_NAME[args.order])
     budget = Budget(ms=args.budget_ms, max_pairs=args.max_pairs)
     if args.route == "sample":
         result = gin_by_sampling(inst, trials=args.trials, seed=args.seed,
@@ -204,7 +201,7 @@ def cmd_hilbert(args):
 
 
 def cmd_gb(args):
-    order = order_by_name(args.order)
+    order = ORDERS_BY_NAME[args.order]
 
     def parse(data):
         n = int(data["n"])
@@ -232,25 +229,18 @@ def cmd_gb(args):
 # ---------------------------------------------------------------------------
 # survey
 
-def _survey_seeds(route, seed, trials):
-    """The trial seeds of a survey row, known before any case runs."""
-    return list(trial_seeds(seed, trials)) if route == "sample" else []
-
-
-def survey_row(n, degrees, order_name, route, seed, trials, field, budget_ms):
-    """One SurveyRow as a plain dict; per-case failures land in 'error'."""
+def survey_row(head, args):
+    """The survey row that starts with `head`, as a plain dict; per-case
+    failures land in 'error'."""
     t0 = time.perf_counter()
-    row = {
-        "schema": SCHEMA, "n": n, "s": len(degrees),
-        "degrees": list(degrees), "order": order_name, "route": route,
-        "field": field.name, "seeds": _survey_seeds(route, seed, trials),
-        "budget_ms": budget_ms,
-    }
+    row = dict(head)
     try:
-        inst = generic_templates(n, degrees, field, order_by_name(order_name))
-        budget = Budget(ms=budget_ms)
-        if route == "sample":
-            res = gin_by_sampling(inst, trials=trials, seed=seed, budget=budget)
+        inst = generic_templates(row["n"], row["degrees"], args.field,
+                                 ORDERS_BY_NAME[args.order])
+        budget = Budget(ms=args.budget_ms)
+        if args.route == "sample":
+            res = gin_by_sampling(inst, trials=args.trials, seed=args.seed,
+                                  budget=budget)
             row["agreement"] = res.agreement
             row["u_generic"] = list(res.u_generic)
         else:
@@ -260,9 +250,9 @@ def survey_row(n, degrees, order_name, route, seed, trials, field, budget_ms):
         row["gin"] = J.to_json()
         row["is_lexsegment"] = is_lexsegment(J).holds
         row["is_weakly_revlex"] = is_weakly_revlex(J).holds
-        row["is_borel_fixed"] = is_borel_fixed(J, field.char).holds
+        row["is_borel_fixed"] = is_borel_fixed(J, args.field.char).holds
         row["maxdeg_gin"] = top_degree(J)
-        row["maxgbdeg_bound"] = lexsegment_bound(n, degrees)[0]
+        row["maxgbdeg_bound"] = lexsegment_bound(inst.n, inst.degrees)[0]
         row["error"] = None
     except FAILURES as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
@@ -271,10 +261,8 @@ def survey_row(n, degrees, order_name, route, seed, trials, field, budget_ms):
 
 
 def _row_key(row):
-    """The case key of a survey row: a KeyError or a TypeError if the row
-    lacks its case fields, its "error", or a success its "gin"."""
-    if row["error"] is None and "gens" not in row["gin"]:
-        raise KeyError("gens")
+    """The case key of a survey row, or of the head of a new one: a
+    KeyError or a TypeError if it lacks its case fields."""
     return (row["n"], tuple(row["degrees"]), row["order"], row["route"],
             row.get("field"), tuple(row.get("seeds", [])))
 
@@ -282,14 +270,17 @@ def _row_key(row):
 def _load_rows(jsonl):
     """The rows of the survey file `jsonl` by case key, none if there is
     no such file. A file that cannot be read, or a line that is not a
-    survey row (say, the torn last line of a killed run), is a usage
-    error: exit 2 with the reason and the line number."""
+    survey row (say, the torn last line of a killed run, or a row that
+    lacks its case fields, its "error", or a success its "gin"), is a
+    usage error: exit 2 with the reason and the line number."""
     rows = {}
     try:
         with open(jsonl) as fh:
             for number, line in enumerate(fh, 1):
                 try:
                     row = json.loads(line)
+                    if row["error"] is None and "gens" not in row["gin"]:
+                        raise KeyError("gens")
                     rows[_row_key(row)] = row
                 except (ValueError, KeyError, TypeError) as exc:
                     build_parser().error(
@@ -303,44 +294,50 @@ def _load_rows(jsonl):
     return rows
 
 
+def _open_output(path, mode):
+    """`path` opened for writing in `mode`, or a usage error: exit 2."""
+    try:
+        return open(path, mode, newline="")
+    except OSError as exc:
+        build_parser().error(f"{path}: cannot write: {type(exc).__name__}: {exc}")
+
+
 def cmd_survey(args):
     import csv
-    cases = []
-    for n, s, dmin, dmax in args.case:
-        for degrees in product(range(dmin, dmax + 1), repeat=s):
-            cases.append((n, degrees))
+    cases = [(n, degrees) for n, s, dmin, dmax in args.case
+             for degrees in product(range(dmin, dmax + 1), repeat=s)]
     out = Path(args.out)
     jsonl = out.with_suffix(".jsonl")
     existing = _load_rows(jsonl)
-    seeds = tuple(_survey_seeds(args.route, args.seed, args.trials))
+    # the trial seeds of every row, known before any case runs
+    seeds = (list(trial_seeds(args.seed, args.trials))
+             if args.route == "sample" else [])
     rows = []
-    try:
-        fh = open(jsonl, "a")
-    except OSError as exc:
-        build_parser().error(f"{jsonl}: cannot append survey rows: "
-                             f"{type(exc).__name__}: {exc}")
-    with fh:
+    # a table that cannot be written stops the survey before any case runs
+    with (_open_output(jsonl, "a") as log,
+          _open_output(out.with_suffix(".csv"), "w") as table):
         for n, degrees in cases:
-            key = (n, degrees, args.order, args.route, args.field.name, seeds)
+            head = {"schema": SCHEMA, "n": n, "s": len(degrees),
+                    "degrees": list(degrees), "order": args.order,
+                    "route": args.route, "field": args.field.name,
+                    "seeds": seeds, "budget_ms": args.budget_ms}
+            key = _row_key(head)
             done = existing.get(key)
             # a failure is retried under a different budget, not the same one
             if done is not None and (done["error"] is None
                                      or done.get("budget_ms") == args.budget_ms):
                 rows.append(done)
                 continue
-            row = survey_row(n, degrees, args.order, args.route, args.seed,
-                             args.trials, args.field, args.budget_ms)
-            fh.write(json.dumps(row) + "\n")
+            row = survey_row(head, args)
+            log.write(json.dumps(row) + "\n")
             existing[key] = row
             rows.append(row)
-    with open(out.with_suffix(".csv"), "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, extrasaction="ignore")
+        writer = csv.DictWriter(table, CSV_COLUMNS, extrasaction="ignore")
         writer.writeheader()
         for row in rows:
             flat = dict(row)
             flat["degrees"] = ",".join(str(d) for d in row["degrees"])
             flat["seeds"] = ";".join(str(s) for s in row.get("seeds", []))
-            flat["budget_ms"] = row.get("budget_ms")
             if row.get("error") is None:
                 flat["gin"] = ";".join(
                     mono_str(tuple(g)) for g in row["gin"]["gens"])

@@ -6,16 +6,19 @@ Groebner run under an inverse block order.
 from __future__ import annotations
 
 from collections import Counter
+from functools import cached_property
+from math import comb
 
 from .fields import QQ, PrimeField
 from .groebner import buchberger
 from .ideals import MonomialIdeal, packed_ideal
-from .orders import DEGREVLEX, LEX, InverseBlock, binomial, mono_divides
+from .orders import DEGREVLEX, LEX, InverseBlock, mono_divides
 from .poly import Polynomial, Ring, xring
 from .series import _check_degrees, _lex_monomials, bracket_numerator
 from .values import Frozen
 
 GF32003 = PrimeField(32003)
+SCHEMA = 1  # the version of the JSON records that ginlab prints
 
 
 class InconclusiveSampling(RuntimeError):
@@ -64,21 +67,15 @@ class GenericInstance(Frozen):
         return len(self.degrees)
 
     @property
-    def term_counts(self):
-        return [binomial(self.n + d - 1, d) for d in self.degrees]
-
-    @property
     def nparams(self):
-        return sum(self.term_counts)
+        """The number of coefficients of the full templates."""
+        return sum(comb(self.n + d - 1, d) for d in self.degrees)
 
-    @property
+    @cached_property
     def order(self):
         """The inverse block order of the parametric route, degrevlex on
-        the parameters (see `gin_parametric`)."""
+        the parameters (see `gin_parametric`), built once."""
         return InverseBlock(self.main_order, DEGREVLEX, self.n)
-
-    def main_ring(self):
-        return xring(self.n, self.field)
 
 
 def generic_templates(n, degrees, field=QQ, main_order=LEX):
@@ -111,7 +108,7 @@ def normal_form_family(inst):
         k = inst.degrees.count(d)
         pivots += standard[:k]
         rows += [(p, standard[k:]) for p in standard[:k]]
-    names = list(inst.main_ring().names)
+    names = list(xring(n, inst.field).names)
     for i, (_, tail) in enumerate(rows):
         names += [f"t{i + 1}_{k + 1}" for k in range(len(tail))]
     nparams = len(names) - n
@@ -150,7 +147,7 @@ def ideal_at_point(inst, point):
     """Specialize the templates at an explicit coefficient point."""
     if len(point) != inst.nparams:
         raise ValueError(f"point needs {inst.nparams} coordinates")
-    ring = inst.main_ring()
+    ring = xring(inst.n, inst.field)
     out = []
     offset = 0
     for d in inst.degrees:
@@ -194,28 +191,22 @@ def is_u_generic(gb, inst):
 class GinResult(Frozen):
     ideal: MonomialIdeal
     route: str  # "sampling" | "parametric"
-    n: int
-    degrees: tuple
-    order_name: str
-    field_name: str
+    inst: GenericInstance
     seeds: tuple = ()
     agreement: int | None = None
     u_generic: tuple = ()
 
-    @property
-    def s(self):
-        return len(self.degrees)
-
     def to_json(self):
+        inst = self.inst
         out = {
-            "schema": 1,
-            "n": self.n,
-            "s": self.s,
-            "degrees": list(self.degrees),
-            "order": self.order_name,
+            "schema": SCHEMA,
+            "n": inst.n,
+            "s": inst.s,
+            "degrees": list(inst.degrees),
+            "order": inst.main_order.name,
             "route": self.route,
             "ideal": self.ideal.to_json(),
-            "field": self.field_name,
+            "field": inst.field.name,
         }
         if self.route == "sampling":
             out["seeds"] = list(self.seeds)
@@ -253,10 +244,8 @@ def gin_by_sampling(inst, trials=5, seed=0, bound=None, budget=None):
         raise InconclusiveSampling(
             f"tie among sampled initial ideals ({top[0][1]} trials each)")
     majority, agreement = top[0]
-    return GinResult(
-        ideal=majority, route="sampling", n=inst.n, degrees=inst.degrees,
-        order_name=inst.main_order.name, field_name=inst.field.name,
-        seeds=seeds, agreement=agreement, u_generic=tuple(flags))
+    return GinResult(majority, "sampling", inst, seeds=seeds,
+                     agreement=agreement, u_generic=tuple(flags))
 
 
 def gin_parametric(inst, budget=None):
@@ -298,9 +287,6 @@ def gin_parametric(inst, budget=None):
     that initial ideal."""
     gb = buchberger(normal_form_family(inst), inst.order, budget,
                     stop_at_gin=True)
-    main = inst.main_order.layout(inst.n)
-    low = gb.layout.bits - main.bits
-    return GinResult(
-        ideal=packed_ideal(main, {P >> low for P in gb.packed_leads()} - {0}),
-        route="parametric", n=inst.n, degrees=inst.degrees,
-        order_name=inst.main_order.name, field_name=inst.field.name)
+    main, low = inst.order.main_part(gb.layout)
+    leads = {P >> low for P in gb.packed_leads()} - {0}
+    return GinResult(packed_ideal(main, leads), "parametric", inst)

@@ -461,8 +461,7 @@ def buchberger(gens, order=None, budget=None, *, stop_at_gin=False):
                else None)
     xcount = None
     if stop_at_gin:
-        main = order.main_order.layout(order.nmain)
-        low = layout.bits - main.bits
+        main, low = order.main_part(layout)
         xdegrees = [_x_degree(g, order.nmain) for g in gens]
         if None not in xdegrees and min(xdegrees) >= 1:
             xcount = _HilbertCount(main, xdegrees)
@@ -535,7 +534,3 @@ def reduce_basis(gb):
         minimal[i] = R.primitive(normal_form(minimal[i], others, R))
     reduced = sorted(map(R.monic, minimal), key=_lead_key, reverse=True)
     return GroebnerBasis(R, reduced, hilbert_numerator=gb.hilbert_numerator)
-
-
-def reduced_groebner_basis(gens, order=None, budget=None):
-    return reduce_basis(buchberger(gens, order, budget))

@@ -27,8 +27,9 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import accumulate, chain
+from math import comb
 
-from .orders import _FIELD, FIELD_BITS, LEX, binomial
+from .orders import _FIELD, FIELD_BITS, LEX
 from .values import Frozen
 
 
@@ -114,15 +115,9 @@ def contains(J, m):
     return guard in map(guard.__and__, map(mg.__sub__, index.packed))
 
 
-def maxdeg(J):
-    if not J.gens:
-        raise ValueError("maxdeg of the zero ideal")
-    return max(sum(g) for g in J.gens)
-
-
 def top_degree(J):
-    """maxdeg(J), or 0 for the zero ideal."""
-    return maxdeg(J) if J.gens else 0
+    """The largest degree of a generator of J, or 0 for the zero ideal."""
+    return max(map(sum, J.gens), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +227,7 @@ def stable_numerator(n, gens):
     out = [1] + [0] * max(d + m for d, m in terms)
     for (d, m), c in terms.items():  # minus c t^d (1 - t)^m
         for i in range(m + 1):
-            out[d + i] -= (-1) ** i * binomial(m, i) * c
+            out[d + i] -= (-1) ** i * comb(m, i) * c
     return _poly_trim(out)
 
 
@@ -338,10 +333,3 @@ def hilbert_series(J, horizon=None):
     if horizon is None:
         horizon = max(top_degree(J) + J.n, 10)
     return power_series(hilbert_numerator(J), J.n, horizon)
-
-
-def hilbert_function(J, d):
-    """dim of the degree-d piece of S/J."""
-    if d < 0:
-        raise ValueError("degree must be non-negative")
-    return hilbert_series(J, horizon=d)[d]

@@ -45,7 +45,6 @@ same number of variables, shares one `Layout`, built once per process.
 from __future__ import annotations
 
 from functools import cache
-from math import comb
 from operator import itemgetter
 from struct import Struct
 
@@ -275,19 +274,19 @@ class InverseBlock(_Order):
         return (self.main_order.blocks(main)
                 + (self.param_order.blocks(params) if params else ()))
 
+    def main_part(self, layout):
+        """The main block's layout, and the shift that takes a monomial
+        packed by `layout`, a run's layout of this order, to its main part
+        packed by that one (the top fields: the main block leads)."""
+        main = self.main_order.layout(self.nmain)
+        return main, layout.bits - main.bits
+
 
 LEX = SingleBlock("lex")
 DEGLEX = SingleBlock("deglex", graded=True)
 DEGREVLEX = SingleBlock("degrevlex", graded=True, reversed=True)
 
 ORDERS_BY_NAME = {"lex": LEX, "deglex": DEGLEX, "degrevlex": DEGREVLEX}
-
-
-def order_by_name(name):
-    try:
-        return ORDERS_BY_NAME[name]
-    except KeyError:
-        raise ValueError(f"unknown monomial order {name!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +310,3 @@ def binom_p_leq(s, t, p):
         s //= p
         t //= p
     return True
-
-
-def binomial(n, k):
-    return comb(n, k) if 0 <= k <= n else 0

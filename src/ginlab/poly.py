@@ -91,9 +91,6 @@ class Polynomial:
     def __bool__(self):
         return bool(self.terms)
 
-    def is_zero(self):
-        return not self.terms
-
     def lm(self):
         return self.terms[0][0]
 
@@ -268,37 +265,4 @@ def poly_from_json(ring, order, data):
         if type(cs) not in (int, str):
             raise ValueError(f"coefficient {cs!r} is not an int or a string")
         terms.append((tuple(exps), Fraction(cs)))
-    return Polynomial.from_terms(ring, order, terms)
-
-
-def parse_poly(text, ring, order):
-    """Parse `c*x1^e1*...*xn^en` terms joined by + / -."""
-    from fractions import Fraction
-    text = text.replace("-", "+-").replace(" ", "")
-    if text.startswith("+-"):
-        text = text[1:]
-    name_index = {nm: i for i, nm in enumerate(ring.names)}
-    terms = []
-    for chunk in text.split("+"):
-        if not chunk:
-            continue
-        sign = 1
-        if chunk.startswith("-"):
-            sign = -1
-            chunk = chunk[1:]
-        coeff = Fraction(1)
-        exps = [0] * ring.nvars
-        for factor in chunk.split("*"):
-            if factor[0].isdigit() or "/" in factor:
-                coeff *= Fraction(factor)
-                continue
-            if "^" in factor:
-                nm, e = factor.split("^")
-                e = int(e)
-            else:
-                nm, e = factor, 1
-            if nm not in name_index:
-                raise ValueError(f"unknown variable {nm!r}")
-            exps[name_index[nm]] += e
-        terms.append((tuple(exps), sign * coeff))
     return Polynomial.from_terms(ring, order, terms)

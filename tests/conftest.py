@@ -3,6 +3,8 @@ from hypothesis import settings
 
 import ginlab as gl
 
+from oracles import parse_poly
+
 # `--hypothesis-profile=ci` (the CI workflow) draws the same examples on
 # every run and prints the blob that replays a failure; local runs keep
 # the default, randomized profile
@@ -18,7 +20,7 @@ def ring3():
 def example_uv_ideals(ring3):
     """The two U-generic n=s=3 quadric ideals with different degrevlex
     initial ideals (the U != V example)."""
-    p = lambda s: gl.parse_poly(s, ring3, gl.DEGREVLEX)
+    p = lambda s: parse_poly(s, ring3, gl.DEGREVLEX)
     I = [p("x1^2 + x1*x3 + x2*x3 + x3^2"),
          p("x1^2 + x1*x2 + x1*x3 + x3^2"),
          p("x1^2 + x1*x2 - x1*x3 + x2^2 - x2*x3 - x3^2")]

@@ -1,5 +1,7 @@
 """Independent routes that only the tests use to check the library.
 
+- `parse_poly`: a polynomial from text such as "x1^2 - 1/2*x2", the
+  way the tests write their input
 - `monomials_of_degree`: every monomial of a degree, in descending lex
   order, from `combinations_with_replacement`; the reference for the
   colex unranker `ginlab.series._lex_monomials`, and the enumerator of
@@ -58,12 +60,12 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from ginlab.fields import QQ
 from ginlab.ideals import MonomialIdeal, hilbert_series, top_degree
 from ginlab.orders import (DEGLEX, DEGREVLEX, LEX, InverseBlock, binom_p_leq,
-                           binomial, mono_divides)
+                           mono_divides)
 from ginlab.poly import Polynomial, Ring
 from ginlab.props import PropertyVerdict
 from ginlab.series import (InadmissibleHilbertFunction, default_horizon,
@@ -99,6 +101,38 @@ class Arith:
         return self.mul(a, self.inv(b))
 
 
+def parse_poly(text, ring, order):
+    """Parse `c*x1^e1*...*xn^en` terms joined by + / -."""
+    text = text.replace("-", "+-").replace(" ", "")
+    if text.startswith("+-"):
+        text = text[1:]
+    name_index = {nm: i for i, nm in enumerate(ring.names)}
+    terms = []
+    for chunk in text.split("+"):
+        if not chunk:
+            continue
+        sign = 1
+        if chunk.startswith("-"):
+            sign = -1
+            chunk = chunk[1:]
+        coeff = Fraction(1)
+        exps = [0] * ring.nvars
+        for factor in chunk.split("*"):
+            if factor[0].isdigit() or "/" in factor:
+                coeff *= Fraction(factor)
+                continue
+            if "^" in factor:
+                nm, e = factor.split("^")
+                e = int(e)
+            else:
+                nm, e = factor, 1
+            if nm not in name_index:
+                raise ValueError(f"unknown variable {nm!r}")
+            exps[name_index[nm]] += e
+        terms.append((tuple(exps), sign * coeff))
+    return Polynomial.from_terms(ring, order, terms)
+
+
 def monomials_of_degree(n, d):
     """All degree-d monomials in n variables, in descending lex order.
 
@@ -119,7 +153,7 @@ def monomials_of_degree(n, d):
 def series_coefficient(num, n, d):
     """The degree-d coefficient of num(t) / (1 - t)^n, with `num` a list of
     integer coefficients: 1 / (1 - t)^n has coefficients binom(n-1+i, i)."""
-    return sum(c * binomial(n - 1 + d - i, d - i)
+    return sum(c * comb(n - 1 + d - i, d - i)
                for i, c in enumerate(num[:d + 1]))
 
 
@@ -303,7 +337,7 @@ def lexsegment_by_enumeration(n, hf, horizon=None):
     gens = []
     last_gen_degree = 0
     for d in range(1, D + 1):
-        dim = binomial(n - 1 + d, d)
+        dim = comb(n - 1 + d, d)
         q = dim - coeffs[d]
         if q < 0:
             raise InadmissibleHilbertFunction(
@@ -333,10 +367,10 @@ def macaulay_bound(a, d):
     out = 0
     while a > 0:
         k = d
-        while binomial(k + 1, d) <= a:
+        while comb(k + 1, d) <= a:
             k += 1
-        a -= binomial(k, d)
-        out += binomial(k + 1, d + 1)
+        a -= comb(k, d)
+        out += comb(k + 1, d + 1)
         d -= 1
     return out
 
@@ -446,7 +480,7 @@ def _substitute(m, i, j, c):
         mono = list(m)
         mono[j] = e - k
         mono[i] += k
-        out[tuple(mono)] = binomial(e, k) * c ** k
+        out[tuple(mono)] = comb(e, k) * c ** k
     return out
 
 
@@ -475,7 +509,8 @@ def full_templates(inst):
     """F_i = sum over degree-d_i monomials m_k of t_{i,k} * m_k, with k
     indexing monomials in descending lex, in k[x, t] under `inst.order`."""
     names = [f"x{i + 1}" for i in range(inst.n)]
-    for i, r in enumerate(inst.term_counts):
+    for i, d in enumerate(inst.degrees):
+        r = comb(inst.n + d - 1, d)
         names += [f"t{i + 1}_{k + 1}" for k in range(r)]
     ring = Ring(inst.field, tuple(names), inst.n)
     out = []

@@ -12,7 +12,7 @@ from ginlab.cli import main
 from ginlab.ideals import top_degree
 
 from conftest import GIN_32_22
-from oracles import series_coefficient
+from oracles import parse_poly, series_coefficient
 
 
 def run(capsys, *argv):
@@ -349,7 +349,7 @@ def test_exponent_past_the_field_width(capsys, tmp_path):
 
 
 def test_gb_cmd(capsys, tmp_path):
-    from ginlab.poly import poly_to_json, parse_poly
+    from ginlab.poly import poly_to_json
     R = gl.xring(2)
     polys = [parse_poly("x1^2 - x2^2", R, gl.LEX),
              parse_poly("x1*x2 + x2^2", R, gl.LEX)]
@@ -360,7 +360,7 @@ def test_gb_cmd(capsys, tmp_path):
     assert code == 0
     data = json.loads(out)
     J = gl.MonomialIdeal.from_json(data["initial_ideal"])
-    gb = gl.reduced_groebner_basis(polys, gl.DEGREVLEX)
+    gb = gl.reduce_basis(gl.buchberger(polys, gl.DEGREVLEX))
     assert J.gens == gl.minimalize(2, gb.lead_monomials()).gens
 
 
@@ -499,6 +499,48 @@ def test_survey_rerun_skips_done_cases(capsys, tmp_path, monkeypatch):
         code, msg = run(capsys, *argv)
         assert code == 0 and json.loads(msg)["cases"] == 1
     assert out.with_suffix(".jsonl").read_text() == first
+
+
+def test_survey_parametric_rows_and_rerun(capsys, tmp_path, monkeypatch):
+    out = tmp_path / "rows"
+    case = ("--case", "3:2:2:2", "--route", "parametric", "--field", "Q")
+    code, _ = run(capsys, "survey", *case, "--out", str(out))
+    assert code == 0
+    first = out.with_suffix(".jsonl").read_text()
+    (row,) = [json.loads(l) for l in first.splitlines()]
+    assert row["error"] is None and row["route"] == "parametric"
+    assert row["seeds"] == [] and row["agreement"] is None
+    assert "u_generic" not in row
+    code, gin = run(capsys, "gin", "-n", "3", "-d", "2,2", "--route",
+                    "parametric", "--field", "Q")
+    ideal = json.loads(gin)["ideal"]
+    assert code == 0 and row["gin"] == {"n": 3, "gens": ideal["gens"]}
+
+    def recompute(*args, **kwargs):
+        raise AssertionError("a done case was computed again")
+
+    monkeypatch.setattr(cli, "gin_parametric", recompute)
+    code, msg = run(capsys, "survey", *case, "--out", str(out))
+    assert code == 0 and json.loads(msg) == {"schema": 1, "cases": 1,
+                                             "failures": 0}
+    assert out.with_suffix(".jsonl").read_text() == first
+
+
+def test_survey_table_that_cannot_be_written_is_usage_error(
+        capsys, tmp_path, monkeypatch):
+    # the table is opened before the first case runs, so nothing is
+    # computed and no row is appended
+    out = tmp_path / "rows"
+    out.with_suffix(".csv").mkdir()
+
+    def compute(*args, **kwargs):
+        raise AssertionError("a case ran before the table was opened")
+
+    monkeypatch.setattr(cli, "gin_by_sampling", compute)
+    err = usage_error(capsys, "survey", "--case", "2:2:2:2", "--trials", "1",
+                      "--out", str(out))
+    assert str(out.with_suffix(".csv")) in err and "IsADirectoryError" in err
+    assert out.with_suffix(".jsonl").read_text() == ""
 
 
 def test_survey_retries_failure_under_another_budget(capsys, tmp_path):

@@ -30,11 +30,12 @@ def test_fields_are_values_keyed_by_their_characteristic():
         (gl.GenericInstance(2, (2, 2)),
          gl.GenericInstance(n=2, degrees=(2, 2), field=QQ, main_order=gl.LEX),
          gl.GenericInstance(2, (2, 2), PrimeField(7))),
-        (gl.GinResult(J, "parametric", 2, (1, 2), "lex", "Q"),
-         gl.GinResult(ideal=J, route="parametric", n=2, degrees=(1, 2),
-                      order_name="lex", field_name="Q", seeds=(),
+        (gl.GinResult(J, "parametric", gl.GenericInstance(2, (1, 2))),
+         gl.GinResult(ideal=J, route="parametric",
+                      inst=gl.generic_templates(2, [1, 2]), seeds=(),
                       agreement=None, u_generic=()),
-         gl.GinResult(J, "sampling", 2, (1, 2), "lex", "Q", (7,), 1, ("yes",))),
+         gl.GinResult(J, "sampling", gl.GenericInstance(2, (1, 2)), (7,), 1,
+                      ("yes",))),
         (gl.PropertyVerdict(True), gl.PropertyVerdict(holds=True, witness=None),
          gl.PropertyVerdict(False, ((1, 0), (0, 1)))),
     ]

@@ -11,16 +11,16 @@ from ginlab import generic, groebner
 from ginlab.generic import GF32003
 from ginlab.groebner import Budget, BudgetExceeded
 from ginlab.orders import EXP_MAX, ExponentOverflow
-from ginlab.poly import PackedRing, Polynomial, Ring, parse_poly
+from ginlab.poly import PackedRing, Polynomial, Ring
 from ginlab.series import bracket_numerator
 
 from conftest import GIN_32_22, INI_I, INI_J, POINT_A
 from test_acceptance import CRIT4_GRID
 from oracles import (_tuple_update_pairs, block_leading_data, full_templates,
                      hilbert_function_homogeneous, is_groebner, mono_mul,
-                     monomials_of_degree, stability_check, tuple_buchberger,
-                     tuple_hilbert_numerator, tuple_minimalize,
-                     tuple_normal_form, tuple_reduce_basis,
+                     monomials_of_degree, parse_poly, stability_check,
+                     tuple_buchberger, tuple_hilbert_numerator,
+                     tuple_minimalize, tuple_normal_form, tuple_reduce_basis,
                      tuple_s_polynomial)
 
 R2 = gl.xring(2)
@@ -43,7 +43,7 @@ def s_polynomial(f, g, order=None):
 def test_normal_form_monomial_ideal():
     f = parse_poly("x1^2*x2", R3, gl.LEX)
     g = parse_poly("x1^2", R3, gl.LEX)
-    assert normal_form(f, [g]).is_zero()
+    assert not normal_form(f, [g])
 
 
 def test_normal_form_empty_divisors():
@@ -60,14 +60,14 @@ def test_normal_form_substitution():
 
 def test_s_polynomial_identical_leads():
     f = parse_poly("x1^2 + x2", R2, gl.LEX)
-    assert s_polynomial(f, f).is_zero()
+    assert not s_polynomial(f, f)
 
 
 def test_s_polynomial_coprime_leads_reduce_to_zero():
     f = parse_poly("x1^2 + x2^2", R3, gl.LEX)
     g = parse_poly("x2^2 + x3", R3, gl.LEX)
     s = s_polynomial(f, g)
-    assert normal_form(s, [f, g]).is_zero()
+    assert not normal_form(s, [f, g])
 
 
 def test_s_polynomial_construction():
@@ -90,14 +90,14 @@ def test_buchberger_monomial_input_is_fixed_point():
 
 def test_buchberger_lex_fixture(sample_ideal_a):
     gens, _ = sample_ideal_a
-    gb = gl.reduced_groebner_basis(gens, gl.LEX)
+    gb = gl.reduce_basis(gl.buchberger(gens, gl.LEX))
     assert gl.minimalize(3, gb.lead_monomials()).gens == GIN_32_22
 
 
 def test_buchberger_example_degrevlex_fixtures(example_uv_ideals):
     I, J = example_uv_ideals
-    gbI = gl.reduced_groebner_basis(I, gl.DEGREVLEX)
-    gbJ = gl.reduced_groebner_basis(J, gl.DEGREVLEX)
+    gbI = gl.reduce_basis(gl.buchberger(I, gl.DEGREVLEX))
+    gbJ = gl.reduce_basis(gl.buchberger(J, gl.DEGREVLEX))
     assert set(gl.minimalize(3, gbI.lead_monomials()).gens) == set(INI_I)
     assert set(gl.minimalize(3, gbJ.lead_monomials()).gens) == set(INI_J)
 
@@ -116,7 +116,7 @@ def test_reduce_basis_interreduction():
 
 def test_reduce_basis_idempotent(example_uv_ideals):
     I, _ = example_uv_ideals
-    gb = gl.reduced_groebner_basis(I, gl.DEGREVLEX)
+    gb = gl.reduce_basis(gl.buchberger(I, gl.DEGREVLEX))
     again = gl.reduce_basis(gb)
     assert tuple(again.generators) == tuple(gb.generators)
 
@@ -126,7 +126,7 @@ def test_reduced_basis_is_canonical():
     rng = random.Random(42)
     base = [parse_poly("x1^2 - x2*x3", R3, gl.DEGREVLEX),
             parse_poly("x1*x2 + x3^2", R3, gl.DEGREVLEX)]
-    reference = gl.reduced_groebner_basis(base, gl.DEGREVLEX)
+    reference = gl.reduce_basis(gl.buchberger(base, gl.DEGREVLEX))
     combine = lambda *scaled: Polynomial.from_terms(  # sum of a * f
         R3, gl.DEGREVLEX, [(m, a * c) for a, f in scaled for m, c in f.terms])
     for _ in range(5):
@@ -135,16 +135,16 @@ def test_reduced_basis_is_canonical():
         c = rng.choice([1, -1, 2])
         g1 = combine((a, base[0]), (b, base[1]))
         g2 = combine((c, base[1]))
-        gb = gl.reduced_groebner_basis([g1, g2], gl.DEGREVLEX)
+        gb = gl.reduce_basis(gl.buchberger([g1, g2], gl.DEGREVLEX))
         assert tuple(gb.generators) == tuple(reference.generators)
 
 
 def test_hilbert_series_invariant_under_initial_ideal(sample_ideal_a):
     gens, _ = sample_ideal_a
-    gb = gl.reduced_groebner_basis(gens, gl.LEX)
+    gb = gl.reduce_basis(gl.buchberger(gens, gl.LEX))
     J = gl.minimalize(3, gb.lead_monomials())
     for d in range(7):
-        assert (gl.hilbert_function(J, d)
+        assert (gl.hilbert_series(J, d)[d]
                 == hilbert_function_homogeneous(gens, d))
 
 
@@ -155,9 +155,9 @@ def test_membership_is_order_independent(sample_ideal_a):
              for q, d in (((0, 1, 0), 1), ((0, 0, 1), -3))]
     terms += [(m, 5 * c) for m, c in gens[1].terms]
     for order in (gl.LEX, gl.DEGLEX, gl.DEGREVLEX):
-        gb = gl.reduced_groebner_basis(gens, order)
+        gb = gl.reduce_basis(gl.buchberger(gens, order))
         combo = Polynomial.from_terms(R3, order, terms)
-        assert normal_form(combo, list(gb), order).is_zero()
+        assert not normal_form(combo, list(gb), order)
 
 
 def test_budget_exhaustion_raises():
@@ -780,8 +780,8 @@ def test_coprime_leads_with_an_lcm_past_the_field_width():
 # stability check
 
 def test_stability_no_parameters():
-    gb = gl.reduced_groebner_basis(
-        [parse_poly("x1", R2, gl.LEX), parse_poly("x2", R2, gl.LEX)], gl.LEX)
+    gb = gl.reduce_basis(gl.buchberger(
+        [parse_poly("x1", R2, gl.LEX), parse_poly("x2", R2, gl.LEX)], gl.LEX))
     v = stability_check(gb.generators, ())
     assert v.stable and v.survivors == (0, 1)
 

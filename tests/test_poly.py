@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 import ginlab as gl
-from ginlab.poly import (Polynomial, Ring, RingMismatch, parse_poly,
-                         poly_from_json, poly_to_json)
+from ginlab.poly import (Polynomial, Ring, RingMismatch, poly_from_json,
+                         poly_to_json)
 
-from oracles import (block_leading_data, full_templates, mono_mul, primitive,
-                     specialize)
+from oracles import (block_leading_data, full_templates, mono_mul, parse_poly,
+                     primitive, specialize)
 
 R2 = gl.xring(2)
 
@@ -34,7 +34,7 @@ def test_basic_arithmetic():
     # like terms are collected, and cancelled ones dropped
     f = parse_poly("x1 + x2 - 2*x1 + x1", R2, gl.LEX)
     assert f == parse_poly("x2", R2, gl.LEX)
-    assert parse_poly("x1*x2 - x2*x1", R2, gl.LEX).is_zero()
+    assert not parse_poly("x1*x2 - x2*x1", R2, gl.LEX)
     half_third = parse_poly("1/2 + 1/3", R2, gl.LEX)
     assert half_third.terms == (((0, 0), Fraction(5, 6)),)
 
@@ -63,7 +63,7 @@ def test_specialize_fixed_point(sample_ideal_a):
 def test_specialize_zero_point():
     inst = gl.generic_templates(2, (2,))
     F = full_templates(inst)[0]
-    assert specialize(F, (0, 0, 0)).is_zero()
+    assert not specialize(F, (0, 0, 0))
 
 
 def test_specialize_no_parameters_is_identity():

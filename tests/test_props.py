@@ -169,7 +169,7 @@ def test_criterion_action_agreement():
     for _ in range(25):
         J = random_monomial_ideal(rng, 3, max_gens=4, max_exp=3)
         expected = is_borel_fixed(J, 0).holds
-        D = gl.maxdeg(J) + 1
+        D = gl.top_degree(J) + 1
         got = all(borel_action_check(J, i, j, c, D)
                   for i in range(3) for j in range(i + 1, 3) for c in (1, 2))
         assert got == expected

@@ -92,7 +92,7 @@ def test_lexsegment_output_is_lexsegment():
     rng = random.Random(3)
     for _ in range(15):
         J = random_monomial_ideal(rng, 3)
-        D = gl.maxdeg(J) + 6
+        D = gl.top_degree(J) + 6
         L, _ = lexsegment_of_hf(3, hilbert_series(J, D))
         assert is_lexsegment(L).holds
 
@@ -127,7 +127,7 @@ def test_macaulay_generator_maximality():
     rng = random.Random(5)
     for _ in range(15):
         J = random_monomial_ideal(rng, 3)
-        D = gl.maxdeg(J) + 7
+        D = gl.top_degree(J) + 7
         L, uncertain = lexsegment_of_hf(3, hilbert_series(J, D))
         if uncertain:
             continue
