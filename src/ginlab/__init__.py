@@ -13,9 +13,8 @@ from .ideals import (MonomialIdeal, contains, hilbert_numerator,
 from .series import (InadmissibleHilbertFunction, bracket_truncate,
                      froeberg_series, lexsegment_bound, lexsegment_of_hf)
 from .generic import (GenericInstance, GinResult, InconclusiveSampling,
-                      generic_templates, gin_by_sampling, gin_parametric,
-                      ideal_at_point, is_u_generic, sample_ideal,
-                      sample_point)
+                      gin_by_sampling, gin_parametric, ideal_at_point,
+                      is_u_generic, sample_ideal, sample_point)
 from .props import (PropertyVerdict, is_borel_fixed, is_lexsegment,
                     is_weakly_revlex)
 

@@ -19,7 +19,7 @@ from itertools import product
 from pathlib import Path
 
 from .fields import field_by_name
-from .generic import (SCHEMA, InconclusiveSampling, generic_templates,
+from .generic import (SCHEMA, GenericInstance, InconclusiveSampling,
                       gin_by_sampling, gin_parametric, trial_seeds)
 from .groebner import (Budget, BudgetExceeded, buchberger, reduce_basis)
 from .ideals import (MonomialIdeal, _check, hilbert_series, packed_ideal,
@@ -41,8 +41,51 @@ CSV_COLUMNS = ["n", "s", "degrees", "order", "route", "gin", "is_lexsegment",
                "error"]
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_int_str = int.__repr__
+
+
+def _indented(obj, pad):
+    """`json.dumps(obj, indent=2)` for a value nested where a new line
+    starts with `pad` (a newline and the indent of its level).
+
+    `json.dumps` uses its C encoder only when `indent` is None; this
+    writer reaches the same C string escaping and int formatting without
+    the pure-Python one. Dicts with str keys, lists, tuples, strs and
+    ints are written here. Anything else (floats, bools, None, subclasses,
+    dicts with other keys) goes to `json.dumps(..., indent=2)` itself,
+    re-indented to `pad`: its newlines are the only ones in its text, as
+    a JSON string holds no raw newline."""
+    cls = type(obj)
+    if cls is str:
+        return _encode_str(obj)
+    if cls is int:
+        return _int_str(obj)
+    if cls is list or cls is tuple:
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        if set(map(type, obj)) == {int}:
+            body = map(_int_str, obj)
+        else:
+            body = [_indented(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(body) + pad + "]"
+    if cls is dict:
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        try:
+            body = [_encode_str(k) + ": " + _indented(v, inner)
+                    for k, v in obj.items()]
+            return "{" + inner + ("," + inner).join(body) + pad + "}"
+        except TypeError:  # a key that is not a str
+            pass
+    return json.dumps(obj, indent=2).replace("\n", pad)
+
+
 def emit(obj):
-    print(json.dumps(obj, indent=2))
+    """Print `obj` as `json.dumps(obj, indent=2)` prints it."""
+    print(_indented(obj, "\n"))
 
 
 def _at_least(low):
@@ -103,7 +146,8 @@ def _characteristic(text):
 
 def _with_strings(ideal_json):
     """An ideal's JSON, its generators also written out as strings."""
-    ideal_json["gens_str"] = [mono_str(g) for g in ideal_json["gens"]]
+    names = [f"x{i + 1}" for i in range(ideal_json["n"])]
+    ideal_json["gens_str"] = [mono_str(g, names) for g in ideal_json["gens"]]
     return ideal_json
 
 
@@ -135,8 +179,8 @@ def _load_ideal(path):
 # subcommands
 
 def cmd_gin(args):
-    inst = generic_templates(args.n, args.degrees, args.field,
-                             ORDERS_BY_NAME[args.order])
+    inst = GenericInstance(args.n, args.degrees, args.field,
+                           ORDERS_BY_NAME[args.order])
     budget = Budget(ms=args.budget_ms, max_pairs=args.max_pairs)
     if args.route == "sample":
         result = gin_by_sampling(inst, trials=args.trials, seed=args.seed,
@@ -235,8 +279,8 @@ def survey_row(head, args):
     t0 = time.perf_counter()
     row = dict(head)
     try:
-        inst = generic_templates(row["n"], row["degrees"], args.field,
-                                 ORDERS_BY_NAME[args.order])
+        inst = GenericInstance(row["n"], row["degrees"], args.field,
+                               ORDERS_BY_NAME[args.order])
         budget = Budget(ms=args.budget_ms)
         if args.route == "sample":
             res = gin_by_sampling(inst, trials=args.trials, seed=args.seed,
@@ -351,10 +395,12 @@ def cmd_survey(args):
 
 @cache
 def build_parser():
-    """The argument parser, built once per process."""
+    """The argument parser, built once per process. Its `commands` maps
+    each subcommand's name to the subcommand's own parser."""
     ap = argparse.ArgumentParser(prog="ginlab",
                                  description="Initial ideals of generic ideals")
     sub = ap.add_subparsers(dest="cmd", required=True)
+    ap.commands = sub.choices
     orders = list(ORDERS_BY_NAME)
 
     def common_budget(p):
@@ -429,7 +475,20 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser()
+    # a known subcommand's arguments go straight to its own parser, not
+    # through the top-level one first; the namespace and the usage errors
+    # are those of `parser.parse_args(argv)`
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        args, extra = command.parse_known_args(
+            argv[1:], argparse.Namespace(cmd=argv[0]))
+        if extra:  # as the top-level parser reports them
+            parser.error("unrecognized arguments: " + " ".join(extra))
     try:
         return args.func(args)
     except FAILURES as exc:

@@ -60,6 +60,8 @@ class GenericInstance(Frozen):
     main_order: object = LEX
 
     def __post_init__(self):
+        # any sequence of degrees, kept as a tuple: the value stays hashable
+        object.__setattr__(self, "degrees", tuple(self.degrees))
         _check_degrees(self.n, self.degrees)
 
     @property
@@ -76,10 +78,6 @@ class GenericInstance(Frozen):
         """The inverse block order of the parametric route, degrevlex on
         the parameters (see `gin_parametric`), built once."""
         return InverseBlock(self.main_order, DEGREVLEX, self.n)
-
-
-def generic_templates(n, degrees, field=QQ, main_order=LEX):
-    return GenericInstance(n, tuple(degrees), field, main_order)
 
 
 def normal_form_family(inst):

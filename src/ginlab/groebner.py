@@ -189,9 +189,6 @@ class GroebnerBasis:
         """An iterator over the leading monomials, packed by `layout`."""
         return map(self.layout.from_key, map(_lead_key, self._packed))
 
-    def lead_monomials(self):
-        return list(map(self.layout.unpack, self.packed_leads()))
-
     def __iter__(self):
         return iter(self.generators)
 

@@ -47,10 +47,6 @@ class Ring(Frozen):
     def nvars(self):
         return len(self.names)
 
-    @property
-    def nparams(self):
-        return self.nvars - self.nmain
-
 
 def xring(n, field=QQ):
     """Plain ring k[x1..xn] with no parameters."""
@@ -90,12 +86,6 @@ class Polynomial:
 
     def __bool__(self):
         return bool(self.terms)
-
-    def lm(self):
-        return self.terms[0][0]
-
-    def lc(self):
-        return self.terms[0][1]
 
     def degree(self):
         if not self.terms:

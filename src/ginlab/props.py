@@ -111,18 +111,22 @@ def is_borel_fixed(J, p=0):
 
     When p = 0, or every exponent of J is below p, every s <= t is
     allowed (t is one base-p digit), and the criterion is strong
-    stability. The single moves x_i m / x_j of the minimal generators
-    decide that: if they stay in J, so does x_i u / x_j for every u = g w
-    in J with g a minimal generator and x_j | u (move g, or move w), and
-    a shift by s is s such moves. The full scan runs only when that does
-    not apply or the verdict fails, to name the first failing shift as
-    the witness.
+    stability. The adjacent moves x_{j-1} m / x_j of the minimal
+    generators decide that. Suppose they all stay in J, and let u = g w
+    be in J, with g a minimal generator and x_j | u. If x_j | w, then
+    x_{j-1} u / x_j = g (x_{j-1} w / x_j) is in J (move w); otherwise
+    x_j | g, and x_{j-1} u / x_j = (x_{j-1} g / x_j) w is in J (move g).
+    So J is closed under adjacent moves. For i < j, x_i u / x_j is the
+    j - i adjacent moves x_j -> x_{j-1} -> ... -> x_i, each applied to a
+    member that the variable it moves divides; and a shift by s is s
+    such single moves. The full scan runs only when this does not apply
+    or the verdict fails, to name the first failing shift as the
+    witness.
     """
     binom_p_leq(0, 0, p)  # validate the characteristic up front
     if not p or all(e < p for m in J.gens for e in m):
-        if all(contains(J, _shift(m, i, j, 1))
-               for m in J.gens for j, t in enumerate(m) if t
-               for i in range(j)):
+        if all(contains(J, _shift(m, j - 1, j, 1))
+               for m in J.gens for j in range(1, len(m)) if m[j]):
             return PropertyVerdict(True)
     for m in J.gens:
         for j, t in enumerate(m):

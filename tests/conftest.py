@@ -48,5 +48,5 @@ INI_J = ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 3, 0), (0, 2, 1), (0, 1, 2),
 
 @pytest.fixture
 def sample_ideal_a(ring3):
-    inst = gl.generic_templates(3, (2, 2))
+    inst = gl.GenericInstance(3, (2, 2))
     return gl.ideal_at_point(inst, POINT_A), inst

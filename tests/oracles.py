@@ -2,6 +2,10 @@
 
 - `parse_poly`: a polynomial from text such as "x1^2 - 1/2*x2", the
   way the tests write their input
+- `lead_monomial`, `lead_coefficient`, `lead_monomials` and
+  `param_count`: the leading term of a polynomial, the leading
+  monomials of a Groebner basis and the number of parameter variables
+  of a ring, read off their public fields
 - `monomials_of_degree`: every monomial of a degree, in descending lex
   order, from `combinations_with_replacement`; the reference for the
   colex unranker `ginlab.series._lex_monomials`, and the enumerator of
@@ -99,6 +103,27 @@ class Arith:
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
+
+
+def lead_monomial(f):
+    """The leading monomial of the nonzero polynomial `f`."""
+    return f.terms[0][0]
+
+
+def lead_coefficient(f):
+    """The leading coefficient of the nonzero polynomial `f`."""
+    return f.terms[0][1]
+
+
+def lead_monomials(gb):
+    """The leading monomials of the elements of the Groebner basis `gb`."""
+    return [lead_monomial(g) for g in gb.generators]
+
+
+def param_count(ring):
+    """The number of parameter variables of `ring`: those after the main
+    ones."""
+    return ring.nvars - ring.nmain
 
 
 def parse_poly(text, ring, order):
@@ -550,9 +575,9 @@ def specialize(F, point):
     variable, in ring order), over the main variables, under the main
     order of an inverse block order."""
     ring, fld = F.ring, F.ring.field
-    if len(point) != ring.nparams:
+    if len(point) != param_count(ring):
         raise ValueError(f"point has {len(point)} coordinates, "
-                         f"ring has {ring.nparams} parameters")
+                         f"ring has {param_count(ring)} parameters")
     values = [fld.of(v) for v in point]
     terms = []
     for m, c in F.terms:
@@ -584,7 +609,7 @@ def stability_check(gens, point):
     significant, so the x-part of a member's lead is its block lead.
     """
     gens = list(gens)
-    if not gens or gens[0].ring.nparams == 0:
+    if not gens or param_count(gens[0].ring) == 0:
         return StabilityVerdict(True, tuple(range(len(gens))))
     order = gens[0].order
     if not isinstance(order, InverseBlock):
@@ -592,7 +617,7 @@ def stability_check(gens, point):
     survivors, kept, vanished = [], [], []
     for idx, g in enumerate(gens):
         sg = specialize(g, point)
-        if g.lm()[: order.nmain] in dict(sg.terms):
+        if lead_monomial(g)[: order.nmain] in dict(sg.terms):
             survivors.append(idx)
             kept.append(sg)
         else:
@@ -655,7 +680,7 @@ def _resorted(f, order):
 def monic(f):
     """f divided by its leading coefficient."""
     fld = Arith(f.ring.field)
-    inv = fld.inv(f.lc()) if f else fld.one
+    inv = fld.inv(lead_coefficient(f)) if f else fld.one
     return Polynomial(f.ring, f.order,
                       [(m, fld.mul(inv, c)) for m, c in f.terms])
 
@@ -680,11 +705,11 @@ def tuple_s_polynomial(f, g, order=None):
     f = _resorted(f, order)
     g = _resorted(g, order)
     fld = Arith(f.ring.field)
-    L = mono_lcm(f.lm(), g.lm())
+    L = mono_lcm(lead_monomial(f), lead_monomial(g))
     d = {}
     for h, sign in ((f, fld.one), (g, fld.neg(fld.one))):
-        q = mono_div(L, h.lm())
-        factor = fld.mul(sign, fld.inv(h.lc()))
+        q = mono_div(L, lead_monomial(h))
+        factor = fld.mul(sign, fld.inv(lead_coefficient(h)))
         for m, c in h.terms:
             mm = mono_mul(m, q)
             d[mm] = fld.add(d.get(mm, fld.zero), fld.mul(factor, c))
@@ -702,8 +727,8 @@ def tuple_normal_form(f, G, order=None):
     if not f:
         return f
     divs = sorted((_resorted(g, order) for g in G if g),
-                  key=lambda g: tuple_key(order, g.lm()))
-    leads = [(g.lm(), g.lc(), g.terms) for g in divs]
+                  key=lambda g: tuple_key(order, lead_monomial(g)))
+    leads = [(lead_monomial(g), lead_coefficient(g), g.terms) for g in divs]
     if not leads:
         return f
     fld = Arith(f.ring.field)
@@ -740,8 +765,8 @@ def tuple_normal_form(f, G, order=None):
 def _tuple_update_pairs(G, pairs, h, order):
     """Gebauer-Moeller update of the pair set when h joins the basis."""
     t = len(G)
-    hm = h.lm()
-    lcms = {i: mono_lcm(G[i].lm(), hm) for i in range(t)}
+    hm = lead_monomial(h)
+    lcms = {i: mono_lcm(lead_monomial(G[i]), hm) for i in range(t)}
     keep = {}
     for i, L in lcms.items():
         dominated = False
@@ -760,14 +785,14 @@ def _tuple_update_pairs(G, pairs, h, order):
             seen[L] = i
     new_pairs = []
     for L, i in seen.items():
-        if L == mono_mul(G[i].lm(), hm):
+        if L == mono_mul(lead_monomial(G[i]), hm):
             continue
         new_pairs.append((i, t, L))
     surviving = []
     for (i, j, L) in pairs:
         if (mono_divides(hm, L)
-                and mono_lcm(G[i].lm(), hm) != L
-                and mono_lcm(G[j].lm(), hm) != L):
+                and mono_lcm(lead_monomial(G[i]), hm) != L
+                and mono_lcm(lead_monomial(G[j]), hm) != L):
             continue
         surviving.append((i, j, L))
     return surviving + new_pairs
@@ -803,11 +828,13 @@ def tuple_buchberger(gens, order=None):
 def tuple_reduce_basis(G, order):
     """The reduced Groebner basis `ginlab.reduce_basis` computes."""
     G = sorted((_resorted(g, order) for g in G if g),
-               key=lambda g: tuple_key(order, g.lm()))
+               key=lambda g: tuple_key(order, lead_monomial(g)))
     minimal = []
     for g in G:
-        if not any(mono_divides(h.lm(), g.lm()) for h in minimal):
-            minimal = [h for h in minimal if not mono_divides(g.lm(), h.lm())]
+        lead = lead_monomial(g)
+        if not any(mono_divides(lead_monomial(h), lead) for h in minimal):
+            minimal = [h for h in minimal
+                       if not mono_divides(lead, lead_monomial(h))]
             minimal.append(g)
     changed = True
     while changed:
@@ -819,4 +846,5 @@ def tuple_reduce_basis(G, order):
                 minimal[i] = r
                 changed = True
     return tuple(sorted(map(monic, minimal),
-                        key=lambda g: tuple_key(order, g.lm()), reverse=True))
+                        key=lambda g: tuple_key(order, lead_monomial(g)),
+                        reverse=True))

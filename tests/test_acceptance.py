@@ -17,7 +17,8 @@ from ginlab.series import lexsegment_of_froeberg
 
 from conftest import GIN_3_222, GIN_32_22, INI_I, INI_J, POINT_A
 from oracles import (borel_action_check, hilbert_function_bruteforce,
-                     hilbert_function_homogeneous, monomials_of_degree)
+                     hilbert_function_homogeneous, lead_monomials,
+                     monomials_of_degree)
 from test_ideals import random_monomial_ideal
 
 
@@ -39,17 +40,17 @@ def test_criterion_2_groebner_regression(example_uv_ideals):
     I, J = example_uv_ideals
     gbI = gl.reduce_basis(gl.buchberger(I, gl.DEGREVLEX))
     gbJ = gl.reduce_basis(gl.buchberger(J, gl.DEGREVLEX))
-    assert set(gl.minimalize(3, gbI.lead_monomials()).gens) == set(INI_I)
-    assert set(gl.minimalize(3, gbJ.lead_monomials()).gens) == set(INI_J)
+    assert set(gl.minimalize(3, lead_monomials(gbI)).gens) == set(INI_I)
+    assert set(gl.minimalize(3, lead_monomials(gbJ)).gens) == set(INI_J)
     report("criterion-2 degrevlex-fixtures", time.perf_counter() - t0, 5)
 
 
 def test_criterion_3_fixed_point_replay():
     t0 = time.perf_counter()
-    inst = gl.generic_templates(3, (2, 2))
+    inst = gl.GenericInstance(3, (2, 2))
     gens = gl.ideal_at_point(inst, POINT_A)
     gb = gl.reduce_basis(gl.buchberger(gens, gl.LEX))
-    J = gl.minimalize(3, gb.lead_monomials())
+    J = gl.minimalize(3, lead_monomials(gb))
     assert J.gens == GIN_32_22
     assert gl.is_lexsegment(J).holds
     assert gl.hilbert_series(J, 5) == [1, 3, 4, 4, 4, 4]
@@ -67,12 +68,12 @@ _crit4_rows = []
 def test_criterion_4_lexsegment_grid():
     t0 = time.perf_counter()
     for n, degrees in CRIT4_GRID:
-        inst = gl.generic_templates(n, degrees, field=GF32003)
+        inst = gl.GenericInstance(n, degrees, field=GF32003)
         res = gl.gin_by_sampling(inst, trials=5, seed=0)
         if res.agreement < 4:
             # finite-field sampling is a heuristic: fall back to exact
             # rational sampling with small coefficients
-            inst_q = gl.generic_templates(n, degrees)
+            inst_q = gl.GenericInstance(n, degrees)
             res = gl.gin_by_sampling(inst_q, trials=5, seed=0, bound=99)
         assert res.agreement >= 4, (n, degrees)
         assert gl.is_lexsegment(res.ideal).holds, (n, degrees)
@@ -82,7 +83,7 @@ def test_criterion_4_lexsegment_grid():
 
 def test_criterion_5_non_lexsegment_case():
     t0 = time.perf_counter()
-    inst = gl.generic_templates(4, (2, 2), field=GF32003)
+    inst = gl.GenericInstance(4, (2, 2), field=GF32003)
     res = gl.gin_by_sampling(inst, seed=0)
     assert res.ideal.gens == tuple(g + (0,) for g in GIN_32_22)
     v = gl.is_lexsegment(res.ideal)
@@ -93,8 +94,8 @@ def test_criterion_5_non_lexsegment_case():
 
 def test_criterion_6_route_agreement_small():
     t0 = time.perf_counter()
-    par = gl.gin_parametric(gl.generic_templates(2, (2, 2)))
-    sam = gl.gin_by_sampling(gl.generic_templates(2, (2, 2), field=GF32003),
+    par = gl.gin_parametric(gl.GenericInstance(2, (2, 2)))
+    sam = gl.gin_by_sampling(gl.GenericInstance(2, (2, 2), field=GF32003),
                              seed=0)
     assert par.ideal == sam.ideal
     assert par.ideal.gens == ((2, 0), (1, 1), (0, 3))
@@ -105,10 +106,10 @@ def test_criterion_6_route_agreement_small():
 def test_criterion_6_route_agreement_n3():
     t0 = time.perf_counter()
     for degrees, gin in [((2, 2), GIN_32_22), ((2, 2, 2), GIN_3_222)]:
-        par = gl.gin_parametric(gl.generic_templates(3, degrees),
+        par = gl.gin_parametric(gl.GenericInstance(3, degrees),
                                 budget=gl.Budget(ms=60 * 1000))
         sam = gl.gin_by_sampling(
-            gl.generic_templates(3, degrees, field=GF32003), seed=0)
+            gl.GenericInstance(3, degrees, field=GF32003), seed=0)
         assert par.ideal == sam.ideal
         assert par.ideal.gens == gin
     report("criterion-6b route-agreement n=3", time.perf_counter() - t0, 60)
@@ -117,11 +118,11 @@ def test_criterion_6_route_agreement_n3():
 def test_criterion_7_borel_fixedness():
     t0 = time.perf_counter()
     gins = [
-        (gl.gin_by_sampling(gl.generic_templates(3, (2, 2), field=GF32003),
+        (gl.gin_by_sampling(gl.GenericInstance(3, (2, 2), field=GF32003),
                             seed=0).ideal, GF32003.char),
-        (gl.gin_by_sampling(gl.generic_templates(4, (2, 2), field=GF32003),
+        (gl.gin_by_sampling(gl.GenericInstance(4, (2, 2), field=GF32003),
                             seed=0).ideal, GF32003.char),
-        (gl.gin_parametric(gl.generic_templates(2, (2, 2))).ideal, 0),
+        (gl.gin_parametric(gl.GenericInstance(2, (2, 2))).ideal, 0),
     ]
     gins += [(res.ideal, GF32003.char) for _, _, res in _crit4_rows[:4]]
     for J, p in gins:
@@ -159,7 +160,7 @@ def test_criterion_8_oracle_equivalences():
         if not gens:
             continue
         gb = gl.reduce_basis(gl.buchberger(gens, gl.DEGREVLEX))
-        J = gl.minimalize(3, gb.lead_monomials())
+        J = gl.minimalize(3, lead_monomials(gb))
         for d in range(7):
             assert (hilbert_function_homogeneous(gens, d)
                     == gl.hilbert_series(J, d)[d])

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import ginlab as gl
 from ginlab import cli
@@ -12,7 +15,7 @@ from ginlab.cli import main
 from ginlab.ideals import top_degree
 
 from conftest import GIN_32_22
-from oracles import parse_poly, series_coefficient
+from oracles import lead_monomials, parse_poly, series_coefficient
 
 
 def run(capsys, *argv):
@@ -75,6 +78,64 @@ def test_gin_deterministic_bytes(capsys):
 
 def test_usage_error_exit_code(capsys):
     usage_error(capsys, "gin", "-n", "3")
+
+
+#: the exact stderr of usage errors at a terminal 80 columns wide: what
+#: `build_parser().parse_args(argv)` prints, the top-level parser reading
+#: the whole argv
+GIN_USAGE = """\
+usage: ginlab gin [-h] -n N -d DEGREES [--order {lex,deglex,degrevlex}]
+                  [--route {sample,parametric}] [--seed SEED]
+                  [--trials TRIALS] [--field FIELD] [--bound BOUND]
+                  [--budget-ms BUDGET_MS] [--max-pairs MAX_PAIRS]
+"""
+TOP_USAGE = """\
+usage: ginlab [-h] {gin,check,froeberg,lexseg,bound,hilbert,gb,survey} ...
+"""
+USAGE_STDERR = {
+    "unrecognized argument": (
+        ["gin", "-n", "3", "-d", "2,2", "--bogus"],
+        TOP_USAGE + "ginlab: error: unrecognized arguments: --bogus\n"),
+    "missing argument": (
+        ["gin", "-n", "3"],
+        GIN_USAGE + "ginlab gin: error: the following arguments are "
+        "required: -d/--degrees\n"),
+    "unknown command": (
+        ["frobnicate"],
+        TOP_USAGE + "ginlab: error: argument cmd: invalid choice: "
+        "'frobnicate' (choose from 'gin', 'check', 'froeberg', 'lexseg', "
+        "'bound', 'hilbert', 'gb', 'survey')\n"),
+}
+
+
+@pytest.mark.parametrize("argv,stderr", USAGE_STDERR.values(),
+                         ids=USAGE_STDERR.keys())
+def test_usage_error_stderr(argv, stderr, capsys, monkeypatch):
+    # a subcommand's own parser reads its arguments, and leaves the
+    # arguments it does not know to the top-level parser's message
+    monkeypatch.setenv("COLUMNS", "80")
+    assert usage_error(capsys, *argv) == stderr
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(st.text(), inner)),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@example({"a": [], "b": {}, "c": (), "d": [[]], "e": {"f": {}}})
+@example(["\u00e9\u2028\U0001f600", '"\\\n\t\x00', "", -10**40, 2**64])
+@example([float("nan"), float("inf"), -float("inf"), -0.0, 1e300, True, None])
+@example({"n": 3, "gens": [[2, 0, 0], [1, 1, 0]], "gens_str": ["x1^2", "x1*x2"]})
+@example([{1: [], 2.5: {}, None: "x", False: [0]}])  # keys json converts
+@given(json_values)
+def test_emit_prints_json_dumps_indent_2(value):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli.emit(value)
+    assert buf.getvalue() == json.dumps(value, indent=2) + "\n"
 
 
 def test_parser_is_built_once(capsys, tmp_path):
@@ -361,7 +422,7 @@ def test_gb_cmd(capsys, tmp_path):
     data = json.loads(out)
     J = gl.MonomialIdeal.from_json(data["initial_ideal"])
     gb = gl.reduce_basis(gl.buchberger(polys, gl.DEGREVLEX))
-    assert J.gens == gl.minimalize(2, gb.lead_monomials()).gens
+    assert J.gens == gl.minimalize(2, lead_monomials(gb)).gens
 
 
 #: `gb` systems that do not hold one, as in BAD_IDEAL_FILES

@@ -32,7 +32,7 @@ def test_fields_are_values_keyed_by_their_characteristic():
          gl.GenericInstance(2, (2, 2), PrimeField(7))),
         (gl.GinResult(J, "parametric", gl.GenericInstance(2, (1, 2))),
          gl.GinResult(ideal=J, route="parametric",
-                      inst=gl.generic_templates(2, [1, 2]), seeds=(),
+                      inst=gl.GenericInstance(2, [1, 2]), seeds=(),
                       agreement=None, u_generic=()),
          gl.GinResult(J, "sampling", gl.GenericInstance(2, (1, 2)), (7,), 1,
                       ("yes",))),

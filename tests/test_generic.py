@@ -12,22 +12,31 @@ from ginlab.poly import PackedRing, Polynomial
 
 from conftest import GIN_32_22, POINT_A
 from oracles import (full_templates, hilbert_function_homogeneous,
-                     parse_poly, u_generic_by_macaulay)
+                     lead_coefficient, lead_monomial, lead_monomials,
+                     param_count, parse_poly, u_generic_by_macaulay)
 
 
 def test_template_shapes():
-    inst = gl.generic_templates(3, (2, 2))
+    inst = gl.GenericInstance(3, (2, 2))
     assert inst.nparams == 12
     assert all(len(F.terms) == 6 for F in full_templates(inst))
-    inst4 = gl.generic_templates(4, (2, 2))
+    inst4 = gl.GenericInstance(4, (2, 2))
     assert inst4.nparams == 20
-    single = gl.generic_templates(1, (3,))
+    single = gl.GenericInstance(1, (3,))
     (F,) = full_templates(single)
     assert F.terms == (((3, 1), 1),)
 
 
+def test_instance_degrees_may_be_a_list():
+    # the degrees are kept as a tuple, so the instance is a hashable value
+    inst = gl.GenericInstance(2, [2, 2])
+    assert inst.degrees == (2, 2)
+    assert inst == gl.GenericInstance(2, (2, 2))
+    assert hash(inst) == hash(gl.GenericInstance(2, (2, 2)))
+
+
 def test_templates_have_distinct_parameters():
-    inst = gl.generic_templates(3, (2, 3))
+    inst = gl.GenericInstance(3, (2, 3))
     seen = set()
     for F in full_templates(inst):
         for m, _ in F.terms:
@@ -41,11 +50,11 @@ def test_replay_fixed_point(sample_ideal_a):
     gens, _ = sample_ideal_a
     assert len(gens) == 2
     # leading coefficients of the two specialized quadrics
-    assert gens[0].lc() == 8 and gens[1].lc() == 1
+    assert lead_coefficient(gens[0]) == 8 and lead_coefficient(gens[1]) == 1
 
 
 def test_sampling_determinism():
-    inst = gl.generic_templates(3, (2, 2), field=GF32003)
+    inst = gl.GenericInstance(3, (2, 2), field=GF32003)
     a = gl.sample_ideal(inst, seed=5)
     b = gl.sample_ideal(inst, seed=5)
     assert a == b
@@ -53,7 +62,7 @@ def test_sampling_determinism():
 
 
 def test_sample_point_range():
-    inst = gl.generic_templates(2, (2,))
+    inst = gl.GenericInstance(2, (2,))
     pt = sample_point(inst, seed=1, bound=9)
     assert all(p != 0 and -9 <= p <= 9 for p in pt)
     rng = SplitMix64(0)
@@ -62,9 +71,10 @@ def test_sample_point_range():
 
 
 def test_single_monomial_template_sampling():
-    inst = gl.generic_templates(1, (2,))
+    inst = gl.GenericInstance(1, (2,))
     (f,) = gl.sample_ideal(inst, seed=0)
-    assert f.lm() == (2,) and f.lc() != 0 and len(f.terms) == 1
+    assert lead_monomial(f) == (2,) and lead_coefficient(f) != 0
+    assert len(f.terms) == 1
 
 
 def test_macaulay_hilbert_function(sample_ideal_a):
@@ -92,7 +102,7 @@ def test_is_u_generic(sample_ideal_a):
 
 def test_is_u_generic_example_ideals(example_uv_ideals):
     I, J = example_uv_ideals
-    inst = gl.generic_templates(3, (2, 2, 2))
+    inst = gl.GenericInstance(3, (2, 2, 2))
     assert gl.is_u_generic(gl.buchberger(I, gl.DEGREVLEX), inst) == "yes"
     assert gl.is_u_generic(gl.buchberger(J, gl.DEGREVLEX), inst) == "yes"
 
@@ -106,7 +116,7 @@ def test_u_check_matches_macaulay_oracle():
         n = rng.randint(1, 3)
         degrees = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
         order = rng.choice([gl.LEX, gl.DEGREVLEX])
-        inst = gl.generic_templates(n, degrees, rng.choice(fields), order)
+        inst = gl.GenericInstance(n, degrees, rng.choice(fields), order)
         point = tuple(rng.choice((0, 1, -1, 2)) for _ in range(inst.nparams))
         gens = ideal_at_point(inst, point)
         if not any(gens):
@@ -120,30 +130,30 @@ def test_u_check_matches_macaulay_oracle():
 
 
 def test_gin_by_sampling_known_cases():
-    inst = gl.generic_templates(3, (2, 2), field=GF32003)
+    inst = gl.GenericInstance(3, (2, 2), field=GF32003)
     res = gl.gin_by_sampling(inst, seed=0)
     assert res.ideal.gens == GIN_32_22
     assert res.agreement == 5
     assert set(res.u_generic) == {"yes"}
 
-    inst4 = gl.generic_templates(4, (2, 2), field=GF32003)
+    inst4 = gl.GenericInstance(4, (2, 2), field=GF32003)
     res4 = gl.gin_by_sampling(inst4, seed=0)
     assert res4.ideal.gens == tuple(g + (0,) for g in GIN_32_22)
 
-    inst2 = gl.generic_templates(2, (2, 2), field=GF32003)
+    inst2 = gl.GenericInstance(2, (2, 2), field=GF32003)
     assert gl.gin_by_sampling(inst2, seed=0).ideal.gens == ((2, 0), (1, 1), (0, 3))
 
 
 def test_gin_parametric_small_cases():
-    assert (gl.gin_parametric(gl.generic_templates(2, (2, 2))).ideal.gens
+    assert (gl.gin_parametric(gl.GenericInstance(2, (2, 2))).ideal.gens
             == ((2, 0), (1, 1), (0, 3)))
-    assert gl.gin_parametric(gl.generic_templates(1, (2,))).ideal.gens == ((2,),)
+    assert gl.gin_parametric(gl.GenericInstance(1, (2,))).ideal.gens == ((2,),)
 
 
 def test_route_agreement():
     for n, degrees in [(1, (2,)), (2, (2, 2)), (2, (2, 3)), (3, (2, 2))]:
-        par = gl.gin_parametric(gl.generic_templates(n, degrees))
-        sam = gl.gin_by_sampling(gl.generic_templates(n, degrees, field=GF32003),
+        par = gl.gin_parametric(gl.GenericInstance(n, degrees))
+        sam = gl.gin_by_sampling(gl.GenericInstance(n, degrees, field=GF32003),
                                  seed=17)
         assert par.ideal == sam.ideal
 
@@ -160,15 +170,15 @@ def test_route_agreement():
     (2, (1, 1, 2), gl.DEGREVLEX, 0, 2),
 ])
 def test_normal_form_family_shape(n, degrees, order, nparams, ngens):
-    inst = gl.generic_templates(n, degrees, main_order=order)
+    inst = gl.GenericInstance(n, degrees, main_order=order)
     family = normal_form_family(inst)
     assert len(family) == ngens
-    assert all(F.ring.nparams == nparams for F in family)
-    pivots = [F.lm()[:n] for F in family]
+    assert all(param_count(F.ring) == nparams for F in family)
+    pivots = [lead_monomial(F)[:n] for F in family]
     # monic at its pivot, which no earlier generator's pivot divides
     for k, F in enumerate(family):
-        assert F.lm() == pivots[k] + (0,) * nparams
-        assert F.lc() == 1
+        assert lead_monomial(F) == pivots[k] + (0,) * nparams
+        assert lead_coefficient(F) == 1
         assert {sum(m[:n]) for m, _ in F.terms} == {sum(pivots[k])}
         assert not any(mono_divides(p, pivots[k]) for p in pivots[:k])
     # every other term is one fresh parameter on a monomial no pivot divides
@@ -190,7 +200,7 @@ def test_normal_form_family_is_built_normalized(n, order, field):
     # order and the coefficient type that `from_terms` gives
     for degrees in [(2,), (1, 2), (2, 2), (2, 3), (2, 2, 2), (3, 3)]:
         for F in normal_form_family(
-                gl.generic_templates(n, degrees, field, order)):
+                gl.GenericInstance(n, degrees, field, order)):
             G = Polynomial.from_terms(F.ring, F.order, F.terms)
             assert F.terms == G.terms
             assert [type(c) for _, c in F.terms] == [
@@ -216,8 +226,8 @@ ROUTE_CASES = [
 
 @pytest.mark.parametrize("n,degrees,sampled,field,order", ROUTE_CASES)
 def test_parametric_route_matches_sampling(n, degrees, sampled, field, order):
-    par = gl.gin_parametric(gl.generic_templates(n, degrees, field, order))
-    sam = gl.gin_by_sampling(gl.generic_templates(n, sampled, GF32003, order),
+    par = gl.gin_parametric(gl.GenericInstance(n, degrees, field, order))
+    sam = gl.gin_by_sampling(gl.GenericInstance(n, sampled, GF32003, order),
                              seed=3)
     assert sam.agreement == 5
     assert par.ideal == sam.ideal
@@ -229,9 +239,9 @@ def test_parametric_route_matches_sampling(n, degrees, sampled, field, order):
 def test_stopped_run_has_the_x_leads_of_the_full_run(n, degrees, field, order):
     # `gin_parametric` stops its run once the x-leads certify the gin;
     # the full run of the same family must lead to the same ideal
-    inst = gl.generic_templates(n, degrees, field, order)
+    inst = gl.GenericInstance(n, degrees, field, order)
     full = buchberger(normal_form_family(inst), inst.order)
-    xleads = [m[:n] for m in full.lead_monomials() if any(m[:n])]
+    xleads = [m[:n] for m in lead_monomials(full) if any(m[:n])]
     assert gl.gin_parametric(inst).ideal == gl.minimalize(n, xleads)
 
 
@@ -242,11 +252,11 @@ def test_gin_routes_never_unpack_a_basis(monkeypatch):
 
     monkeypatch.setattr(PackedRing, "unpack", refuse)
     gin = ((2, 0), (1, 1), (0, 3))
-    assert gl.gin_parametric(gl.generic_templates(2, (2, 2))).ideal.gens == gin
+    assert gl.gin_parametric(gl.GenericInstance(2, (2, 2))).ideal.gens == gin
     for field in (GF32003, gl.QQ):
-        inst = gl.generic_templates(2, (2, 2), field=field)
+        inst = gl.GenericInstance(2, (2, 2), field=field)
         assert gl.gin_by_sampling(inst, seed=0).ideal.gens == gin
-    inst = gl.generic_templates(3, (2, 2), GF32003, gl.DEGREVLEX)
+    inst = gl.GenericInstance(3, (2, 2), GF32003, gl.DEGREVLEX)
     assert gl.gin_by_sampling(inst, seed=0).ideal.gens == (
         (2, 0, 0), (1, 1, 0), (0, 3, 0))
 
@@ -257,10 +267,10 @@ def test_parametric_route_builds_its_order_once(monkeypatch):
     built = []
     monkeypatch.setattr(InverseBlock, "__post_init__",
                         lambda self: built.append(self))
-    inst = gl.generic_templates(3, (2, 2, 2))
+    inst = gl.GenericInstance(3, (2, 2, 2))
     res = gl.gin_parametric(inst)
     assert built == [inst.order] and res.inst is inst
-    assert inst.order is inst.order and inst == gl.generic_templates(3, [2] * 3)
+    assert inst.order is inst.order and inst == gl.GenericInstance(3, [2] * 3)
 
 
 def test_gin_routes_leave_no_reference_cycles():
@@ -269,10 +279,10 @@ def test_gin_routes_leave_no_reference_cycles():
     gc.collect()
     gc.disable()
     try:
-        gl.gin_parametric(gl.generic_templates(2, (2, 3, 3)))
+        gl.gin_parametric(gl.GenericInstance(2, (2, 3, 3)))
         for order in (gl.LEX, gl.DEGREVLEX):
             gl.gin_by_sampling(
-                gl.generic_templates(2, (2, 3, 3), GF32003, order), seed=0)
+                gl.GenericInstance(2, (2, 3, 3), GF32003, order), seed=0)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -280,7 +290,7 @@ def test_gin_routes_leave_no_reference_cycles():
 
 def test_borel_fixedness_of_gins():
     for n, degrees in [(2, (2, 2)), (3, (2, 2)), (3, (2, 2, 2))]:
-        res = gl.gin_by_sampling(gl.generic_templates(n, degrees, field=GF32003),
+        res = gl.gin_by_sampling(gl.GenericInstance(n, degrees, field=GF32003),
                                  seed=1)
         assert gl.is_borel_fixed(res.ideal, GF32003.char).holds
 
@@ -288,14 +298,14 @@ def test_borel_fixedness_of_gins():
 def test_maxdeg_bounded_by_lexsegment_bound():
     from ginlab.series import lexsegment_of_froeberg
     for n, degrees in [(2, (2, 2)), (3, (2, 2)), (3, (2, 3)), (3, (2, 2, 2))]:
-        res = gl.gin_by_sampling(gl.generic_templates(n, degrees, field=GF32003),
+        res = gl.gin_by_sampling(gl.GenericInstance(n, degrees, field=GF32003),
                                  seed=2)
         bound, _ = lexsegment_of_froeberg(n, degrees)
         assert gl.top_degree(res.ideal) <= gl.top_degree(bound)
 
 
 def test_result_json_shape():
-    inst = gl.generic_templates(2, (2, 2), field=GF32003)
+    inst = gl.GenericInstance(2, (2, 2), field=GF32003)
     res = gl.gin_by_sampling(inst, seed=0)
     out = res.to_json()
     assert out["schema"] == 1
@@ -307,6 +317,6 @@ def test_result_json_shape():
 
 def test_invalid_instance():
     with pytest.raises(ValueError):
-        gl.generic_templates(0, (2,))
+        gl.GenericInstance(0, (2,))
     with pytest.raises(ValueError):
-        ideal_at_point(gl.generic_templates(2, (2,)), (1, 2))
+        ideal_at_point(gl.GenericInstance(2, (2,)), (1, 2))

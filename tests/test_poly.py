@@ -7,8 +7,8 @@ import ginlab as gl
 from ginlab.poly import (Polynomial, Ring, RingMismatch, poly_from_json,
                          poly_to_json)
 
-from oracles import (block_leading_data, full_templates, mono_mul, parse_poly,
-                     primitive, specialize)
+from oracles import (block_leading_data, full_templates, lead_monomial,
+                     mono_mul, parse_poly, primitive, specialize)
 
 R2 = gl.xring(2)
 
@@ -61,7 +61,7 @@ def test_specialize_fixed_point(sample_ideal_a):
 
 
 def test_specialize_zero_point():
-    inst = gl.generic_templates(2, (2,))
+    inst = gl.GenericInstance(2, (2,))
     F = full_templates(inst)[0]
     assert not specialize(F, (0, 0, 0))
 
@@ -72,7 +72,7 @@ def test_specialize_no_parameters_is_identity():
 
 
 def test_specialize_requires_full_point():
-    inst = gl.generic_templates(2, (2,))
+    inst = gl.GenericInstance(2, (2,))
     F = full_templates(inst)[0]
     with pytest.raises(ValueError):
         specialize(F, (1, 2))
@@ -133,7 +133,7 @@ def test_specialized_lead_matches_block_lead_when_lc_survives(ts, point):
     assert survives == (val != 0)
     if survives:
         assert dict(f.terms)[lm] == val
-        assert f.lm() == lm
+        assert lead_monomial(f) == lm
 
 
 @given(terms2, terms2)

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import ginlab as gl
+from ginlab import props
+from ginlab.generic import GF32003
 from ginlab.props import is_borel_fixed, is_lexsegment, is_weakly_revlex
 from ginlab.series import _macaulay_digits
 
@@ -162,6 +164,26 @@ def test_is_weakly_revlex_matches_full_scan(case):
     the scan that tests every monomial for every generator."""
     J, _ = case
     assert is_weakly_revlex(J) == is_weakly_revlex_by_scan(J)
+
+
+@pytest.mark.parametrize("n,degrees,order,tests", [
+    (4, (2, 2, 2, 2), gl.DEGREVLEX, 17),
+    (4, (3, 3), gl.LEX, 56),
+    (4, (2, 3, 3), gl.LEX, 68),
+])
+def test_borel_fast_path_tests_adjacent_moves_only(n, degrees, order, tests,
+                                                   monkeypatch):
+    # one membership test per generator m and variable x_j | m, j >= 2:
+    # the move x_{j-1} m / x_j; testing every x_i m / x_j, i < j, took
+    # 35, 108 and 132
+    J = gl.gin_by_sampling(gl.GenericInstance(n, degrees, GF32003, order),
+                           trials=1).ideal
+    calls = []
+    contains = props.contains
+    monkeypatch.setattr(props, "contains",
+                        lambda J, m: calls.append(m) or contains(J, m))
+    assert is_borel_fixed(J, 0).holds
+    assert len(calls) == tests == sum(1 for g in J.gens for e in g[1:] if e)
 
 
 def test_criterion_action_agreement():
