@@ -8,6 +8,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import cached_property
 from math import comb
+from operator import mul
 
 from .fields import QQ, PrimeField
 from .groebner import buchberger
@@ -79,6 +80,24 @@ class GenericInstance(Frozen):
         the parameters (see `gin_parametric`), built once."""
         return InverseBlock(self.main_order, DEGREVLEX, self.n)
 
+    @cached_property
+    def monomials(self):
+        """Per template degree d: the degree-d monomials in descending main
+        order, and for each its position in descending lex, the order in
+        which a coefficient point lists them. Sorted once, by one
+        layout's keys: a key is linear, the sum of the keys of the
+        monomial's variables, each packed once."""
+        n, layout = self.n, self.main_order.layout(self.n)
+        weights = [layout.key(layout.pack(x))  # of x1, ..., xn
+                   for x in _lex_monomials(n, 1)[::-1]]
+        out = {}
+        for d in set(self.degrees):
+            lex = _lex_monomials(n, d)[::-1]  # descending lex
+            rank = sorted(range(len(lex)), reverse=True,
+                          key=lambda k: sum(map(mul, lex[k], weights)))
+            out[d] = ([lex[k] for k in rank], rank)
+        return out
+
 
 def normal_form_family(inst):
     """The generators of the parametric route: one monic generator per
@@ -97,11 +116,10 @@ def normal_form_family(inst):
     by generator and, within one, in descending main order of their
     monomials; `inst.order` ranks them by degrevlex.
     """
-    n, order = inst.n, inst.main_order
+    n = inst.n
     pivots, rows = [], []
     for d in sorted(set(inst.degrees)):
-        standard = [m for m in sorted(_lex_monomials(n, d),
-                                      key=order.key, reverse=True)
+        standard = [m for m in inst.monomials[d][0]
                     if not any(mono_divides(p, m) for p in pivots)]
         k = inst.degrees.count(d)
         pivots += standard[:k]
@@ -146,12 +164,16 @@ def ideal_at_point(inst, point):
     if len(point) != inst.nparams:
         raise ValueError(f"point needs {inst.nparams} coordinates")
     ring = xring(inst.n, inst.field)
+    of = inst.field.of
     out = []
     offset = 0
     for d in inst.degrees:
-        monos = _lex_monomials(inst.n, d)[::-1]  # descending lex
-        terms = zip(monos, point[offset:offset + len(monos)])
-        out.append(Polynomial.from_terms(ring, inst.main_order, terms))
+        # the terms in descending main order, as `Polynomial` takes them
+        monos, rank = inst.monomials[d]
+        coeffs = map(of, map(point[offset:offset + len(monos)].__getitem__,
+                             rank))
+        out.append(Polynomial(ring, inst.main_order,
+                              [(m, c) for m, c in zip(monos, coeffs) if c]))
         offset += len(monos)
     return out
 

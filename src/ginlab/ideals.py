@@ -4,8 +4,10 @@ A `MonomialIdeal` holds exponent tuples; divisibility is tested on
 packed ints. `contains` packs the generators once into a divisor index
 (`_Divisors`), fields just wide enough for their largest exponent, and
 `minimalize` packs the same way for `_minimal`, the one ascending scan,
-which `packed_ideal` runs on the kernel's packed leads. The Hilbert
-numerator runs on packed monomials (`orders.Layout`). `hilbert_numerator`
+which `packed_ideal` runs on the kernel's packed leads. Neither checks
+the ideal it builds again, and an ideal that `minimalize` finds minimal
+already keeps that packing as its index. The Hilbert numerator runs on
+packed monomials (`orders.Layout`). `hilbert_numerator`
 packs the generators under `LEX` and takes the Eliahou-Kervaire sum when
 a certificate proves the ideal stable (`stable_numerator`), as every
 lexsegment ideal is. Otherwise it runs `packed_numerator`, which
@@ -31,6 +33,8 @@ from math import comb
 
 from .orders import _FIELD, FIELD_BITS, LEX
 from .values import Frozen
+
+_setattr = object.__setattr__
 
 
 class MonomialIdeal(Frozen):
@@ -89,20 +93,35 @@ class _Divisors:
 
 
 def minimalize(n, monomials):
-    """Drop every monomial divisible by another one; checked, then packed."""
+    """Drop every monomial divisible by another one; checked, then packed.
+    When none is dropped, that packing is the ideal's divisor index."""
     monomials = tuple(set(monomials))
     _check(n, monomials)
     index = _Divisors(n, monomials)
     packed = dict(zip(index.packed, monomials))
     kept = sorted(_minimal(packed, index.guard), reverse=True)  # desc. lex
-    return MonomialIdeal(n, tuple(map(packed.get, kept)))
+    J = _ideal(n, tuple(map(packed.get, kept)))
+    if len(kept) == len(monomials):
+        index.packed = kept
+        _setattr(J, "divisor_index", index)
+    return J
 
 
 def packed_ideal(layout, monomials):
     """The MonomialIdeal generated by the packed monomials of `layout`:
     minimalized packed (degree fields may be set), survivors unpacked."""
     gens = map(layout.unpack, _minimal(set(monomials), layout.guard))
-    return MonomialIdeal(layout.nvars, tuple(sorted(gens, reverse=True)))
+    return _ideal(layout.nvars, tuple(sorted(gens, reverse=True)))
+
+
+def _ideal(n, gens):
+    """The MonomialIdeal of `gens`, minimal generators in descending lex
+    that are valid already (checked or unpacked), without a second
+    `_check`."""
+    J = object.__new__(MonomialIdeal)
+    _setattr(J, "n", n)
+    _setattr(J, "gens", gens)
+    return J
 
 
 def contains(J, m):

@@ -2,8 +2,15 @@
 reverse lexicographic, and Borel-fixed.
 
 Every failing verdict carries a witness that can be re-validated with
-`contains` alone. Where a predicate lists the monomials of a degree, it
-takes them from `series._lex_monomials`, the one monomial enumerator.
+`contains` alone. A holding verdict lists no monomials where a
+certificate decides it: Macaulay bounds for a lexsegment ideal, and the
+adjacent Borel moves of the minimal generators for strong stability,
+hence for the Borel test in characteristic 0 and, with one more monomial
+per generator and variable, for the weakly revlex test of a strongly
+stable ideal (every degrevlex gin in characteristic 0 is one). Where a
+predicate lists the monomials of a degree, to find a witness or to
+decide an ideal no certificate covers, it takes them from
+`series._lex_monomials`, the one monomial enumerator.
 """
 
 from __future__ import annotations
@@ -80,16 +87,39 @@ def is_lexsegment(J):
 def is_weakly_revlex(J):
     """Minimal generators only: same-degree revlex-larger monomials are in
     J; the witness is the first failing generator and the lex-largest
-    monomial it misses. Each degree's monomials, in descending revlex order
-    (the reversed tuples of the ascending lex list), are decided once, as
-    far as each generator needs. A degree above EXP_MAX, too large for a
-    packed degree field, raises `ExponentOverflow` before its monomials
-    are listed."""
+    monomial it misses. A degree above EXP_MAX, too large for a packed
+    degree field, raises `ExponentOverflow` first.
+
+    A strongly stable J (`_strongly_stable`) is decided by one monomial
+    per generator g and index i >= 2 with g_i > 0, with S = g_1 + ... +
+    g_(i-1):
+
+        w = x_(i-1)^(S+1) x_i^(g_i - 1) x_(i+1)^g_(i+1) ... x_n^g_n.
+
+    Each w is a monomial of g's degree above g, so a weakly revlex J
+    holds them all. Conversely, a monomial m of g's degree is above g in
+    degrevlex iff, at the last index i where they differ, m_i = e < g_i
+    (i >= 2, as the degrees agree). So m = x^a x_i^e t, where t =
+    x_(i+1)^g_(i+1) ... x_n^g_n and x^a is a monomial in x_1 .. x_(i-1)
+    of degree A = S + g_i - e. Every such x^a arises from x_(i-1)^A by
+    moves x_(i-1) -> x_k, k < i - 1, so in a strongly stable J all of
+    them lie in J iff x_(i-1)^A x_i^e t does. That member for e - 1 is
+    the move x_i -> x_(i-1) of the one for e, so e = g_i - 1, which is
+    w, implies all smaller e. When J is not strongly stable, or some w
+    is missing, each degree's monomials are listed in descending revlex
+    order (the reversed tuples of the ascending lex list) and decided
+    once, as far as each generator needs, to find the witness.
+    """
+    if any(sum(g) > EXP_MAX for g in J.gens):
+        raise ExponentOverflow()
+    if _strongly_stable(J) and all(
+            contains(J, (0,) * (i - 1) + (sum(g[:i]) + 1, g[i] - 1)
+                     + g[i + 1:])
+            for g in J.gens for i in range(1, J.n) if g[i]):
+        return PropertyVerdict(True)
     walks = {}  # degree -> [monomials in descending revlex, how many decided]
     for g in J.gens:
         d = sum(g)
-        if d > EXP_MAX:
-            raise ExponentOverflow()
         if d not in walks:
             walks[d] = [[m[::-1] for m in _lex_monomials(J.n, d)], 0]
         walk = walks[d]
@@ -99,6 +129,21 @@ def is_weakly_revlex(J):
             return PropertyVerdict(False, (g, max(missing)))
         walk[1] = max(walk[1], i)
     return PropertyVerdict(True)
+
+
+def _strongly_stable(J):
+    """Whether x_i u / x_j lies in J for every member u, x_j | u, i < j.
+
+    The adjacent moves x_(j-1) m / x_j of the minimal generators decide
+    that. Suppose they all stay in J, and let u = g w be in J, with g a
+    minimal generator and x_j | u. If x_j | w, then x_(j-1) u / x_j =
+    g (x_(j-1) w / x_j) is in J (move w); otherwise x_j | g, and
+    x_(j-1) u / x_j = (x_(j-1) g / x_j) w is in J (move g). So J is
+    closed under adjacent moves. For i < j, x_i u / x_j is the j - i
+    adjacent moves x_j -> x_(j-1) -> ... -> x_i, each applied to a
+    member that the variable it moves divides."""
+    return all(contains(J, _shift(m, j - 1, j, 1))
+               for m in J.gens for j in range(1, len(m)) if m[j])
 
 
 def is_borel_fixed(J, p=0):
@@ -111,22 +156,14 @@ def is_borel_fixed(J, p=0):
 
     When p = 0, or every exponent of J is below p, every s <= t is
     allowed (t is one base-p digit), and the criterion is strong
-    stability. The adjacent moves x_{j-1} m / x_j of the minimal
-    generators decide that. Suppose they all stay in J, and let u = g w
-    be in J, with g a minimal generator and x_j | u. If x_j | w, then
-    x_{j-1} u / x_j = g (x_{j-1} w / x_j) is in J (move w); otherwise
-    x_j | g, and x_{j-1} u / x_j = (x_{j-1} g / x_j) w is in J (move g).
-    So J is closed under adjacent moves. For i < j, x_i u / x_j is the
-    j - i adjacent moves x_j -> x_{j-1} -> ... -> x_i, each applied to a
-    member that the variable it moves divides; and a shift by s is s
-    such single moves. The full scan runs only when this does not apply
-    or the verdict fails, to name the first failing shift as the
+    stability, which the adjacent moves of the minimal generators decide
+    (`_strongly_stable`). The full scan runs only when this does not
+    apply or the verdict fails, to name the first failing shift as the
     witness.
     """
     binom_p_leq(0, 0, p)  # validate the characteristic up front
     if not p or all(e < p for m in J.gens for e in m):
-        if all(contains(J, _shift(m, j - 1, j, 1))
-               for m in J.gens for j in range(1, len(m)) if m[j]):
+        if _strongly_stable(J):
             return PropertyVerdict(True)
     for m in J.gens:
         for j, t in enumerate(m):

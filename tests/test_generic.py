@@ -13,7 +13,8 @@ from ginlab.poly import PackedRing, Polynomial
 from conftest import GIN_32_22, POINT_A
 from oracles import (full_templates, hilbert_function_homogeneous,
                      lead_coefficient, lead_monomial, lead_monomials,
-                     param_count, parse_poly, u_generic_by_macaulay)
+                     monomials_of_degree, param_count, parse_poly,
+                     u_generic_by_macaulay)
 
 
 def test_template_shapes():
@@ -205,6 +206,32 @@ def test_normal_form_family_is_built_normalized(n, order, field):
             assert F.terms == G.terms
             assert [type(c) for _, c in F.terms] == [
                 type(c) for _, c in G.terms]
+
+
+@pytest.mark.parametrize("order", [gl.LEX, gl.DEGLEX, gl.DEGREVLEX])
+@pytest.mark.parametrize("field,bound", [(GF32003, None), (gl.QQ, None),
+                                         (gl.PrimeField(5), 7)])
+def test_ideal_at_point_is_built_normalized(order, field, bound):
+    # the sampled generators skip `from_terms`, so they must have its
+    # terms, in its order and with its coefficient types; over GF(5) a
+    # bound of 7 draws multiples of 5, whose terms drop out
+    dropped = 0
+    for n, degrees in [(1, (2, 3)), (2, (2, 2)), (3, (2, 3)), (4, (2, 2, 3))]:
+        inst = gl.GenericInstance(n, degrees, field, order)
+        ring = gl.xring(n, field)
+        for seed in range(3):
+            point = sample_point(inst, seed, bound)
+            offset = 0
+            for d, F in zip(degrees, ideal_at_point(inst, point)):
+                monos = monomials_of_degree(n, d)  # the point's order
+                G = Polynomial.from_terms(
+                    ring, order, zip(monos, point[offset:offset + len(monos)]))
+                assert F.terms == G.terms
+                assert [type(c) for _, c in F.terms] == [
+                    type(c) for _, c in G.terms]
+                dropped += len(monos) - len(F.terms)
+                offset += len(monos)
+    assert (dropped > 0) == (field.char == 5)
 
 
 #: (n, degrees, degrees sampled, field, order) of the parametric route

@@ -1,10 +1,12 @@
 import random
+from itertools import product
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import ginlab as gl
+from ginlab import ideals
 from ginlab.ideals import (contains, hilbert_numerator, hilbert_series,
                            packed_numerator, power_series, stable_numerator,
                            times_one_minus)
@@ -52,6 +54,26 @@ def test_contains_generators():
     for _ in range(20):
         J = random_monomial_ideal(rng, 3)
         assert all(gl.contains(J, g) for g in J.gens)
+
+
+@pytest.mark.parametrize("gens,dropped", [
+    ([[2, 0, 0], [1, 1, 0], [0, 3, 2], [0, 0, 5]], 0),  # minimal already
+    ([[2, 0, 0], [3, 1, 0], [1, 1, 0], [1, 1, 0], [0, 3, 2], [0, 0, 5],
+      [1, 0, 7]], 2),
+])
+def test_loaded_ideal_checks_once_and_keeps_a_valid_index(gens, dropped,
+                                                          monkeypatch):
+    checks = []
+    check = ideals._check
+    monkeypatch.setattr(ideals, "_check",
+                        lambda n, g: checks.append(n) or check(n, g))
+    J = gl.MonomialIdeal.from_json({"n": 3, "gens": gens})
+    assert len(checks) == 1
+    assert len(J.gens) == len({tuple(g) for g in gens}) - dropped
+    fresh = gl.MonomialIdeal(J.n, J.gens)  # its index is built anew
+    assert fresh == J
+    for m in product(range(8), repeat=3):
+        assert contains(J, m) == contains(fresh, m) == tuple_contains(J, m)
 
 
 def test_contains_dimension_check():

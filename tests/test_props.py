@@ -76,6 +76,11 @@ def test_is_weakly_revlex_examples():
     assert not v.holds
     assert v.witness == ((1, 0, 1), (0, 2, 0))  # x2^2 beats x1*x3, missing
     assert is_weakly_revlex(gl.minimalize(4, [(1, 0, 0, 0)])).holds
+    # strongly stable, so the certificate runs, fails, and the scan names
+    # the witness
+    J = gl.minimalize(3, [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 3, 0)])
+    assert props._strongly_stable(J)
+    assert is_weakly_revlex(J).witness == ((1, 0, 1), (0, 2, 0))
 
 
 def test_is_borel_fixed_examples():
@@ -156,6 +161,9 @@ def test_is_borel_fixed_matches_full_scan(case):
 
 @settings(max_examples=300, deadline=None)
 @example((gl.minimalize(3, list(INI_J)), 0))
+# strongly stable, and x2^2, above x1*x3, is missing: the certificate
+# fails and the scan names the witness
+@example((gl.minimalize(3, [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 3, 0)]), 0))
 # x2^2 and x1*x3 both miss for x2*x3: the lex-larger x1*x3 is the witness
 @example((gl.minimalize(3, [(2, 0, 0), (1, 1, 0), (0, 1, 1)]), 0))
 @given(monomial_ideals())
@@ -184,6 +192,30 @@ def test_borel_fast_path_tests_adjacent_moves_only(n, degrees, order, tests,
                         lambda J, m: calls.append(m) or contains(J, m))
     assert is_borel_fixed(J, 0).holds
     assert len(calls) == tests == sum(1 for g in J.gens for e in g[1:] if e)
+
+
+@pytest.mark.parametrize("n,degrees", [
+    (4, (2, 2, 2)), (4, (2, 2, 3)), (4, (3, 3)), (4, (3, 3, 3)),
+    (4, (2, 2, 2, 2)), (5, (2, 2)),
+])
+def test_weakly_revlex_certificate_lists_no_monomials(n, degrees,
+                                                      monkeypatch):
+    # the degrevlex gins are strongly stable and weakly revlex: one
+    # adjacent move and one certificate monomial per generator g and
+    # variable x_j | g, j >= 2, and no degree listed
+    J = gl.gin_by_sampling(gl.GenericInstance(n, degrees, GF32003,
+                                              gl.DEGREVLEX), trials=1).ideal
+    calls = []
+    contains = props.contains
+    monkeypatch.setattr(props, "contains",
+                        lambda J, m: calls.append(m) or contains(J, m))
+
+    def listed(*args):
+        raise AssertionError("a degree was listed")
+
+    monkeypatch.setattr(props, "_lex_monomials", listed)
+    assert is_weakly_revlex(J).holds
+    assert len(calls) <= 2 * sum(1 for g in J.gens for e in g[1:] if e)
 
 
 def test_criterion_action_agreement():
