@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
+from itertools import islice
 from math import comb
 from operator import mul
 
@@ -32,23 +33,15 @@ class InconclusiveSampling(RuntimeError):
 _MASK = (1 << 64) - 1
 
 
-class SplitMix64:
-    """64-bit splitmix generator; the only randomness source in sampling."""
-
-    def __init__(self, seed):
-        self.state = seed & _MASK
-
-    def next_u64(self):
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+def _splitmix64(seed):
+    """The 64-bit splitmix stream seeded with `seed`: the only randomness
+    source in sampling."""
+    state = seed & _MASK
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & _MASK
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        return z ^ (z >> 31)
-
-    def nonzero_int(self, bound):
-        """Uniform over the nonzero integers in [-bound, bound]."""
-        u = self.next_u64() % (2 * bound)
-        return u - bound if u < bound else u - bound + 1
+        yield z ^ (z >> 31)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +121,7 @@ def normal_form_family(inst):
     for i, (_, tail) in enumerate(rows):
         names += [f"t{i + 1}_{k + 1}" for k in range(len(tail))]
     nparams = len(names) - n
-    ring = Ring(inst.field, tuple(names), n)
+    ring = Ring(inst.field, tuple(names))
     one = inst.field.of(1)
     out = []
     offset = 0
@@ -155,8 +148,11 @@ def sample_point(inst, seed, bound=None):
         bound = inst.field.char - 1 if inst.field.char else 99
     if bound < 1:
         raise ValueError("coefficient bound must be >= 1")
-    rng = SplitMix64(seed)
-    return tuple(rng.nonzero_int(bound) for _ in range(inst.nparams))
+    span = 2 * bound
+    draws = islice(_splitmix64(seed), inst.nparams)
+    # uniform over the nonzero integers in [-bound, bound]
+    return tuple(u - bound if u < bound else u - bound + 1
+                 for u in (z % span for z in draws))
 
 
 def ideal_at_point(inst, point):
@@ -239,8 +235,7 @@ def trial_seeds(seed, trials):
     """The per-trial sampling seeds that `seed` and `trials` determine."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    base = SplitMix64(seed)
-    return tuple(base.next_u64() for _ in range(trials))
+    return tuple(islice(_splitmix64(seed), trials))
 
 
 def gin_by_sampling(inst, trials=5, seed=0, bound=None, budget=None):

@@ -41,13 +41,18 @@ is larger than all of them, so the remainder, the reducers chosen and
 the step count are those of one heap over every term. In lex gins most
 remainder terms lie below that key.
 
-Hilbert-driven pair elimination. Let S = k[x_1..x_n] be the ring of all
-the variables, and let every generator be homogeneous of degree >= 1,
-with degrees d_1..d_s. The bracket series of those degrees is
-H = |prod(1 - t^d_i) / (1 - t)^n|, where |.| zeroes every coefficient
-from the first non-positive one on. Froeberg's inequality (R. Froeberg,
-"An inequality for Hilbert series of graded algebras", Math. Scand. 56,
-1985): for forms f_1..f_s of degrees d_1..d_s over any field k,
+The Hilbert count. Let x = x_1..x_n be the run's main variables: the
+main block of an inverse block order under `buchberger`'s
+`stop_at_gin`, and every variable of the ring otherwise. Let every
+generator be homogeneous in x of x-degree >= 1, with x-degrees
+d_1..d_s, and let K be the field of the other variables' rational
+functions, K = k(t), or K = k when x is every variable. Let I_K be the
+ideal the generators span in S = K[x], and H the bracket series of
+d_1..d_s in n variables, H = |prod(1 - t^d_i) / (1 - t)^n|, where |.|
+zeroes every coefficient from the first non-positive one on.
+Froeberg's inequality (R. Froeberg, "An inequality for Hilbert series
+of graded algebras", Math. Scand. 56, 1985): for forms f_1..f_s of
+degrees d_1..d_s over any field K,
 
     HS(S/(f_1, ..., f_s)) >= |prod(1 - t^d_i) / (1 - t)^n|
 
@@ -58,36 +63,16 @@ sequence 0 -> (0 : f)(-d) -> A(-d) -> A -> A/fA -> 0, which gives
 HS(A/fA) >= (1 - t^d) HS(A) coefficientwise, and facts about |.| such
 as |(1 - t^d) a| >= |(1 - t^d) b| whenever a >= b lexicographically.
 
-`buchberger` takes pairs in nondecreasing lcm degree. Before a pair of
-degree d it checks HF(S/in G)_e = H_e for every completed degree e < d,
-including degrees without pairs, and drops all remaining degree-d pairs
-when also HF(S/in G)_d = H_d. That is sound: in(G) is contained in
-in(I), so HF(S/in G) >= HF(S/in I) = HF(S/I) in every degree; if
-HF(S/I) first left H in a degree e <= d, it would be larger than H_e by
-the inequality, and so would HF(S/in G)_e. Hence in(G) and in(I) agree
-through degree d, and every dropped pair would have reduced to zero. The
-basis is the same list, and only reductions to zero are skipped. The
-first completed degree with HF(S/in G)_e != H_e switches the rule off
-for the rest of the run: in(G)_e = in(I)_e there, so HF(S/I) != H.
+The run keeps the Hilbert numerator of J, the ideal of the x-parts of
+its leads (the x-leads; with x every variable, J = in(G)), up to date
+as leads join, one colon ideal per lead (Bayer-Stillman; Bigatti,
+"Computation of Hilbert-Poincare series", JPAA 1997), so each check
+reads one coefficient (see `_HilbertCount`). Input that is not
+homogeneous in x, or that has a generator constant in x, runs without
+the count.
 
-The Hilbert numerator of in(G) is kept up to date as leads join, one
-colon ideal per lead (Bayer-Stillman; Bigatti, "Computation of
-Hilbert-Poincare series", JPAA 1997), so each check reads one
-coefficient (see `_HilbertCount`). A run whose rule held to the end
-returns it as `GroebnerBasis.hilbert_numerator`: HF(S/I) equals H in
-every degree iff it equals `series.bracket_numerator` (the u-check of
-`generic.is_u_generic`). Input that is not homogeneous, or that has a
-constant generator, runs without the rule.
-
-A certified stop for parametric runs (`buchberger`'s `stop_at_gin`).
-Let the ring be k[t, x] under an inverse block order, the main block x
-= x_1..x_n most significant, and let every generator be homogeneous in
-x of x-degree >= 1, with x-degrees d_1..d_s. Let K = k(t), I_K the
-ideal the generators span in K[x], S = K[x], and H the bracket series
-of d_1..d_s in n variables. The run keeps the Hilbert numerator of J,
-the ideal of the x-parts of its leads (the x-leads), with a
-`_HilbertCount` on the main-block layout, and ends its pair loop as soon
-as HS(S/J) = H. That is sound:
+The stop. The run ends its pair loop as soon as HS(S/J) = H. That is
+sound:
 
 - The x-lead of any g in I is its lead in K[x]: the main part decides
   the order first, so the lead term of g carries the largest x-monomial
@@ -98,15 +83,32 @@ as HS(S/J) = H. That is sound:
   inequality, over the field K.
 - If HS(S/J) = H, then HF(S/in I_K) <= H in every degree and >= H
   lexicographically, so it equals H in every degree. J is contained in
-  in(I_K) with the same Hilbert function, so J = in(I_K), which is the
-  gin (`generic.gin_parametric`).
+  in(I_K) with the same Hilbert function, so J = in(I_K): with K = k,
+  the leads of G generate in(I) and G is a Groebner basis; under
+  `stop_at_gin`, J is the gin (`generic.gin_parametric`).
 - If the series never match, the run is exactly the full run.
 
-No pair is dropped by degree on this route, as the rule above does:
-pairs are selected by total degree in k[t, x], not by x-degree, and
-over k[t] a pair left out need not reduce to zero. So the result's
-x-leads generate in(I_K), but its elements need not be a Groebner basis
-of I in k[t, x].
+Hilbert-driven pair elimination, when x is every variable. `buchberger`
+takes pairs in nondecreasing lcm degree. Before a pair of degree d it
+checks HF(S/in G)_e = H_e for every completed degree e < d, including
+degrees without pairs, and drops all remaining degree-d pairs when also
+HF(S/in G)_d = H_d. That is sound: in(G) is contained in in(I), so
+HF(S/in G) >= HF(S/in I) = HF(S/I) in every degree; if HF(S/I) first
+left H in a degree e <= d, it would be larger than H_e by the
+inequality, and so would HF(S/in G)_e. Hence in(G) and in(I) agree
+through degree d, and every dropped pair would have reduced to zero. The
+basis is the same list, and only reductions to zero are skipped. The
+first completed degree with HF(S/in G)_e != H_e switches the rule off,
+and the count with it, for the rest of the run: in(G)_e = in(I)_e
+there, so HF(S/I) != H. A run whose count held to the end returns its
+numerator as `GroebnerBasis.hilbert_numerator`: HF(S/I) equals H in
+every degree iff it equals `series.bracket_numerator` (the u-check of
+`generic.is_u_generic`).
+
+No pair is dropped by degree under `stop_at_gin`: pairs are selected by
+total degree in k[t, x], not by x-degree, and over k[t] a pair left out
+need not reduce to zero. So the result's x-leads generate in(I_K), but
+its elements need not be a Groebner basis of I in k[t, x].
 """
 
 from __future__ import annotations
@@ -156,9 +158,11 @@ class Budget:
 class GroebnerBasis:
     """A Groebner basis: the nonzero packed elements `packed` of a run of
     `buchberger` or `reduce_basis` in the `PackedRing` R.
-    `hilbert_numerator` is N(t) with HS(S/in G) = N(t) / (1 - t)^nvars,
-    kept by the Hilbert-driven rule of `buchberger`; it is None when the
-    input did not allow the rule or the rule switched off.
+    `hilbert_numerator` is N(t) with HS(S/J) = N(t) / (1 - t)^n, kept by
+    the Hilbert count of `buchberger`: J = in(G) in all n variables, or
+    under `stop_at_gin` the ideal of the x-leads in the n main ones. It
+    is None when the input did not allow the count or the count switched
+    off.
 
     `generators`, and iteration, unpack the elements into Polynomials on
     first access, once. `len()`, the leads and `reduce_basis` read the
@@ -378,19 +382,18 @@ def _update_pairs(leads, pairs, h, layout, serial):
 
 class _HilbertCount:
     """HF(S/J) against the bracket series H while monomials join J, the
-    ideal of the leads of G, or of their x-parts under `stop_at_gin`
-    (see the module docstring). It counts on `layout`: the run's, or the
-    main block's.
+    ideal of the x-leads of G (see the module docstring). It counts on
+    `layout`: the run's, where x is every variable, or the main block's.
 
     Both are series over (1 - t)^n with polynomial numerators; `excess`
     is the numerator of HS(S/J) - H. As (1 - t)^n is a unit of Z[[t]]
     with constant term 1, HF(S/J)_e = H_e for every e <= d iff excess_e =
     0 for every e <= d: the series first differ where `excess` is first
-    nonzero. Adding a monomial m to J, m not in J, subtracts t^deg(m)
-    N(J : m) from the numerator of J. `_colon` gives the minimal
-    generators of J : m, packed, so they go straight to
-    `ideals._numerator`, the pivot recursion, with no second
-    minimalization.
+    nonzero. Adding a monomial m to J subtracts t^deg(m) N(J : m) from
+    the numerator of J; if m is in J already, J : m is the unit ideal,
+    whose numerator is 0. `_colon` gives the minimal generators of J : m,
+    packed, so they go straight to `ideals._numerator`, the pivot
+    recursion, with no second minimalization.
     """
 
     def __init__(self, layout, degrees):
@@ -427,15 +430,18 @@ def _x_degree(g, nmain):
 
 
 def buchberger(gens, order=None, budget=None, *, stop_at_gin=False):
-    """Groebner basis of the ideal generated by `gens`.
+    """Groebner basis of the ideal generated by `gens`, a nonempty list;
+    a list of zero polynomials generates the zero ideal, whose basis is
+    empty.
 
     Pair selection follows the normal strategy: smallest lcm degree first,
     ties broken by the monomial order. When every generator is
-    homogeneous of degree >= 1, the pairs of a degree that the bracket
-    series proves complete are dropped unreduced, and the basis carries
-    the Hilbert numerator of its initial ideal (see the module
-    docstring); the basis is the same either way. The run is in packed
-    form; the basis comes back as Polynomials.
+    homogeneous of degree >= 1, the run ends as soon as the bracket
+    series certifies its leads, the pairs of a degree that the series
+    proves complete are dropped unreduced, and the basis carries the
+    Hilbert numerator of its initial ideal (see the module docstring);
+    the basis is the same either way. The run is in packed form; the
+    basis comes back as Polynomials.
 
     `stop_at_gin` is for an `orders.InverseBlock` order: when every
     generator is homogeneous of degree >= 1 in the main variables, the
@@ -445,27 +451,22 @@ def buchberger(gens, order=None, budget=None, *, stop_at_gin=False):
     generate that initial ideal, but its elements need not be a Groebner
     basis in k[t, x]. Without the certificate the run is the full one.
     """
-    gens = [g for g in gens if g]
     if not gens:
-        raise ValueError("no nonzero generators")
+        raise ValueError("no generators")
     order = order or gens[0].order
     budget = (budget or Budget()).start()
     R = PackedRing(gens[0].ring, order)
     layout = R.layout
-    degrees = [g.degree() for g in gens]
-    hilbert = (_HilbertCount(layout, degrees)
-               if min(degrees) >= 1 and all(g.is_homogeneous() for g in gens)
-               else None)
-    xcount = None
-    if stop_at_gin:
-        main, low = order.main_part(layout)
-        xdegrees = [_x_degree(g, order.nmain) for g in gens]
-        if None not in xdegrees and min(xdegrees) >= 1:
-            xcount = _HilbertCount(main, xdegrees)
-            xleads = []
+    gens = [g for g in gens if g]
+    # the count's layout, and the shift that takes a lead to its x-part
+    main, low = order.main_part(layout) if stop_at_gin else (layout, 0)
+    xdegrees = [_x_degree(g, main.nvars) for g in gens]
+    # falsy: a generator not homogeneous in x (None) or constant in x (0)
+    hilbert = _HilbertCount(main, xdegrees) if all(xdegrees) else None
     serial = count()
     G = []
     leads = []
+    xleads = []  # under stop_at_gin: the x-leads so far
     pairs = []
     table = _Reducers(R)
 
@@ -477,13 +478,11 @@ def buchberger(gens, order=None, budget=None, *, stop_at_gin=False):
             pairs[:], colon = _update_pairs(leads, pairs, lead, layout,
                                             serial)
             if hilbert is not None:
-                hilbert.add(colon, lead)
-            if xcount is not None:
                 m = lead >> low
-                _, colon = _colon(xleads, m, main)
-                if 0 not in colon[:1]:  # else m is in J already
-                    xcount.add(colon, m)
+                if low:  # the x-part, against the x-leads so far
+                    _, colon = _colon(xleads, m, main)
                     xleads.append(m)
+                hilbert.add(colon, m)
             G.append(h)
             leads.append(lead)
             table.add(entry)
@@ -491,16 +490,17 @@ def buchberger(gens, order=None, budget=None, *, stop_at_gin=False):
     for f in gens:
         add(normal_form(R.pack(f), table, R, budget))
     while pairs:
-        if xcount is not None and xcount.first_difference() is None:
-            break
+        if hilbert is not None:
+            e = hilbert.first_difference()
+            if e is None:
+                break
         budget.check(len(pairs))
         best = min(pairs)
-        if hilbert is not None:
+        if hilbert is not None and not low:
             d = layout.degree(best[4])
-            e = hilbert.first_difference()
-            if e is not None and e < d:
+            if e < d:
                 hilbert = None
-            elif e != d:
+            elif e > d:
                 pairs[:] = [p for p in pairs if layout.degree(p[4]) != d]
                 continue
         pairs.remove(best)

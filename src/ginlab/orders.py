@@ -33,8 +33,9 @@ field. Packing refuses such an exponent with `ExponentOverflow`, and so
 does the kernel when a product would create one: nothing ever compares
 or divides a monomial that does not fit.
 
-Every order's ``key(m)`` on exponent tuples is the key of the packed
-monomial, so the tuple boundary and the kernel sort alike.
+An exponent tuple m sorts by the key of its packed monomial,
+``layout.key(layout.pack(m))``, so the tuple boundary and the kernel
+sort alike.
 
 Orders are frozen values, equal when their fields are: `SingleBlock`
 (LEX, DEGLEX, DEGREVLEX) and `InverseBlock`. A layout depends only on
@@ -175,10 +176,6 @@ class Layout:
         """The packed monomial with order key k."""
         return k + 2 * self._grev - 2 * ((k + self._grev) & self.rev)
 
-    def divides(self, a, b):
-        """True iff packed a divides packed b."""
-        return ((b | self.guard) - a) & self.guard == self.guard
-
     def degree(self, P):
         """Total degree: the sum of the degree fields."""
         return sum((P >> b[0]) & _FIELD for b in self._blocks)
@@ -227,11 +224,6 @@ class _Order(Frozen):
     def layout(self, n):
         """The packed-monomial layout of n-variable monomials."""
         return _layout(n, self.blocks(tuple(range(n))))
-
-    def key(self, m):
-        """Sort key of an exponent tuple: bigger monomials, bigger keys."""
-        layout = self.layout(len(m))
-        return layout.key(layout.pack(m))
 
 
 class SingleBlock(_Order):

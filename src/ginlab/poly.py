@@ -2,9 +2,9 @@
 
 A polynomial is a tuple of (monomial, coefficient) terms kept strictly
 descending under its active order, with exponent tuples as monomials:
-that is the public form. Rings may declare a main/parameter split: the
-first `nmain` variables are the main x-variables, the tail holds
-parameters (the coefficients of the parametric family).
+that is the public form. In a ring of the parametric family the main
+x-variables come first and the parameters after them; the order says
+where they split (`orders.InverseBlock.nmain`).
 
 The Groebner kernel works on the packed form instead (`PackedRing`,
 `Packed`): each monomial is the int order key of its packed exponent
@@ -33,15 +33,10 @@ class RingMismatch(ValueError):
 
 
 class Ring(Frozen):
-    """Variable names plus coefficient field; names[:nmain] are main vars."""
+    """Variable names plus coefficient field."""
 
     field: object
     names: tuple
-    nmain: int = -1
-
-    def __post_init__(self):
-        if self.nmain < 0:
-            object.__setattr__(self, "nmain", len(self.names))
 
     @property
     def nvars(self):
@@ -86,15 +81,6 @@ class Polynomial:
 
     def __bool__(self):
         return bool(self.terms)
-
-    def degree(self):
-        if not self.terms:
-            return -1
-        return max(sum(m) for m, _ in self.terms)
-
-    def is_homogeneous(self):
-        degs = {sum(m) for m, _ in self.terms}
-        return len(degs) <= 1
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):

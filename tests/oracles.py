@@ -2,10 +2,14 @@
 
 - `parse_poly`: a polynomial from text such as "x1^2 - 1/2*x2", the
   way the tests write their input
-- `lead_monomial`, `lead_coefficient`, `lead_monomials` and
-  `param_count`: the leading term of a polynomial, the leading
-  monomials of a Groebner basis and the number of parameter variables
-  of a ring, read off their public fields
+- `lead_monomial`, `lead_coefficient`, `lead_monomials`, `degree` and
+  `is_homogeneous`: the leading term and the degrees of a polynomial,
+  and the leading monomials of a Groebner basis, read off their public
+  fields
+- `param_count`: the number of parameter variables of a ring, given
+  where its main variables end
+- `packed_key`: the order key of an exponent tuple packed by the order's
+  layout, the int the Groebner kernel compares
 - `monomials_of_degree`: every monomial of a degree, in descending lex
   order, from `combinations_with_replacement`; the reference for the
   colex unranker `ginlab.series._lex_monomials`, and the enumerator of
@@ -45,7 +49,8 @@
   monomial, F_i = sum over the degree-d_i monomials m_k of t_{i,k} m_k,
   whose coordinates are the points that `ginlab.sample_point` draws
 - `block_leading_data`: the block lead of a parametric polynomial and its
-  parameter coefficient, by grouping its terms by x-part
+  parameter coefficient, by grouping its terms by x-part (the split
+  point is given: a ring does not record it)
 - `borel_action_check`: Borel-fixedness by its definition, the action
   of x_j -> x_j + c*x_i on each graded piece, by exact row reduction
 - `specialize` and `stability_check`: parameter values substituted into
@@ -120,10 +125,28 @@ def lead_monomials(gb):
     return [lead_monomial(g) for g in gb.generators]
 
 
-def param_count(ring):
-    """The number of parameter variables of `ring`: those after the main
-    ones."""
-    return ring.nvars - ring.nmain
+def param_count(ring, nmain):
+    """The number of parameter variables of `ring`: those after its first
+    `nmain`, the main ones."""
+    return ring.nvars - nmain
+
+
+def degree(f):
+    """The largest total degree of a term of the polynomial `f`, -1 for
+    zero."""
+    return max((sum(m) for m, _ in f.terms), default=-1)
+
+
+def is_homogeneous(f):
+    """Whether every term of the polynomial `f` has one total degree."""
+    return len({sum(m) for m, _ in f.terms}) <= 1
+
+
+def packed_key(order, m):
+    """The order key of the exponent tuple m, packed by the order's
+    layout: the int that the Groebner kernel compares."""
+    layout = order.layout(len(m))
+    return layout.key(layout.pack(m))
 
 
 def parse_poly(text, ring, order):
@@ -310,9 +333,9 @@ def hilbert_function_homogeneous(gens, d):
     for f in gens:
         if not f:
             continue
-        if not f.is_homogeneous():
+        if not is_homogeneous(f):
             raise ValueError("generators must be homogeneous")
-        df = f.degree()
+        df = degree(f)
         if df > d:
             continue
         for tau in monomials_of_degree(n, d - df):
@@ -537,7 +560,7 @@ def full_templates(inst):
     for i, d in enumerate(inst.degrees):
         r = comb(inst.n + d - 1, d)
         names += [f"t{i + 1}_{k + 1}" for k in range(r)]
-    ring = Ring(inst.field, tuple(names), inst.n)
+    ring = Ring(inst.field, tuple(names))
     out = []
     offset = 0
     for d in inst.degrees:
@@ -552,8 +575,9 @@ def full_templates(inst):
     return out
 
 
-def block_leading_data(F, main_order):
-    """Leading x-monomial of F in k[t][x] and its parameter coefficient.
+def block_leading_data(F, main_order, nmain):
+    """Leading x-monomial of F in k[t][x], x its first `nmain` variables,
+    and its parameter coefficient.
 
     Returns (lead_monomial over the main variables, lead_coefficient as a
     polynomial over the parameter ring).
@@ -563,31 +587,30 @@ def block_leading_data(F, main_order):
     ring = F.ring
     groups = {}
     for m, c in F.terms:
-        groups.setdefault(m[: ring.nmain], []).append((m[ring.nmain:], c))
-    lead = max(groups, key=main_order.key)
-    tring = Ring(ring.field, ring.names[ring.nmain:])
+        groups.setdefault(m[:nmain], []).append((m[nmain:], c))
+    lead = max(groups, key=lambda m: tuple_key(main_order, m))
+    tring = Ring(ring.field, ring.names[nmain:])
     coeff = Polynomial.from_terms(tring, LEX, groups[lead])
     return lead, coeff
 
 
-def specialize(F, point):
-    """F with its parameters set to `point` (one value per parameter
-    variable, in ring order), over the main variables, under the main
-    order of an inverse block order."""
+def specialize(F, point, nmain):
+    """F with its parameters, the variables after the first `nmain`, set
+    to `point` (one value per parameter, in ring order), over the main
+    variables, under the main order of an inverse block order."""
     ring, fld = F.ring, F.ring.field
-    if len(point) != param_count(ring):
+    if len(point) != param_count(ring, nmain):
         raise ValueError(f"point has {len(point)} coordinates, "
-                         f"ring has {param_count(ring)} parameters")
+                         f"ring has {param_count(ring, nmain)} parameters")
     values = [fld.of(v) for v in point]
     terms = []
     for m, c in F.terms:
-        for v, e in zip(values, m[ring.nmain:]):
+        for v, e in zip(values, m[nmain:]):
             for _ in range(e):
                 c = Arith(fld).mul(c, v)
-        terms.append((m[: ring.nmain], c))
+        terms.append((m[:nmain], c))
     order = F.order.main_order if isinstance(F.order, InverseBlock) else F.order
-    return Polynomial.from_terms(Ring(fld, ring.names[: ring.nmain]), order,
-                                 terms)
+    return Polynomial.from_terms(Ring(fld, ring.names[:nmain]), order, terms)
 
 
 @dataclass(frozen=True)
@@ -598,7 +621,8 @@ class StabilityVerdict:
 
 def stability_check(gens, point):
     """Kalkbrener-style specialization test for a basis `gens` under an
-    inverse block order (their own order).
+    inverse block order (their own order). Under any other order the
+    basis has no parameters, and it is stable at the empty point.
 
     Splits the basis by whether the block leading coefficient survives
     specialization at `point`, that is whether the block-lead x-monomial
@@ -609,14 +633,15 @@ def stability_check(gens, point):
     significant, so the x-part of a member's lead is its block lead.
     """
     gens = list(gens)
-    if not gens or param_count(gens[0].ring) == 0:
-        return StabilityVerdict(True, tuple(range(len(gens))))
-    order = gens[0].order
+    order = gens[0].order if gens else None
     if not isinstance(order, InverseBlock):
-        raise ValueError("a basis with parameters needs an inverse block order")
+        if point:
+            raise ValueError(
+                "a basis with parameters needs an inverse block order")
+        return StabilityVerdict(True, tuple(range(len(gens))))
     survivors, kept, vanished = [], [], []
     for idx, g in enumerate(gens):
-        sg = specialize(g, point)
+        sg = specialize(g, point, order.nmain)
         if lead_monomial(g)[: order.nmain] in dict(sg.terms):
             survivors.append(idx)
             kept.append(sg)

@@ -44,6 +44,17 @@ def test_gin_sample(capsys):
     assert data["agreement"] == 5
 
 
+def test_gin_trial_whose_templates_vanish(capsys):
+    # over F2 with bound 2 every coefficient of this trial is +-2, which
+    # is 0 mod 2: the trial's ideal is the zero ideal, not a crash
+    code, out = run(capsys, "gin", "-n", "1", "-d", "1", "--field", "F2",
+                    "--bound", "2", "--trials", "1", "--seed", "0")
+    assert code == 0
+    data = json.loads(out)
+    assert data["ideal"] == {"n": 1, "gens": [], "gens_str": []}
+    assert (data["agreement"], data["u_generic"]) == (1, ["no"])
+
+
 def test_gin_parametric(capsys):
     code, out = run(capsys, "gin", "-n", "2", "-d", "2,2", "--order", "lex",
                     "--route", "parametric", "--field", "Q")

@@ -23,8 +23,8 @@ def test_fields_are_values_keyed_by_their_characteristic():
     J = gl.minimalize(2, [(0, 2), (1, 0), (1, 1)])
     names = ("x1", "x2")
     values = [
-        (gl.Ring(QQ, names), gl.Ring(names=names, field=Field(0), nmain=2),
-         gl.Ring(QQ, names, 1)),
+        (gl.Ring(QQ, names), gl.Ring(names=names, field=Field(0)),
+         gl.Ring(QQ, names[::-1])),
         (gl.MonomialIdeal(2, ((1, 0), (0, 2))), J,
          gl.MonomialIdeal(n=2, gens=((1, 0),))),
         (gl.GenericInstance(2, (2, 2)),

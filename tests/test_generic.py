@@ -4,8 +4,8 @@ import random
 import pytest
 
 import ginlab as gl
-from ginlab.generic import (GF32003, InconclusiveSampling, SplitMix64,
-                            ideal_at_point, normal_form_family, sample_point)
+from ginlab.generic import (GF32003, InconclusiveSampling, ideal_at_point,
+                            normal_form_family, sample_point)
 from ginlab.groebner import buchberger
 from ginlab.orders import InverseBlock, mono_divides
 from ginlab.poly import PackedRing, Polynomial
@@ -66,9 +66,9 @@ def test_sample_point_range():
     inst = gl.GenericInstance(2, (2,))
     pt = sample_point(inst, seed=1, bound=9)
     assert all(p != 0 and -9 <= p <= 9 for p in pt)
-    rng = SplitMix64(0)
-    draws = {rng.nonzero_int(2) for _ in range(200)}
-    assert draws == {-2, -1, 1, 2}
+    # 60 coordinates with bound 2: every nonzero value in [-2, 2] shows
+    wide = gl.GenericInstance(4, (3, 3, 3))
+    assert set(sample_point(wide, seed=0, bound=2)) == {-2, -1, 1, 2}
 
 
 def test_single_monomial_template_sampling():
@@ -174,7 +174,7 @@ def test_normal_form_family_shape(n, degrees, order, nparams, ngens):
     inst = gl.GenericInstance(n, degrees, main_order=order)
     family = normal_form_family(inst)
     assert len(family) == ngens
-    assert all(param_count(F.ring) == nparams for F in family)
+    assert all(param_count(F.ring, n) == nparams for F in family)
     pivots = [lead_monomial(F)[:n] for F in family]
     # monic at its pivot, which no earlier generator's pivot divides
     for k, F in enumerate(family):

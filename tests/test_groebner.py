@@ -16,10 +16,11 @@ from ginlab.series import bracket_numerator
 
 from conftest import GIN_32_22, INI_I, INI_J, POINT_A
 from test_acceptance import CRIT4_GRID
-from oracles import (_tuple_update_pairs, block_leading_data, full_templates,
-                     hilbert_function_homogeneous, is_groebner,
-                     lead_monomial, lead_monomials, mono_mul,
-                     monomials_of_degree, parse_poly, stability_check,
+from oracles import (_tuple_update_pairs, block_leading_data, degree,
+                     full_templates, hilbert_function_homogeneous,
+                     is_groebner, lead_monomial, lead_monomials, mono_mul,
+                     monomials_of_degree, packed_key, parse_poly,
+                     stability_check,
                      tuple_buchberger, tuple_hilbert_numerator,
                      tuple_minimalize, tuple_normal_form, tuple_reduce_basis,
                      tuple_s_polynomial)
@@ -81,6 +82,17 @@ def test_s_polynomial_construction():
 def test_s_polynomial_rejects_zero():
     with pytest.raises(ValueError):
         s_polynomial(Polynomial(R2, gl.LEX, ()), parse_poly("x1", R2, gl.LEX))
+
+
+def test_zero_generators_are_the_zero_ideal():
+    zero = Polynomial(R2, gl.LEX, ())
+    gb = gl.buchberger([zero, zero], gl.LEX)
+    assert len(gb) == 0 and gb.generators == ()
+    # HS(S/(0)) = 1 / (1 - t)^2
+    assert gb.hilbert_numerator == (1,)
+    assert len(gl.reduce_basis(gb)) == 0
+    with pytest.raises(ValueError):
+        gl.buchberger([], gl.LEX)
 
 
 def test_buchberger_monomial_input_is_fixed_point():
@@ -343,8 +355,9 @@ def two_zone_cases(draw):
                  min_size=1, max_size=3))]
     G = [g for g in G if g]
     assume(G)
-    least = min((lead_monomial(g) for g in G), key=order.key)
-    below = [m for m in ZONE_MONOS if order.key(m) < order.key(least)]
+    key = lambda m: packed_key(order, m)
+    least = min((lead_monomial(g) for g in G), key=key)
+    below = [m for m in ZONE_MONOS if key(m) < key(least)]
     terms = draw(st.lists(st.tuples(st.sampled_from(below), coeff),
                           max_size=3)) if below else []
     if draw(st.booleans()):
@@ -563,7 +576,7 @@ def test_stop_without_a_certificate_is_the_full_run():
     # over K = k(t1, t2) the ideal is x1 * (x1, x2), whose series
     # 1 + 2t + t^2 + t^3 + ... never meets the bracket series 1 + 2t + t^2
     # of two quadrics, so the flagged run may not stop early
-    ring = Ring(gl.QQ, ("x1", "x2", "t1", "t2"), 2)
+    ring = Ring(gl.QQ, ("x1", "x2", "t1", "t2"))
     order = gl.InverseBlock(gl.LEX, gl.DEGREVLEX, 2)
     gens = [parse_poly("x1^2 + t1*x1*x2", ring, order),
             parse_poly("x1*x2 + t2*x1^2", ring, order)]
@@ -592,7 +605,7 @@ def test_packed_leads_are_the_block_leads(n, degrees):
     inst = gl.GenericInstance(n, degrees)
     gb = gl.buchberger(full_templates(inst), inst.order)
     assert [m[:n] for m in lead_monomials(gb)] == [
-        block_leading_data(g, inst.main_order)[0] for g in gb.generators]
+        block_leading_data(g, inst.main_order, n)[0] for g in gb.generators]
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +653,7 @@ def test_hilbert_driven_kernel_matches_tuple_kernel(system):
         g.terms for g in tuple_buchberger(gens, order)]
     n = gens[0].ring.nvars
     numerator = tuple_hilbert_numerator(gl.minimalize(n, lead_monomials(gb)))
-    degrees = [g.degree() for g in gens]
+    degrees = [degree(g) for g in gens]
     if gb.hilbert_numerator is not None:
         assert list(gb.hilbert_numerator) == numerator
     elif min(degrees) >= 1:
@@ -677,6 +690,41 @@ def test_hilbert_rule_drops_pairs_on_the_criterion_4_grid(monkeypatch, order):
     assert all(gb.hilbert_numerator is not None for gb in bases)
     assert all(gb.hilbert_numerator is None for gb in plain)
     assert calls < plain_calls and zeros <= plain_zeros // 10
+
+
+def test_complete_count_ends_the_run_before_the_pair_cap():
+    # the x-lead count of this trial matches the bracket series while
+    # pairs are left; the run ends there, before a budget check that
+    # would see more than five pairs
+    inst = gl.GenericInstance(3, (2, 2, 2), GF32003)
+    gens = gl.sample_ideal(inst, seed=0)
+    capped = gl.buchberger(gens, gl.LEX, Budget(max_pairs=5))
+    assert [g.terms for g in capped] == [
+        g.terms for g in gl.buchberger(gens, gl.LEX)]
+    assert gl.is_u_generic(capped, inst) == "yes"
+
+
+def test_one_hilbert_count_per_run(monkeypatch):
+    built = []
+    real = groebner._HilbertCount.__init__
+
+    def counting(self, *args):
+        built.append(self)
+        real(self, *args)
+
+    monkeypatch.setattr(groebner._HilbertCount, "__init__", counting)
+    runs = 0
+    for n, degrees in GIN_PARAM_CASES:
+        for order in (gl.LEX, gl.DEGREVLEX):
+            inst = gl.GenericInstance(n, degrees, GF32003, order)
+            gl.gin_parametric(inst)
+            # homogeneous in x and in all the variables
+            full = full_templates(inst)
+            gl.buchberger(full, inst.order)
+            gl.buchberger(full, inst.order, stop_at_gin=True)
+            gl.buchberger(gl.sample_ideal(inst, seed=0), order)
+            runs += 4
+    assert len(built) == runs
 
 
 def test_hilbert_rule_switches_off_at_a_non_generic_point():
@@ -790,7 +838,7 @@ def test_stability_no_parameters():
 
 
 def test_stability_vanishing_generator():
-    ring = Ring(gl.QQ, ("x1", "x2", "t1"), 2)
+    ring = Ring(gl.QQ, ("x1", "x2", "t1"))
     gens = lambda order: [
         Polynomial.from_terms(ring, order, [((1, 0, 1), 1)]),  # t1*x1
         Polynomial.from_terms(ring, order, [((0, 1, 0), 1)])]  # x2
@@ -809,7 +857,7 @@ def test_stability_generic_point_matches_sampling():
     assert v.stable
     leads = []
     for i in v.survivors:
-        lm, _ = block_leading_data(gb.generators[i], gl.LEX)
+        lm, _ = block_leading_data(gb.generators[i], gl.LEX, 2)
         if any(lm):
             leads.append(lm)
     assert (gl.minimalize(2, leads).gens

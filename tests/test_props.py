@@ -12,7 +12,7 @@ from ginlab.series import _macaulay_digits
 from conftest import GIN_32_22, INI_I, INI_J
 from oracles import (borel_action_check, is_borel_fixed_by_scan,
                      is_lexsegment_by_enumeration, is_weakly_revlex_by_scan,
-                     monomials_of_degree)
+                     monomials_of_degree, packed_key)
 from test_ideals import random_monomial_ideal
 
 
@@ -250,7 +250,7 @@ def test_witnesses_revalidate():
                 continue
             member, missing = verdict.witness
             assert sum(member) == sum(missing)
-            assert order.key(missing) > order.key(member)
+            assert packed_key(order, missing) > packed_key(order, member)
             assert not gl.contains(J, missing)
         v = is_borel_fixed(J, 0)
         if not v.holds:
