@@ -12,9 +12,9 @@ from .ideals import (MonomialIdeal, contains, hilbert_numerator,
                      hilbert_series, minimalize, top_degree)
 from .series import (InadmissibleHilbertFunction, bracket_truncate,
                      froeberg_series, lexsegment_bound, lexsegment_of_hf)
-from .generic import (GenericInstance, GinResult, InconclusiveSampling,
-                      gin_by_sampling, gin_parametric, ideal_at_point,
-                      is_u_generic, sample_ideal, sample_point)
+from .generic import (GenericInstance, GinResult, gin_by_sampling,
+                      gin_parametric, ideal_at_point, is_u_generic,
+                      sample_ideal, sample_point)
 from .props import (PropertyVerdict, is_borel_fixed, is_lexsegment,
                     is_weakly_revlex)
 

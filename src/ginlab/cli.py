@@ -1,9 +1,9 @@
 """Command-line workbench.
 
 Subcommands: gin, check, froeberg, lexseg, bound, hilbert, gb, survey.
-Exit codes: 0 success, 1 mathematical failure (inconclusive majority,
-budget exhaustion, inadmissible Hilbert function, an exponent too large
-for a packed monomial), 2 usage error.
+Exit codes: 0 success, 1 mathematical failure (budget exhaustion,
+inadmissible Hilbert function, an exponent too large for a packed
+monomial), 2 usage error.
 All output is JSON with pinned key order; fixed seeds give byte-identical
 output.
 """
@@ -19,8 +19,8 @@ from itertools import product
 from pathlib import Path
 
 from .fields import field_by_name
-from .generic import (SCHEMA, GenericInstance, InconclusiveSampling,
-                      gin_by_sampling, gin_parametric, trial_seeds)
+from .generic import (SCHEMA, GenericInstance, gin_by_sampling,
+                      gin_parametric, trial_seeds)
 from .groebner import (Budget, BudgetExceeded, buchberger, reduce_basis)
 from .ideals import (MonomialIdeal, _check, hilbert_series, packed_ideal,
                      top_degree)
@@ -32,8 +32,9 @@ from .series import (InadmissibleHilbertFunction, froeberg_series,
                      lexsegment_of_hf)
 
 #: mathematical failures: exit 1 with the reason as JSON
-FAILURES = (InconclusiveSampling, BudgetExceeded, InadmissibleHilbertFunction,
-            ExponentOverflow)
+FAILURES = (BudgetExceeded, InadmissibleHilbertFunction, ExponentOverflow)
+#: the names of FAILURES, which begin the "error" of a failed survey row
+_FAILURE_NAMES = {cls.__name__ for cls in FAILURES}
 
 CSV_COLUMNS = ["n", "s", "degrees", "order", "route", "gin", "is_lexsegment",
                "is_weakly_revlex", "is_borel_fixed", "maxdeg_gin",
@@ -178,16 +179,18 @@ def _load_ideal(path):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_gin(args):
-    inst = GenericInstance(args.n, args.degrees, args.field,
-                           ORDERS_BY_NAME[args.order])
+def _gin(args, n, degrees):
+    """The gin of n variables and `degrees` by the route, order, field,
+    seed, trials, bound and budget that `args` names."""
+    inst = GenericInstance(n, degrees, args.field, ORDERS_BY_NAME[args.order])
     budget = Budget(ms=args.budget_ms, max_pairs=args.max_pairs)
     if args.route == "sample":
-        result = gin_by_sampling(inst, trials=args.trials, seed=args.seed,
-                                 bound=args.bound, budget=budget)
-    else:
-        result = gin_parametric(inst, budget=budget)
-    out = result.to_json()
+        return gin_by_sampling(inst, args.trials, args.seed, args.bound, budget)
+    return gin_parametric(inst, budget)
+
+
+def cmd_gin(args):
+    out = _gin(args, args.n, args.degrees).to_json()
     _with_strings(out["ideal"])
     emit(out)
     return 0
@@ -279,18 +282,11 @@ def survey_row(head, args):
     t0 = time.perf_counter()
     row = dict(head)
     try:
-        inst = GenericInstance(row["n"], row["degrees"], args.field,
-                               ORDERS_BY_NAME[args.order])
-        budget = Budget(ms=args.budget_ms)
-        if args.route == "sample":
-            res = gin_by_sampling(inst, trials=args.trials, seed=args.seed,
-                                  budget=budget)
-            row["agreement"] = res.agreement
+        res = _gin(args, row["n"], row["degrees"])
+        row["agreement"] = res.agreement  # None on the parametric route
+        if res.route == "sampling":
             row["u_generic"] = list(res.u_generic)
-        else:
-            res = gin_parametric(inst, budget=budget)
-            row["agreement"] = None
-        J = res.ideal
+        J, inst = res.ideal, res.inst
         row["gin"] = J.to_json()
         row["is_lexsegment"] = is_lexsegment(J).holds
         row["is_weakly_revlex"] = is_weakly_revlex(J).holds
@@ -366,15 +362,15 @@ def cmd_survey(args):
                     "route": args.route, "field": args.field.name,
                     "seeds": seeds, "budget_ms": args.budget_ms}
             key = _row_key(head)
-            done = existing.get(key)
-            # a failure is retried under a different budget, not the same one
-            if done is not None and (done["error"] is None
-                                     or done.get("budget_ms") == args.budget_ms):
-                rows.append(done)
-                continue
-            row = survey_row(head, args)
-            log.write(json.dumps(row) + "\n")
-            existing[key] = row
+            row = existing.get(key)
+            # a failure is reused under the same budget only, and only if
+            # its exception is still one of FAILURES
+            if row is None or row["error"] is not None and (
+                    row.get("budget_ms") != args.budget_ms
+                    or row["error"].split(":")[0] not in _FAILURE_NAMES):
+                row = survey_row(head, args)
+                log.write(json.dumps(row) + "\n")
+                existing[key] = row
             rows.append(row)
         writer = csv.DictWriter(table, CSV_COLUMNS, extrasaction="ignore")
         writer.writeheader()
@@ -407,14 +403,18 @@ def build_parser():
         p.add_argument("--budget-ms", type=_milliseconds, default=None)
         p.add_argument("--max-pairs", type=_non_negative, default=None)
 
+    def gin_options(p):
+        p.add_argument("--order", choices=orders, default="lex")
+        p.add_argument("--route", choices=["sample", "parametric"],
+                       default="sample")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--trials", type=_positive, default=5)
+        p.add_argument("--field", type=_parse_field, default="F32003")
+
     p = sub.add_parser("gin", help="initial ideal of generic ideals")
     p.add_argument("-n", type=_positive, required=True)
     p.add_argument("-d", "--degrees", type=_parse_degrees, required=True)
-    p.add_argument("--order", choices=orders, default="lex")
-    p.add_argument("--route", choices=["sample", "parametric"], default="sample")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=_positive, default=5)
-    p.add_argument("--field", type=_parse_field, default="F32003")
+    gin_options(p)
     p.add_argument("--bound", type=_positive, default=None,
                    help="coefficient bound for sampling")
     common_budget(p)
@@ -462,14 +462,11 @@ def build_parser():
     p = sub.add_parser("survey", help="verdict table over a parameter grid")
     p.add_argument("--case", type=_parse_case, action="append", required=True,
                    help="n:s:dmin:dmax (repeatable)")
-    p.add_argument("--order", choices=orders, default="lex")
-    p.add_argument("--route", choices=["sample", "parametric"], default="sample")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=_positive, default=5)
-    p.add_argument("--field", type=_parse_field, default="F32003")
+    gin_options(p)
     p.add_argument("--budget-ms", type=_milliseconds, default=None)
     p.add_argument("--out", required=True, help="output path prefix")
-    p.set_defaults(func=cmd_survey)
+    # a survey samples at the default bound, under no pair cap
+    p.set_defaults(func=cmd_survey, bound=None, max_pairs=None)
 
     return ap
 

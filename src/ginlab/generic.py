@@ -5,7 +5,6 @@ Groebner run under an inverse block order.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cached_property
 from itertools import islice
 from math import comb
@@ -13,7 +12,7 @@ from operator import mul
 
 from .fields import QQ, PrimeField
 from .groebner import buchberger
-from .ideals import MonomialIdeal, packed_ideal
+from .ideals import MonomialIdeal, packed_ideal, top_degree
 from .orders import DEGREVLEX, LEX, InverseBlock, mono_divides
 from .poly import Polynomial, Ring, xring
 from .series import _check_degrees, _lex_monomials, bracket_numerator
@@ -21,10 +20,6 @@ from .values import Frozen
 
 GF32003 = PrimeField(32003)
 SCHEMA = 1  # the version of the JSON records that ginlab prints
-
-
-class InconclusiveSampling(RuntimeError):
-    """No majority initial ideal emerged across sampling trials."""
 
 
 # ---------------------------------------------------------------------------
@@ -238,12 +233,52 @@ def trial_seeds(seed, trials):
     return tuple(islice(_splitmix64(seed), trials))
 
 
+def _plucker_key(J, order):
+    """J's key in the Plucker order of `order`: per degree, the number of
+    its minimal generators, then their order keys in descending order."""
+    layout = order.layout(J.n)
+    keys = [[] for _ in range(top_degree(J) + 1)]
+    for g in J.gens:
+        keys[sum(g)].append(layout.key(layout.pack(g)))
+    return [(len(k), sorted(k, reverse=True)) for k in keys]
+
+
 def gin_by_sampling(inst, trials=5, seed=0, bound=None, budget=None):
-    """Majority initial ideal across sampled specializations.
+    """The largest initial ideal of sampled trials in the Plucker order
+    (`_plucker_key`), and the number of trials that reached it.
 
     Each trial reads its initial ideal off the packed leads of one
     Groebner basis (any Groebner basis has the same leading ideal) and its
     u-genericity verdict off the Hilbert numerator the same run kept.
+
+    Every trial's initial ideal is at most the gin in that order, over
+    any field (GF(p) included, where the gin is the char-p one), so a
+    trial that reaches the gin is selected, and two distinct ideals never
+    tie:
+
+    - Two keys, compared as lists, first differ at the lowest degree
+      where the ideals' minimal generators differ. There the larger
+      count wins, and on equal counts the first key that differs in the
+      descending lists is the largest monomial of the symmetric
+      difference: the ideal that holds it wins.
+    - I_{a,d}, the degree-d part of the ideal at the point a, is the row
+      space of the multiplication matrix M_d(a), whose columns are the
+      degree-d monomials in descending order and whose entries are linear
+      in a. in(I_a)_d is the set of its echelon pivot columns: the first
+      column subset, in column order, of size rank M_d(a) that has full
+      rank.
+    - Let e be the lowest degree where in(I_a) and the gin differ; below
+      e their degree pieces agree, so their degree-e pieces differ
+      exactly as their degree-e minimal generators do.
+    - rank M_e(a) is at most the generic rank, which the gin's points
+      attain. If it is below, the gin has more degree-e generators.
+    - If the ranks are equal, the minor of M_e(a) on the columns of
+      in(I_a)_e is a nonzero polynomial in the coefficients. It is
+      nonzero on an open set, which meets the open set where the gin is
+      the initial ideal (Bayer-Stillman 1987; Eisenbud, Commutative
+      Algebra, section 15.9). There the first full-rank column subset
+      is gin_e, so gin_e comes first in column order: it holds the
+      largest monomial of the symmetric difference.
     """
     seeds = trial_seeds(seed, trials)
     ideals = []
@@ -253,14 +288,12 @@ def gin_by_sampling(inst, trials=5, seed=0, bound=None, budget=None):
         gb = buchberger(gens, inst.main_order, budget)
         ideals.append(packed_ideal(gb.layout, gb.packed_leads()))
         flags.append(is_u_generic(gb, inst))
-    counts = Counter(ideals)
-    top = counts.most_common()
-    if len(top) > 1 and top[0][1] == top[1][1]:
-        raise InconclusiveSampling(
-            f"tie among sampled initial ideals ({top[0][1]} trials each)")
-    majority, agreement = top[0]
-    return GinResult(majority, "sampling", inst, seeds=seeds,
-                     agreement=agreement, u_generic=tuple(flags))
+    best = ideals[0]
+    if len(set(ideals)) > 1:  # the key runs only when the trials disagree
+        best = max(set(ideals),
+                   key=lambda J: _plucker_key(J, inst.main_order))
+    return GinResult(best, "sampling", inst, seeds=seeds,
+                     agreement=ideals.count(best), u_generic=tuple(flags))
 
 
 def gin_parametric(inst, budget=None):

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 import ginlab as gl
 from ginlab import cli
 from ginlab.cli import main
+from ginlab.generic import trial_seeds
 from ginlab.ideals import top_degree
 
 from conftest import GIN_32_22
@@ -627,6 +628,33 @@ def test_survey_retries_failure_under_another_budget(capsys, tmp_path):
     assert rows[1]["error"] is None
     # a success is reused under any budget
     code, msg = run(capsys, *case, "--budget-ms", "0.0001")
+    assert code == 0 and json.loads(msg)["failures"] == 0
+    assert len(out.with_suffix(".jsonl").read_text().splitlines()) == 2
+
+
+def test_survey_recomputes_a_failure_that_is_no_longer_one(capsys, tmp_path):
+    # a row whose error names no class of FAILURES (here a tie of an
+    # earlier plurality vote) is computed again under the same budget
+    out = tmp_path / "rows"
+    stale = {"schema": 1, "n": 3, "s": 2, "degrees": [3, 3],
+             "order": "degrevlex", "route": "sample", "field": "F3",
+             "seeds": list(trial_seeds(0, 5)), "budget_ms": None,
+             "error": "InconclusiveSampling: tie among sampled initial "
+                      "ideals (2 trials each)", "runtime_ms": 1.0}
+    out.with_suffix(".jsonl").write_text(json.dumps(stale) + "\n")
+    case = ("survey", "--case", "3:2:3:3", "--order", "degrevlex", "--field",
+            "F3", "--out", str(out))
+    code, msg = run(capsys, *case)
+    assert code == 0 and json.loads(msg)["failures"] == 0
+    rows = [json.loads(l)
+            for l in out.with_suffix(".jsonl").read_text().splitlines()]
+    assert rows[0] == stale and len(rows) == 2
+    assert rows[1]["error"] is None and rows[1]["budget_ms"] is None
+    code, gin = run(capsys, "gin", "-n", "3", "-d", "3,3", "--order",
+                    "degrevlex", "--field", "F3")
+    assert rows[1]["gin"]["gens"] == json.loads(gin)["ideal"]["gens"]
+    # the new row stands on the next rerun
+    code, msg = run(capsys, *case)
     assert code == 0 and json.loads(msg)["failures"] == 0
     assert len(out.with_suffix(".jsonl").read_text().splitlines()) == 2
 

@@ -2,11 +2,14 @@ import gc
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ginlab as gl
-from ginlab.generic import (GF32003, InconclusiveSampling, ideal_at_point,
-                            normal_form_family, sample_point)
+from ginlab.fields import PrimeField
+from ginlab.generic import (GF32003, _plucker_key, ideal_at_point,
+                            normal_form_family, sample_ideal, sample_point)
 from ginlab.groebner import buchberger
+from ginlab.ideals import packed_ideal
 from ginlab.orders import InverseBlock, mono_divides
 from ginlab.poly import PackedRing, Polynomial
 
@@ -14,7 +17,7 @@ from conftest import GIN_32_22, POINT_A
 from oracles import (full_templates, hilbert_function_homogeneous,
                      lead_coefficient, lead_monomial, lead_monomials,
                      monomials_of_degree, param_count, parse_poly,
-                     u_generic_by_macaulay)
+                     tuple_key, u_generic_by_macaulay)
 
 
 def test_template_shapes():
@@ -157,6 +160,98 @@ def test_route_agreement():
         sam = gl.gin_by_sampling(gl.GenericInstance(n, degrees, field=GF32003),
                                  seed=17)
         assert par.ideal == sam.ideal
+
+
+#: seed 0 cases whose trials disagree, and where a plurality vote tied:
+#: GF(32003) at coefficient bound 1 (the two golden `--bound 1` records
+#: that had exit 1), and the small fields at their default bound
+SELECTION_CASES = [
+    (3, (2, 2, 2), gl.LEX, GF32003, 1),
+    (3, (3, 3), gl.DEGREVLEX, GF32003, 1),
+    (3, (3, 3), gl.DEGREVLEX, PrimeField(3), None),
+    (3, (2, 2, 2), gl.DEGREVLEX, PrimeField(3), None),
+    (3, (2, 2), gl.LEX, PrimeField(5), None),
+]
+
+
+@pytest.mark.parametrize("n,degrees,order,field,bound", SELECTION_CASES)
+def test_sampling_selects_the_largest_trial_which_is_the_gin(
+        n, degrees, order, field, bound):
+    inst = gl.GenericInstance(n, degrees, field, order)
+    res = gl.gin_by_sampling(inst, seed=0, bound=bound)
+    # the parametric route over the same field, Q standing in for a large p
+    exact = gl.QQ if field == GF32003 else field
+    gin = gl.gin_parametric(gl.GenericInstance(n, degrees, exact, order)).ideal
+    assert res.ideal == gin
+    trials = []
+    for s in res.seeds:
+        gb = buchberger(sample_ideal(inst, s, bound), order)
+        trials.append(packed_ideal(gb.layout, gb.packed_leads()))
+    assert len(set(trials)) > 1
+    # no trial lies above the gin in the Plucker order
+    assert all(_plucker_key(J, order) <= _plucker_key(gin, order)
+               for J in trials)
+    assert res.agreement == trials.count(gin) < len(trials)
+
+
+def _ideal3(*gens):
+    return gl.MonomialIdeal.from_json({"n": 3, "gens": gens})
+
+
+def test_plucker_order_counts_generators_first():
+    # two quadrics beat one, though x1^2 is the largest monomial of the
+    # difference; one linear form beats both, though it is x3
+    more = _ideal3((0, 2, 0), (0, 1, 1))
+    fewer = _ideal3((2, 0, 0), (1, 2, 0), (0, 3, 0), (0, 0, 3))
+    linear = _ideal3((0, 0, 1))
+    for order in (gl.LEX, gl.DEGREVLEX):
+        keys = [_plucker_key(J, order) for J in (linear, more, fewer)]
+        assert keys == sorted(keys, reverse=True)
+
+
+def test_plucker_order_then_takes_the_largest_monomial_of_the_difference():
+    # three quadrics each; they differ in x1*x3 against x2^2, which lex
+    # puts first and degrevlex puts second
+    lexlike = _ideal3((2, 0, 0), (1, 1, 0), (1, 0, 1))
+    revlexlike = _ideal3((2, 0, 0), (1, 1, 0), (0, 2, 0), (0, 0, 3))
+    assert _plucker_key(lexlike, gl.LEX) > _plucker_key(revlexlike, gl.LEX)
+    assert (_plucker_key(lexlike, gl.DEGREVLEX)
+            < _plucker_key(revlexlike, gl.DEGREVLEX))
+    # the largest monomial decides, though the other one is the smallest
+    # of all four, in both orders
+    top, bottom = _ideal3((2, 0, 0), (0, 0, 2)), _ideal3((1, 1, 0), (0, 2, 0))
+    for order in (gl.LEX, gl.DEGREVLEX):
+        assert _plucker_key(top, order) > _plucker_key(bottom, order)
+
+
+def _plucker_greater(A, B, order):
+    """Whether A > B in the Plucker order, by its definition."""
+    top = max(map(sum, A.gens + B.gens), default=0)
+    for d in range(top + 1):
+        a = {g for g in A.gens if sum(g) == d}
+        b = {g for g in B.gens if sum(g) == d}
+        if a != b:
+            if len(a) != len(b):
+                return len(a) > len(b)
+            return max(a ^ b, key=lambda m: tuple_key(order, m)) in a
+    return False
+
+
+#: the quadrics and cubics in three variables: random ideals drawn from
+#: them often tie in their count of generators of the first degree where
+#: they differ
+_LOW = monomials_of_degree(3, 2) + monomials_of_degree(3, 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(_LOW), max_size=6),
+       st.lists(st.sampled_from(_LOW), max_size=6),
+       st.sampled_from([gl.LEX, gl.DEGLEX, gl.DEGREVLEX]))
+def test_plucker_key_sorts_as_the_definition(a, b, order):
+    A, B = gl.minimalize(3, a), gl.minimalize(3, b)
+    assert ((_plucker_key(A, order) > _plucker_key(B, order))
+            == _plucker_greater(A, B, order))
+    assert (_plucker_key(A, order) == _plucker_key(B, order)) == (A == B)
 
 
 @pytest.mark.parametrize("n,degrees,order,nparams,ngens", [

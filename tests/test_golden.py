@@ -4,7 +4,8 @@ The file holds the JSON that `ginlab` printed, and its exit code, for:
 
 - `gin` on the criterion-4 grid, lex and degrevlex, seed 0
 - `gin` at non-generic points (`--field F2`, `--bound 1`), where sampled
-  trials are not u-generic, including `InconclusiveSampling` exits
+  trials are not u-generic or disagree, and the largest trial ideal in
+  the Plucker order is selected
 - `check --property lexsegment`, `weakly-revlex` and `borel` on four
   ideals: the n=4 and n=3 (2,2) lex gins, the n=3 (2,2) degrevlex gin,
   and (x2^2) in two variables, so that each property fails with a
