@@ -9,7 +9,7 @@ from .poly import Polynomial, Ring, xring
 from .groebner import (Budget, BudgetExceeded, GroebnerBasis, buchberger,
                        reduce_basis)
 from .ideals import (MonomialIdeal, contains, hilbert_numerator,
-                     hilbert_series, minimalize, top_degree)
+                     hilbert_series, top_degree)
 from .series import (InadmissibleHilbertFunction, bracket_truncate,
                      froeberg_series, lexsegment_bound, lexsegment_of_hf)
 from .generic import (GenericInstance, GinResult, gin_by_sampling,

@@ -22,8 +22,7 @@ from .fields import field_by_name
 from .generic import (SCHEMA, GenericInstance, gin_by_sampling,
                       gin_parametric, trial_seeds)
 from .groebner import (Budget, BudgetExceeded, buchberger, reduce_basis)
-from .ideals import (MonomialIdeal, _check, hilbert_series, packed_ideal,
-                     top_degree)
+from .ideals import MonomialIdeal, _check, hilbert_series, top_degree
 from .orders import ORDERS_BY_NAME, ExponentOverflow, binom_p_leq, mono_str
 from .poly import poly_from_json, poly_to_json, xring
 from .props import is_borel_fixed, is_lexsegment, is_weakly_revlex
@@ -267,8 +266,7 @@ def cmd_gb(args):
         "order": args.order,
         "basis": [poly_to_json(g) for g in gb.generators],
         "basis_str": [str(g) for g in gb.generators],
-        "initial_ideal": _with_strings(
-            packed_ideal(gb.layout, gb.packed_leads()).to_json()),
+        "initial_ideal": _with_strings(gb.initial_ideal().to_json()),
     })
     return 0
 

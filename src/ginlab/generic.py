@@ -12,7 +12,7 @@ from operator import mul
 
 from .fields import QQ, PrimeField
 from .groebner import buchberger
-from .ideals import MonomialIdeal, packed_ideal, top_degree
+from .ideals import MonomialIdeal, top_degree
 from .orders import DEGREVLEX, LEX, InverseBlock, mono_divides
 from .poly import Polynomial, Ring, xring
 from .series import _check_degrees, _lex_monomials, bracket_numerator
@@ -286,7 +286,7 @@ def gin_by_sampling(inst, trials=5, seed=0, bound=None, budget=None):
     for s in seeds:
         gens = sample_ideal(inst, s, bound)
         gb = buchberger(gens, inst.main_order, budget)
-        ideals.append(packed_ideal(gb.layout, gb.packed_leads()))
+        ideals.append(gb.initial_ideal())
         flags.append(is_u_generic(gb, inst))
     best = ideals[0]
     if len(set(ideals)) > 1:  # the key runs only when the trials disagree
@@ -326,15 +326,14 @@ def gin_parametric(inst, budget=None):
 
     The main block is the most significant in that order, so the x-part
     of an element's lead is its block lead, and its packed form is the
-    lead's top fields; the generic initial ideal is generated by the
-    nonconstant ones. These x-parts generate the initial ideal of the
+    lead's top fields. These x-parts generate the initial ideal of the
     family over k(t) (Becker-Weispfenning, Groebner Bases, section 6),
     which no parameter order changes, so the route fixes one: degrevlex.
-    The run stops once its x-leads have the bracket series of the family's
+    No x-part is 1: every term of the family has x-degree d_i >= 1, and
+    so has every term of every element of the ideal it generates. The run
+    stops once its x-leads have the bracket series of the family's
     degrees (`buchberger`'s `stop_at_gin`); then they already generate
-    that initial ideal."""
+    that initial ideal, the basis's `initial_ideal()`."""
     gb = buchberger(normal_form_family(inst), inst.order, budget,
                     stop_at_gin=True)
-    main, low = inst.order.main_part(gb.layout)
-    leads = {P >> low for P in gb.packed_leads()} - {0}
-    return GinResult(packed_ideal(main, leads), "parametric", inst)
+    return GinResult(gb.initial_ideal(), "parametric", inst)

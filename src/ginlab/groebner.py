@@ -120,7 +120,7 @@ from itertools import compress, count, zip_longest
 from math import gcd
 from operator import itemgetter
 
-from .ideals import _minimal, _numerator, _poly_trim
+from .ideals import _minimal, _numerator, _poly_trim, packed_ideal
 from .orders import FIELD_BITS, ExponentOverflow
 from .poly import Packed, PackedRing
 from .series import bracket_numerator
@@ -158,11 +158,13 @@ class Budget:
 class GroebnerBasis:
     """A Groebner basis: the nonzero packed elements `packed` of a run of
     `buchberger` or `reduce_basis` in the `PackedRing` R.
-    `hilbert_numerator` is N(t) with HS(S/J) = N(t) / (1 - t)^n, kept by
-    the Hilbert count of `buchberger`: J = in(G) in all n variables, or
-    under `stop_at_gin` the ideal of the x-leads in the n main ones. It
-    is None when the input did not allow the count or the count switched
-    off.
+    `initial_ideal()` is J = in(G) in all n variables, or under
+    `stop_at_gin` the ideal of the x-leads in the n main ones: `main` is
+    the pair (layout of the main block, shift of its fields) that
+    `orders.InverseBlock.main_part` gives, by default the ring's own
+    layout and 0. `hilbert_numerator` is N(t) with HS(S/J) = N(t) /
+    (1 - t)^n, kept by the Hilbert count of `buchberger`. It is None
+    when the input did not allow the count or the count switched off.
 
     `generators`, and iteration, unpack the elements into Polynomials on
     first access, once. `len()`, the leads and `reduce_basis` read the
@@ -171,13 +173,14 @@ class GroebnerBasis:
     """
 
     __slots__ = ("order", "hilbert_numerator", "_generators", "_ring",
-                 "_packed")
+                 "_packed", "_main")
 
-    def __init__(self, R, packed, hilbert_numerator=None):
+    def __init__(self, R, packed, hilbert_numerator=None, main=None):
         self.order = R.order
         self.hilbert_numerator = hilbert_numerator
         self._generators = None
         self._ring, self._packed = R, packed
+        self._main = main or (R.layout, 0)
 
     @property
     def generators(self):
@@ -192,6 +195,12 @@ class GroebnerBasis:
     def packed_leads(self):
         """An iterator over the leading monomials, packed by `layout`."""
         return map(self.layout.from_key, map(_lead_key, self._packed))
+
+    def initial_ideal(self):
+        """J, the `MonomialIdeal` of the leads, or of their x-parts under
+        `stop_at_gin`, whose Hilbert numerator the run keeps."""
+        main, low = self._main
+        return packed_ideal(main, (P >> low for P in self.packed_leads()))
 
     def __iter__(self):
         return iter(self.generators)
@@ -507,7 +516,7 @@ def buchberger(gens, order=None, budget=None, *, stop_at_gin=False):
         _, _, i, j, _ = best
         add(normal_form(s_polynomial(G[i], G[j], R), table, R, budget))
     numerator = None if hilbert is None else hilbert.numerator()
-    return GroebnerBasis(R, G, hilbert_numerator=numerator)
+    return GroebnerBasis(R, G, numerator, (main, low))
 
 
 def _lead_key(g):
@@ -530,4 +539,4 @@ def reduce_basis(gb):
         others = _Reducers(R, minimal[:i] + minimal[i + 1:])
         minimal[i] = R.primitive(normal_form(minimal[i], others, R))
     reduced = sorted(map(R.monic, minimal), key=_lead_key, reverse=True)
-    return GroebnerBasis(R, reduced, hilbert_numerator=gb.hilbert_numerator)
+    return GroebnerBasis(R, reduced, gb.hilbert_numerator, gb._main)

@@ -1,24 +1,25 @@
 """Monomial ideals: minimal generators, membership, Hilbert data.
 
-A `MonomialIdeal` holds exponent tuples; divisibility is tested on
-packed ints. `contains` packs the generators once into a divisor index
+A `MonomialIdeal` is its minimal generators in descending lex: its
+constructor checks the exponents, packs them into a divisor index
 (`_Divisors`), fields just wide enough for their largest exponent, and
-`minimalize` packs the same way for `_minimal`, the one ascending scan,
-which `packed_ideal` runs on the kernel's packed leads. Neither checks
-the ideal it builds again, and an ideal that `minimalize` finds minimal
-already keeps that packing as its index. The Hilbert numerator runs on
-packed monomials (`orders.Layout`). `hilbert_numerator`
-packs the generators under `LEX` and takes the Eliahou-Kervaire sum when
-a certificate proves the ideal stable (`stable_numerator`), as every
-lexsegment ideal is. Otherwise it runs `packed_numerator`, which
-minimalizes the generators for `_numerator`, the one pivot recursion;
-the Groebner kernel's Hilbert count runs `_numerator` on its own
-packing, on colon generators that are minimal already. `hilbert_series`
-expands the numerator by `power_series`, n prefix sums, the one
-expansion of N(t) / (1 - t)^n, which the bracket series of `series`
-runs too; the kernel's Hilbert count, which compares numerators, runs
-none. `times_one_minus`, the one product by prod(1 - t^d), undoes it
-for d = 1. A `LEX` field holds at most
+drops repeats and multiples by `_minimal`, the one ascending scan, which
+`packed_ideal` runs on the kernel's packed leads. The ideal keeps that
+packing as its index for `contains`; an ideal built by `_ideal`, whose
+generators are minimal already, packs its index on first use. So every
+consumer of `gens` (the predicates of `props`, the Hilbert numerator)
+reads minimal generators and checks nothing again. The Hilbert numerator
+runs on packed monomials (`orders.Layout`). `hilbert_numerator` packs
+the generators under `LEX` and takes the Eliahou-Kervaire sum when a
+certificate proves the ideal stable (`stable_numerator`), as every
+lexsegment ideal is. Otherwise it runs `_numerator`, the one pivot
+recursion, which the Groebner kernel's Hilbert count runs too, on its
+own packing and on colon generators that are minimal already.
+`hilbert_series` expands the numerator by `power_series`, n prefix sums,
+the one expansion of N(t) / (1 - t)^n, which the bracket series of
+`series` runs too; the kernel's Hilbert count, which compares
+numerators, runs none. `times_one_minus`, the one product by
+prod(1 - t^d), undoes it for d = 1. A `LEX` field holds at most
 EXP_MAX = 32767, so the Hilbert data of an ideal with a larger exponent
 or generator degree raise `ExponentOverflow`; minimalization and
 membership have no such limit. Nothing here lists the monomials of a
@@ -38,24 +39,36 @@ _setattr = object.__setattr__
 
 
 class MonomialIdeal(Frozen):
-    """Minimal monomial generators, kept sorted in descending lex."""
+    """The monomial ideal of the exponent tuples `gens`, held by its
+    minimal generators in descending lex. The constructor checks the
+    exponents once, drops repeats and multiples of other generators on
+    their `_Divisors` packing, and keeps that packing as the divisor
+    index: a dropped generator only widens its fields, and a query
+    clamped to them keeps its divisibility by every kept one."""
 
     n: int
     gens: tuple  # exponent tuples, pairwise indivisible, descending lex
 
     def __post_init__(self):
-        _check(self.n, self.gens)
+        gens = tuple(map(tuple, self.gens))
+        _check(self.n, gens)
+        index = _Divisors(self.n, gens)
+        packed = dict(zip(index.packed, gens))  # repeats share a key
+        index.packed = sorted(_minimal(packed, index.guard), reverse=True)
+        _setattr(self, "gens", tuple(map(packed.get, index.packed)))
+        _setattr(self, "divisor_index", index)
 
     def to_json(self):
         return {"n": self.n, "gens": [list(g) for g in self.gens]}
 
     @classmethod
     def from_json(cls, data):
-        return minimalize(int(data["n"]), [tuple(g) for g in data["gens"]])
+        return cls(int(data["n"]), data["gens"])
 
     @cached_property
     def divisor_index(self):
-        """The `_Divisors` of the generators, built on first use."""
+        """The `_Divisors` of the generators of an ideal built by
+        `_ideal`, packed on first use."""
         return _Divisors(self.n, self.gens)
 
 
@@ -92,21 +105,6 @@ class _Divisors:
         return sum(map(int.__lshift__, map(min, m, self.tops), self.shifts))
 
 
-def minimalize(n, monomials):
-    """Drop every monomial divisible by another one; checked, then packed.
-    When none is dropped, that packing is the ideal's divisor index."""
-    monomials = tuple(set(monomials))
-    _check(n, monomials)
-    index = _Divisors(n, monomials)
-    packed = dict(zip(index.packed, monomials))
-    kept = sorted(_minimal(packed, index.guard), reverse=True)  # desc. lex
-    J = _ideal(n, tuple(map(packed.get, kept)))
-    if len(kept) == len(monomials):
-        index.packed = kept
-        _setattr(J, "divisor_index", index)
-    return J
-
-
 def packed_ideal(layout, monomials):
     """The MonomialIdeal generated by the packed monomials of `layout`:
     minimalized packed (degree fields may be set), survivors unpacked."""
@@ -116,8 +114,8 @@ def packed_ideal(layout, monomials):
 
 def _ideal(n, gens):
     """The MonomialIdeal of `gens`, minimal generators in descending lex
-    that are valid already (checked or unpacked), without a second
-    `_check`."""
+    that are valid already (unpacked, or minimal by construction), without
+    the constructor's check and scan."""
     J = object.__new__(MonomialIdeal)
     _setattr(J, "n", n)
     _setattr(J, "gens", gens)
@@ -151,26 +149,25 @@ def _poly_trim(a):  # in place, down to one coefficient
 def hilbert_numerator(J):
     """Integer coefficients of N(t) with HS(S/J; t) = N(t) / (1-t)^n.
 
-    The generators are packed under `LEX` first, so an exponent or a
-    generator degree above EXP_MAX = 32767 raises `ExponentOverflow`
+    The minimal generators are packed under `LEX` first, so an exponent
+    or a generator degree above EXP_MAX = 32767 raises `ExponentOverflow`
     whichever route runs. A stable J takes the Eliahou-Kervaire sum of
-    `stable_numerator`; any other J, and a J whose generators are not
-    minimal, the pivot recursion of `packed_numerator`. Both give the
-    same N(t), so the choice depends on the input only.
+    `stable_numerator`, any other J the pivot recursion of `_numerator`.
+    Both give the same N(t), so the choice depends on the ideal only.
     """
     layout = LEX.layout(J.n)
     packed = [layout.pack(g) for g in J.gens]
     num = stable_numerator(J.n, packed)
     if num is None:
         mask = layout.exponent_mask
-        num = packed_numerator(layout, [P & mask for P in packed])
+        num = _numerator(frozenset([P & mask for P in packed]), layout, {})
     return num
 
 
 def stable_numerator(n, gens):
-    """N(t) of the ideal J generated by `gens`, `LEX`-packed monomials in
-    n variables (degree field included), if a certificate proves that J
-    is stable and `gens` minimal; None otherwise.
+    """N(t) of the ideal J whose minimal generators are `gens`,
+    `LEX`-packed monomials in n variables (degree field included), if a
+    certificate proves that J is stable; None otherwise.
 
     J is stable when x_j w / x_m(w) lies in J for every member w and
     every j < m(w), m(w) being the largest index of a variable dividing
@@ -192,16 +189,12 @@ def stable_numerator(n, gens):
       prefix. If J is stable every move does, so it accepts exactly the
       stable ideals. The sum is then an exact Hilbert numerator, not an
       assumption about how J was built.
-    - Minimality is certified too. In a stable J a redundant generator g
-      has a minimal generator as a proper prefix; so two generators that
-      share a prefix up to their last variable, or a generator with a
-      generator as a proper prefix, send J to the recursion instead.
 
     Every prefix of a word that ends in the variable x_v is head * x_v^k,
-    head being the word's part in x_1 .. x_(v-1). Minimal generators of
-    that shape differ only in k, so a table from head * x_v to k, built in
-    one pass, answers "is a prefix ending in x_v a generator" with one
-    lookup. A move x_j u / x_m(u) keeps u's prefixes that end before x_j,
+    head being the word's part in x_1 .. x_(v-1). Of two monomials of
+    that shape one divides the other, so at most one minimal generator
+    has it, and a table from head * x_v to k, built in one pass, answers
+    "is a prefix ending in x_v a generator" with one lookup. A move x_j u / x_m(u) keeps u's prefixes that end before x_j,
     proper divisors of u, so only the variables from x_j on are looked up:
     at most n lookups per move, whatever the degree. A second pass checks
     the generators and collects the Eliahou-Kervaire terms; the first
@@ -213,21 +206,18 @@ def stable_numerator(n, gens):
     last = {}  # head * x_v -> k, for each generator head * x_v^k
     for P in gens:
         u = P >> FIELD_BITS
-        if not u:  # the unit ideal, alone if minimal
-            return [0] if len(gens) == 1 else None
+        if not u:  # the unit ideal, its one minimal generator
+            return [0]
         low = (u & -u).bit_length() - 1
         low -= low % FIELD_BITS
         k = u >> low & _FIELD
-        key = u - (k - 1 << low)
-        if key in last:
-            return None
-        last[key] = k
+        last[u - (k - 1 << low)] = k
         words.append((u, low))
 
-    def has_prefix(w, top, stop):
+    def has_prefix(w, top):
         # a generator among the prefixes of w ending in a variable whose
-        # field lies at a shift in (stop, top]
-        for s in range(top, stop, -FIELD_BITS):
+        # field lies at a shift of at most top
+        for s in range(top, -1, -FIELD_BITS):
             k = w >> s & _FIELD
             if k and last.get((w >> s) - k + 1 << s, _FIELD) <= k:
                 return True
@@ -236,10 +226,8 @@ def stable_numerator(n, gens):
     top = FIELD_BITS * (n - 1)  # the field of x_1
     terms = {}  # (degree, m(u) - 1) -> how many generators
     for P, (u, low) in zip(gens, words):
-        if has_prefix(u, top, low):  # a proper prefix is a generator
-            return None
         for s in range(top, low, -FIELD_BITS):  # x_j from x_1 to x_m(u)-1
-            if not has_prefix(u + (1 << s) - (1 << low), s, -1):
+            if not has_prefix(u + (1 << s) - (1 << low), s):
                 return None
         key = (P & _FIELD, n - 1 - low // FIELD_BITS)
         terms[key] = terms.get(key, 0) + 1
@@ -248,25 +236,6 @@ def stable_numerator(n, gens):
         for i in range(m + 1):
             out[d + i] -= (-1) ** i * comb(m, i) * c
     return _poly_trim(out)
-
-
-def packed_numerator(layout, gens):
-    """N(t) of the monomial ideal generated by the packed monomials `gens`
-    of `layout`, whose degree fields must be zero (``& exponent_mask``).
-
-    Pivot recursion (Bayer-Stillman; Bigatti, "Computation of
-    Hilbert-Poincare series", JPAA 1997): for a power x_v^e, N(J) =
-    N(J + (x_v^e)) + t^e * N(J : x_v^e). The pivot variable occurs in the
-    most generators that are not pure powers, ties going to the most
-    significant field, and e is the least positive x_v exponent among
-    them. A pure power x_v^d that is a minimal generator has d > e, so
-    every generator that x_v divides is a multiple of x_v^e: it leaves
-    J + (x_v^e) and loses x_v^e in the colon. N(J) does not depend on
-    the choice; a large e keeps the recursion shallow where x_v = x_v^1
-    would peel one exponent per level. An ideal of pure powers only has
-    N(t) = prod(1 - t^d). Memoized per call.
-    """
-    return _numerator(frozenset(_minimal(gens, layout.guard)), layout, {})
 
 
 def _minimal(gens, guard):
@@ -283,11 +252,25 @@ def _minimal(gens, guard):
 
 def _numerator(gens, layout, memo):
     """N(t) of the ideal with the minimal packed generators `gens` (a
-    frozenset) of `layout`. Adding EXP_MAX to every exponent field sets
-    the guard bit of each nonzero one, so ``nz >> 15`` has a one in every
-    field the generator uses. A module-level function, not a closure: a
-    nested function that calls itself keeps its memo in a reference
-    cycle."""
+    frozenset) of `layout`, whose degree fields must be zero
+    (``& exponent_mask``).
+
+    Pivot recursion (Bayer-Stillman; Bigatti, "Computation of
+    Hilbert-Poincare series", JPAA 1997): for a power x_v^e, N(J) =
+    N(J + (x_v^e)) + t^e * N(J : x_v^e). The pivot variable occurs in the
+    most generators that are not pure powers, ties going to the most
+    significant field, and e is the least positive x_v exponent among
+    them. A pure power x_v^d that is a minimal generator has d > e, so
+    every generator that x_v divides is a multiple of x_v^e: it leaves
+    J + (x_v^e) and loses x_v^e in the colon. N(J) does not depend on
+    the choice; a large e keeps the recursion shallow where x_v = x_v^1
+    would peel one exponent per level. An ideal of pure powers only has
+    N(t) = prod(1 - t^d). Memoized in `memo`.
+
+    Adding EXP_MAX to every exponent field sets the guard bit of each
+    nonzero one, so ``nz >> 15`` has a one in every field the generator
+    uses. A module-level function, not a closure: a nested function that
+    calls itself keeps its memo in a reference cycle."""
     if not gens:
         return [1]
     if 0 in gens:

@@ -5,7 +5,7 @@ largest variable. Exponent tuples are the public form of a monomial.
 
 In the hot paths a monomial is one Python int, packed by the `Layout`
 that ``order.layout(n)`` returns: the Groebner kernel runs on packed
-monomials, and so does the Hilbert numerator (`ideals.packed_numerator`),
+monomials, and so does the Hilbert numerator (`ideals._numerator`),
 both for monomial ideals and for the kernel's count of its leads.
 
 - Every field is FIELD_BITS = 16 bits wide. Its top bit is a guard bit,

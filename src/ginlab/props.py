@@ -1,9 +1,11 @@
 """Classification predicates on monomial ideals: lexsegment, weakly
 reverse lexicographic, and Borel-fixed.
 
-Every failing verdict carries a witness that can be re-validated with
-`contains` alone. A holding verdict lists no monomials where a
-certificate decides it: Macaulay bounds for a lexsegment ideal, and the
+Each property is stated on the minimal generators, and `J.gens` are
+exactly those: a `MonomialIdeal` holds no other, so no predicate
+minimalizes or checks them again. Every failing verdict carries a
+witness that can be re-validated with `contains` alone. A holding
+verdict lists no monomials where a certificate decides it: Macaulay bounds for a lexsegment ideal, and the
 adjacent Borel moves of the minimal generators for strong stability,
 hence for the Borel test in characteristic 0 and, with one more monomial
 per generator and variable, for the weakly revlex test of a strongly
@@ -85,10 +87,11 @@ def is_lexsegment(J):
 
 
 def is_weakly_revlex(J):
-    """Minimal generators only: same-degree revlex-larger monomials are in
-    J; the witness is the first failing generator and the lex-largest
-    monomial it misses. A degree above EXP_MAX, too large for a packed
-    degree field, raises `ExponentOverflow` first.
+    """Whether every monomial of a minimal generator's degree that is
+    revlex-larger than it lies in J; the witness is the first failing
+    generator and the lex-largest monomial it misses. A degree above
+    EXP_MAX, too large for a packed degree field, raises
+    `ExponentOverflow` first.
 
     A strongly stable J (`_strongly_stable`) is decided by one monomial
     per generator g and index i >= 2 with g_i > 0, with S = g_1 + ... +

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .ideals import (MonomialIdeal, _poly_trim, hilbert_series, power_series,
+from .ideals import (_ideal, _poly_trim, hilbert_series, power_series,
                      times_one_minus, top_degree)
 
 
@@ -229,7 +229,7 @@ def lexsegment_of_hf(n, hf, horizon=None):
         digits = ([c + 1 for c in digits] + [0] if hd == bound and d > 1
                   else _macaulay_digits(hd, d))
         bound = _macaulay_shift(digits, 1)
-    J = MonomialIdeal(n, tuple(sorted(gens, reverse=True)))
+    J = _ideal(n, tuple(sorted(gens, reverse=True)))  # minimal, as built
     if hilbert_series(J, horizon=last) != h[:last + 1]:
         raise InadmissibleHilbertFunction(
             "constructed lexsegment ideal does not reproduce the Hilbert function")
@@ -252,7 +252,7 @@ def lexsegment_of_froeberg(n, degrees, horizon=None):
     if horizon is None:
         return J, False
     kept = tuple(g for g in J.gens if sum(g) <= horizon)
-    return MonomialIdeal(n, kept), stop < E or len(kept) < len(J.gens)
+    return _ideal(n, kept), stop < E or len(kept) < len(J.gens)
 
 
 def lexsegment_bound(n, degrees, horizon=None):

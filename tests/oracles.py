@@ -206,13 +206,15 @@ def series_coefficient(num, n, d):
 
 
 def tuple_minimalize(n, monomials):
-    """`ginlab.minimalize` on exponent tuples: in ascending degree, keep
-    each monomial that no monomial kept before it divides."""
+    """The minimal generators that `ginlab.MonomialIdeal` keeps, on
+    exponent tuples in descending lex, without that constructor: in
+    ascending degree, keep each monomial that no monomial kept before it
+    divides."""
     mins = []
     for m in sorted(set(monomials), key=sum):
         if not any(mono_divides(g, m) for g in mins):
             mins.append(m)
-    return MonomialIdeal(n, tuple(sorted(mins, reverse=True)))
+    return tuple(sorted(mins, reverse=True))
 
 
 def tuple_contains(J, m):
@@ -278,9 +280,9 @@ def _tuple_numerator(gens, memo):
                 counts[v] += 1
     v = max(range(n), key=lambda i: counts[i])
     pivot = tuple(1 if i == v else 0 for i in range(n))
-    plus = tuple_minimalize(n, list(gens) + [pivot]).gens
+    plus = tuple_minimalize(n, list(gens) + [pivot])
     colon = tuple_minimalize(
-        n, [tuple(max(e - p, 0) for e, p in zip(g, pivot)) for g in gens]).gens
+        n, [tuple(max(e - p, 0) for e, p in zip(g, pivot)) for g in gens])
     a = _tuple_numerator(frozenset(plus), memo)
     b = _tuple_numerator(frozenset(colon), memo)
     out = [0] * max(len(a), len(b) + 1)
@@ -395,15 +397,15 @@ def lexsegment_by_enumeration(n, hf, horizon=None):
         in_ideal = len(segment) - len(new)
         # every degree-d multiple of an earlier generator must sit inside
         # the segment, otherwise no lexsegment ideal matches hf
-        multiples = (dim - hilbert_series(tuple_minimalize(n, gens),
-                                          horizon=d)[d] if gens else 0)
+        earlier = MonomialIdeal(n, tuple_minimalize(n, gens))
+        multiples = dim - hilbert_series(earlier, horizon=d)[d]
         if multiples != in_ideal:
             raise InadmissibleHilbertFunction(
                 f"degree-{d} piece is not a lex segment for the given function")
         if new:
             last_gen_degree = d
         gens.extend(new)
-    J = tuple_minimalize(n, gens)
+    J = MonomialIdeal(n, tuple_minimalize(n, gens))
     if tuple(hilbert_series(J, horizon=D)[: D + 1]) != coeffs[: D + 1]:
         raise InadmissibleHilbertFunction(
             "constructed lexsegment ideal does not reproduce the Hilbert function")

@@ -40,8 +40,8 @@ def test_criterion_2_groebner_regression(example_uv_ideals):
     I, J = example_uv_ideals
     gbI = gl.reduce_basis(gl.buchberger(I, gl.DEGREVLEX))
     gbJ = gl.reduce_basis(gl.buchberger(J, gl.DEGREVLEX))
-    assert set(gl.minimalize(3, lead_monomials(gbI)).gens) == set(INI_I)
-    assert set(gl.minimalize(3, lead_monomials(gbJ)).gens) == set(INI_J)
+    assert set(gl.MonomialIdeal(3, lead_monomials(gbI)).gens) == set(INI_I)
+    assert set(gl.MonomialIdeal(3, lead_monomials(gbJ)).gens) == set(INI_J)
     report("criterion-2 degrevlex-fixtures", time.perf_counter() - t0, 5)
 
 
@@ -50,7 +50,7 @@ def test_criterion_3_fixed_point_replay():
     inst = gl.GenericInstance(3, (2, 2))
     gens = gl.ideal_at_point(inst, POINT_A)
     gb = gl.reduce_basis(gl.buchberger(gens, gl.LEX))
-    J = gl.minimalize(3, lead_monomials(gb))
+    J = gl.MonomialIdeal(3, lead_monomials(gb))
     assert J.gens == GIN_32_22
     assert gl.is_lexsegment(J).holds
     assert gl.hilbert_series(J, 5) == [1, 3, 4, 4, 4, 4]
@@ -160,7 +160,7 @@ def test_criterion_8_oracle_equivalences():
         if not gens:
             continue
         gb = gl.reduce_basis(gl.buchberger(gens, gl.DEGREVLEX))
-        J = gl.minimalize(3, lead_monomials(gb))
+        J = gl.MonomialIdeal(3, lead_monomials(gb))
         for d in range(7):
             assert (hilbert_function_homogeneous(gens, d)
                     == gl.hilbert_series(J, d)[d])

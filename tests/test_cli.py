@@ -434,7 +434,7 @@ def test_gb_cmd(capsys, tmp_path):
     data = json.loads(out)
     J = gl.MonomialIdeal.from_json(data["initial_ideal"])
     gb = gl.reduce_basis(gl.buchberger(polys, gl.DEGREVLEX))
-    assert J.gens == gl.minimalize(2, lead_monomials(gb)).gens
+    assert J.gens == gl.MonomialIdeal(2, lead_monomials(gb)).gens
 
 
 #: `gb` systems that do not hold one, as in BAD_IDEAL_FILES
@@ -480,7 +480,7 @@ def test_second_parametric_gin_builds_no_layout(capsys, monkeypatch):
 
 
 def test_ideal_round_trip(tmp_path):
-    J = gl.minimalize(3, list(GIN_32_22))
+    J = gl.MonomialIdeal(3, list(GIN_32_22))
     assert gl.MonomialIdeal.from_json(json.loads(json.dumps(J.to_json()))) == J
 
 

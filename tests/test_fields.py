@@ -4,6 +4,7 @@ import pytest
 
 import ginlab as gl
 from ginlab.fields import QQ, Field, PrimeField, field_by_name
+from ginlab.ideals import _ideal
 from ginlab.values import FrozenInstanceError
 
 
@@ -20,7 +21,7 @@ def test_fields_are_values_keyed_by_their_characteristic():
         QQ.char = 2
     # the other frozen values: built positionally or by keyword, defaults
     # filled in, equal and hash-equal when their fields are, and frozen
-    J = gl.minimalize(2, [(0, 2), (1, 0), (1, 1)])
+    J = gl.MonomialIdeal(2, [(0, 2), (1, 0), (1, 1)])
     names = ("x1", "x2")
     values = [
         (gl.Ring(QQ, names), gl.Ring(names=names, field=Field(0)),
@@ -62,9 +63,12 @@ def test_fields_are_values_keyed_by_their_characteristic():
                  lambda: gl.GenericInstance(n=0, degrees=(2,))):
         with pytest.raises(ValueError):
             make()
-    # the divisor index is built once, on first use
-    assert "divisor_index" not in vars(J)
-    assert J.divisor_index is J.divisor_index is vars(J)["divisor_index"]
+    # a constructed ideal carries the divisor index of its check; one that
+    # `_ideal` builds from generators minimal already packs it on first use
+    assert "divisor_index" in vars(J)
+    K = _ideal(J.n, J.gens)
+    assert K == J and "divisor_index" not in vars(K)
+    assert K.divisor_index is K.divisor_index is vars(K)["divisor_index"]
 
 
 @pytest.mark.parametrize("make,arg", [

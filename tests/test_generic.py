@@ -248,7 +248,7 @@ _LOW = monomials_of_degree(3, 2) + monomials_of_degree(3, 3)
        st.lists(st.sampled_from(_LOW), max_size=6),
        st.sampled_from([gl.LEX, gl.DEGLEX, gl.DEGREVLEX]))
 def test_plucker_key_sorts_as_the_definition(a, b, order):
-    A, B = gl.minimalize(3, a), gl.minimalize(3, b)
+    A, B = gl.MonomialIdeal(3, a), gl.MonomialIdeal(3, b)
     assert ((_plucker_key(A, order) > _plucker_key(B, order))
             == _plucker_greater(A, B, order))
     assert (_plucker_key(A, order) == _plucker_key(B, order)) == (A == B)
@@ -364,7 +364,7 @@ def test_stopped_run_has_the_x_leads_of_the_full_run(n, degrees, field, order):
     inst = gl.GenericInstance(n, degrees, field, order)
     full = buchberger(normal_form_family(inst), inst.order)
     xleads = [m[:n] for m in lead_monomials(full) if any(m[:n])]
-    assert gl.gin_parametric(inst).ideal == gl.minimalize(n, xleads)
+    assert gl.gin_parametric(inst).ideal == gl.MonomialIdeal(n, xleads)
 
 
 def test_gin_routes_never_unpack_a_basis(monkeypatch):

@@ -105,15 +105,15 @@ def test_buchberger_monomial_input_is_fixed_point():
 def test_buchberger_lex_fixture(sample_ideal_a):
     gens, _ = sample_ideal_a
     gb = gl.reduce_basis(gl.buchberger(gens, gl.LEX))
-    assert gl.minimalize(3, lead_monomials(gb)).gens == GIN_32_22
+    assert gl.MonomialIdeal(3, lead_monomials(gb)).gens == GIN_32_22
 
 
 def test_buchberger_example_degrevlex_fixtures(example_uv_ideals):
     I, J = example_uv_ideals
     gbI = gl.reduce_basis(gl.buchberger(I, gl.DEGREVLEX))
     gbJ = gl.reduce_basis(gl.buchberger(J, gl.DEGREVLEX))
-    assert set(gl.minimalize(3, lead_monomials(gbI)).gens) == set(INI_I)
-    assert set(gl.minimalize(3, lead_monomials(gbJ)).gens) == set(INI_J)
+    assert set(gl.MonomialIdeal(3, lead_monomials(gbI)).gens) == set(INI_I)
+    assert set(gl.MonomialIdeal(3, lead_monomials(gbJ)).gens) == set(INI_J)
 
 
 def test_buchberger_post_check(sample_ideal_a):
@@ -133,6 +133,37 @@ def test_reduce_basis_idempotent(example_uv_ideals):
     gb = gl.reduce_basis(gl.buchberger(I, gl.DEGREVLEX))
     again = gl.reduce_basis(gb)
     assert tuple(again.generators) == tuple(gb.generators)
+
+
+def test_initial_ideal_is_the_ideal_the_count_reads():
+    # one block: the minimal leads, whose numerator the run kept; a
+    # constant lead, the unit ideal, stays
+    inst = gl.GenericInstance(3, (2, 2, 2), GF32003, gl.LEX)
+    gb = gl.buchberger(gl.sample_ideal(inst, seed=0), inst.order)
+    J = gb.initial_ideal()
+    assert J.gens == tuple_minimalize(3, lead_monomials(gb))
+    assert gl.hilbert_numerator(J) == list(gb.hilbert_numerator)
+    assert gl.reduce_basis(gb).initial_ideal() == J
+    gens = [parse_poly(f, R2, gl.LEX) for f in ("x1^2 + x2", "x1")]
+    gb = gl.buchberger(gens, gl.LEX)
+    assert sorted(lead_monomials(gb)) == [(0, 1), (1, 0), (2, 0)]
+    assert gb.initial_ideal().gens == ((1, 0), (0, 1))
+    assert gl.reduce_basis(gb).initial_ideal() == gb.initial_ideal()
+    unit = gl.buchberger([parse_poly(f, R2, gl.LEX) for f in ("x1 - 1", "x1")],
+                         gl.LEX)
+    assert unit.initial_ideal().gens == ((0, 0),)
+    # `stop_at_gin`: the x-leads, none of them 1, whose numerator the run
+    # kept, and the parametric gin
+    inst = gl.GenericInstance(3, (2, 2), GF32003, gl.DEGREVLEX)
+    gb = gl.buchberger(generic.normal_form_family(inst), inst.order,
+                       stop_at_gin=True)
+    xleads = [m[:3] for m in lead_monomials(gb)]
+    assert all(map(any, xleads))
+    J = gb.initial_ideal()
+    assert J.gens == tuple_minimalize(3, xleads)
+    assert gl.hilbert_numerator(J) == list(gb.hilbert_numerator)
+    assert J == gl.gin_parametric(inst).ideal
+    assert gl.reduce_basis(gb).initial_ideal() == J
 
 
 def test_reduced_basis_is_canonical():
@@ -156,7 +187,7 @@ def test_reduced_basis_is_canonical():
 def test_hilbert_series_invariant_under_initial_ideal(sample_ideal_a):
     gens, _ = sample_ideal_a
     gb = gl.reduce_basis(gl.buchberger(gens, gl.LEX))
-    J = gl.minimalize(3, lead_monomials(gb))
+    J = gl.MonomialIdeal(3, lead_monomials(gb))
     for d in range(7):
         assert (gl.hilbert_series(J, d)[d]
                 == hilbert_function_homogeneous(gens, d))
@@ -501,7 +532,7 @@ def test_update_pairs_matches_tuple_update_pairs(case):
         assert tuple(sorted(map(layout.unpack, colon), reverse=True)) == (
             tuple_minimalize(n, [tuple(x - min(x, y) for x, y
                                        in zip(lead_monomial(g), m))
-                                 for g in G]).gens)
+                                 for g in G]))
         assert all(q == q & layout.exponent_mask for q in colon)
         packed.append(h)
         f = Polynomial.from_terms(ring, order, [(m, 1)])
@@ -652,7 +683,8 @@ def test_hilbert_driven_kernel_matches_tuple_kernel(system):
     assert [g.terms for g in gb] == [
         g.terms for g in tuple_buchberger(gens, order)]
     n = gens[0].ring.nvars
-    numerator = tuple_hilbert_numerator(gl.minimalize(n, lead_monomials(gb)))
+    numerator = tuple_hilbert_numerator(
+        gl.MonomialIdeal(n, lead_monomials(gb)))
     degrees = [degree(g) for g in gens]
     if gb.hilbert_numerator is not None:
         assert list(gb.hilbert_numerator) == numerator
@@ -860,6 +892,6 @@ def test_stability_generic_point_matches_sampling():
         lm, _ = block_leading_data(gb.generators[i], gl.LEX, 2)
         if any(lm):
             leads.append(lm)
-    assert (gl.minimalize(2, leads).gens
+    assert (gl.MonomialIdeal(2, leads).gens
             == gl.gin_by_sampling(inst, seed=3).ideal.gens
             == ((2, 0), (1, 1), (0, 3)))

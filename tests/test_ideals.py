@@ -3,15 +3,16 @@ from itertools import product
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ginlab as gl
 from ginlab import ideals
-from ginlab.ideals import (contains, hilbert_numerator, hilbert_series,
-                           packed_numerator, power_series, stable_numerator,
+from ginlab.ideals import (_minimal, _numerator, contains, hilbert_numerator,
+                           hilbert_series, power_series, stable_numerator,
                            times_one_minus)
 from ginlab.orders import (DEGLEX, DEGREVLEX, EXP_MAX, FIELD_BITS, LEX,
                            ExponentOverflow, InverseBlock)
+from ginlab.props import is_borel_fixed, is_lexsegment, is_weakly_revlex
 from ginlab.series import _lex_monomials
 
 from conftest import GIN_32_22, INI_I, INI_J
@@ -24,28 +25,28 @@ def random_monomial_ideal(rng, n, max_gens=6, max_exp=4):
     gens = [tuple(rng.randint(0, max_exp) for _ in range(n))
             for _ in range(rng.randint(1, max_gens))]
     gens = [g for g in gens if any(g)]
-    return gl.minimalize(n, gens) if gens else gl.minimalize(n, [(1,) * n])
+    return gl.MonomialIdeal(n, gens if gens else [(1,) * n])
 
 
 def test_minimalize():
-    assert gl.minimalize(1, [(1,), (2,)]).gens == ((1,),)
-    assert gl.minimalize(2, []).gens == ()
-    assert gl.minimalize(3, list(GIN_32_22)).gens == GIN_32_22
+    assert gl.MonomialIdeal(1, [(1,), (2,)]).gens == ((1,),)
+    assert gl.MonomialIdeal(2, []).gens == ()
+    assert gl.MonomialIdeal(3, list(GIN_32_22)).gens == GIN_32_22
 
 
 def test_minimalize_idempotent():
     rng = random.Random(0)
     for _ in range(20):
         J = random_monomial_ideal(rng, 3)
-        assert gl.minimalize(J.n, J.gens).gens == J.gens
+        assert gl.MonomialIdeal(J.n, J.gens).gens == J.gens
 
 
 def test_contains():
-    J = gl.minimalize(3, [(2, 0, 0)])
+    J = gl.MonomialIdeal(3, [(2, 0, 0)])
     assert gl.contains(J, (2, 0, 1))
-    J4 = gl.minimalize(4, [g + (0,) for g in GIN_32_22])
+    J4 = gl.MonomialIdeal(4, [g + (0,) for g in GIN_32_22])
     assert not gl.contains(J4, (1, 0, 1, 2))
-    zero = gl.minimalize(2, [])
+    zero = gl.MonomialIdeal(2, [])
     assert not gl.contains(zero, (3, 1))
 
 
@@ -78,7 +79,7 @@ def test_loaded_ideal_checks_once_and_keeps_a_valid_index(gens, dropped,
 
 def test_contains_dimension_check():
     with pytest.raises(ValueError):
-        gl.contains(gl.minimalize(2, [(1, 0)]), (1, 0, 0))
+        gl.contains(gl.MonomialIdeal(2, [(1, 0)]), (1, 0, 0))
 
 
 @st.composite
@@ -105,39 +106,71 @@ def membership_cases(draw):
 @given(membership_cases())
 def test_packed_membership_matches_tuple_scans(case):
     n, gens, queries = case
-    J = gl.minimalize(n, gens)
-    assert J == tuple_minimalize(n, gens)
+    J = gl.MonomialIdeal(n, gens)
+    assert J.gens == tuple_minimalize(n, gens)
     for m in queries + gens:
         assert gl.contains(J, m) == tuple_contains(J, m)
 
 
+@st.composite
+def redundant_generators(draw):
+    """(n, generators) in n <= 4 variables, exponents <= 3, in any order,
+    with repeats and multiples of other generators among them."""
+    n = draw(st.integers(1, 4))
+    mono = st.tuples(*[st.integers(0, 3)] * n)
+    gens = draw(st.lists(mono, max_size=6))
+    multiples = [tuple(a + b for a, b in zip(g, draw(mono)))
+                 for g in draw(st.lists(st.sampled_from(gens), max_size=4))
+                 ] if gens else []
+    return n, draw(st.permutations(gens + multiples + gens[:2]))
+
+
+@settings(max_examples=200, deadline=None)
+@example((3, [(1, 3, 2), (1, 3, 1), (1, 0, 0)]))  # (x1), weakly revlex
+@example((2, [(3, 2), (3, 0), (2, 0), (1, 0)]))  # (x1), a lexsegment
+@example((2, [(0, 1), (1, 0)]))  # (x1, x2), in either order
+@given(redundant_generators())
+def test_an_ideal_is_its_minimal_generators(case):
+    n, gens = case
+    J = gl.MonomialIdeal(n, gens)
+    minimal = tuple_minimalize(n, gens)
+    assert J.gens == minimal
+    assert J == gl.MonomialIdeal(n, gens[::-1])
+    # the same ideal built from the oracle's generators packs its own index
+    K = ideals._ideal(n, minimal)
+    assert J == K and hash(J) == hash(K)
+    for answer in (is_lexsegment, is_weakly_revlex, is_borel_fixed,
+                   lambda I: is_borel_fixed(I, 2), hilbert_numerator):
+        assert answer(J) == answer(K)
+
+
 def test_hilbert_numerator_zero_ideal():
-    assert hilbert_numerator(gl.minimalize(3, [])) == [1]
+    assert hilbert_numerator(gl.MonomialIdeal(3, [])) == [1]
 
 
 def test_hilbert_series_fixtures():
-    J = gl.minimalize(3, list(GIN_32_22))
+    J = gl.MonomialIdeal(3, list(GIN_32_22))
     assert hilbert_series(J, 6) == [1, 3, 4, 4, 4, 4, 4]
-    I = gl.minimalize(3, list(INI_I))
+    I = gl.MonomialIdeal(3, list(INI_I))
     assert hilbert_series(I, 6) == [1, 3, 3, 1, 0, 0, 0]
-    Jv = gl.minimalize(3, list(INI_J))
+    Jv = gl.MonomialIdeal(3, list(INI_J))
     assert hilbert_series(Jv, 6) == [1, 3, 3, 1, 0, 0, 0]
 
 
 def test_hilbert_function_values():
-    assert hilbert_series(gl.minimalize(3, []), 2)[2] == 6
-    J = gl.minimalize(3, list(GIN_32_22))
+    assert hilbert_series(gl.MonomialIdeal(3, []), 2)[2] == 6
+    J = gl.MonomialIdeal(3, list(GIN_32_22))
     # standard monomials in degree 3: x2^3, x2^2 x3, x2 x3^2, x3^3
     assert hilbert_series(J, 3)[3] == 4
-    unit = gl.minimalize(2, [(0, 0)])
+    unit = gl.MonomialIdeal(2, [(0, 0)])
     assert hilbert_series(unit, 4) == [0] * 5
 
 
 def test_top_degree():
-    assert gl.top_degree(gl.minimalize(3, list(GIN_32_22))) == 4
-    assert gl.top_degree(gl.minimalize(1, [(1,)])) == 1
-    assert gl.top_degree(gl.minimalize(3, list(INI_J))) == 4
-    assert gl.top_degree(gl.minimalize(2, [])) == 0
+    assert gl.top_degree(gl.MonomialIdeal(3, list(GIN_32_22))) == 4
+    assert gl.top_degree(gl.MonomialIdeal(1, [(1,)])) == 1
+    assert gl.top_degree(gl.MonomialIdeal(3, list(INI_J))) == 4
+    assert gl.top_degree(gl.MonomialIdeal(2, [])) == 0
 
 
 def test_hilbert_function_matches_bruteforce():
@@ -173,7 +206,7 @@ def test_lex_monomials_complete_and_ascending():
 def test_monomial_ideal_rejects_bad_exponents(gens):
     with pytest.raises(ValueError):
         gl.MonomialIdeal(2, tuple(gens))
-    # a string exponent fails in `minimalize` before the check
+    # the loader runs the same check
     with pytest.raises((ValueError, TypeError)):
         gl.MonomialIdeal.from_json({"n": 2, "gens": [list(g) for g in gens]})
 
@@ -218,10 +251,11 @@ def _order(n, which):
 def test_packed_numerator_matches_tuple_recursion(ideal, which):
     n, gens = ideal
     layout = _order(n, which).layout(n)
-    J = gl.minimalize(n, gens)
+    J = gl.MonomialIdeal(n, gens)
     expected = tuple_hilbert_numerator(J)
     packed = [layout.pack(g) & layout.exponent_mask for g in gens]
-    assert packed_numerator(layout, packed) == expected
+    minimal = frozenset(_minimal(packed, layout.guard))
+    assert _numerator(minimal, layout, {}) == expected
     assert hilbert_numerator(J) == expected
 
 
@@ -229,7 +263,7 @@ def test_packed_numerator_matches_tuple_recursion(ideal, which):
 @given(monomial_ideals(), st.integers(0, 14))
 def test_hilbert_series_by_prefix_sums(ideal, horizon):
     n, gens = ideal
-    J = gl.minimalize(n, gens)
+    J = gl.MonomialIdeal(n, gens)
     num = hilbert_numerator(J)
     assert hilbert_series(J, horizon) == [
         series_coefficient(num, n, d) for d in range(horizon + 1)]
@@ -267,14 +301,14 @@ def test_inverse_block_layout_has_two_degree_fields():
 @pytest.mark.parametrize("gens", [[(EXP_MAX + 1, 0)], [(1, EXP_MAX + 1)],
                                   [(20000, 20000)]], ids=repr)
 def test_hilbert_data_past_the_field_width_raise(gens):
-    J = gl.minimalize(2, gens)
+    J = gl.MonomialIdeal(2, gens)
     with pytest.raises(ExponentOverflow):
         hilbert_numerator(J)
     with pytest.raises(ExponentOverflow):
         hilbert_series(J, 3)
     # the tuple operations have no such limit
     assert gl.contains(J, (40000, 40000))
-    assert hilbert_numerator(gl.minimalize(2, [(EXP_MAX, 0)])) == (
+    assert hilbert_numerator(gl.MonomialIdeal(2, [(EXP_MAX, 0)])) == (
         [1] + [0] * (EXP_MAX - 1) + [-1])
 
 
@@ -293,7 +327,7 @@ def _stable_closure(n, gens):
             if not any(all(a <= b for a, b in zip(g, moved)) for g in kept):
                 kept.append(moved)
                 todo.append(moved)
-    return gl.minimalize(n, kept)
+    return gl.MonomialIdeal(n, kept)
 
 
 def _certificate(J):
@@ -316,17 +350,17 @@ def test_stable_ideals_take_the_eliahou_kervaire_sum(ideal):
 @given(monomial_ideals())
 def test_stability_certificate_is_exact(ideal):
     n, gens = ideal
-    J = gl.minimalize(n, gens)
+    J = gl.MonomialIdeal(n, gens)
     assert (_certificate(J) is not None) == is_stable_by_scan(J)
 
 
 def test_stability_certificate_needs_minimal_generators():
-    # x1 * x2 is redundant, and the sum over both would count it twice
+    # x1 * x2 is redundant, and the sum over both would count it twice;
+    # the constructor drops it, so the certificate never sees it
     J = gl.MonomialIdeal(2, ((1, 1), (1, 0)))
-    assert _certificate(J) is None
-    assert _certificate(gl.minimalize(2, J.gens)) == [1, -1]
+    assert J.gens == ((1, 0),)
+    assert _certificate(J) == [1, -1]
     assert hilbert_numerator(J) == [1, -1]
-    assert _certificate(gl.MonomialIdeal(2, ((1, 0), (1, 0)))) is None
 
 
 def test_stable_numerator_of_lexsegment_ideals():
@@ -334,13 +368,13 @@ def test_stable_numerator_of_lexsegment_ideals():
         L, _ = gl.series.lexsegment_of_froeberg(n, degrees)
         layout = LEX.layout(n)
         packed = [layout.pack(g) for g in L.gens]
-        assert stable_numerator(n, packed) == packed_numerator(
-            layout, [P & layout.exponent_mask for P in packed])
+        assert stable_numerator(n, packed) == _numerator(
+            frozenset(P & layout.exponent_mask for P in packed), layout, {})
 
 
 def test_power_pivot_keeps_the_recursion_shallow():
     # pivoting on x1 alone would recurse 3000 levels deep
-    J = gl.minimalize(2, [(3000, 1), (0, 2)])
+    J = gl.MonomialIdeal(2, [(3000, 1), (0, 2)])
     assert _certificate(J) is None  # x1 * x2 is missing: not stable
     assert hilbert_numerator(J) == (
         [1, 0, -1] + [0] * 2998 + [-1, 1])

@@ -17,14 +17,14 @@ from test_ideals import random_monomial_ideal
 
 
 def test_is_lexsegment_examples():
-    assert is_lexsegment(gl.minimalize(3, list(GIN_32_22))).holds
-    J4 = gl.minimalize(4, [g + (0,) for g in GIN_32_22])
+    assert is_lexsegment(gl.MonomialIdeal(3, list(GIN_32_22))).holds
+    J4 = gl.MonomialIdeal(4, [g + (0,) for g in GIN_32_22])
     v = is_lexsegment(J4)
     assert not v.holds
     member, missing = v.witness
     assert missing == (1, 0, 1, 2)  # x1*x3*x4^2 is absent
     assert member == (0, 4, 0, 0)
-    assert is_lexsegment(gl.minimalize(3, [])).holds
+    assert is_lexsegment(gl.MonomialIdeal(3, [])).holds
 
 
 def test_is_lexsegment_matches_enumeration():
@@ -41,7 +41,7 @@ def test_is_lexsegment_matches_enumeration():
             if len(L.gens) > 1:
                 gens = list(L.gens)
                 del gens[rng.randrange(len(gens))]
-                ideals.append(gl.minimalize(n, gens))
+                ideals.append(gl.MonomialIdeal(n, gens))
     verdicts = [is_lexsegment(J) for J in ideals]
     assert verdicts == [is_lexsegment_by_enumeration(J) for J in ideals]
     assert {v.holds for v in verdicts} == {True, False}
@@ -57,58 +57,58 @@ def test_is_lexsegment_visits_generator_degrees_only(monkeypatch):
         return _macaulay_digits(a, d)
 
     monkeypatch.setattr(gl.props, "_macaulay_digits", counted)
-    J = gl.minimalize(2, [(40000, 0)])
+    J = gl.MonomialIdeal(2, [(40000, 0)])
     assert is_lexsegment(J).holds
     assert calls == [40000]
     for n, gens in [(2, [(3, 0), (2, 9), (1, 30)]),
                     (3, [(2, 0, 0), (1, 1, 0), (1, 0, 7), (0, 12, 0)]),
                     (2, [(3, 0), (1, 9)]),  # x1^2 x2^8 is missing
                     (3, [(2, 0, 0), (1, 0, 1), (0, 12, 0)])]:
-        J = gl.minimalize(n, gens)
+        J = gl.MonomialIdeal(n, gens)
         calls.clear()
         assert is_lexsegment(J) == is_lexsegment_by_enumeration(J)
         assert len(calls) <= len({sum(g) for g in gens})
 
 
 def test_is_weakly_revlex_examples():
-    assert is_weakly_revlex(gl.minimalize(3, list(INI_I))).holds
-    v = is_weakly_revlex(gl.minimalize(3, list(INI_J)))
+    assert is_weakly_revlex(gl.MonomialIdeal(3, list(INI_I))).holds
+    v = is_weakly_revlex(gl.MonomialIdeal(3, list(INI_J)))
     assert not v.holds
     assert v.witness == ((1, 0, 1), (0, 2, 0))  # x2^2 beats x1*x3, missing
-    assert is_weakly_revlex(gl.minimalize(4, [(1, 0, 0, 0)])).holds
+    assert is_weakly_revlex(gl.MonomialIdeal(4, [(1, 0, 0, 0)])).holds
     # strongly stable, so the certificate runs, fails, and the scan names
     # the witness
-    J = gl.minimalize(3, [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 3, 0)])
+    J = gl.MonomialIdeal(3, [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 3, 0)])
     assert props._strongly_stable(J)
     assert is_weakly_revlex(J).witness == ((1, 0, 1), (0, 2, 0))
 
 
 def test_is_borel_fixed_examples():
-    assert is_borel_fixed(gl.minimalize(3, list(GIN_32_22)), 0).holds
-    v = is_borel_fixed(gl.minimalize(2, [(0, 1)]), 0)
+    assert is_borel_fixed(gl.MonomialIdeal(3, list(GIN_32_22)), 0).holds
+    v = is_borel_fixed(gl.MonomialIdeal(2, [(0, 1)]), 0)
     assert not v.holds and v.witness == ((0, 1), (1, 0))
-    frob = gl.minimalize(2, [(2, 0), (0, 2)])
+    frob = gl.MonomialIdeal(2, [(2, 0), (0, 2)])
     assert is_borel_fixed(frob, 2).holds       # binom(2,1) = 0 mod 2
     assert not is_borel_fixed(frob, 0).holds   # s = 1 gives x1*x2, missing
 
 
 def test_is_borel_fixed_rejects_composite():
     with pytest.raises(ValueError):
-        is_borel_fixed(gl.minimalize(2, [(1, 0)]), 6)
+        is_borel_fixed(gl.MonomialIdeal(2, [(1, 0)]), 6)
 
 
 def test_borel_action_trivial_cases():
-    assert borel_action_check(gl.minimalize(2, [(1, 0)]), 0, 1, 1)
-    assert not borel_action_check(gl.minimalize(2, [(0, 1)]), 0, 1, 1)
+    assert borel_action_check(gl.MonomialIdeal(2, [(1, 0)]), 0, 1, 1)
+    assert not borel_action_check(gl.MonomialIdeal(2, [(0, 1)]), 0, 1, 1)
 
 
 def test_borel_action_on_known_ideal():
-    J = gl.minimalize(3, list(GIN_32_22))
+    J = gl.MonomialIdeal(3, list(GIN_32_22))
     assert borel_action_check(J, 0, 1, 1, horizon=4)
 
 
 def test_borel_action_validates_arguments():
-    J = gl.minimalize(2, [(1, 0)])
+    J = gl.MonomialIdeal(2, [(1, 0)])
     with pytest.raises(ValueError):
         borel_action_check(J, 1, 0, 1)
     with pytest.raises(ValueError):
@@ -146,13 +146,13 @@ def monomial_ideals(draw):
         gens = _strongly_stable_closure(
             draw(st.lists(exps, min_size=1, max_size=3)))
     gens = [g for g in gens if any(g)] or [(1,) * n]
-    return gl.minimalize(n, gens), p
+    return gl.MonomialIdeal(n, gens), p
 
 
 @settings(max_examples=300, deadline=None)
-@example((gl.minimalize(2, [(2, 0), (0, 2)]), 2))
-@example((gl.minimalize(2, [(3, 0), (0, 3)]), 3))
-@example((gl.minimalize(3, [(2, 0, 0), (1, 1, 0), (0, 1, 1)]), 3))
+@example((gl.MonomialIdeal(2, [(2, 0), (0, 2)]), 2))
+@example((gl.MonomialIdeal(2, [(3, 0), (0, 3)]), 3))
+@example((gl.MonomialIdeal(3, [(2, 0, 0), (1, 1, 0), (0, 1, 1)]), 3))
 @given(monomial_ideals())
 def test_is_borel_fixed_matches_full_scan(case):
     J, p = case
@@ -160,12 +160,13 @@ def test_is_borel_fixed_matches_full_scan(case):
 
 
 @settings(max_examples=300, deadline=None)
-@example((gl.minimalize(3, list(INI_J)), 0))
+@example((gl.MonomialIdeal(3, list(INI_J)), 0))
 # strongly stable, and x2^2, above x1*x3, is missing: the certificate
 # fails and the scan names the witness
-@example((gl.minimalize(3, [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 3, 0)]), 0))
+@example((gl.MonomialIdeal(3, [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 3, 0)]),
+          0))
 # x2^2 and x1*x3 both miss for x2*x3: the lex-larger x1*x3 is the witness
-@example((gl.minimalize(3, [(2, 0, 0), (1, 1, 0), (0, 1, 1)]), 0))
+@example((gl.MonomialIdeal(3, [(2, 0, 0), (1, 1, 0), (0, 1, 1)]), 0))
 @given(monomial_ideals())
 def test_is_weakly_revlex_matches_full_scan(case):
     """Deciding each monomial once gives the verdict and the witness of
@@ -232,7 +233,7 @@ def test_criterion_action_agreement():
 def test_implication_chain():
     rng = random.Random(99)
     ideals = [random_monomial_ideal(rng, 3) for _ in range(30)]
-    ideals += [gl.minimalize(3, list(g)) for g in (GIN_32_22, INI_I, INI_J)]
+    ideals += [gl.MonomialIdeal(3, list(g)) for g in (GIN_32_22, INI_I, INI_J)]
     for J in ideals:
         if is_lexsegment(J).holds:
             assert is_borel_fixed(J, 0).holds

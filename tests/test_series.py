@@ -174,7 +174,7 @@ def test_lexsegment_matches_enumeration_on_admissible_sequences(case):
        st.integers(0, 4))
 def test_lexsegment_matches_enumeration_on_monomial_ideals(n, exps, extra):
     gens = [tuple(e[:n]) for e in exps if any(e[:n])]
-    J = gl.minimalize(n, gens)
+    J = gl.MonomialIdeal(n, gens)
     hf = hilbert_series(J, top_degree(J) + extra)
     assert lexsegment_of_hf(n, hf) == lexsegment_by_enumeration(n, hf)
 
