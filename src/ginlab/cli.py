@@ -1,11 +1,12 @@
 """Command-line workbench.
 
 Subcommands: gin, check, froeberg, lexseg, bound, hilbert, gb, survey.
-Exit codes: 0 success, 1 mathematical failure (budget exhaustion,
-inadmissible Hilbert function, an exponent too large for a packed
-monomial), 2 usage error.
-All output is JSON with pinned key order; fixed seeds give byte-identical
-output.
+Each `cmd_*` returns its JSON record, and `main` alone prints it with
+`emit`, or exits 1 with the record of a mathematical failure (budget
+exhaustion, inadmissible Hilbert function, an exponent too large for a
+packed monomial); a usage error exits 2. Key order is pinned, and fixed
+seeds give byte-identical output. `gin` and `gb` make their `Budget` as
+they start, and `survey` one per case: `--budget-ms` runs from there.
 """
 
 from __future__ import annotations
@@ -181,8 +182,8 @@ def _load_ideal(path):
 def _gin(args, n, degrees):
     """The gin of n variables and `degrees` by the route, order, field,
     seed, trials, bound and budget that `args` names."""
-    inst = GenericInstance(n, degrees, args.field, ORDERS_BY_NAME[args.order])
     budget = Budget(ms=args.budget_ms, max_pairs=args.max_pairs)
+    inst = GenericInstance(n, degrees, args.field, ORDERS_BY_NAME[args.order])
     if args.route == "sample":
         return gin_by_sampling(inst, args.trials, args.seed, args.bound, budget)
     return gin_parametric(inst, budget)
@@ -191,8 +192,7 @@ def _gin(args, n, degrees):
 def cmd_gin(args):
     out = _gin(args, args.n, args.degrees).to_json()
     _with_strings(out["ideal"])
-    emit(out)
-    return 0
+    return out
 
 
 def cmd_check(args):
@@ -203,13 +203,11 @@ def cmd_check(args):
         verdict = is_weakly_revlex(J)
     else:
         verdict = is_borel_fixed(J, args.p)
-    emit(verdict.to_json(args.property))
-    return 0
+    return verdict.to_json(args.property)
 
 
 def cmd_froeberg(args):
-    emit({"coeffs": list(froeberg_series(args.n, args.degrees, args.horizon))})
-    return 0
+    return {"coeffs": list(froeberg_series(args.n, args.degrees, args.horizon))}
 
 
 def _hf_coeffs(data):
@@ -230,23 +228,21 @@ def cmd_lexseg(args):
                                               args.horizon)
     out = _with_strings(J.to_json())
     out["horizon_uncertain"] = uncertain
-    emit(out)
-    return 0
+    return out
 
 
 def cmd_bound(args):
     bound, uncertain = lexsegment_bound(args.n, args.degrees, args.horizon)
-    emit({"bound": bound, "horizon_uncertain": uncertain})
-    return 0
+    return {"bound": bound, "horizon_uncertain": uncertain}
 
 
 def cmd_hilbert(args):
     J = _load_ideal(args.ideal)
-    emit({"coeffs": hilbert_series(J, args.horizon)})
-    return 0
+    return {"coeffs": hilbert_series(J, args.horizon)}
 
 
 def cmd_gb(args):
+    budget = Budget(ms=args.budget_ms, max_pairs=args.max_pairs)
     order = ORDERS_BY_NAME[args.order]
 
     def parse(data):
@@ -259,16 +255,14 @@ def cmd_gb(args):
         return polys
 
     polys = _load(args.polys, "polynomial system", parse)
-    budget = Budget(ms=args.budget_ms, max_pairs=args.max_pairs)
     gb = reduce_basis(buchberger(polys, order, budget))
-    emit({
+    return {
         "schema": SCHEMA,
         "order": args.order,
         "basis": [poly_to_json(g) for g in gb.generators],
         "basis_str": [str(g) for g in gb.generators],
         "initial_ideal": _with_strings(gb.initial_ideal().to_json()),
-    })
-    return 0
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -332,11 +326,14 @@ def _load_rows(jsonl):
     return rows
 
 
-def _open_output(path, mode):
-    """`path` opened for writing in `mode`, or a usage error: exit 2."""
+def _open_output(path, mode, created=None):
+    """`path` opened for writing in `mode`, or a usage error: exit 2,
+    after removing `created`, a file that this command made, if given."""
     try:
         return open(path, mode, newline="")
     except OSError as exc:
+        if created is not None:
+            created.unlink()
         build_parser().error(f"{path}: cannot write: {type(exc).__name__}: {exc}")
 
 
@@ -351,9 +348,11 @@ def cmd_survey(args):
     seeds = (list(trial_seeds(args.seed, args.trials))
              if args.route == "sample" else [])
     rows = []
-    # a table that cannot be written stops the survey before any case runs
+    # a table that cannot be written stops the survey before any case
+    # runs, and removes the JSONL file if this survey made it
+    created = None if jsonl.exists() else jsonl
     with (_open_output(jsonl, "a") as log,
-          _open_output(out.with_suffix(".csv"), "w") as table):
+          _open_output(out.with_suffix(".csv"), "w", created) as table):
         for n, degrees in cases:
             head = {"schema": SCHEMA, "n": n, "s": len(degrees),
                     "degrees": list(degrees), "order": args.order,
@@ -380,9 +379,8 @@ def cmd_survey(args):
                 flat["gin"] = ";".join(
                     mono_str(tuple(g)) for g in row["gin"]["gens"])
             writer.writerow(flat)
-    emit({"schema": SCHEMA, "cases": len(rows),
-          "failures": sum(1 for r in rows if r.get("error"))})
-    return 0
+    return {"schema": SCHEMA, "cases": len(rows),
+            "failures": sum(1 for r in rows if r.get("error"))}
 
 
 # ---------------------------------------------------------------------------
@@ -485,10 +483,12 @@ def main(argv=None):
         if extra:  # as the top-level parser reports them
             parser.error("unrecognized arguments: " + " ".join(extra))
     try:
-        return args.func(args)
+        record, code = args.func(args), 0
     except FAILURES as exc:
-        emit({"schema": SCHEMA, "error": type(exc).__name__, "detail": str(exc)})
-        return 1
+        record, code = {"schema": SCHEMA, "error": type(exc).__name__,
+                        "detail": str(exc)}, 1
+    emit(record)
+    return code
 
 
 if __name__ == "__main__":

@@ -51,6 +51,8 @@ class GenericInstance(Frozen):
     def __post_init__(self):
         # any sequence of degrees, kept as a tuple: the value stays hashable
         object.__setattr__(self, "degrees", tuple(self.degrees))
+        if not self.degrees:
+            raise ValueError("need at least one generator degree")
         _check_degrees(self.n, self.degrees)
 
     @property

@@ -131,19 +131,14 @@ class BudgetExceeded(RuntimeError):
 
 
 class Budget:
-    """A wall-clock and pair-queue cap for one command. The first `start`
-    sets the deadline and later ones keep it, so every Buchberger run of
-    the command shares it."""
+    """A wall-clock and pair-queue cap for one command. The deadline is
+    fixed when the budget is made, `ms` milliseconds on, and never moves,
+    so every Buchberger run given the budget shares it."""
 
     def __init__(self, ms=None, max_pairs=None):
-        self.ms = ms
         self.max_pairs = max_pairs
-        self._deadline = None
-
-    def start(self):
-        if self.ms is not None and self._deadline is None:
-            self._deadline = time.monotonic() + self.ms / 1000.0
-        return self
+        self._deadline = (None if ms is None
+                          else time.monotonic() + ms / 1000.0)
 
     def check(self, npairs):
         self.check_time()
@@ -167,16 +162,15 @@ class GroebnerBasis:
     when the input did not allow the count or the count switched off.
 
     `generators`, and iteration, unpack the elements into Polynomials on
-    first access, once. `len()`, the leads and `reduce_basis` read the
-    packed elements, so a caller that reads only the leads and the
-    Hilbert numerator never unpacks.
+    first access, once. `len()`, `initial_ideal()` and `reduce_basis` read
+    the packed elements, so a caller that reads only the initial ideal
+    and the Hilbert numerator never unpacks.
     """
 
-    __slots__ = ("order", "hilbert_numerator", "_generators", "_ring",
-                 "_packed", "_main")
+    __slots__ = ("hilbert_numerator", "_generators", "_ring", "_packed",
+                 "_main")
 
     def __init__(self, R, packed, hilbert_numerator=None, main=None):
-        self.order = R.order
         self.hilbert_numerator = hilbert_numerator
         self._generators = None
         self._ring, self._packed = R, packed
@@ -188,19 +182,13 @@ class GroebnerBasis:
             self._generators = tuple(map(self._ring.unpack, self._packed))
         return self._generators
 
-    @property
-    def layout(self):
-        return self._ring.layout
-
-    def packed_leads(self):
-        """An iterator over the leading monomials, packed by `layout`."""
-        return map(self.layout.from_key, map(_lead_key, self._packed))
-
     def initial_ideal(self):
         """J, the `MonomialIdeal` of the leads, or of their x-parts under
         `stop_at_gin`, whose Hilbert numerator the run keeps."""
         main, low = self._main
-        return packed_ideal(main, (P >> low for P in self.packed_leads()))
+        from_key = self._ring.layout.from_key
+        return packed_ideal(main, (from_key(_lead_key(g)) >> low
+                                   for g in self._packed))
 
     def __iter__(self):
         return iter(self.generators)
@@ -463,7 +451,7 @@ def buchberger(gens, order=None, budget=None, *, stop_at_gin=False):
     if not gens:
         raise ValueError("no generators")
     order = order or gens[0].order
-    budget = (budget or Budget()).start()
+    budget = budget or Budget()
     R = PackedRing(gens[0].ring, order)
     layout = R.layout
     gens = [g for g in gens if g]

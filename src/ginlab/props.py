@@ -61,8 +61,15 @@ def is_lexsegment(J):
     digits of h_e is `_macaulay_shift(digits, t)`. So only the generator
     degrees are visited, with one Macaulay representation each; the
     degree-1 monomials, n = C(n, 1), start the walk as the digits [n].
-    Only the first failing degree is listed, to find the witness: a
-    member that follows a missing monomial.
+
+    The witness, at the first failing degree d, is a member that follows
+    a missing monomial in descending lex: the first monomial of S_d
+    outside J, and the first member after it. The lower degrees are lex
+    segments, so the degree-d members outside S_{d-e} J_e (all but the
+    `bound` lex-smallest) are the k generators. So the missing one is the
+    largest of the `bound` that is no generator, among their k + 1
+    largest (ranks h - 1 .. bound - 1; h >= 1, as the degree fails), and
+    the member is the largest generator below it.
     """
     n = J.n
     by_degree = {}
@@ -75,13 +82,9 @@ def is_lexsegment(J):
         gens = by_degree[d]
         h = bound - len(gens)
         if gens != set(_lex_monomials(n, d, h, bound)):
-            gap = None
-            for m in reversed(_lex_monomials(n, d)):
-                if contains(J, m):
-                    if gap is not None:
-                        return PropertyVerdict(False, (m, gap))
-                elif gap is None:
-                    gap = m
+            gap = max(set(_lex_monomials(n, d, h - 1, bound)) - gens)
+            return PropertyVerdict(False, (max(g for g in gens if g < gap),
+                                           gap))
         e, digits = d, _macaulay_digits(h, d)
     return PropertyVerdict(True)
 

@@ -150,6 +150,61 @@ def test_emit_prints_json_dumps_indent_2(value):
     assert buf.getvalue() == json.dumps(value, indent=2) + "\n"
 
 
+#: input files of the runs below, by name
+ONE_RECORD_FILES = {
+    "ideal.json": {"n": 3, "gens": [list(g) for g in GIN_32_22]},
+    "big.json": {"n": 2, "gens": [[40000, 0]]},
+    "hf.json": {"coeffs": [1, 2, 9]},
+    "sys.json": {"n": 2, "field": "Q",
+                 "polys": [[["1", [2, 0]], ["-1", [0, 2]]],
+                           [["1", [1, 1]], ["1", [0, 2]]]]},
+}
+
+#: one run of every subcommand that succeeds, and one that fails with
+#: exit 1 where the subcommand can; a survey records a failed case in its
+#: row and exits 0
+ONE_RECORD_RUNS = {
+    "gin": (0, "gin -n 3 -d 2,2"),
+    "gin fails": (1, "gin -n 3 -d 2,2 --route parametric --field Q "
+                     "--budget-ms 0.0001"),
+    "check": (0, "check ideal.json --property lexsegment"),
+    "check fails": (1, "check big.json --property weakly-revlex"),
+    "froeberg": (0, "froeberg -n 3 -d 2,2,2"),
+    "lexseg": (0, "lexseg -n 3 -d 2,2"),
+    "lexseg fails": (1, "lexseg -n 2 --hf-file hf.json"),
+    "bound": (0, "bound -n 3 -d 2,2"),
+    "hilbert": (0, "hilbert ideal.json --horizon 4"),
+    "hilbert fails": (1, "hilbert big.json --horizon 3"),
+    "gb": (0, "gb sys.json"),
+    "gb fails": (1, "gb sys.json --max-pairs 0"),
+    "survey": (0, "survey --case 2:2:2:2 --trials 1 --out rows"),
+    "survey with a failed case": (0, "survey --case 3:2:2:2 --budget-ms "
+                                     "0.0001 --out rows"),
+}
+
+
+@pytest.mark.parametrize("name", ONE_RECORD_RUNS)
+def test_main_alone_prints_the_record_a_command_returns(
+        name, capsys, tmp_path, monkeypatch):
+    code, text = ONE_RECORD_RUNS[name]
+    for file, data in ONE_RECORD_FILES.items():
+        (tmp_path / file).write_text(json.dumps(data))
+    monkeypatch.chdir(tmp_path)
+    argv = text.split()
+    records = []
+    monkeypatch.setattr(cli, "emit", records.append)
+    assert main(argv) == code and len(records) == 1
+    assert capsys.readouterr().out == ""
+    if code:
+        assert records[0]["error"] in cli._FAILURE_NAMES
+        return
+    # the subcommand returns its record, and prints nothing itself: a
+    # call of `emit` would now raise
+    args = cli.build_parser().parse_args(argv)
+    monkeypatch.setattr(cli, "emit", None)
+    assert args.func(args) == records[0]
+
+
 def test_parser_is_built_once(capsys, tmp_path):
     parser = cli.build_parser()
     assert cli.build_parser() is parser
@@ -599,11 +654,9 @@ def test_survey_parametric_rows_and_rerun(capsys, tmp_path, monkeypatch):
     assert out.with_suffix(".jsonl").read_text() == first
 
 
-def test_survey_table_that_cannot_be_written_is_usage_error(
-        capsys, tmp_path, monkeypatch):
-    # the table is opened before the first case runs, so nothing is
-    # computed and no row is appended
-    out = tmp_path / "rows"
+def _refused_survey(capsys, monkeypatch, out):
+    """Run a survey of one case whose table `out`.csv is a directory, and
+    check that it exits 2 naming that file before any case runs."""
     out.with_suffix(".csv").mkdir()
 
     def compute(*args, **kwargs):
@@ -613,7 +666,32 @@ def test_survey_table_that_cannot_be_written_is_usage_error(
     err = usage_error(capsys, "survey", "--case", "2:2:2:2", "--trials", "1",
                       "--out", str(out))
     assert str(out.with_suffix(".csv")) in err and "IsADirectoryError" in err
-    assert out.with_suffix(".jsonl").read_text() == ""
+
+
+def test_survey_table_that_cannot_be_written_is_usage_error(
+        capsys, tmp_path, monkeypatch):
+    # the table is opened before the first case runs, so nothing is
+    # computed and no row is appended, and the JSONL file that the
+    # survey made is removed
+    out = tmp_path / "rows"
+    _refused_survey(capsys, monkeypatch, out)
+    assert not out.with_suffix(".jsonl").exists()
+
+
+@pytest.mark.parametrize("found", ["an empty file", "a row"])
+def test_refused_survey_keeps_the_survey_file_it_found(
+        found, capsys, tmp_path, monkeypatch):
+    out = tmp_path / "rows"
+    jsonl = out.with_suffix(".jsonl")
+    if found == "a row":
+        run(capsys, "survey", "--case", "2:2:2:2", "--trials", "1",
+            "--out", str(out))
+        out.with_suffix(".csv").unlink()
+    else:
+        jsonl.write_text("")
+    before = jsonl.read_bytes()
+    _refused_survey(capsys, monkeypatch, out)
+    assert jsonl.read_bytes() == before
 
 
 def test_survey_retries_failure_under_another_budget(capsys, tmp_path):

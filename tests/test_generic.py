@@ -9,7 +9,6 @@ from ginlab.fields import PrimeField
 from ginlab.generic import (GF32003, _plucker_key, ideal_at_point,
                             normal_form_family, sample_ideal, sample_point)
 from ginlab.groebner import buchberger
-from ginlab.ideals import packed_ideal
 from ginlab.orders import InverseBlock, mono_divides
 from ginlab.poly import PackedRing, Polynomial
 
@@ -186,7 +185,7 @@ def test_sampling_selects_the_largest_trial_which_is_the_gin(
     trials = []
     for s in res.seeds:
         gb = buchberger(sample_ideal(inst, s, bound), order)
-        trials.append(packed_ideal(gb.layout, gb.packed_leads()))
+        trials.append(gb.initial_ideal())
     assert len(set(trials)) > 1
     # no trial lies above the gin in the Plucker order
     assert all(_plucker_key(J, order) <= _plucker_key(gin, order)
@@ -442,3 +441,11 @@ def test_invalid_instance():
         gl.GenericInstance(0, (2,))
     with pytest.raises(ValueError):
         ideal_at_point(gl.GenericInstance(2, (2,)), (1, 2))
+
+
+def test_instance_without_generators_is_refused():
+    # neither route has an ideal to start from; the bracket series of no
+    # degrees stays defined
+    with pytest.raises(ValueError, match="at least one generator degree"):
+        gl.GenericInstance(2, ())
+    assert gl.froeberg_series(2, (), 3) == (1, 2, 3, 4)

@@ -219,16 +219,21 @@ class FakeClock:
         return self.now
 
 
-def test_budget_keeps_its_first_deadline(monkeypatch):
+def test_budget_deadline_is_fixed_when_it_is_made(monkeypatch):
     clock = FakeClock()
     monkeypatch.setattr(groebner, "time", clock)
-    budget = Budget(ms=1000).start()
+    budget = Budget(ms=1000)
     clock.now = 0.9
-    budget.start()
     budget.check(0)
+    # a run given the budget later does not move its deadline
+    g = parse_poly("x1 - x2", R2, gl.LEX)
+    gl.buchberger([g], gl.LEX, budget)
     clock.now = 1.1
     with pytest.raises(BudgetExceeded):
-        budget.start().check(0)
+        budget.check(0)
+    with pytest.raises(BudgetExceeded):  # read before the first pair
+        gl.buchberger([parse_poly("x1*x2 - 1", R2, gl.LEX),
+                       parse_poly("x1^2 - x2", R2, gl.LEX)], gl.LEX, budget)
 
 
 class TickingClock(FakeClock):
@@ -250,7 +255,7 @@ def test_deadline_is_checked_inside_one_long_normal_form(monkeypatch):
     monkeypatch.setattr(groebner, "time", clock)
     g = parse_poly("x1 - x2", R2, gl.LEX)
     # x1^k -> x1^(k-1)*x2 -> ... -> x2^k takes k reduction steps
-    budget = Budget(ms=1000).start()  # reading 1: deadline 1.0
+    budget = Budget(ms=1000)  # reading 1: deadline 1.0
     assert normal_form(parse_poly("x1^1023", R2, gl.LEX), [g],
                           budget=budget) == parse_poly("x2^1023", R2, gl.LEX)
     assert clock.readings == 1  # no check in 1023 steps
