@@ -12,20 +12,26 @@ pair selection compare ints, and divisibility is one guard-bit test. A
 product whose exponent or degree would outgrow its field raises
 `orders.ExponentOverflow` first. Polynomials go in and come out.
 
-Coefficients are ints in both fields, in one reduction loop and one
-S-polynomial routine: reduced with ``% p`` over GF(p), and over Q
-fraction-free (pseudo-division; Cox-Little-O'Shea, "Ideals, Varieties,
-and Algorithms", and Geddes-Czapor-Labahn, "Algorithms for Computer
-Algebra", ch. 2; see `PackedRing`). An S-polynomial cross-multiplies
-the two tails by b/h and a/h, with h = gcd(a, b). Every scaling is a
-nonzero constant, so the basis, and every count of pairs and normal
-forms, are the same as over Fractions, and unpacking divides by the
-accumulated multiplier (`poly.Packed.den`).
+Coefficients are ints in both fields, in one reduction loop: reduced
+with ``% p`` over GF(p), and over Q fraction-free (pseudo-division;
+Cox-Little-O'Shea, "Ideals, Varieties, and Algorithms", and
+Geddes-Czapor-Labahn, "Algorithms for Computer Algebra", ch. 2; see
+`PackedRing`). Over Q an S-polynomial cross-multiplies the two tails by
+b/h and a/h, with h = gcd(a, b); over GF(p) the reducers' tails are
+monic, and go in unscaled. Every scaling is a nonzero constant, so the
+basis, and every count of pairs and normal forms, are the same as over
+Fractions, and unpacking divides by the accumulated multiplier
+(`poly.Packed.den`). The S-polynomial reaches `normal_form` as the dict
+its terms were summed in, unsorted, and `normal_form` works in a dict:
+between the two, the terms are neither sorted nor rebuilt.
 
 The run's bookkeeping is incremental: the reducer table (`_Reducers`)
 takes one `bisect` insertion per new element, and new pairs pass
 Gebauer-Moeller's criteria (Gebauer-Moeller, "On an installation of
 Buchberger's algorithm", J. Symbolic Comput. 6, 1988; `_update_pairs`).
+Each pair's lcm is made once, from the quotient the criteria read, and
+its selection key carries the lcm degree above the order key, so the
+selection and the Hilbert rule below read a pair's degree with one shift.
 The returned `GroebnerBasis` unpacks its elements only when `generators`
 is read, so the gin routes, which read the leads and the Hilbert
 numerator, unpack nothing.
@@ -227,16 +233,22 @@ def normal_form(f, reducers, R, budget=None):
     every rescaling over Q, which costs O(terms) itself. Only the terms
     at or above the least lead key pass through the heap (see the module
     docstring).
+
+    f's terms are read in any order: a list of (key, coefficient) pairs
+    or a dict from key to coefficient, as `s_polynomial` makes them. The
+    remainder comes back in descending order, as every `Packed` does.
     """
-    table, keys = reducers.entries, reducers.keys
-    if not f or not keys:
+    if not f:
         return f
+    table, keys = reducers.entries, reducers.keys
+    work = dict(f.terms)
+    if not keys:
+        return Packed(sorted(work.items(), reverse=True), f.den)
     layout = R.layout
     guard, rev, from_key = layout.guard, layout.rev, layout.from_key
     p = R.p
     den = f.den
     least = keys[0]
-    work = dict(f.terms)
     get = work.get
     heap = [-k for k in work if k >= least]
     heapify(heap)
@@ -291,36 +303,48 @@ def normal_form(f, reducers, R, budget=None):
     return Packed(rem, den)
 
 
-def s_polynomial(f, g, R):
+def s_polynomial(f, g, R, L):
     """S(f, g) = L/lt(f) * f - L/lt(g) * g of packed f and g of the
-    `PackedRing` R, L the lcm of the leads. With integer leading
-    coefficients a, b and h = gcd(a, b) it is (b/h * L/lead(f) * tail(f)
-    - a/h * L/lead(g) * tail(g)) / (a*b/h); over GF(p) a = b = 1."""
+    `PackedRing` R, L the packed lcm of the leads, which the pair holds
+    (`_update_pairs`). With integer leading coefficients a, b and h =
+    gcd(a, b) it is (b/h * L/lead(f) * tail(f) - a/h * L/lead(g) *
+    tail(g)) / (a*b/h); over GF(p) a = b = 1, and the tails go in
+    unscaled. The terms come as the dict they were summed in, unsorted,
+    for `normal_form` to take as they are."""
     layout, p = R.layout, R.p
-    f_key, f_lead, f_slack, f_tail, a = R.reducer(f)
-    g_key, g_lead, g_slack, g_tail, b = R.reducer(g)
-    L = layout.lcm(f_lead, g_lead)
+    f_key, _, f_slack, f_tail, a = R.reducer(f)
+    g_key, _, g_slack, g_tail, b = R.reducer(g)
     if (f_slack + L) & layout.guard or (g_slack + L) & layout.guard:
         raise ExponentOverflow()
     L = layout.key(L)
-    h = gcd(a, b)
-    a, b = a // h, b // h
     # the leading terms cancel
     qf, qg = L - f_key, L - g_key
+    if p:
+        work = {k + qf: c for k, c in f_tail}
+        for k, c in g_tail:
+            k += qg
+            s = work.get(k)
+            if s is None:
+                work[k] = p - c
+            elif s != c:
+                work[k] = (s - c) % p
+            else:
+                del work[k]
+        return Packed(work)
+    h = gcd(a, b)
+    a, b = a // h, b // h
     work = {k + qf: c * b for k, c in f_tail}
     for k, c in g_tail:
         k += qg
         c *= a
         s = work.get(k)
         if s is None:
-            work[k] = -c % p if p else -c
+            work[k] = -c
+        elif s != c:
+            work[k] = s - c
         else:
-            s = (s - c) % p if p else s - c
-            if s:
-                work[k] = s
-            else:
-                del work[k]
-    return Packed(sorted(work.items(), reverse=True), a * b * h)
+            del work[k]
+    return Packed(work, a * b * h)
 
 
 def _colon(leads, h, layout):
@@ -344,20 +368,31 @@ def _update_pairs(leads, pairs, h, layout, serial):
     lead h joins a basis with packed leads `leads`; it also returns the
     minimal generators of (leads) : h (see `_colon`).
 
-    A pair is (selection key, serial number, i, j, packed lcm). The
-    selection key orders pairs by lcm degree, then by the monomial order;
-    the serial number keeps creation order among equal keys, which is the
+    A pair is (sel, serial number, i, j, L), L the packed lcm and sel =
+    ``(deg(L) << layout.bits) + key(L)``. The selection key sel orders
+    pairs by lcm degree, then by the monomial order, and ``sel >>
+    layout.bits`` reads deg(L) back, as 0 <= key(L) < 2**layout.bits:
+    - key(L) <= L < 2**bits, as the key only subtracts;
+    - key(L) >= 0: only a graded block reverses its exponent fields
+      (degrevlex; see `orders.SingleBlock`), and there they lie below the
+      block's degree field D and are each at most D. So a block of degree
+      0 adds 0 to the key, and one of degree D >= 1, with w bits below its
+      degree field, adds at least D * 2**w - (2**w - 1) > 0 times its
+      lowest field's weight, as its reversed fields together hold less
+      than 2**w.
+    The serial number keeps creation order among equal keys, which is the
     pair list's order, so ``min(pairs)`` is the first pair of least key.
 
     The criteria read the quotients q_i of `_colon`: lcm(g, h) = h q, so
-    lcms divide or equal as quotients do. Criterion M keeps only the
+    lcms divide or equal as quotients do, and the lcm is h + q with q's
+    block degrees added to h's degree fields. Criterion M keeps only the
     minimal ones, found by the ascending scan of `ideals._minimal`; the
     first index of an lcm stands for all (criterion F). Only the lcm of a
     pair that also passes Buchberger's coprimality criterion gets its
     degree fields, so only it can raise `ExponentOverflow`.
     """
     t = len(leads)
-    guard, emask = layout.guard, layout.exponent_mask
+    guard, emask, bits = layout.guard, layout.exponent_mask, layout.bits
     quotients, colon = _colon(leads, h, layout)
     minimal = set(colon)
     new_pairs = []
@@ -366,8 +401,10 @@ def _update_pairs(leads, pairs, h, layout, serial):
             minimal.remove(q)
             # Buchberger's coprimality criterion: gcd 1 iff q = leads[i]
             if q != leads[i] & emask:
-                L = layout.lcm(leads[i], h)
-                sel = (layout.degree(L) << layout.bits) + layout.key(L)
+                L = h + q + layout.block_degrees(q)
+                if L & guard:
+                    raise ExponentOverflow()
+                sel = (layout.degree(L) << bits) + layout.key(L)
                 new_pairs.append((sel, next(serial), i, t, L))
     # prune old pairs via the chain criterion
     surviving = [pair for pair in pairs
@@ -484,25 +521,37 @@ def buchberger(gens, order=None, budget=None, *, stop_at_gin=False):
             leads.append(lead)
             table.add(entry)
 
-    for f in gens:
-        add(normal_form(R.pack(f), table, R, budget))
-    while pairs:
-        if hilbert is not None:
-            e = hilbert.first_difference()
-            if e is None:
-                break
-        budget.check(len(pairs))
-        best = min(pairs)
-        if hilbert is not None and not low:
-            d = layout.degree(best[4])
-            if e < d:
-                hilbert = None
-            elif e > d:
-                pairs[:] = [p for p in pairs if layout.degree(p[4]) != d]
-                continue
-        pairs.remove(best)
-        _, _, i, j, _ = best
-        add(normal_form(s_polynomial(G[i], G[j], R), table, R, budget))
+    bits = layout.bits
+    best, reduced = None, 0
+    try:
+        for f in gens:
+            add(normal_form(R.pack(f), table, R, budget))
+        while pairs:
+            if hilbert is not None:
+                e = hilbert.first_difference()
+                if e is None:
+                    break
+            budget.check(len(pairs))
+            best = min(pairs)
+            if hilbert is not None and not low:
+                d = best[0] >> bits  # the lcm degree (see `_update_pairs`)
+                if e < d:
+                    hilbert = None
+                elif e > d:
+                    # no pair is of degree below d: keep those above it
+                    above = (d + 1) << bits
+                    pairs[:] = [p for p in pairs if p[0] >= above]
+                    continue
+            pairs.remove(best)
+            _, _, i, j, L = best
+            add(normal_form(s_polynomial(G[i], G[j], R, L), table, R,
+                            budget))
+            reduced += 1
+    except BudgetExceeded as exc:
+        degree = 0 if best is None else best[0] >> bits
+        raise BudgetExceeded(
+            f"{exc} after {reduced} S-polynomials (basis {len(G)}, "
+            f"{len(pairs)} pairs left, degree {degree})") from None
     numerator = None if hilbert is None else hilbert.numerator()
     return GroebnerBasis(R, G, numerator, (main, low))
 

@@ -201,15 +201,16 @@ class Layout:
         mask = ge - (ge >> (FIELD_BITS - 1))
         return (a & mask) | (b & ~mask)
 
-    def lcm(self, a, b):
-        """Least common multiple; its degree fields are summed anew."""
-        L = self.fieldmax(a, b)
+    def block_degrees(self, q):
+        """The degree fields of a packed q's exponent fields: each block's
+        exponents summed into its degree field, every other field zero.
+        So a q with zero degree fields is the monomial ``q +
+        block_degrees(q)``. Exact while each sum is below 2**FIELD_BITS,
+        as it is for the quotient of one valid monomial by another."""
+        D = 0
         for s, lo, mask, ones, top in self._blocks:
-            deg = ((L >> lo) & mask) * ones >> top & _FIELD
-            L += (deg - ((L >> s) & _FIELD)) << s
-        if L & self.guard:
-            raise ExponentOverflow()
-        return L
+            D += (((q >> lo) & mask) * ones >> top & _FIELD) << s
+        return D
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +235,13 @@ class SingleBlock(_Order):
     name: str
     graded: bool = False
     reversed: bool = False
+
+    def __post_init__(self):
+        # revlex without the degree is no well-order; and the kernel reads
+        # a pair's lcm degree off its key on the strength of it (see
+        # `groebner._update_pairs`)
+        if self.reversed and not self.graded:
+            raise ValueError("a reversed order must be graded")
 
     def blocks(self, variables):
         if self.reversed:

@@ -120,7 +120,9 @@ class Polynomial:
 class Packed:
     """A polynomial in the packed form of a `PackedRing`: `terms` lists
     (key, coefficient) pairs, keys strictly descending, coefficients
-    nonzero ints. The polynomial is ``terms / den``; `den` is a nonzero
+    nonzero ints; only the S-polynomial that `groebner.s_polynomial`
+    hands to `groebner.normal_form` holds a dict from key to coefficient
+    instead. The polynomial is ``terms / den``; `den` is a nonzero
     int, 1 over GF(p). It is falsy when zero. `reducer` caches what
     division by it needs, once it divides (see `PackedRing.reducer`)."""
 

@@ -81,11 +81,11 @@ def is_lexsegment(J):
         bound = _macaulay_shift(digits, d - e)
         gens = by_degree[d]
         h = bound - len(gens)
-        if gens != set(_lex_monomials(n, d, h, bound)):
+        e, digits = d, _macaulay_digits(h, d)
+        if gens != set(_lex_monomials(n, d, h, bound, digits)):
             gap = max(set(_lex_monomials(n, d, h - 1, bound)) - gens)
             return PropertyVerdict(False, (max(g for g in gens if g < gap),
                                            gap))
-        e, digits = d, _macaulay_digits(h, d)
     return PropertyVerdict(True)
 
 

@@ -114,20 +114,21 @@ def _macaulay_shift(digits, t):
     return sum(comb(c + t, d - i + t) for i, c in enumerate(digits))
 
 
-def _lex_monomials(n, d, lo=0, hi=None):
+def _lex_monomials(n, d, lo=0, hi=None, digits=None):
     """The degree-d monomials in n variables with lo, ..., hi - 1 monomials
     of degree d below them in lex order, in ascending lex order; all of
     them by default. Numbering the variables x_n = 0, ..., x_1 = n - 1,
     the j-th smallest index among the d factors of the first is
-    c_j - (j - 1), c_j the digits of lo. Each next one is a colex step of
-    the digits: of the k factors of least index, k - 1 drop to x_n and
-    one moves up a variable."""
+    c_j - (j - 1), c_j the digits of lo (`_macaulay_digits`, or `digits`
+    when the caller has them). Each next one is a colex step of the
+    digits: of the k factors of least index, k - 1 drop to x_n and one
+    moves up a variable."""
     if hi is None:
         hi = comb(n - 1 + d, d)
     if lo >= hi:
         return []
     m = [0] * n
-    for i, c in enumerate(_macaulay_digits(lo, d)):
+    for i, c in enumerate(digits or _macaulay_digits(lo, d)):
         m[n - 1 - (c - (d - i - 1))] += 1
     out = [tuple(m)]
     for _ in range(lo + 1, hi):
@@ -223,11 +224,11 @@ def lexsegment_of_hf(n, hf, horizon=None):
         if hd > bound:
             raise InadmissibleHilbertFunction(
                 f"degree-{d} piece is not a lex segment for the given function")
-        gens += _lex_monomials(n, d, hd, bound)
         # without generators the digits of h_d are those of h_{d-1}, each
         # plus one, and a last 0: the same sum, and the digits are unique
         digits = ([c + 1 for c in digits] + [0] if hd == bound and d > 1
                   else _macaulay_digits(hd, d))
+        gens += _lex_monomials(n, d, hd, bound, digits)
         bound = _macaulay_shift(digits, 1)
     J = _ideal(n, tuple(sorted(gens, reverse=True)))  # minimal, as built
     if hilbert_series(J, horizon=last) != h[:last + 1]:

@@ -79,7 +79,9 @@ def test_gin_budget_exhaustion_exit_code(capsys, tmp_path):
     code, out = run(capsys, "gb", str(f), "--max-pairs", "0")
     assert code == 1
     assert json.loads(out) == {"schema": 1, "error": "BudgetExceeded",
-                               "detail": "pair-queue cap exceeded"}
+                               "detail": "pair-queue cap exceeded after 0 "
+                               "S-polynomials (basis 2, 1 pairs left, "
+                               "degree 0)"}
 
 
 def test_gin_deterministic_bytes(capsys):

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from fractions import Fraction
 from itertools import count
@@ -11,15 +12,15 @@ from ginlab import generic, groebner
 from ginlab.generic import GF32003
 from ginlab.groebner import Budget, BudgetExceeded
 from ginlab.orders import EXP_MAX, ExponentOverflow
-from ginlab.poly import PackedRing, Polynomial, Ring
+from ginlab.poly import Packed, PackedRing, Polynomial, Ring
 from ginlab.series import bracket_numerator
 
 from conftest import GIN_32_22, INI_I, INI_J, POINT_A
 from test_acceptance import CRIT4_GRID
 from oracles import (_tuple_update_pairs, block_leading_data, degree,
                      full_templates, hilbert_function_homogeneous,
-                     is_groebner, lead_monomial, lead_monomials, mono_mul,
-                     monomials_of_degree, packed_key, parse_poly,
+                     is_groebner, lead_monomial, lead_monomials, mono_lcm,
+                     mono_mul, monomials_of_degree, packed_key, parse_poly,
                      stability_check,
                      tuple_buchberger, tuple_hilbert_numerator,
                      tuple_minimalize, tuple_normal_form, tuple_reduce_basis,
@@ -36,10 +37,23 @@ def normal_form(f, G, order=None, budget=None):
     return R.unpack(groebner.normal_form(R.pack(f), table, R, budget))
 
 
-def s_polynomial(f, g, order=None):
-    """The kernel's `s_polynomial` on Polynomials: pack, build, unpack."""
+def packed_s_polynomial(f, g, order=None):
+    """The `PackedRing` of f and g, and the kernel's `s_polynomial` of
+    them packed. The kernel reads the lcm of the leads from the pair; here
+    it is packed from the tuple lcm."""
     R = PackedRing(f.ring, order or f.order)
-    return R.unpack(groebner.s_polynomial(R.pack(f), R.pack(g), R))
+    F, G = R.pack(f), R.pack(g)
+    layout = R.layout
+    L = mono_lcm(*(layout.unpack(R.reducer(P)[1]) for P in (F, G)))
+    return R, groebner.s_polynomial(F, G, R, layout.pack(L))
+
+
+def s_polynomial(f, g, order=None):
+    """The kernel's `s_polynomial` on Polynomials: pack, build, unpack.
+    Its terms come unsorted, for `normal_form`, so they are sorted before
+    they are unpacked."""
+    R, S = packed_s_polynomial(f, g, order)
+    return R.unpack(Packed(sorted(S.terms.items(), reverse=True), S.den))
 
 
 def test_normal_form_monomial_ideal():
@@ -77,6 +91,55 @@ def test_s_polynomial_construction():
     g = parse_poly("x2 - x3", R3, gl.LEX)
     # lcm(x1, x2) = x1*x2: S = x2*f - x1*g = x1*x3 - x2^2
     assert s_polynomial(f, g) == parse_poly("x1*x3 - x2^2", R3, gl.LEX)
+
+
+@st.composite
+def s_polynomial_cases(draw):
+    """Two polynomials in 3 variables of degree <= 3 over Q, GF(7) or
+    GF(32003), under lex, degrevlex or an inverse block order. Their
+    leading coefficients are drawn like the others, so most are not 1."""
+    field = draw(st.sampled_from([gl.QQ, gl.PrimeField(7),
+                                  gl.PrimeField(32003)]))
+    order = draw(st.sampled_from([gl.LEX, gl.DEGREVLEX, gl.InverseBlock(
+        gl.LEX, gl.DEGREVLEX, 2)]))
+    ring = Ring(field, ("x1", "x2", "x3"))
+    mono = st.sampled_from([m for d in range(4)
+                            for m in monomials_of_degree(3, d)])
+    coeff = st.integers(-6, 6).filter(bool)
+    if field == gl.QQ:
+        coeff = st.one_of(coeff, st.sampled_from(RATIONALS))
+    f, g = (Polynomial.from_terms(ring, order, draw(st.lists(
+        st.tuples(mono, coeff), min_size=1, max_size=5))) for _ in range(2))
+    assume(f and g)
+    return f, g, order
+
+
+def _s_case(field, order, f, g):
+    ring = Ring(field, ("x1", "x2", "x3"))
+    return parse_poly(f, ring, order), parse_poly(g, ring, order), order
+
+
+@settings(max_examples=200, deadline=None)
+# leading coefficients 2 and 3: over Q the tails are cross-multiplied by
+# 3 and 2, over GF(7) they are made monic and go in unscaled
+@example(_s_case(gl.QQ, gl.LEX, "2*x1*x2 + x3^2 - x2", "3*x1^2 - x2*x3"))
+@example(_s_case(gl.PrimeField(7), gl.LEX, "2*x1*x2 + x3^2 - x2",
+                 "3*x1^2 - x2*x3"))
+# the tails cancel in x2*x3^2, over Q and mod 7
+@example(_s_case(gl.QQ, gl.LEX, "2*x1*x2 + 2*x2*x3",
+                 "3*x1*x3 + 3*x3^2 + x2*x3"))
+@example(_s_case(gl.PrimeField(7), gl.LEX, "2*x1*x2 + 2*x2*x3",
+                 "3*x1*x3 + 3*x3^2 + x2*x3"))
+@given(s_polynomial_cases())
+def test_s_polynomial_terms_as_a_dict_match_tuple_s_polynomial(case):
+    """`s_polynomial` hands `normal_form` its terms in no set order: read
+    as a dict from key to coefficient, over its denominator, they are
+    those of the tuple kernel's S-polynomial."""
+    f, g, order = case
+    R, S = packed_s_polynomial(f, g, order)
+    key, pack = R.layout.key, R.layout.pack
+    assert {k: Fraction(c, S.den) for k, c in dict(S.terms).items()} == {
+        key(pack(m)): c for m, c in tuple_s_polynomial(f, g, order).terms}
 
 
 def test_s_polynomial_rejects_zero():
@@ -209,6 +272,29 @@ def test_budget_exhaustion_raises():
     inst = gl.GenericInstance(3, (2, 2))
     with pytest.raises(BudgetExceeded):
         gl.buchberger(full_templates(inst), inst.order, Budget(ms=0.0001))
+
+
+def test_budget_exceeded_says_how_far_the_run_got(monkeypatch):
+    """The detail gives the S-polynomials reduced, the basis size, the
+    pairs left and the lcm degree of the last pair taken."""
+    spolys = []
+    real_sp = groebner.s_polynomial
+
+    def counting_sp(*args):
+        spolys.append(1)
+        return real_sp(*args)
+
+    monkeypatch.setattr(groebner, "s_polynomial", counting_sp)
+    inst = gl.GenericInstance(3, (2, 2, 2), field=gl.generic.GF32003)
+    gens = gl.sample_ideal(inst, seed=0)
+    assert len(gl.buchberger(gens, gl.LEX)) == 7
+    spolys.clear()
+    # the queue holds 3 pairs, then 4 after two S-polynomials of degree 3
+    with pytest.raises(BudgetExceeded, match=re.escape(
+            "pair-queue cap exceeded after 2 S-polynomials (basis 5, "
+            "4 pairs left, degree 3)")):
+        gl.buchberger(gens, gl.LEX, Budget(max_pairs=3))
+    assert len(spolys) == 2
 
 
 class FakeClock:
@@ -520,6 +606,10 @@ def lead_sequences(draw):
 @settings(max_examples=150, deadline=None)
 # x1*x2 and x1*x3 give the same lcm with x2*x3; x4 is coprime to all
 @example(([(1, 1, 0, 0), (1, 0, 1, 0), (0, 1, 1, 0), (0, 0, 0, 1)], gl.LEX))
+# main degree 0, so the degrevlex parameter block alone makes the keys,
+# with their reversed fields counted negatively
+@example(([(0, 0, 1, 1), (0, 0, 0, 2), (0, 0, 2, 0), (0, 0, 1, 0)],
+          gl.InverseBlock(gl.LEX, gl.DEGREVLEX, 2)))
 @given(lead_sequences())
 def test_update_pairs_matches_tuple_update_pairs(case):
     leads, order = case
@@ -545,6 +635,9 @@ def test_update_pairs_matches_tuple_update_pairs(case):
         G.append(f)
         assert [(i, j, layout.unpack(L))
                 for _, _, i, j, L in pairs] == tuple_pairs
+        # the selection key carries the lcm degree above its order key
+        assert [sel >> layout.bits for sel, *_ in pairs] == [
+            layout.degree(L) for *_, L in pairs]
         # the pair list is in creation order
         serials = [pair[1] for pair in pairs]
         assert serials == sorted(serials)
@@ -782,10 +875,15 @@ def test_product_past_the_field_width_raises():
         normal_form(f, [g])
     with pytest.raises(ExponentOverflow):
         gl.buchberger([f, g], gl.LEX)
-    # the lcm x1^20000*x2^20000 has degree 40000
+    # S = x2 - x1^19999*x2^20000, of degree 39999
     with pytest.raises(ExponentOverflow):
         s_polynomial(parse_poly("x1^20000 + x2", R2, gl.LEX),
                         parse_poly("x2^20000 + x1", R2, gl.LEX))
+    # a pair's lcm, x1^20000*x2^20000*x3, has degree 40001
+    layout = gl.LEX.layout(3)
+    with pytest.raises(ExponentOverflow):
+        groebner._update_pairs([layout.pack((20000, 0, 1))], [],
+                               layout.pack((0, 20000, 1)), layout, count())
     assert normal_form(parse_poly("x1*x2", R2, gl.LEX), [g]) == parse_poly(
         "x2^20001", R2, gl.LEX)
 

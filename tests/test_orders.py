@@ -60,6 +60,8 @@ def test_orders_are_values_sharing_one_layout_per_block_structure():
         assert a is not b and a == b and hash(a) == hash(b)
         assert a.layout(7) is b.layout(7)
     assert SingleBlock("degrevlex", True, True) == gl.DEGREVLEX
+    with pytest.raises(ValueError, match="must be graded"):
+        SingleBlock("revlex", reversed=True)
     assert SingleBlock(name="lex") == gl.LEX != SingleBlock("lex", True)
     by_keyword = gl.InverseBlock(nmain=3, param_order=gl.DEGREVLEX,
                                  main_order=gl.LEX)
@@ -178,11 +180,14 @@ def test_packed_monomials_match_tuples(a, b):
         assert divides(L, pa, pb) == (mono_div(b, a) is not None)
         assert L.key(pa + pb) == ka + kb
         assert L.unpack(pa + pb) == mono_mul(a, b)
-        assert L.lcm(pa, pb) == L.pack(mono_lcm(a, b))
         assert L.degree(pa) == sum(a)
         # colon generators: a / gcd(a, b), degree fields zero
         qa, qb = (L.pack(tuple(x - min(x, y) for x, y in zip(u, v)))
                   & L.exponent_mask for u, v in ((a, b), (b, a)))
+        # with its block degrees added, a quotient is its monomial, and
+        # the lcm is b times a / gcd(a, b)
+        assert qa + L.block_degrees(qa) == L.pack(L.unpack(qa))
+        assert pb + qa + L.block_degrees(qa) == L.pack(mono_lcm(a, b))
         is_variable = (qa and qa & L.exponent_ones == qa
                        and not qa & (qa - 1))
         assert is_variable == (sum(L.unpack(qa)) == 1)
@@ -201,10 +206,12 @@ def test_exponent_overflow_is_refused():
                   (EXP_MAX // 2 + 1,) * 4]:
             with pytest.raises(ExponentOverflow, match="does not fit"):
                 L.pack(m)
-    # x1^20000 and x2^20000 are fine, their lcm is not (x1, x2 in one block)
+    # x1^20000 and x2^20000 are fine, their lcm is not (x1, x2 in one
+    # block): the sum sets a guard bit
     for order in orders4[:4]:
         L = order.layout(4)
-        with pytest.raises(ExponentOverflow):
-            L.lcm(L.pack((20000, 0, 0, 0)), L.pack((0, 20000, 0, 0)))
+        a, b = L.pack((20000, 0, 0, 0)), L.pack((0, 20000, 0, 0))
+        q = a & L.exponent_mask  # a / gcd(a, b)
+        assert (b + q + L.block_degrees(q)) & L.guard
     with pytest.raises(ExponentOverflow):
         gl.LEX.layout(2).pack((1 << 16, 0))
