@@ -12,8 +12,8 @@ from operator import mul
 
 from .fields import QQ, PrimeField
 from .groebner import buchberger
-from .ideals import MonomialIdeal, top_degree
-from .orders import DEGREVLEX, LEX, InverseBlock, mono_divides
+from .ideals import MonomialIdeal, _ideal, top_degree
+from .orders import DEGLEX, DEGREVLEX, LEX, InverseBlock, mono_divides
 from .poly import Polynomial, Ring, xring
 from .series import _check_degrees, _lex_monomials, bracket_numerator
 from .values import Frozen
@@ -64,11 +64,29 @@ class GenericInstance(Frozen):
         """The number of coefficients of the full templates."""
         return sum(comb(self.n + d - 1, d) for d in self.degrees)
 
+    @property
+    def run_order(self):
+        """The main order the routes run Buchberger under: `main_order`,
+        or LEX for DEGLEX, whose degree pieces are ordered alike. Both
+        routes give the same gin under either. An ideal spanned by forms,
+        as the sampled templates span theirs, is the sum of its degree
+        pieces, and its initial ideal in degree d is spanned by the leads
+        of its forms of degree d, which depend only on how the order ranks
+        the monomials of degree d: deglex ranks them as lex does. So a
+        trial's initial ideal, its Hilbert numerator and its Plucker key
+        (`_plucker_key` compares monomials of one degree only) are the same
+        under DEGLEX and LEX. The parametric family is homogeneous in x, so
+        the same holds of the ideal it spans over k(t) and of its x-leads,
+        which the main block orders first (`gin_parametric`). A record
+        still names `main_order`."""
+        return LEX if self.main_order == DEGLEX else self.main_order
+
     @cached_property
     def order(self):
-        """The inverse block order of the parametric route, degrevlex on
-        the parameters (see `gin_parametric`), built once."""
-        return InverseBlock(self.main_order, DEGREVLEX, self.n)
+        """The inverse block order of the parametric route, `run_order` on
+        the main block and degrevlex on the parameters (see
+        `gin_parametric`), built once."""
+        return InverseBlock(self.run_order, DEGREVLEX, self.n)
 
     @cached_property
     def monomials(self):
@@ -245,6 +263,17 @@ def _plucker_key(J, order):
     return [(len(k), sorted(k, reverse=True)) for k in keys]
 
 
+def _section(gens, ring):
+    """The forms `gens` at x_{k+1} = ... = x_n = 0, in `ring`, the ring of
+    x_1..x_k, under DEGREVLEX: the terms that use a dropped variable are
+    dropped, and the rest keep their descending order, since degrevlex
+    ranks monomials without x_{k+1}..x_n as it ranks them in k variables."""
+    k = ring.nvars
+    return [Polynomial(ring, DEGREVLEX,
+                       [(m[:k], c) for m, c in f.terms if not any(m[k:])])
+            for f in gens]
+
+
 def gin_by_sampling(inst, trials=5, seed=0, bound=None, budget=None):
     """The largest initial ideal of sampled trials in the Plucker order
     (`_plucker_key`), and the number of trials that reached it.
@@ -281,19 +310,71 @@ def gin_by_sampling(inst, trials=5, seed=0, bound=None, budget=None):
       Algebra, section 15.9). There the first full-rank column subset
       is gin_e, so gin_e comes first in column order: it holds the
       largest monomial of the symmetric difference.
+
+    The section. Under DEGREVLEX with s < n, a trial first runs on its
+    own forms at x_{s+1} = ... = x_n = 0 (`_section`), s forms in s
+    variables. When that run passes the u-check, the trial's ideal is the
+    section's initial ideal with n - s zero exponents appended, and its
+    label is "yes"; otherwise the trial runs on its n-variable forms, as
+    if there were no section. Each trial gives the ideal and the label of
+    its full run, over any field and at every point, not only at a
+    generic one. Let F be the field, I_k, in S_k = F[x_1..x_k], the ideal
+    of the trial's forms at x_{k+1} = ... = x_n = 0, and H_k =
+    prod(1 - t^d_i) / (1 - t)^k, for s <= k <= n; for such k the bracket
+    series is H_k with nothing truncated, and `bracket_numerator(n, d)` =
+    `bracket_numerator(s, d)` = prod(1 - t^d_i).
+
+    - The section passes the u-check iff HS(S_s/I_s) = H_s. Take k > s,
+      and assume HS(S_{k-1}/I_{k-1}) = H_{k-1} = (1 - t) H_k.
+    - S_k/(I_k + (x_k)) is S_{k-1}/I_{k-1}, so the exact sequence
+      0 -> ((I_k : x_k)/I_k)(-1) -> (S_k/I_k)(-1) -> S_k/I_k
+      -> S_{k-1}/I_{k-1} -> 0, the middle map multiplication by x_k,
+      gives (1 - t) D = -t K, where D = HS(S_k/I_k) - H_k and
+      K = HS((I_k : x_k)/I_k) >= 0 coefficientwise. So
+      D = -t K / (1 - t) <= 0 coefficientwise.
+    - Froeberg's inequality, over any field (the `groebner` docstring),
+      makes D >= 0 lexicographically. So D = 0, hence K = 0: x_k is a
+      nonzerodivisor on S_k/I_k.
+    - Under degrevlex, with x_k the last variable, in(I_k : x_k) =
+      in(I_k) : x_k and in(I_k + (x_k)) = in(I_k) + (x_k) (Eisenbud,
+      Commutative Algebra, Prop. 15.12). With I_k : x_k = I_k, a minimal
+      generator of in(I_k) that x_k divided would be a multiple of its
+      quotient by x_k, which lies in in(I_k) : x_k = in(I_k); so none
+      uses x_k. The monomials of in(I_k) + (x_k) without x_k are those of
+      in(I_{k-1}): degrevlex ranks a monomial that x_k divides below
+      every monomial of its degree that x_k does not, so a form of
+      I_k + (x_k) whose lead x_k does not divide has the lead of its
+      value at x_k = 0, which lies in I_{k-1}; and every form of I_{k-1}
+      lies in I_k + (x_k). So in(I_k) has the minimal generators of
+      in(I_{k-1}).
+    - By induction over k, in(I_n) has the minimal generators of
+      in(I_s), and HS(S_n/I_n) = H_s / (1 - t)^(n - s) = H_n, so the full
+      run's label is "yes" too. A trial whose section fails the u-check
+      is its full run. So every trial gives the ideal and the label of
+      its full run, and the selection, `agreement` and `u_generic` are
+      unchanged.
     """
+    n, s, order = inst.n, inst.s, inst.run_order
+    section = xring(s, inst.field) if order == DEGREVLEX and s < n else None
+    pad = (0,) * (n - s)
     seeds = trial_seeds(seed, trials)
     ideals = []
     flags = []
-    for s in seeds:
-        gens = sample_ideal(inst, s, bound)
-        gb = buchberger(gens, inst.main_order, budget)
+    for t in seeds:
+        gens = sample_ideal(inst, t, bound)
+        if section is not None:
+            gb = buchberger(_section(gens, section), order, budget)
+            if is_u_generic(gb, inst) == "yes":
+                ideals.append(_ideal(n, tuple(g + pad for g in
+                                              gb.initial_ideal().gens)))
+                flags.append("yes")
+                continue
+        gb = buchberger(gens, order, budget)
         ideals.append(gb.initial_ideal())
         flags.append(is_u_generic(gb, inst))
     best = ideals[0]
     if len(set(ideals)) > 1:  # the key runs only when the trials disagree
-        best = max(set(ideals),
-                   key=lambda J: _plucker_key(J, inst.main_order))
+        best = max(set(ideals), key=lambda J: _plucker_key(J, order))
     return GinResult(best, "sampling", inst, seeds=seeds,
                      agreement=ideals.count(best), u_generic=tuple(flags))
 

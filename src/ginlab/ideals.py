@@ -245,7 +245,10 @@ def _minimal(gens, guard):
     kept = []
     for m in sorted(gens):
         mg = m | guard
-        if guard not in map(guard.__and__, map(mg.__sub__, kept)):
+        for k in kept:
+            if (mg - k) & guard == guard:
+                break
+        else:
             kept.append(m)
     return kept
 

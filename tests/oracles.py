@@ -45,6 +45,9 @@
   minimal generator
 - `is_stable_by_scan`: whether a monomial ideal is stable, by moving
   every member in the box of divisors of the generators' lcm
+- `full_trials`: the initial ideal and u-label of each trial of
+  `ginlab.gin_by_sampling`, by `buchberger` on its n-variable forms,
+  the reference for the section route of degrevlex trials
 - `full_templates`: the parametric generators with one parameter per
   monomial, F_i = sum over the degree-d_i monomials m_k of t_{i,k} m_k,
   whose coordinates are the points that `ginlab.sample_point` draws
@@ -72,6 +75,8 @@ from itertools import combinations_with_replacement, product
 from math import comb, gcd, lcm
 
 from ginlab.fields import QQ
+from ginlab.generic import is_u_generic, sample_ideal, trial_seeds
+from ginlab.groebner import buchberger
 from ginlab.ideals import MonomialIdeal, hilbert_series, top_degree
 from ginlab.orders import (DEGLEX, DEGREVLEX, LEX, InverseBlock, binom_p_leq,
                            mono_divides)
@@ -553,6 +558,18 @@ def is_stable_by_scan(J):
             if not tuple_contains(J, tuple(moved)):
                 return False
     return True
+
+
+def full_trials(inst, trials=5, seed=0, bound=None):
+    """The initial ideals and u-labels of the trials of
+    `gin_by_sampling(inst, trials, seed, bound)`, each from `buchberger`
+    on the trial's forms in all n variables."""
+    ideals, labels = [], []
+    for t in trial_seeds(seed, trials):
+        gb = buchberger(sample_ideal(inst, t, bound), inst.main_order)
+        ideals.append(gb.initial_ideal())
+        labels.append(is_u_generic(gb, inst))
+    return ideals, tuple(labels)
 
 
 def full_templates(inst):

@@ -16,6 +16,7 @@ from ginlab.generic import trial_seeds
 from ginlab.ideals import top_degree
 
 from conftest import GIN_32_22
+from test_generic import _spy_on_buchberger
 from oracles import lead_monomials, parse_poly, series_coefficient
 
 
@@ -54,6 +55,25 @@ def test_gin_trial_whose_templates_vanish(capsys):
     data = json.loads(out)
     assert data["ideal"] == {"n": 1, "gens": [], "gens_str": []}
     assert (data["agreement"], data["u_generic"]) == (1, ["no"])
+
+
+def test_gin_falls_back_when_a_section_fails(capsys, monkeypatch):
+    # over F3 the sections x3 = 0 of trials 0, 2 and 4 are singular, so
+    # those trials run again in all three variables, where their initial
+    # ideal is (x1, x3): two trials reach (x1, x2), and all five are
+    # u-generic
+    runs = _spy_on_buchberger(monkeypatch)
+    code, out = run(capsys, "gin", "-n", "3", "-d", "1,1", "--order",
+                    "degrevlex", "--field", "F3", "--seed", "0")
+    assert code == 0
+    assert [nvars for nvars, _ in runs] == [2, 3, 2, 2, 3, 2, 2, 3]
+    assert json.loads(out) == {
+        "schema": 1, "n": 3, "s": 2, "degrees": [1, 1],
+        "order": "degrevlex", "route": "sampling",
+        "ideal": {"n": 3, "gens": [[1, 0, 0], [0, 1, 0]],
+                  "gens_str": ["x1", "x2"]},
+        "field": "F3", "seeds": list(trial_seeds(0, 5)), "agreement": 2,
+        "u_generic": ["yes"] * 5}
 
 
 def test_gin_parametric(capsys):

@@ -2,9 +2,10 @@ import gc
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ginlab as gl
+from ginlab import generic
 from ginlab.fields import PrimeField
 from ginlab.generic import (GF32003, _plucker_key, ideal_at_point,
                             normal_form_family, sample_ideal, sample_point)
@@ -13,7 +14,7 @@ from ginlab.orders import InverseBlock, mono_divides
 from ginlab.poly import PackedRing, Polynomial
 
 from conftest import GIN_32_22, POINT_A
-from oracles import (full_templates, hilbert_function_homogeneous,
+from oracles import (full_templates, full_trials, hilbert_function_homogeneous,
                      lead_coefficient, lead_monomial, lead_monomials,
                      monomials_of_degree, param_count, parse_poly,
                      tuple_key, u_generic_by_macaulay)
@@ -380,6 +381,73 @@ def test_gin_routes_never_unpack_a_basis(monkeypatch):
     inst = gl.GenericInstance(3, (2, 2), GF32003, gl.DEGREVLEX)
     assert gl.gin_by_sampling(inst, seed=0).ideal.gens == (
         (2, 0, 0), (1, 1, 0), (0, 3, 0))
+
+
+def _spy_on_buchberger(monkeypatch):
+    """The (variable count, order) of every `buchberger` call that the
+    gin routes make from now on."""
+    calls = []
+    real = generic.buchberger
+
+    def spy(gens, order, *args, **kwargs):
+        calls.append((gens[0].ring.nvars, order))
+        return real(gens, order, *args, **kwargs)
+
+    monkeypatch.setattr(generic, "buchberger", spy)
+    return calls
+
+
+_section_cases = st.integers(2, 5).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(1, 3), min_size=1, max_size=n - 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_section_cases,
+       st.sampled_from([PrimeField(2), PrimeField(3), GF32003, gl.QQ]),
+       st.integers(0, 2**64 - 1), st.sampled_from([None, 1]))
+# trial 0 of seed 0: its section is singular mod 3, its full run is not
+@example((3, [1, 1]), PrimeField(3), 0, None)
+def test_section_trial_is_the_full_trial(case, field, seed, bound):
+    # a degrevlex trial with s < n runs on its section first; its ideal
+    # and u-label must be those of its run in all n variables
+    n, degrees = case
+    inst = gl.GenericInstance(n, degrees, field, gl.DEGREVLEX)
+    res = gl.gin_by_sampling(inst, trials=1, seed=seed, bound=bound)
+    ideals, labels = full_trials(inst, 1, seed, bound)
+    assert (res.ideal, res.u_generic) == (ideals[0], labels)
+
+
+def test_section_route_runs_in_s_variables(monkeypatch):
+    # every trial of n=7 (3,3,3,3) passes the u-check on its section, so
+    # no run is in 7 variables, and no generator uses x5, x6 or x7
+    calls = _spy_on_buchberger(monkeypatch)
+    inst = gl.GenericInstance(7, (3, 3, 3, 3), GF32003, gl.DEGREVLEX)
+    res = gl.gin_by_sampling(inst, seed=0)
+    assert calls == [(4, gl.DEGREVLEX)] * 5
+    assert res.u_generic == ("yes",) * 5 and res.agreement == 5
+    assert not any(any(g[4:]) for g in res.ideal.gens)
+
+
+@pytest.mark.parametrize("n,degrees,route", [
+    (3, (2, 2), "sampling"), (3, (2, 3), "sampling"),
+    (4, (2, 2, 3), "sampling"), (3, (2, 2, 2, 2), "sampling"),
+    (2, (3, 3), "parametric"), (3, (2, 2), "parametric"),
+    (3, (2, 2, 2), "parametric")])
+def test_deglex_gin_is_the_lex_gin(monkeypatch, n, degrees, route):
+    # both routes run deglex under LEX: the records differ only in "order"
+    calls = _spy_on_buchberger(monkeypatch)
+    records = []
+    for order in (gl.LEX, gl.DEGLEX):
+        if route == "sampling":
+            inst = gl.GenericInstance(n, degrees, GF32003, order)
+            records.append(gl.gin_by_sampling(inst, seed=0).to_json())
+        else:
+            inst = gl.GenericInstance(n, degrees, gl.QQ, order)
+            records.append(gl.gin_parametric(inst).to_json())
+    lex, deglex = records
+    assert (lex.pop("order"), deglex.pop("order")) == ("lex", "deglex")
+    assert lex == deglex
+    assert {getattr(o, "main_order", o) for _, o in calls} == {gl.LEX}
 
 
 def test_parametric_route_builds_its_order_once(monkeypatch):

@@ -729,6 +729,19 @@ def test_kernel_counts_on_the_criterion_4_grid(monkeypatch, order, counts):
     assert _kernel_counts(monkeypatch, run) == counts
 
 
+def test_kernel_counts_of_degrevlex_gins_on_the_criterion_4_grid(monkeypatch):
+    """`gin_by_sampling` under degrevlex on the criterion-4 grid, 5 trials
+    at seed 0 over GF(32003), takes exactly these counts: every trial
+    with s < n runs on its section, and a change to the route or to the
+    kernel shows here."""
+    def run(buchberger):
+        for n, d in CRIT4_GRID:
+            gl.gin_by_sampling(
+                gl.GenericInstance(n, d, GF32003, gl.DEGREVLEX), seed=0)
+
+    assert _kernel_counts(monkeypatch, run) == (740, 0, 460, 11)
+
+
 @pytest.mark.parametrize("n,degrees", GIN_PARAM_CASES)
 def test_packed_leads_are_the_block_leads(n, degrees):
     inst = gl.GenericInstance(n, degrees)
